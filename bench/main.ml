@@ -387,8 +387,19 @@ let large_cluster_bench =
          let id = Cluster.next_txn_id cluster in
          ignore (Cluster.submit cluster ~coordinator:0 (Workload.next workload ~id))))
 
+(* Items per staged run of the commit-update row.  One call takes tens of
+   ns, too little for a stable OLS fit (r² ranged 0.75-0.98 with 1000
+   items a run on a 2-vCPU VM, 0.93-0.99 with 4000). *)
+let commit_update_batch = 4000
+
 let substrate_benches =
   let faillocks = Faillock.create ~num_items:50 ~num_sites:4 in
+  ignore (Faillock.set faillocks ~item:7 ~site:2);
+  (* The commit the 64-site workloads run in steady state: one site down,
+     so each written item's row already equals the down set and the diff
+     finds no transition. *)
+  let faillocks64 = Faillock.create ~num_items:commit_update_batch ~num_sites:64 in
+  let down64 = Raid_util.Bitset.of_list 64 [ 17 ] in
   let set_count = ref 0 and cleared = ref 0 in
   let vector = Session.create ~num_sites:4 in
   (* The sparse-representation payoff: a 256-site vector with a handful
@@ -400,10 +411,14 @@ let substrate_benches =
   Session.mark_down vector256 200;
   let bitset = Raid_util.Bitset.create 64 in
   [
-    Test.make ~name:"substrate: fail-lock commit update (one item)"
+    Test.make
+      ~name:
+        (Printf.sprintf "substrate: fail-lock commit update (64 sites, 1 down, %d items)"
+           commit_update_batch)
       (Staged.stage (fun () ->
-           Faillock.commit_update faillocks ~item:7 ~site_up:(fun s -> s <> 2) ~set:set_count
-             ~cleared));
+           for item = 0 to commit_update_batch - 1 do
+             Faillock.commit_update faillocks64 ~item ~down:down64 ~set:set_count ~cleared
+           done));
     Test.make ~name:"substrate: fail-lock table copy (50 items)"
       (Staged.stage (fun () -> ignore (Faillock.copy faillocks)));
     Test.make ~name:"substrate: session vector copy"

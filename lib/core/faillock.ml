@@ -110,11 +110,51 @@ let update_for t ~item ~site ~up ~set:set_count ~cleared =
     notify t ~item ~site ~locked:true
   end
 
-let commit_update t ~item ~site_up ~set ~cleared =
+(* A bit transition found by a row diff: counts, total, tally and hook
+   move exactly as [set_raw]/[clear_raw] plus [notify] would move them. *)
+let transition t ~item ~site ~locked ~set ~cleared =
+  if locked then begin
+    t.counts.(site) <- t.counts.(site) + 1;
+    t.total <- t.total + 1;
+    incr set
+  end
+  else begin
+    t.counts.(site) <- t.counts.(site) - 1;
+    t.total <- t.total - 1;
+    incr cleared
+  end;
+  notify t ~item ~site ~locked
+
+(* Make [item]'s row equal to [target] (read, never aliased; empty means
+   no row).  The transitions are [row xor target] in increasing site
+   order — the order a set/clear sweep over every site produced them — so
+   counts, tallies and the hook see the same sequence, at a cost of
+   O(sites/8 + transitions) instead of one row probe per site. *)
+let assign_row t ~item ~target ~set ~cleared =
+  match Hashtbl.find_opt t.rows item with
+  | None ->
+    if not (Bitset.is_empty target) then begin
+      Bitset.iter (fun site -> transition t ~item ~site ~locked:true ~set ~cleared) target;
+      Hashtbl.replace t.rows item (Bitset.copy target)
+    end
+  | Some row ->
+    (* Equal rows (the steady state of an outage) need no diff at all. *)
+    if not (Bitset.equal row target) then begin
+      Bitset.iter_diff
+        (fun site -> transition t ~item ~site ~locked:(Bitset.mem target site) ~set ~cleared)
+        row target;
+      if Bitset.is_empty target then Hashtbl.remove t.rows item
+      else begin
+        Bitset.clear_all row;
+        Bitset.union_into ~dst:row target
+      end
+    end
+
+let commit_update t ~item ~down ~set ~cleared =
   check_item t item;
-  for site = 0 to t.num_sites - 1 do
-    update_for t ~item ~site ~up:(site_up site) ~set ~cleared
-  done
+  if Bitset.capacity down <> t.num_sites then
+    invalid_arg "Faillock.commit_update: down set capacity mismatch";
+  assign_row t ~item ~target:down ~set ~cleared
 
 let sorted_items t = List.sort compare (Hashtbl.fold (fun item _ acc -> item :: acc) t.rows [])
 
@@ -162,18 +202,21 @@ let check_shape t from =
 let install ?keep t ~from =
   check_shape t from;
   let kept item = match keep with None -> true | Some f -> f item in
+  let empty = Bitset.create t.num_sites in
+  let set_count = ref 0 and cleared = ref 0 in
   (* Visit the union of both tables' rows in ascending item order so the
-     per-bit diff reported to the hook matches the old dense sweep
+     per-bit diff reported to the hook matches a dense item-by-site sweep
      (control-1 installs a whole table at once; the trace still wants
      transitions). *)
   let items = List.sort_uniq compare (sorted_items t @ sorted_items from) in
   List.iter
     (fun item ->
-      let target = if kept item then Hashtbl.find_opt from.rows item else None in
-      for site = 0 to t.num_sites - 1 do
-        let after = match target with None -> false | Some m -> Bitset.mem m site in
-        if after then ignore (set t ~item ~site) else ignore (clear t ~item ~site)
-      done)
+      let target =
+        match if kept item then Hashtbl.find_opt from.rows item else None with
+        | Some m -> m
+        | None -> empty
+      in
+      assign_row t ~item ~target ~set:set_count ~cleared)
     items
 
 let merge t ~from =

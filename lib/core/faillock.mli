@@ -35,12 +35,18 @@ val clear : t -> item:int -> site:int -> bool
 
 val is_locked : t -> item:int -> site:int -> bool
 
-val commit_update : t -> item:int -> site_up:(int -> bool) -> set:int ref -> cleared:int ref -> unit
+val commit_update :
+  t -> item:int -> down:Raid_util.Bitset.t -> set:int ref -> cleared:int ref -> unit
 (** The paper's per-commit rule (§1.2): "the fail-lock for each site was
     cleared if the site was up and set for each failed site" — applied
     unconditionally to every site's bit of a committed item, which the
-    paper found cheaper than conditional maintenance.  Transition counts
-    are accumulated into [set]/[cleared]. *)
+    paper found cheaper than conditional maintenance.  [down] is the set
+    of sites not up (read, never kept); the item's row becomes exactly
+    [down].  The transitions are [row xor down], visited in increasing
+    site order at a cost of O(sites/8 + transitions); with no row and no
+    site down the call is one table lookup.  Transition counts are
+    accumulated into [set]/[cleared].
+    @raise Invalid_argument if [down]'s capacity is not [num_sites]. *)
 
 val update_for : t -> item:int -> site:int -> up:bool -> set:int ref -> cleared:int ref -> unit
 (** One site's share of {!commit_update}: clear the bit when [up], set it
@@ -83,7 +89,9 @@ val install : ?keep:(int -> bool) -> t -> from:t -> unit
 (** Replace contents (control-1 installation).  [keep] filters which
     items' rows are taken from [from] (rows of dropped items are cleared)
     — under partial replication a site only maintains bits for items it
-    holds.  @raise Invalid_argument on shape mismatch. *)
+    holds.  Each row is a diff as in {!commit_update}: the hook sees the
+    transitions item by item, in increasing site order.
+    @raise Invalid_argument on shape mismatch. *)
 
 val merge : t -> from:t -> unit
 (** Bitwise union (used when reconciling fail-lock knowledge). *)

@@ -88,6 +88,7 @@ let is_up t site =
   not (Bitset.mem t.non_up site)
 
 let up_count t = t.up
+let non_up t = t.non_up
 
 let operational t =
   let up = ref [] in

@@ -60,6 +60,11 @@ val up_count : t -> int
 (** Number of sites perceived [Up].  O(1): the count is cached and
     maintained by every state transition. *)
 
+val non_up : t -> Raid_util.Bitset.t
+(** The sites not perceived [Up], as the vector's own bitmap — a live,
+    read-only view that follows every state transition.  Callers must
+    not mutate it; {!copy} it to keep a snapshot. *)
+
 val operational : t -> int list
 (** Sites perceived [Up], in increasing id order. *)
 

@@ -60,10 +60,13 @@ type batch = { round_id : int; pending_sources : Bitset.t; mutable remaining : i
    decision is commit, the coordinator to ask if this site has to
    resolve the transaction after a crash, and — during resolution with a
    dead coordinator — the number of outstanding status probes to other
-   sites (0 when not probing). *)
+   sites (0 when not probing).  [pp_started] is when the prepare arrived,
+   or -1 for one reloaded from the WAL at recovery (its participant time
+   spans a crash and is not sampled). *)
 type pending_prepare = {
   pp_writes : Database.write list;
   pp_coord : int;
+  pp_started : Vtime.t;
   mutable pp_outstanding : int;
 }
 
@@ -101,7 +104,6 @@ type t = {
   stable : Wal.t option;  (* simulated stable storage (durability extension) *)
   placement : Placement.View.t;  (* this site's view of who holds what *)
   pending_prepares : (int, pending_prepare) Hashtbl.t;
-  participant_started : (int, Vtime.t) Hashtbl.t;
   mutable mode : mode;
   coords : (int, coord) Hashtbl.t;  (* in-flight coordinated transactions *)
   mutable batch : batch option;
@@ -153,7 +155,6 @@ let create ~id ~config ~metrics ~on_outcome ?obs ?wal_factory () =
           | None -> Wal.create ~checkpoint_interval ~initial:db ~num_items ()));
     placement = Placement.View.create (Config.placement config);
     pending_prepares = Hashtbl.create 16;
-    participant_started = Hashtbl.create 16;
     mode = Normal;
     coords = Hashtbl.create 4;
     batch = None;
@@ -226,7 +227,6 @@ let wal t = t.stable
    resolved, or presumed aborted). *)
 let forget_in_doubt t ~txn =
   Hashtbl.remove t.pending_prepares txn;
-  Hashtbl.remove t.participant_started txn;
   match t.stable with None -> () | Some wal -> Wal.forget_prepare wal ~txn
 
 (* Presumed abort on coordinator death: a coordinator that died before
@@ -272,7 +272,6 @@ let on_crash ?(now = Vtime.zero) t =
   t.batch <- None;
   t.mode <- Normal;
   Hashtbl.reset t.pending_prepares;
-  Hashtbl.reset t.participant_started;
   (* Under the durability extension the crash also loses the volatile
      database; only the write-ahead log survives.  Recovery replays it,
      and the in-doubt prepare and decision records in stable storage
@@ -395,8 +394,7 @@ let faillock_commit_update ?(witness = false) t ctx ~txn writes =
       (fun { Database.item; _ } ->
         Engine.work ctx t.cost.Cost_model.faillock_update_per_write;
         if Placement.View.is_full t.placement then
-          Faillock.commit_update t.faillocks ~item
-            ~site_up:(fun s -> Session.is_up t.vector s)
+          Faillock.commit_update t.faillocks ~item ~down:(Session.non_up t.vector)
             ~set:set_count ~cleared
         else if witness || stores t ~item then begin
           if stores t ~item && Faillock.is_locked t.faillocks ~item ~site:t.id then
@@ -946,36 +944,17 @@ let apply_embedded_clears t ~coordinator ~txn items =
 
 let handle_prepare t ctx ~txn ~writes ~cleared ~src =
   apply_embedded_clears t ~coordinator:src ~txn cleared;
-  Hashtbl.replace t.pending_prepares txn { pp_writes = writes; pp_coord = src; pp_outstanding = 0 };
+  Hashtbl.replace t.pending_prepares txn
+    { pp_writes = writes; pp_coord = src; pp_started = Engine.time ctx; pp_outstanding = 0 };
   (* Log the prepare before voting yes: a crash between the vote and the
      decision must leave enough on stable storage to apply (or resolve)
      the transaction on recovery. *)
   (match t.stable with
   | None -> ()
   | Some wal -> Wal.log_prepare wal ~txn ~coordinator:src writes);
-  Hashtbl.replace t.participant_started txn (Engine.time ctx);
   Engine.work ctx t.cost.Cost_model.prepare_process;
   Engine.send ctx src (Message.Prepare_ack { txn });
   if tracing t then emit t ctx (Obs.Vote { txn; participant = t.id })
-
-let handle_commit t ctx ~txn ~src =
-  match Hashtbl.find_opt t.pending_prepares txn with
-  | None -> ()  (* unknown transaction (e.g. prepared before a crash) *)
-  | Some { pp_writes = writes; _ } ->
-    Hashtbl.remove t.pending_prepares txn;
-    (match t.stable with None -> () | Some wal -> Wal.forget_prepare wal ~txn);
-    (* Acknowledge before applying: the coordinator does not wait on our
-       local commit work (see Cost_model calibration notes). *)
-    Engine.send ctx src (Message.Commit_ack { txn });
-    apply_writes t ctx ~txn writes;
-    faillock_commit_update t ctx ~txn writes;
-    (match Hashtbl.find_opt t.participant_started txn with
-    | Some started ->
-      Hashtbl.remove t.participant_started txn;
-      t.metrics.Metrics.participant_ms <-
-        ms_of (Vtime.sub (Engine.time ctx) started) :: t.metrics.Metrics.participant_ms
-    | None -> ());
-    start_batch_round t ctx
 
 let handle_prepare_ack t ctx ~txn ~src =
   match current_coord t txn with
@@ -1075,7 +1054,7 @@ let begin_recovery t ctx =
     List.iter
       (fun { Wal.p_txn; coordinator; writes } ->
         Hashtbl.replace t.pending_prepares p_txn
-          { pp_writes = writes; pp_coord = coordinator; pp_outstanding = 0 })
+          { pp_writes = writes; pp_coord = coordinator; pp_started = -1; pp_outstanding = 0 })
       (Wal.prepared wal));
   Session.mark_waiting t.vector t.id ~session:new_session;
   (* Candidate state donors: sites this (stale) vector believes up first,
@@ -1334,6 +1313,28 @@ let resolve_in_doubt t ctx ~txn ~committed =
              { kind = Obs.Recovery; detail = Printf.sprintf "in-doubt txn %d aborted" txn });
       resolution_step t ctx
     end
+
+(* The coordinator's decision.  A prepare reloaded from the WAL is one
+   of the in-doubt prepares holding back control-1: a site that restarts
+   within one message latency of its crash can still receive the Commit
+   sent to its previous incarnation, and that Commit is the prepare's
+   verdict — the status reply that follows finds nothing to resolve. *)
+let handle_commit t ctx ~txn ~src =
+  match Hashtbl.find_opt t.pending_prepares txn with
+  | None -> ()  (* unknown transaction (e.g. prepared before a crash) *)
+  | Some { pp_writes = writes; pp_started = started; _ } ->
+    Hashtbl.remove t.pending_prepares txn;
+    (match t.stable with None -> () | Some wal -> Wal.forget_prepare wal ~txn);
+    (* Acknowledge before applying: the coordinator does not wait on our
+       local commit work (see Cost_model calibration notes). *)
+    Engine.send ctx src (Message.Commit_ack { txn });
+    apply_writes t ctx ~txn writes;
+    faillock_commit_update t ctx ~txn writes;
+    if started >= 0 then
+      t.metrics.Metrics.participant_ms <-
+        ms_of (Vtime.sub (Engine.time ctx) started) :: t.metrics.Metrics.participant_ms
+    else resolution_step t ctx;
+    start_batch_round t ctx
 
 (* A status request bounced off a dead site.  First bounce (the
    coordinator): fan the probe out to every other site.  Later bounces

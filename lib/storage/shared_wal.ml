@@ -47,7 +47,8 @@ let fnv_prime = 0x100000001b3
 
 let flush t =
   if t.pending > 0 then begin
-    let header_len = Buffer.length t.buf in
+    let header = Buffer.contents t.buf in
+    let header_len = String.length header in
     let len = header_len + t.payload_pending in
     let pages = (len + t.page_bytes - 1) / t.page_bytes in
     let padded = pages * t.page_bytes in
@@ -55,9 +56,14 @@ let flush t =
        then payload and page padding as zero fill.  This is the honest
        per-page cost of the write-out — the work group commit amortizes
        across tenants — and it makes [digest] pin the exact byte stream,
-       so determinism tests catch any reordering of tenant records. *)
+       so determinism tests catch any reordering of tenant records.
+       [d] is captured by no closure, so it stays in a register: a digest
+       kept in a heap cell made every byte a store-load round trip, and
+       the speed of that loop swung with the code's alignment. *)
     let d = ref t.digest in
-    String.iter (fun c -> d := (!d lxor Char.code c) * fnv_prime) (Buffer.contents t.buf);
+    for i = 0 to header_len - 1 do
+      d := (!d lxor Char.code (String.unsafe_get header i)) * fnv_prime
+    done;
     for _ = header_len + 1 to padded do
       d := !d * fnv_prime
     done;

@@ -55,22 +55,33 @@ let union_into ~dst src =
 
 let equal a b = a.capacity = b.capacity && Bytes.equal a.bits b.bits
 
+(* The set bits of one byte (whose first index is [base]) in increasing
+   order: each step isolates the lowest set bit ([b land -b]) and clears
+   it ([b land (b-1)]). *)
+let iter_byte f base byte =
+  let b = ref byte in
+  while !b <> 0 do
+    let lowest = !b land - !b in
+    f (base + popcount_byte (lowest - 1));
+    b := !b land (!b - 1)
+  done
+
 (* Members in increasing order, visiting only the set bits: zero bytes
-   are skipped whole, and within a non-zero byte each iteration isolates
-   the lowest set bit ([b land -b]) and clears it ([b land (b-1)]), so
-   the cost is O(bytes + popcount) rather than O(capacity) tests. *)
+   are skipped whole, so the cost is O(bytes + popcount) rather than
+   O(capacity) tests. *)
 let iter f t =
-  let n = Bytes.length t.bits in
-  for i = 0 to n - 1 do
-    let b = ref (Bytes.get_uint8 t.bits i) in
-    if !b <> 0 then begin
-      let base = i lsl 3 in
-      while !b <> 0 do
-        let lowest = !b land - !b in
-        f (base + popcount_byte (lowest - 1));
-        b := !b land (!b - 1)
-      done
-    end
+  for i = 0 to Bytes.length t.bits - 1 do
+    let b = Bytes.get_uint8 t.bits i in
+    if b <> 0 then iter_byte f (i lsl 3) b
+  done
+
+(* The same scan over [a xor b].  Bits past [capacity] are always clear,
+   so a partial tail byte needs no mask. *)
+let iter_diff f a b =
+  if a.capacity <> b.capacity then invalid_arg "Bitset.iter_diff: capacity mismatch";
+  for i = 0 to Bytes.length a.bits - 1 do
+    let d = Bytes.get_uint8 a.bits i lxor Bytes.get_uint8 b.bits i in
+    if d <> 0 then iter_byte f (i lsl 3) d
   done
 
 let fold f t init =

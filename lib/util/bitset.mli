@@ -49,6 +49,13 @@ val iter : (int -> unit) -> t -> unit
     bytes are skipped whole and only set bits are visited —
     O(capacity/8 + cardinal), with no intermediate list. *)
 
+val iter_diff : (int -> unit) -> t -> t -> unit
+(** [iter_diff f a b] applies [f] to each index that is a member of
+    exactly one of [a] and [b] (their symmetric difference), in
+    increasing order.  Bytes where the sets agree are skipped whole —
+    O(capacity/8 + differences), with no intermediate set.
+    @raise Invalid_argument on capacity mismatch. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val to_list : t -> int list

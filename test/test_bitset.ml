@@ -126,9 +126,48 @@ let test_iter_sparse () =
   Bitset.iter (fun _ -> incr visited) b;
   Alcotest.(check int) "empty set visits none" 0 !visited
 
+let diff_list a b =
+  let seen = ref [] in
+  Bitset.iter_diff (fun i -> seen := i :: !seen) a b;
+  List.rev !seen
+
+let test_iter_diff_order () =
+  let a = Bitset.of_list 70 [ 0; 7; 8; 31; 40; 69 ]
+  and b = Bitset.of_list 70 [ 7; 9; 15; 40; 63; 64 ] in
+  Alcotest.(check (list int))
+    "symmetric difference, increasing" [ 0; 8; 9; 15; 31; 63; 64; 69 ] (diff_list a b);
+  Alcotest.(check (list int)) "argument order does not matter" (diff_list a b) (diff_list b a)
+
+let test_iter_diff_tail_bits () =
+  List.iter
+    (fun capacity ->
+      let last = capacity - 1 in
+      let a = Bitset.of_list capacity [ last ] and b = Bitset.create capacity in
+      Alcotest.(check (list int))
+        (Printf.sprintf "tail bit %d of %d" last capacity) [ last ] (diff_list a b);
+      Bitset.set b (last - 1);
+      Alcotest.(check (list int))
+        (Printf.sprintf "last two bits of %d" capacity) [ last - 1; last ] (diff_list a b))
+    [ 9; 65 ]
+
+let test_iter_diff_equal () =
+  let a = Bitset.of_list 65 [ 1; 8; 64 ] in
+  Alcotest.(check (list int)) "equal sets visit nothing" [] (diff_list a (Bitset.copy a));
+  Alcotest.(check (list int)) "a set against itself" [] (diff_list a a);
+  Alcotest.(check (list int)) "two empty sets" [] (diff_list (Bitset.create 9) (Bitset.create 9))
+
+let test_iter_diff_capacity_mismatch () =
+  Alcotest.check_raises "capacity mismatch"
+    (Invalid_argument "Bitset.iter_diff: capacity mismatch") (fun () ->
+      Bitset.iter_diff ignore (Bitset.create 8) (Bitset.create 9))
+
 let suite =
   [
     Alcotest.test_case "empty set" `Quick test_empty;
+    Alcotest.test_case "iter_diff order" `Quick test_iter_diff_order;
+    Alcotest.test_case "iter_diff tail bits" `Quick test_iter_diff_tail_bits;
+    Alcotest.test_case "iter_diff equal sets" `Quick test_iter_diff_equal;
+    Alcotest.test_case "iter_diff capacity mismatch" `Quick test_iter_diff_capacity_mismatch;
     Alcotest.test_case "iter byte boundaries" `Quick test_iter_byte_boundaries;
     Alcotest.test_case "iter sparse/empty" `Quick test_iter_sparse;
     Alcotest.test_case "set/clear/mem" `Quick test_set_clear_mem;

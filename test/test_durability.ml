@@ -334,9 +334,90 @@ let test_mid_protocol_crash_with_wal () =
   Alcotest.(check bool) "consistent" true (Cluster.fully_consistent cluster);
   match Invariant.all cluster with Ok () -> () | Error m -> Alcotest.fail m
 
+(* Drive txn [id] (a write of [item] coordinated by site 0) until site
+   1's yes-vote has reached the coordinator, then crash site 1: its
+   prepare is on stable storage and the Commit is not yet delivered. *)
+let vote_then_crash cluster ~id ~item =
+  let module Engine = Raid_net.Engine in
+  let module Message = Raid_core.Message in
+  let engine = Cluster.engine cluster in
+  Engine.inject engine ~dst:0 (Message.Begin_txn (Txn.make ~id [ Txn.Write item ]));
+  let voted e =
+    e.Engine.trace_outcome = Engine.Delivered
+    && e.Engine.trace_src = 1
+    && match e.Engine.trace_payload with Message.Prepare_ack { txn } -> txn = id | _ -> false
+  in
+  while not (List.exists voted (Engine.trace engine)) do
+    if not (Engine.step engine) then Alcotest.fail "quiescent too early"
+  done;
+  Engine.set_alive engine 1 false;
+  Site.on_crash (Cluster.site cluster 1)
+
+let test_participant_time_samples () =
+  (* A participant samples its prepare-to-commit time once per prepare it
+     received and then saw committed.  A prepare reloaded from the WAL at
+     recovery has no arrival time in this incarnation, so committing it
+     records no sample — whether the verdict comes from in-doubt
+     resolution or from the Commit sent to the previous incarnation. *)
+  let module Engine = Raid_net.Engine in
+  let module Message = Raid_core.Message in
+  let config =
+    Config.make ~durability:(Config.Durable_wal { checkpoint_interval = 5 }) ~num_sites:3
+      ~num_items:8 ()
+  in
+  let cluster = Cluster.create ~settings:(Cluster.settings ~trace:true ()) config in
+  let engine = Cluster.engine cluster in
+  let samples () = List.length (Cluster.metrics cluster).Raid_core.Metrics.participant_ms in
+  let commit_to_1_delivered id =
+    List.exists
+      (fun e ->
+        e.Engine.trace_outcome = Engine.Delivered && e.Engine.trace_dst = 1
+        && e.Engine.trace_payload = Message.Commit { txn = id })
+      (Engine.trace engine)
+  in
+  let recovered () =
+    match Cluster.recover_site cluster 1 with
+    | `Recovered -> ()
+    | `Blocked -> Alcotest.fail "recovery blocked"
+  in
+  let id = Cluster.next_txn_id cluster in
+  ignore (Cluster.submit cluster ~coordinator:0 (Txn.make ~id [ Txn.Write 7 ]));
+  Alcotest.(check int) "one sample per participant" 2 (samples ());
+  (* In-doubt resolution: site 1 stays down until the commit completes
+     without it, then recovers and asks the coordinator. *)
+  let id = Cluster.next_txn_id cluster in
+  vote_then_crash cluster ~id ~item:2;
+  Cluster.run_to_quiescence cluster;
+  Alcotest.(check int) "only the surviving participant sampled" 3 (samples ());
+  Alcotest.(check int) "prepare on stable storage" 1 (Site.in_doubt (Cluster.site cluster 1));
+  recovered ();
+  Alcotest.(check bool) "commit never reached site 1" false (commit_to_1_delivered id);
+  Alcotest.(check int) "resolved" 0 (Site.in_doubt (Cluster.site cluster 1));
+  Alcotest.(check (option (pair int int))) "decided write applied" (Some (id, id))
+    (Database.read (Site.database (Cluster.site cluster 1)) 2);
+  Alcotest.(check int) "resolution records no sample" 3 (samples ());
+  (* The Commit of the previous incarnation: site 1 restarts within one
+     message latency, so the Commit reaches the reloaded prepare. *)
+  let id = Cluster.next_txn_id cluster in
+  vote_then_crash cluster ~id ~item:3;
+  recovered ();
+  Alcotest.(check bool) "commit reached the reloaded prepare" true (commit_to_1_delivered id);
+  Alcotest.(check int) "resolved" 0 (Site.in_doubt (Cluster.site cluster 1));
+  Alcotest.(check (option (pair int int))) "committed write applied" (Some (id, id))
+    (Database.read (Site.database (Cluster.site cluster 1)) 3);
+  Alcotest.(check int) "reloaded commit records no sample" 4 (samples ());
+  (* Only the Commit that bounced off site 1 left a fail-lock for it (the
+     resolved write is current; a copier read clears the bit). *)
+  Alcotest.(check (list int)) "fail-locks for site 1" [ 2 ] (Cluster.faillocks_for cluster 1);
+  let id = Cluster.next_txn_id cluster in
+  ignore (Cluster.submit cluster ~coordinator:1 (Txn.make ~id [ Txn.Read 2 ]));
+  Alcotest.(check bool) "consistent" true (Cluster.fully_consistent cluster);
+  match Invariant.all cluster with Ok () -> () | Error m -> Alcotest.fail m
+
 let suite =
   [
     Alcotest.test_case "wal initial state" `Quick test_wal_initial;
+    Alcotest.test_case "participant time per fresh prepare" `Quick test_participant_time_samples;
     Alcotest.test_case "mid-protocol crash with WAL" `Quick test_mid_protocol_crash_with_wal;
     Alcotest.test_case "wal replay order" `Quick test_wal_replay;
     Alcotest.test_case "wal checkpoint truncates" `Quick test_wal_checkpoint_truncates;

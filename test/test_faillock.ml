@@ -1,4 +1,5 @@
 module Faillock = Raid_core.Faillock
+module Bitset = Raid_util.Bitset
 
 let table () = Faillock.create ~num_items:5 ~num_sites:3
 
@@ -21,17 +22,25 @@ let test_commit_update () =
   let t = table () in
   (* Site 2 is down: committing item 3 sets its bit, clears others. *)
   ignore (Faillock.set t ~item:3 ~site:0);
+  let down = Bitset.of_list 3 [ 2 ] in
   let set_count = ref 0 and cleared = ref 0 in
-  Faillock.commit_update t ~item:3 ~site_up:(fun s -> s <> 2) ~set:set_count ~cleared;
+  Faillock.commit_update t ~item:3 ~down ~set:set_count ~cleared;
   Alcotest.(check int) "one set" 1 !set_count;
   Alcotest.(check int) "one cleared" 1 !cleared;
   Alcotest.(check bool) "bit for down site" true (Faillock.is_locked t ~item:3 ~site:2);
   Alcotest.(check bool) "bit for up site cleared" false (Faillock.is_locked t ~item:3 ~site:0);
   (* Re-running is idempotent (the paper's unconditional re-clear). *)
   let set2 = ref 0 and cleared2 = ref 0 in
-  Faillock.commit_update t ~item:3 ~site_up:(fun s -> s <> 2) ~set:set2 ~cleared:cleared2;
+  Faillock.commit_update t ~item:3 ~down ~set:set2 ~cleared:cleared2;
   Alcotest.(check int) "no new sets" 0 !set2;
-  Alcotest.(check int) "no new clears" 0 !cleared2
+  Alcotest.(check int) "no new clears" 0 !cleared2;
+  (* Every site back up: the row empties and the item reads unlocked. *)
+  Faillock.commit_update t ~item:3 ~down:(Bitset.create 3) ~set:set2 ~cleared:cleared2;
+  Alcotest.(check int) "down site's bit cleared" 1 !cleared2;
+  Alcotest.(check bool) "row removed" false (Faillock.any_locked t ~item:3);
+  Alcotest.check_raises "down set capacity"
+    (Invalid_argument "Faillock.commit_update: down set capacity mismatch") (fun () ->
+      Faillock.commit_update t ~item:3 ~down:(Bitset.create 4) ~set:set2 ~cleared:cleared2)
 
 let test_locked_items_and_counts () =
   let t = table () in
@@ -82,11 +91,118 @@ let prop_commit_update_postcondition =
       let t = table () in
       List.iter (fun (item, site) -> ignore (Faillock.set t ~item ~site)) initial;
       let site_up s = (up_mask lsr s) land 1 = 1 in
+      let down = Bitset.of_list 3 (List.filter (fun s -> not (site_up s)) [ 0; 1; 2 ]) in
       let set_count = ref 0 and cleared = ref 0 in
-      Faillock.commit_update t ~item:2 ~site_up ~set:set_count ~cleared;
+      Faillock.commit_update t ~item:2 ~down ~set:set_count ~cleared;
       List.for_all
         (fun s -> Faillock.is_locked t ~item:2 ~site:s = not (site_up s))
         [ 0; 1; 2 ])
+
+(* Differential check of the row-diff implementations against the plain
+   per-site loop they replace, kept here as the reference.  Capacities
+   straddle byte boundaries (1, 7, 8, 9, 63, 64, 65, 130 sites) so
+   partial tail bytes are covered.  Each scenario is a random table, a
+   random target set for [commit_update] and a random source table for
+   [install]; the two sides must agree on every row, per-site count, the
+   total, the set/cleared tallies and the exact hook transition list. *)
+let diff_items = 5
+
+type diff_case = {
+  sites : int;
+  initial : (int * int) list;  (* (item, site) bits set beforehand *)
+  row_is_down : bool;  (* start the updated item's row equal to [down] *)
+  down : int list;
+  item : int;
+  source : (int * int) list;  (* the table [install] copies from *)
+  keep_mask : int;  (* bit [i] set: [install] keeps item [i]'s row *)
+}
+
+let gen_diff_case =
+  let open QCheck.Gen in
+  oneofl [ 1; 7; 8; 9; 63; 64; 65; 130 ] >>= fun sites ->
+  (* Density per scenario: empty, sparse, half, dense and full sets. *)
+  let members density =
+    list_repeat sites (float_bound_exclusive 1.0) >|= fun draws ->
+    List.concat (List.mapi (fun site x -> if x < density then [ site ] else []) draws)
+  in
+  let density = oneofl [ 0.0; 0.02; 0.5; 0.95; 1.01 ] in
+  let table =
+    density >>= fun d ->
+    list_repeat diff_items (members d) >|= fun rows ->
+    List.concat (List.mapi (fun item sites -> List.map (fun s -> (item, s)) sites) rows)
+  in
+  table >>= fun initial ->
+  bool >>= fun row_is_down ->
+  (density >>= members) >>= fun down ->
+  int_range 0 (diff_items - 1) >>= fun item ->
+  table >>= fun source ->
+  int_range 0 ((1 lsl diff_items) - 1) >|= fun keep_mask ->
+  { sites; initial; row_is_down; down; item; source; keep_mask }
+
+let print_diff_case c =
+  let pairs l = String.concat ";" (List.map (fun (i, s) -> Printf.sprintf "%d/%d" i s) l) in
+  Printf.sprintf "sites=%d initial=[%s] row_is_down=%b down=[%s] item=%d source=[%s] keep=%x"
+    c.sites (pairs c.initial) c.row_is_down
+    (String.concat ";" (List.map string_of_int c.down))
+    c.item (pairs c.source) c.keep_mask
+
+(* A fresh table from [bits], recording its hook transitions (newest
+   first) into the returned list ref. *)
+let table_of ~sites bits =
+  let t = Faillock.create ~num_items:diff_items ~num_sites:sites in
+  List.iter (fun (item, site) -> ignore (Faillock.set t ~item ~site)) bits;
+  let log = ref [] in
+  Faillock.set_hook t (Some (fun ~item ~site ~locked -> log := (item, site, locked) :: !log));
+  (t, log)
+
+(* Everything observable about a table. *)
+let snapshot t =
+  let sites = Faillock.num_sites t in
+  ( List.init diff_items (fun item -> Faillock.locked_sites t ~item),
+    List.init sites (fun site -> Faillock.count_for t ~site),
+    Faillock.total_locked t )
+
+(* The reference: one public set/clear per site, in increasing order. *)
+let reference_assign t ~item ~target ~set_count ~cleared =
+  for site = 0 to Faillock.num_sites t - 1 do
+    if List.mem site target then (if Faillock.set t ~item ~site then incr set_count)
+    else if Faillock.clear t ~item ~site then incr cleared
+  done
+
+let prop_commit_update_matches_reference =
+  QCheck.Test.make ~name:"commit_update = per-site reference loop" ~count:500
+    (QCheck.make ~print:print_diff_case gen_diff_case) (fun c ->
+      let initial =
+        if c.row_is_down then
+          List.filter (fun (item, _) -> item <> c.item) c.initial
+          @ List.map (fun s -> (c.item, s)) c.down
+        else c.initial
+      in
+      let fast, fast_log = table_of ~sites:c.sites initial in
+      let slow, slow_log = table_of ~sites:c.sites initial in
+      let fs = ref 0 and fc = ref 0 and ss = ref 0 and sc = ref 0 in
+      Faillock.commit_update fast ~item:c.item ~down:(Bitset.of_list c.sites c.down) ~set:fs
+        ~cleared:fc;
+      reference_assign slow ~item:c.item ~target:c.down ~set_count:ss ~cleared:sc;
+      snapshot fast = snapshot slow
+      && Faillock.equal fast slow
+      && (!fs, !fc) = (!ss, !sc)
+      && !fast_log = !slow_log)
+
+let prop_install_matches_reference =
+  QCheck.Test.make ~name:"install = per-site reference loop" ~count:500
+    (QCheck.make ~print:print_diff_case gen_diff_case) (fun c ->
+      let keep item = (c.keep_mask lsr item) land 1 = 1 in
+      let from, _ = table_of ~sites:c.sites c.source in
+      let fast, fast_log = table_of ~sites:c.sites c.initial in
+      let slow, slow_log = table_of ~sites:c.sites c.initial in
+      Faillock.install ~keep fast ~from;
+      let ignored = ref 0 in
+      for item = 0 to diff_items - 1 do
+        let target = if keep item then Faillock.locked_sites from ~item else [] in
+        reference_assign slow ~item ~target ~set_count:ignored ~cleared:ignored
+      done;
+      snapshot fast = snapshot slow && Faillock.equal fast slow && !fast_log = !slow_log)
 
 let test_iteration_helpers () =
   let t = table () in
@@ -117,4 +233,6 @@ let suite =
     Alcotest.test_case "copy/install/merge" `Quick test_copy_install_merge;
     Alcotest.test_case "bounds checked" `Quick test_bounds;
     QCheck_alcotest.to_alcotest prop_commit_update_postcondition;
+    QCheck_alcotest.to_alcotest prop_commit_update_matches_reference;
+    QCheck_alcotest.to_alcotest prop_install_matches_reference;
   ]
