@@ -499,6 +499,16 @@ let git_sha () =
     match Unix.close_process_in ic with Unix.WEXITED 0 -> line | _ -> "unknown"
   with _ -> "unknown"
 
+(* Whether the work tree differs from [git_sha] (uncommitted or untracked
+   files), so a number measured on an unstaged edit is not mistaken for
+   the commit's.  [None] outside a git checkout. *)
+let git_dirty () =
+  try
+    let ic = Unix.open_process_in "git status --porcelain 2>/dev/null" in
+    let changed = try ignore (input_line ic); true with End_of_file -> false in
+    match Unix.close_process_in ic with Unix.WEXITED 0 -> Some changed | _ -> None
+  with _ -> None
+
 let utc_date () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
@@ -509,6 +519,8 @@ let write_json ~throughput ~multi ~bechamel path =
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
   out "  \"git_sha\": \"%s\",\n" (json_escape (git_sha ()));
+  out "  \"git_dirty\": %s,\n"
+    (match git_dirty () with None -> "null" | Some d -> string_of_bool d);
   out "  \"date_utc\": \"%s\",\n" (utc_date ());
   out "  \"recommended_domains\": %d,\n" (Pool.recommended_domains ());
   out "  \"jobs\": %d,\n" !jobs;
@@ -624,6 +636,11 @@ let check_baseline ~throughput ~multi path =
      match Json.member "git_sha" doc with Some (Json.Str s) -> Some s | _ -> None
    in
    warn_unless_ancestor sha);
+  (* Baselines stamped before the flag existed carry no [git_dirty]. *)
+  (match Json.member "git_dirty" doc with
+  | Some (Json.Bool true) ->
+    Printf.printf "  WARN baseline was measured on a work tree with uncommitted changes\n"
+  | _ -> ());
   let cases =
     match Json.member "throughput" doc with Some arr -> Json.to_list arr | None -> []
   in

@@ -311,33 +311,36 @@ let detect_knowledge_loss t ~dying =
       Database.version db item
     | _ -> Database.version (Site.database s) item
   in
-  for item = 0 to t.config.Config.num_items - 1 do
-    List.iter
-      (fun target ->
-        let visible_elsewhere =
-          List.exists
-            (fun s -> Faillock.is_locked (Site.faillocks t.sites.(s)) ~item ~site:target)
-            survivors
-        in
-        if not visible_elsewhere then begin
-          let committed = t.committed_versions.(item) in
-          let behind =
-            match restored_version target item with
-            | Some v -> v < committed
-            | None -> committed > 0
+  (* Only items with a row in the dying table can lose a witness; the
+     rest have no locked site to visit. *)
+  List.iter
+    (fun item ->
+      List.iter
+        (fun target ->
+          let visible_elsewhere =
+            List.exists
+              (fun s -> Faillock.is_locked (Site.faillocks t.sites.(s)) ~item ~site:target)
+              survivors
           in
-          if behind && not (Hashtbl.mem t.knowledge_lost (item, target)) then begin
-            Hashtbl.replace t.knowledge_lost (item, target) ();
-            t.knowledge_loss_events <- t.knowledge_loss_events + 1;
-            Log.warn (fun m ->
-                m
-                  "knowledge loss: site %d was the last alive witness that site %d's copy of \
-                   item %d is stale (behind v%d)"
-                  dying target item committed)
-          end
-        end)
-      (Faillock.locked_sites dying_fl ~item)
-  done
+          if not visible_elsewhere then begin
+            let committed = t.committed_versions.(item) in
+            let behind =
+              match restored_version target item with
+              | Some v -> v < committed
+              | None -> committed > 0
+            in
+            if behind && not (Hashtbl.mem t.knowledge_lost (item, target)) then begin
+              Hashtbl.replace t.knowledge_lost (item, target) ();
+              t.knowledge_loss_events <- t.knowledge_loss_events + 1;
+              Log.warn (fun m ->
+                  m
+                    "knowledge loss: site %d was the last alive witness that site %d's copy of \
+                     item %d is stale (behind v%d)"
+                    dying target item committed)
+            end
+          end)
+        (Faillock.locked_sites dying_fl ~item))
+    (Faillock.locked_items dying_fl)
 
 let crash_site_now t i =
   if alive t i then begin

@@ -156,12 +156,12 @@ let commit_update t ~item ~down ~set ~cleared =
     invalid_arg "Faillock.commit_update: down set capacity mismatch";
   assign_row t ~item ~target:down ~set ~cleared
 
-let sorted_items t = List.sort compare (Hashtbl.fold (fun item _ acc -> item :: acc) t.rows [])
+let locked_items t = List.sort compare (Hashtbl.fold (fun item _ acc -> item :: acc) t.rows [])
 
 let locked_items_for t ~site =
   check_site t site;
   if t.counts.(site) = 0 then []
-  else List.filter (fun item -> Bitset.mem (Hashtbl.find t.rows item) site) (sorted_items t)
+  else List.filter (fun item -> Bitset.mem (Hashtbl.find t.rows item) site) (locked_items t)
 
 (* Same items, same increasing order as [locked_items_for]. *)
 let iter_locked_items_for t ~site f = List.iter f (locked_items_for t ~site)
@@ -208,7 +208,7 @@ let install ?keep t ~from =
      per-bit diff reported to the hook matches a dense item-by-site sweep
      (control-1 installs a whole table at once; the trace still wants
      transitions). *)
-  let items = List.sort_uniq compare (sorted_items t @ sorted_items from) in
+  let items = List.sort_uniq compare (locked_items t @ locked_items from) in
   List.iter
     (fun item ->
       let target =
@@ -224,7 +224,7 @@ let merge t ~from =
   List.iter
     (fun item ->
       Bitset.iter (fun site -> ignore (set t ~item ~site)) (Hashtbl.find from.rows item))
-    (sorted_items from)
+    (locked_items from)
 
 let total_locked t = t.total
 
@@ -241,5 +241,5 @@ let pp ppf t =
   Format.fprintf ppf "@[<v>";
   List.iter
     (fun item -> Format.fprintf ppf "item %3d: %a@," item Bitset.pp (Hashtbl.find t.rows item))
-    (sorted_items t);
+    (locked_items t);
   Format.fprintf ppf "@]"

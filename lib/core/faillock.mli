@@ -69,6 +69,9 @@ val count_for : t -> site:int -> int
 (** Number of items fail-locked for a site — the y-axis of the paper's
     figures. *)
 
+val locked_items : t -> int list
+(** Items with at least one locked site, in increasing order. *)
+
 val locked_sites : t -> item:int -> int list
 (** Sites that have missed updates on this item. *)
 

@@ -100,6 +100,70 @@ let wipe t =
 
 let snapshot t = Array.init t.num_items (fun item -> read t item)
 
+(* A checkpoint image in the backend's own format.  [Sparse_image] is the
+   base predicate plus a copy of every diverged slot, so a site that holds
+   k of n items checkpoints O(slots), not O(n).  Slots are copied out:
+   the live database keeps mutating its own. *)
+type image_repr =
+  | Dense_image of copy array
+  | Sparse_image of { base : int -> bool; slots : (int * copy) list }
+
+type image = { image_items : int; image : image_repr }
+
+let copy_of (c : copy) = { value = c.value; version = c.version; present = c.present }
+
+let assign (dst : copy) (src : copy) =
+  dst.value <- src.value;
+  dst.version <- src.version;
+  dst.present <- src.present
+
+let image t =
+  {
+    image_items = t.num_items;
+    image =
+      (match t.repr with
+      | Dense copies -> Dense_image (Array.map copy_of copies)
+      | Sparse s ->
+        let slots = Hashtbl.fold (fun item c acc -> (item, copy_of c) :: acc) s.table [] in
+        Sparse_image { base = s.base; slots });
+  }
+
+(* The imaged copy of each item, by the same rule as [read]. *)
+let image_reader img =
+  match img.image with
+  | Dense_image saved -> Array.get saved
+  | Sparse_image { base; slots } -> (
+    let table = Hashtbl.create 16 in
+    List.iter (fun (item, c) -> Hashtbl.replace table item c) slots;
+    fun item ->
+      match Hashtbl.find_opt table item with
+      | Some c -> c
+      | None -> { value = 0; version = 0; present = base item })
+
+let restore t img =
+  if img.image_items <> t.num_items then invalid_arg "Database.restore: shape mismatch";
+  match (t.repr, img.image) with
+  | Sparse s, Sparse_image { base; slots } when base == s.base ->
+    (* An image of this database: its slots are exactly the divergence
+       to rebuild, and every other item reads its base state already. *)
+    Hashtbl.reset s.table;
+    List.iter (fun (item, c) -> Hashtbl.replace s.table item (copy_of c)) slots
+  | Dense copies, _ ->
+    let saved = image_reader img in
+    Array.iteri (fun item c -> assign c (saved item)) copies
+  | Sparse s, _ ->
+    (* A foreign image: keep a slot only where the imaged copy differs
+       from this database's pristine base state. *)
+    let saved = image_reader img in
+    Hashtbl.reset s.table;
+    for item = 0 to t.num_items - 1 do
+      let c = saved item in
+      let pristine =
+        if s.base item then c.present && c.value = 0 && c.version = 0 else not c.present
+      in
+      if not pristine then Hashtbl.replace s.table item (copy_of c)
+    done
+
 let items_behind replica reference =
   let behind = ref [] in
   for item = num_items replica - 1 downto 0 do

@@ -63,6 +63,23 @@ val wipe : t -> unit
 val snapshot : t -> (int * int) option array
 (** Per-item [(value, version)] copies; [None] for absent items. *)
 
+type image
+(** A checkpoint image: an immutable copy of a database in its backend's
+    own format.  A partial-replication database images its placement
+    predicate plus its diverged copies, O(stored copies); a dense one
+    images every copy. *)
+
+val image : t -> image
+(** The database's current state; later mutations do not affect it. *)
+
+val restore : t -> image -> unit
+(** [restore t img] makes every [read t item] equal to the [read] of the
+    imaged database, whichever backend either side uses.  A
+    partial-replication database keeps no slot for an item that reads as
+    its pristine base state, so restoring an image of itself costs
+    O(image), not O(items).
+    @raise Invalid_argument if the item counts differ. *)
+
 val items_behind : t -> t -> int list
 (** [items_behind replica reference] lists items stored by both whose
     version in [replica] is strictly below that in [reference]. *)

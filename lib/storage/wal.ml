@@ -14,7 +14,8 @@ let item_image_bytes = 12  (* checkpoint image slot *)
 type t = {
   checkpoint_interval : int;
   backing : Shared_wal.handle option;  (* shard log this WAL's records funnel into *)
-  mutable checkpoint_image : (int * int) option array;  (* (value, version) or absent *)
+  num_items : int;
+  mutable checkpoint_image : Database.image;
   mutable log_rev : entry list;
   mutable log_length : int;
   mutable checkpoints_taken : int;
@@ -42,15 +43,19 @@ let create ?(checkpoint_interval = 64) ?backing ?initial ~num_items () =
   {
     checkpoint_interval;
     backing;
+    num_items;
     (* The initial checkpoint must mirror the owner's real initial
        database: for a partial-replication site, an all-items image
        would make the first post-crash replay resurrect copies of items
        the site never stored — phantom version-0 copies no fail-lock
-       tracks. *)
+       tracks.  Without one, every item is stored at (0, 0): a
+       partial database whose base stores everything images that in
+       O(1). *)
     checkpoint_image =
-      (match initial with
-      | Some db -> Database.snapshot db
-      | None -> Array.make num_items (Some (0, 0)));
+      Database.image
+        (match initial with
+        | Some db -> db
+        | None -> Database.create_partial ~num_items ~stored:(fun _ -> true));
     log_rev = [];
     log_length = 0;
     checkpoints_taken = 0;
@@ -68,9 +73,9 @@ let log_length t = t.log_length
 let entries t = List.rev t.log_rev
 
 let checkpoint t db =
-  if Database.num_items db <> Array.length t.checkpoint_image then
+  if Database.num_items db <> t.num_items then
     invalid_arg "Wal.checkpoint: database shape mismatch";
-  t.checkpoint_image <- Database.snapshot db;
+  t.checkpoint_image <- Database.image db;
   t.log_rev <- [];
   t.log_length <- 0;
   t.checkpoints_taken <- t.checkpoints_taken + 1;
@@ -86,14 +91,9 @@ let maybe_checkpoint t db =
 let checkpoints_taken t = t.checkpoints_taken
 
 let replay_into t db =
-  if Database.num_items db <> Array.length t.checkpoint_image then
+  if Database.num_items db <> t.num_items then
     invalid_arg "Wal.replay_into: database shape mismatch";
-  Array.iteri
-    (fun item copy ->
-      match copy with
-      | Some (value, version) -> Database.materialize db { Database.item; value; version }
-      | None -> Database.drop db item)
-    t.checkpoint_image;
+  Database.restore db t.checkpoint_image;
   List.iter (fun { write; _ } -> Database.materialize db write) (entries t);
   t.log_length
 

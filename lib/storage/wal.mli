@@ -57,9 +57,13 @@ val entries : t -> entry list
 (** The current log tail, oldest first. *)
 
 val checkpoint : t -> Database.t -> unit
-(** Compact: snapshot the given database as the new checkpoint and
-    truncate the log.  The database must already contain every logged
-    write (it is the authoritative copy at a quiescent point). *)
+(** Compact: take a {!Database.image} of the given database as the new
+    checkpoint and truncate the log.  The database must already contain
+    every logged write (it is the authoritative copy at a quiescent
+    point).  The image costs O(stored copies) for a partial-replication
+    database; the [Checkpoint] record accounted to a [backing] log is
+    still [num_items] image slots.
+    @raise Invalid_argument if the database shape differs. *)
 
 val maybe_checkpoint : t -> Database.t -> bool
 (** [checkpoint] iff the log tail has reached the interval; returns
@@ -69,8 +73,9 @@ val checkpoints_taken : t -> int
 
 val replay_into : t -> Database.t -> int
 (** Rebuild the database from the checkpoint plus the log tail: every
-    item is restored to its checkpointed state and redo records are
-    re-applied in order.  Returns the number of log entries replayed.
+    item is restored to its checkpointed state ({!Database.restore}) and
+    redo records are re-applied in order, O(image + log tail).  Returns
+    the number of log entries replayed.
     @raise Invalid_argument if the database shape differs. *)
 
 val session : t -> int

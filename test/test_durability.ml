@@ -414,6 +414,174 @@ let test_participant_time_samples () =
   Alcotest.(check bool) "consistent" true (Cluster.fully_consistent cluster);
   match Invariant.all cluster with Ok () -> () | Error m -> Alcotest.fail m
 
+(* {2 Checkpoint images and restore (differential property)}
+
+   The reference is the image format the WAL kept before images moved
+   into [Database]: one [(value, version) option] per item, replayed item
+   by item.  Every item's [read] must agree with it after every
+   operation, on both backends, and every image must also restore into
+   the other backends — among them the fresh dense database that
+   [Cluster.detect_knowledge_loss] replays a dead partial site's log
+   into. *)
+
+type image_op = Apply | Materialize | Drop | Checkpoint | Wipe | Replay
+
+let image_ops = [| Apply; Materialize; Drop; Checkpoint; Wipe; Replay |]
+
+let image_restore_prop =
+  let num_items = 12 in
+  let all_items = List.init num_items Fun.id in
+  QCheck.Test.make ~name:"image and restore match the per-item reference" ~count:300
+    QCheck.(
+      triple bool (int_bound 0xfff)
+        (list (triple (int_bound (Array.length image_ops - 1)) (int_bound (num_items - 1)) small_nat)))
+    (fun (dense, mask, ops) ->
+      let stored item = mask land (1 lsl item) <> 0 in
+      let initial () =
+        Array.init num_items (fun item -> if dense || stored item then Some (0, 0) else None)
+      in
+      let db =
+        if dense then Database.create ~num_items else Database.create_partial ~num_items ~stored
+      in
+      let wal = Wal.create ~checkpoint_interval:1000 ~initial:db ~num_items () in
+      let model = ref (initial ()) and image = ref (initial ()) and log_rev = ref [] in
+      let replayed () =
+        let m = Array.copy !image in
+        List.iter
+          (fun { Database.item; value; version } -> m.(item) <- Some (value, version))
+          (List.rev !log_rev);
+        m
+      in
+      let agrees db expected =
+        List.for_all (fun item -> Database.read db item = expected.(item)) all_items
+      in
+      (* Targets of every backend and base, each dirtied first so the
+         restore has state to overwrite.  [stored] itself is the image's
+         own base; a fresh closure over it, or another predicate, is not. *)
+      let others () =
+        List.map
+          (fun db ->
+            Database.materialize db (write ~item:(num_items - 1) ~value:999 ~version:999);
+            Database.drop db 0;
+            db)
+          [
+            Database.create ~num_items;
+            Database.create_partial ~num_items ~stored;
+            Database.create_partial ~num_items ~stored:(fun item -> stored item);
+            Database.create_partial ~num_items ~stored:(fun item -> item mod 3 = 0);
+          ]
+      in
+      let version = ref 0 in
+      let next_write item value =
+        incr version;
+        write ~item ~value ~version:!version
+      in
+      List.for_all
+        (fun (op, item, value) ->
+          let op = image_ops.(op) in
+          (match op with
+          | Apply ->
+            let w = next_write item value in
+            Database.apply db w;
+            Wal.append wal { Wal.txn = !version; write = w };
+            log_rev := w :: !log_rev;
+            !model.(item) <- Some (value, !version)
+          | Materialize ->
+            Database.materialize db (next_write item value);
+            !model.(item) <- Some (value, !version)
+          | Drop ->
+            Database.drop db item;
+            !model.(item) <- None
+          | Checkpoint ->
+            Wal.checkpoint wal db;
+            image := Array.copy !model;
+            log_rev := []
+          | Wipe ->
+            Database.wipe db;
+            model := initial ()
+          | Replay ->
+            ignore (Wal.replay_into wal db);
+            model := replayed ());
+          agrees db !model
+          &&
+          match op with
+          | Checkpoint | Replay ->
+            List.for_all
+              (fun other ->
+                ignore (Wal.replay_into wal other);
+                agrees other (replayed ()))
+              (others ())
+          | Apply | Materialize | Drop | Wipe -> true)
+        ops)
+
+let test_image_shape_checks () =
+  let wal = Wal.create ~num_items:2 () in
+  let db = Database.create ~num_items:3 in
+  Alcotest.check_raises "checkpoint" (Invalid_argument "Wal.checkpoint: database shape mismatch")
+    (fun () -> Wal.checkpoint wal db);
+  Alcotest.check_raises "replay" (Invalid_argument "Wal.replay_into: database shape mismatch")
+    (fun () -> ignore (Wal.replay_into wal db));
+  Alcotest.check_raises "initial" (Invalid_argument "Wal.create: initial database shape mismatch")
+    (fun () -> ignore (Wal.create ~initial:db ~num_items:2 ()));
+  Alcotest.check_raises "restore" (Invalid_argument "Database.restore: shape mismatch")
+    (fun () -> Database.restore db (Database.image (Database.create ~num_items:2)))
+
+(* {2 Recovery footprint follows what a site holds}
+
+   k=3 over 128 sites and 20,000 items: a site holds about 470 copies.
+   After a crash and a WAL replay, its database and its WAL (checkpoint
+   image plus log tail) must stay within a small constant of that, not
+   keep a slot per item of the database. *)
+
+let test_recovery_footprint () =
+  let num_items = 20_000 and checkpoint_interval = 8 in
+  let config =
+    Config.make ~cost:Cost_model.free ~num_sites:128 ~num_items
+      ~replication:(Config.Partial (Raid_core.Placement.spec ~factor:3 ()))
+      ~durability:(Config.Durable_wal { checkpoint_interval })
+      ()
+  in
+  let cluster = Cluster.create config in
+  let write_items items =
+    List.iter
+      (fun item ->
+        let id = Cluster.next_txn_id cluster in
+        ignore (Cluster.submit cluster ~coordinator:0 (Txn.make ~id [ Txn.Write item ])))
+      items
+  in
+  let victim = 5 in
+  let site = Cluster.site cluster victim in
+  let held = List.filter (fun item -> Site.stores site ~item) (List.init num_items Fun.id) in
+  (* Every fourth held item, for a log tail and several checkpoints at
+     the victim, then 100 items spread over the database. *)
+  write_items (List.filteri (fun i _ -> i mod 4 = 0) held);
+  write_items (List.init 100 (fun i -> i * 197));
+  let reads () = List.init num_items (Database.read (Site.database site)) in
+  let before = reads () in
+  Cluster.fail_site cluster victim;
+  let missed = List.filteri (fun i _ -> i < 3) held in
+  write_items missed;
+  (match Cluster.recover_site cluster victim with
+  | `Recovered -> ()
+  | `Blocked -> Alcotest.fail "blocked");
+  let held = List.length held in
+  let bound = (32 * held) + (16 * checkpoint_interval) + 1024 in
+  let within what words =
+    if words > bound then
+      Alcotest.failf "%s: %d words for %d held items (bound %d)" what words held bound
+  in
+  within "database" (Obj.reachable_words (Obj.repr (Site.database site)));
+  (match Site.wal site with
+  | Some wal -> within "WAL" (Obj.reachable_words (Obj.repr wal))
+  | None -> Alcotest.fail "no WAL");
+  (* Replay restored every item's pre-crash state; the writes missed
+     while down are fail-locked for the copiers instead. *)
+  Alcotest.(check (list int)) "missed writes fail-locked" missed (Site.locked_items site);
+  List.iteri
+    (fun item (before, after) ->
+      if before <> after then Alcotest.failf "item %d not restored by replay" item)
+    (List.combine before (reads ()))
+
 let suite =
   [
     Alcotest.test_case "wal initial state" `Quick test_wal_initial;
@@ -434,4 +602,7 @@ let suite =
       test_initial_image_respects_partial_shape;
     QCheck_alcotest.to_alcotest replay_idempotent_prop;
     Alcotest.test_case "duplicate recover command is safe" `Quick test_duplicate_recover_command;
+    QCheck_alcotest.to_alcotest image_restore_prop;
+    Alcotest.test_case "image shape checks" `Quick test_image_shape_checks;
+    Alcotest.test_case "recovery footprint follows holdings" `Quick test_recovery_footprint;
   ]
