@@ -631,12 +631,6 @@ let throughput_cmd =
              text to $(docv) ($(b,-) for stdout).  The instrumented run produces the same \
              result row as without telemetry.")
   in
-  let sample =
-    Arg.(
-      value & opt float 100.0
-      & info [ "sample" ] ~docv:"MS"
-          ~doc:"Telemetry sampling interval in virtual milliseconds (with $(b,--telemetry)).")
-  in
   let replication_factor =
     Arg.(
       value & opt int 0
@@ -662,7 +656,7 @@ let throughput_cmd =
              Omitted: the paper's uniform item draw.")
   in
   let run sites items max_ops write_prob duration seeds seed no_failure fail_at recover_at smoke
-      csv telemetry sample replication_factor sharding zipf_theta jobs =
+      csv telemetry replication_factor sharding zipf_theta jobs =
     set_jobs jobs;
     let replication =
       if replication_factor = 0 then Raid_core.Config.Full
@@ -694,15 +688,10 @@ let throughput_cmd =
       Raid_sim.Throughput.make_config ~sites ~items ~max_ops ~write_prob ~duration_ms:duration
         ?failure ~replication ?zipf_theta ()
     in
-    if sample <= 0.0 then begin
-      prerr_endline "raid throughput: --sample must be positive";
-      exit 2
-    end;
+    (* The export is the Prometheus exposition of current values, so the
+       registry keeps no series history. *)
     let registry =
-      match telemetry with
-      | None -> None
-      | Some _ ->
-        Some (Raid_obs.Telemetry.create ~interval:(Raid_net.Vtime.of_ms_f sample) ())
+      match telemetry with None -> None | Some _ -> Some (Raid_obs.Telemetry.create ())
     in
     let t0 = Unix.gettimeofday () in
     (* The instrumented first seed runs outside the pool (the registry is
@@ -740,7 +729,7 @@ let throughput_cmd =
           host events/sec) under an open-loop stream with a mid-run failure and recovery.")
     Term.(
       const run $ sites $ items $ max_ops $ write_prob $ duration $ seeds $ seed $ no_failure
-      $ fail_at $ recover_at $ smoke $ csv $ telemetry $ sample $ replication_factor $ sharding
+      $ fail_at $ recover_at $ smoke $ csv $ telemetry $ replication_factor $ sharding
       $ zipf_theta $ jobs)
 
 (* `raid concurrency` *)
@@ -779,11 +768,6 @@ let serve_cmd =
             "Virtual milliseconds advanced per wall millisecond: $(b,1.0) is real time, \
              $(b,10) a 10x fast-forward, $(b,0) removes the throttle entirely (as fast as \
              possible).")
-  in
-  let sample =
-    Arg.(
-      value & opt float 100.0
-      & info [ "sample" ] ~docv:"MS" ~doc:"Telemetry sampling interval in virtual milliseconds.")
   in
   let tenants =
     Arg.(
@@ -834,12 +818,8 @@ let serve_cmd =
       & info [ "zipf-theta" ] ~docv:"THETA"
           ~doc:"Zipfian item skew in (0,1); omitted: uniform item draw.")
   in
-  let run port accel sample tenants sites items max_ops write_prob duration seed
-      replication_factor sharding zipf_theta =
-    if sample <= 0.0 then begin
-      prerr_endline "raid serve: --sample must be positive";
-      exit 2
-    end;
+  let run port accel tenants sites items max_ops write_prob duration seed replication_factor
+      sharding zipf_theta =
     let replication =
       if replication_factor = 0 then Raid_core.Config.Full
       else
@@ -853,7 +833,7 @@ let serve_cmd =
     in
     let config =
       Raid_sim.Soak.make_config ~tenants ~sites ~items ~max_ops ~write_prob ~replication
-        ?zipf_theta ~accel ~sample:(Raid_net.Vtime.of_ms_f sample) ~seed ~port
+        ?zipf_theta ~accel ~seed ~port
         ?duration_s:duration ()
     in
     let soak = Raid_sim.Soak.create config in
@@ -882,7 +862,7 @@ let serve_cmd =
           API on 127.0.0.1 exposes the cluster live: /health, /metrics (Prometheus), /sites, \
           /txns, POST /sites/ID/fail|recover, POST /load.")
     Term.(
-      const run $ port $ accel $ sample $ tenants $ sites $ items $ max_ops $ write_prob
+      const run $ port $ accel $ tenants $ sites $ items $ max_ops $ write_prob
       $ duration $ seed $ replication_factor $ sharding $ zipf_theta)
 
 (* `raid repl` *)

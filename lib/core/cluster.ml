@@ -86,47 +86,44 @@ let attach_telemetry t registry ~extra_labels =
      clusters without (name, labels) collisions. *)
   let with_extra labels = extra_labels @ labels in
   (* Engine profile: events, messages and virtual handler time by
-     payload kind.  Counters are pre-registered for every message kind
-     so all series are aligned from the first sample. *)
+     payload kind, in arrays indexed by [Message.kind_index].  Counters
+     are pre-registered for every kind in [Message.all_kinds] so all
+     series are aligned from the first sample. *)
   let events_total =
     Telemetry.counter registry "raid_engine_events_total" ~labels:(with_extra [])
       ~help:"Engine events processed (deliveries, failure notifications, timer firings)"
   in
-  let msg_counters = Hashtbl.create 32 in
-  let vtime_counters = Hashtbl.create 32 in
-  let msg_counter kind =
-    match Hashtbl.find_opt msg_counters kind with
-    | Some c -> c
-    | None ->
-      (* A kind outside [Message.all_kinds] (e.g. the partial-replication
-         fail-lock hint): register its series on first use so the
-         pre-registered set — and the goldens built on it — is unchanged
-         for runs that never send one. *)
-      let c =
-        Telemetry.counter registry "raid_engine_messages_total"
-          ~labels:(with_extra [ ("kind", kind) ])
-          ~help:"Messages delivered, by payload kind"
-      in
-      Hashtbl.replace msg_counters kind c;
-      c
+  let per_kind name help =
+    let counters = Array.make Message.kind_count None in
+    fun index ->
+      match counters.(index) with
+      | Some c -> c
+      | None ->
+        (* A kind outside [Message.all_kinds] (e.g. the partial-replication
+           fail-lock hint): register its series on first use so the
+           pre-registered set — and the goldens built on it — is unchanged
+           for runs that never send one. *)
+        let c =
+          Telemetry.counter registry name
+            ~labels:(with_extra [ ("kind", Message.kind_of_index index) ])
+            ~help
+        in
+        counters.(index) <- Some c;
+        c
   in
-  let vtime_counter kind =
-    match Hashtbl.find_opt vtime_counters kind with
-    | Some c -> c
-    | None ->
-      let c =
-        Telemetry.counter registry "raid_engine_vtime_us_total"
-          ~labels:(with_extra [ ("kind", kind) ])
-          ~help:"Virtual handler time accumulated via the cost model, by payload kind (us)"
-      in
-      Hashtbl.replace vtime_counters kind c;
-      c
+  let msg_counter =
+    per_kind "raid_engine_messages_total" "Messages delivered, by payload kind"
   in
-  List.iter
-    (fun kind ->
-      ignore (msg_counter kind);
-      ignore (vtime_counter kind))
-    Message.all_kinds;
+  let vtime_counter =
+    per_kind "raid_engine_vtime_us_total"
+      "Virtual handler time accumulated via the cost model, by payload kind (us)"
+  in
+  for index = 0 to Message.kind_count - 1 do
+    if List.mem (Message.kind_of_index index) Message.all_kinds then begin
+      ignore (msg_counter index);
+      ignore (vtime_counter index)
+    end
+  done;
   Telemetry.gauge registry "raid_engine_queue_depth" ~labels:(with_extra [])
     ~help:"Pending events in the engine queue" (fun () ->
       float_of_int (Engine.pending_events engine));
@@ -167,13 +164,14 @@ let attach_telemetry t registry ~extra_labels =
       Telemetry.gauge registry "raid_site_alive" ~labels ~help:"1 while the site is up"
         (fun () -> if Engine.alive engine own then 1.0 else 0.0))
     t.sites;
-  (* Protocol aggregates: every Metrics counter, polled. *)
+  (* Protocol aggregates: every Metrics counter, polled through its
+     own getter. *)
   List.iter
-    (fun (name, _) ->
+    (fun (name, get) ->
       Telemetry.polled_counter registry ("raid_" ^ name ^ "_total") ~labels:(with_extra [])
         ~help:"Cumulative protocol count (see Raid_core.Metrics)" (fun () ->
-          float_of_int (List.assoc name (Metrics.snapshot_counts t.metrics))))
-    (Metrics.snapshot_counts t.metrics);
+          float_of_int (get t.metrics)))
+    Metrics.counters;
   let latency_help = "Virtual transaction latency at the coordinator, by outcome (ms)" in
   let commit_latency =
     Telemetry.histogram registry "raid_txn_latency_ms"
@@ -198,16 +196,16 @@ let attach_telemetry t registry ~extra_labels =
          Engine.on_event =
            (fun ~at:_ event ~cost ->
              Telemetry.incr events_total;
-             let payload_kind =
+             let index =
                match event with
                | Engine.Message { payload; _ } ->
-                 let kind = Message.kind payload in
-                 Telemetry.incr (msg_counter kind);
-                 kind
+                 let index = Message.kind_index payload in
+                 Telemetry.incr (msg_counter index);
+                 index
                | Engine.Send_failed { payload; _ } | Engine.Timer payload ->
-                 Message.kind payload
+                 Message.kind_index payload
              in
-             Telemetry.add (vtime_counter payload_kind) (float_of_int cost));
+             Telemetry.add (vtime_counter index) (float_of_int cost));
          on_advance = (fun ~at -> Telemetry.maybe_sample registry ~at);
        })
 

@@ -25,28 +25,41 @@ type t =
   | Txn_status_request of { txn : int }
   | Txn_status_reply of { txn : int; committed : bool }
 
-let kind = function
-  | Begin_txn _ -> "begin_txn"
-  | Recover_command -> "recover_command"
-  | Failure_noticed _ -> "failure_noticed"
-  | Terminate_command -> "terminate_command"
-  | Departure_announce _ -> "departure_announce"
-  | Prepare _ -> "prepare"
-  | Prepare_ack _ -> "prepare_ack"
-  | Commit _ -> "commit"
-  | Commit_ack _ -> "commit_ack"
-  | Abort _ -> "abort"
-  | Copy_request _ -> "copy_request"
-  | Copy_reply _ -> "copy_reply"
-  | Copy_unavailable _ -> "copy_unavailable"
-  | Faillocks_cleared _ -> "faillocks_cleared"
-  | Recovery_announce _ -> "recovery_announce"
-  | Recovery_state _ -> "recovery_state"
-  | Failure_announce _ -> "failure_announce"
-  | Backup_copy _ -> "backup_copy"
-  | Faillock_hint _ -> "faillock_hint"
-  | Txn_status_request _ -> "txn_status_request"
-  | Txn_status_reply _ -> "txn_status_reply"
+let kind_index = function
+  | Begin_txn _ -> 0
+  | Recover_command -> 1
+  | Failure_noticed _ -> 2
+  | Terminate_command -> 3
+  | Departure_announce _ -> 4
+  | Prepare _ -> 5
+  | Prepare_ack _ -> 6
+  | Commit _ -> 7
+  | Commit_ack _ -> 8
+  | Abort _ -> 9
+  | Copy_request _ -> 10
+  | Copy_reply _ -> 11
+  | Copy_unavailable _ -> 12
+  | Faillocks_cleared _ -> 13
+  | Recovery_announce _ -> 14
+  | Recovery_state _ -> 15
+  | Failure_announce _ -> 16
+  | Backup_copy _ -> 17
+  | Faillock_hint _ -> 18
+  | Txn_status_request _ -> 19
+  | Txn_status_reply _ -> 20
+
+(* Indexed by [kind_index]. *)
+let kind_names =
+  [|
+    "begin_txn"; "recover_command"; "failure_noticed"; "terminate_command"; "departure_announce";
+    "prepare"; "prepare_ack"; "commit"; "commit_ack"; "abort"; "copy_request"; "copy_reply";
+    "copy_unavailable"; "faillocks_cleared"; "recovery_announce"; "recovery_state";
+    "failure_announce"; "backup_copy"; "faillock_hint"; "txn_status_request"; "txn_status_reply";
+  |]
+
+let kind_count = Array.length kind_names
+let kind_of_index i = kind_names.(i)
+let kind m = kind_names.(kind_index m)
 
 (* Kinds pre-registered for aligned telemetry series.  [faillock_hint]
    is deliberately absent: it only flows under partial replication, and

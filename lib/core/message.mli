@@ -81,6 +81,17 @@ val kind : t -> string
     "copy_request", ...) — unlike {!describe} it carries no transaction
     ids, so it is usable as a metric label. *)
 
+val kind_index : t -> int
+(** The constructor's position in declaration order, in
+    [0 .. kind_count - 1]: a dense key for per-kind counters, so a probe
+    indexes an array instead of hashing {!kind}. *)
+
+val kind_count : int
+
+val kind_of_index : int -> string
+(** [kind_of_index (kind_index m) = kind m].
+    @raise Invalid_argument outside [0 .. kind_count - 1]. *)
+
 val all_kinds : string list
 (** The {!kind} values pre-registered for aligned telemetry series, in
     constructor order.  ["faillock_hint"] and the in-doubt resolution

@@ -94,20 +94,22 @@ let reset t =
   t.copy_serve_ms <- [];
   t.clear_special_ms <- []
 
-let snapshot_counts t =
+let counters =
   [
-    ("txns_committed", t.txns_committed);
-    ("txns_aborted", t.txns_aborted);
-    ("copier_requests", t.copier_requests);
-    ("copier_items_refreshed", t.copier_items_refreshed);
-    ("batch_copier_rounds", t.batch_copier_rounds);
-    ("clear_specials_sent", t.clear_specials_sent);
-    ("control1_completed", t.control1_completed);
-    ("control2_announcements", t.control2_announcements);
-    ("control3_backups", t.control3_backups);
-    ("faillocks_set", t.faillocks_set);
-    ("faillocks_cleared", t.faillocks_cleared);
+    ("txns_committed", fun t -> t.txns_committed);
+    ("txns_aborted", fun t -> t.txns_aborted);
+    ("copier_requests", fun t -> t.copier_requests);
+    ("copier_items_refreshed", fun t -> t.copier_items_refreshed);
+    ("batch_copier_rounds", fun t -> t.batch_copier_rounds);
+    ("clear_specials_sent", fun t -> t.clear_specials_sent);
+    ("control1_completed", fun t -> t.control1_completed);
+    ("control2_announcements", fun t -> t.control2_announcements);
+    ("control3_backups", fun t -> t.control3_backups);
+    ("faillocks_set", fun t -> t.faillocks_set);
+    ("faillocks_cleared", fun t -> t.faillocks_cleared);
   ]
+
+let snapshot_counts t = List.map (fun (name, get) -> (name, get t)) counters
 
 (* Every latency sample list, labelled, for the observability reports:
    first by transaction outcome, then by 2PC phase, then the control and

@@ -63,8 +63,11 @@ val create : unit -> t
 val reset : t -> unit
 (** Zero all counters and drop all samples. *)
 
+val counters : (string * (t -> int)) list
+(** Every counter's name and getter, in report order. *)
+
 val snapshot_counts : t -> (string * int) list
-(** Counter names and values, for reports. *)
+(** Counter names and values, for reports ({!counters} applied). *)
 
 val latency_groups : t -> (string * float list) list
 (** Every latency sample list with a stable label — per-transaction

@@ -37,35 +37,57 @@ let kind_name = function
   | Telemetry.Gauge -> "gauge"
   | Telemetry.Histogram -> "histogram"
 
+(* Everything static about one metric's exposition, rendered once:
+   slot 0 is its family's HELP/TYPE header, the rest are the sample-line
+   prefixes up to and including the space before the value — one for a
+   counter or gauge; for a histogram one per bucket (+Inf last), then
+   [_sum] and [_count]. *)
+let prerender m =
+  let name = Telemetry.name m and labels = Telemetry.metric_labels m in
+  let help = Telemetry.help m in
+  let header =
+    (if help = "" then "" else Printf.sprintf "# HELP %s %s\n" name (escape_help help))
+    ^ Printf.sprintf "# TYPE %s %s\n" name (kind_name (Telemetry.kind m))
+  in
+  match Telemetry.read m with
+  | Telemetry.Value _ -> [| header; name ^ label_set labels ^ " " |]
+  | Telemetry.Buckets { bounds; _ } ->
+    let bucket bound =
+      name ^ "_bucket" ^ label_set ~extra:("le", Telemetry.float_repr bound) labels ^ " "
+    in
+    Array.concat
+      [
+        [| header |];
+        Array.map bucket bounds;
+        [| bucket Float.infinity; name ^ "_sum" ^ label_set labels ^ " ";
+           name ^ "_count" ^ label_set labels ^ " " |];
+      ]
+
 let render registry =
-  let buffer = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buffer) fmt in
-  let last_name = ref "" in
-  List.iter
-    (fun (v : Telemetry.view) ->
-      if v.Telemetry.v_name <> !last_name then begin
-        last_name := v.Telemetry.v_name;
-        if v.Telemetry.v_help <> "" then
-          out "# HELP %s %s\n" v.Telemetry.v_name (escape_help v.Telemetry.v_help);
-        out "# TYPE %s %s\n" v.Telemetry.v_name (kind_name v.Telemetry.v_kind)
-      end;
-      match v.Telemetry.v_kind with
-      | Telemetry.Counter | Telemetry.Gauge ->
-        out "%s%s %s\n" v.Telemetry.v_name
-          (label_set v.Telemetry.v_labels)
-          (Telemetry.float_repr v.Telemetry.v_value)
-      | Telemetry.Histogram ->
-        List.iter
-          (fun (bound, cumulative) ->
-            out "%s_bucket%s %d\n" v.Telemetry.v_name
-              (label_set ~extra:("le", Telemetry.float_repr bound) v.Telemetry.v_labels)
-              cumulative)
-          v.Telemetry.v_buckets;
-        out "%s_sum%s %s\n" v.Telemetry.v_name
-          (label_set v.Telemetry.v_labels)
-          (Telemetry.float_repr v.Telemetry.v_sum);
-        out "%s_count%s %s\n" v.Telemetry.v_name
-          (label_set v.Telemetry.v_labels)
-          (Telemetry.float_repr v.Telemetry.v_value))
-    (Telemetry.views registry);
+  let buffer = Buffer.create 16384 in
+  let line prefix value =
+    Buffer.add_string buffer prefix;
+    Buffer.add_string buffer value;
+    Buffer.add_char buffer '\n'
+  in
+  let sorted = Telemetry.sorted registry in
+  Array.iteri
+    (fun i m ->
+      let text = Telemetry.text m prerender in
+      (* A family's header goes before its first label set in sort order. *)
+      if i = 0 || not (String.equal (Telemetry.name sorted.(i - 1)) (Telemetry.name m)) then
+        Buffer.add_string buffer text.(0);
+      match Telemetry.read m with
+      | Telemetry.Value v -> line text.(1) (Telemetry.float_repr v)
+      | Telemetry.Buckets { bounds; counts; sum; count } ->
+        let finite = Array.length bounds in
+        let cumulative = ref 0 in
+        for b = 0 to finite - 1 do
+          cumulative := !cumulative + counts.(b);
+          line text.(1 + b) (string_of_int !cumulative)
+        done;
+        line text.(finite + 1) (string_of_int count);
+        line text.(finite + 2) (Telemetry.float_repr sum);
+        line text.(finite + 3) (Telemetry.float_repr (float_of_int count)))
+    sorted;
   Buffer.contents buffer

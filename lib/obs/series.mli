@@ -1,8 +1,9 @@
 (** A growable in-memory time series: (virtual time, value) pairs in
     append order.
 
-    The telemetry registry ({!Telemetry}) owns one series per metric and
-    appends a point at every sampling instant.  Points are stored in two
+    A telemetry registry ({!Telemetry}) created with a sampling interval
+    appends a point to each metric's series at every sampling instant;
+    one created without leaves them empty.  Points are stored in two
     parallel unboxed arrays (int microseconds, float), so a sample costs
     two array writes and no allocation beyond amortised growth —
     sampling must not perturb the run it is observing. *)

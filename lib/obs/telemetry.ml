@@ -25,12 +25,17 @@ type metric = {
   m_help : string;
   m_kind : kind;
   m_source : source;
-  m_series : Series.t;
+  m_series : Series.t;  (* stays empty in a registry without an interval *)
+  mutable m_text : string array;  (* exporter's pre-rendered text; [||] until first export *)
 }
 
 type t = {
-  ivl : Vtime.t;
-  mutable metrics_rev : metric list;
+  ivl : Vtime.t option;  (* [None]: current values only, no history *)
+  mutable metrics : metric array;  (* registration order; the first [count] slots *)
+  mutable count : int;
+  by_key : (string * string, metric) Hashtbl.t;  (* (name, labels_str) *)
+  kinds : (string, kind) Hashtbl.t;  (* name -> the kind its family was registered with *)
+  mutable sorted : metric array option;  (* export order; dropped by every registration *)
   mutable next_due : Vtime.t;
   mutable last_at : Vtime.t;  (* stamp of the most recent sample; -1 = none *)
   mutable samples : int;
@@ -43,12 +48,28 @@ let float_repr f =
   if Float.is_nan f then "NaN"
   else if f = Float.infinity then "+Inf"
   else if f = Float.neg_infinity then "-Inf"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if Float.is_integer f && Float.abs f < 1e15 then
+    (* Exactly the bytes of [%.0f], without the format interpreter:
+       below 1e15 the integer conversion is exact, and [%.0f] keeps the
+       sign of a negative zero. *)
+    if f = 0.0 && Float.sign_bit f then "-0" else string_of_int (Float.to_int f)
   else Printf.sprintf "%.17g" f
 
-let create ?(interval = Vtime.of_ms 100) () =
-  if interval <= 0 then invalid_arg "Telemetry.create: interval must be positive";
-  { ivl = interval; metrics_rev = []; next_due = interval; last_at = -1; samples = 0 }
+let create ?interval () =
+  (match interval with
+  | Some i when i <= 0 -> invalid_arg "Telemetry.create: interval must be positive"
+  | _ -> ());
+  {
+    ivl = interval;
+    metrics = [||];
+    count = 0;
+    by_key = Hashtbl.create 64;
+    kinds = Hashtbl.create 32;
+    sorted = None;
+    next_due = Option.value interval ~default:0;
+    last_at = -1;
+    samples = 0;
+  }
 
 let interval t = t.ivl
 
@@ -59,10 +80,12 @@ let valid_name name =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
        name
 
+let sort_labels labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels
+
 let register t ~labels ~help ~kind ~source name =
   if not (valid_name name) then
     invalid_arg (Printf.sprintf "Telemetry: ill-formed metric name %S" name);
-  let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
+  let labels = sort_labels labels in
   let rec dup_key = function
     | (a, _) :: ((b, _) :: _ as rest) -> a = b || dup_key rest
     | _ -> false
@@ -70,14 +93,14 @@ let register t ~labels ~help ~kind ~source name =
   if dup_key labels then
     invalid_arg (Printf.sprintf "Telemetry: duplicate label key on metric %S" name);
   let labels_str = labels_string labels in
-  List.iter
-    (fun m ->
-      if m.m_name = name && m.m_labels_str = labels_str then
-        invalid_arg (Printf.sprintf "Telemetry: metric %S{%s} already registered" name labels_str);
-      if m.m_name = name && m.m_kind <> kind then
-        invalid_arg (Printf.sprintf "Telemetry: metric %S registered with two kinds" name))
-    t.metrics_rev;
-  t.metrics_rev <-
+  if Hashtbl.mem t.by_key (name, labels_str) then
+    invalid_arg (Printf.sprintf "Telemetry: metric %S{%s} already registered" name labels_str);
+  (match Hashtbl.find_opt t.kinds name with
+  | Some k when k <> kind ->
+    invalid_arg (Printf.sprintf "Telemetry: metric %S registered with two kinds" name)
+  | Some _ -> ()
+  | None -> Hashtbl.replace t.kinds name kind);
+  let m =
     {
       m_name = name;
       m_labels = labels;
@@ -86,8 +109,18 @@ let register t ~labels ~help ~kind ~source name =
       m_kind = kind;
       m_source = source;
       m_series = Series.create ();
+      m_text = [||];
     }
-    :: t.metrics_rev
+  in
+  if t.count = Array.length t.metrics then begin
+    let grown = Array.make (max 64 (2 * t.count)) m in
+    Array.blit t.metrics 0 grown 0 t.count;
+    t.metrics <- grown
+  end;
+  t.metrics.(t.count) <- m;
+  t.count <- t.count + 1;
+  Hashtbl.replace t.by_key (name, labels_str) m;
+  t.sorted <- None
 
 let counter t ?(labels = []) ?(help = "") name =
   let c = { total = 0.0 } in
@@ -136,18 +169,24 @@ let current m =
   | Hist h -> float_of_int h.hcount
 
 let sample_at t at =
-  List.iter (fun m -> Series.push m.m_series ~at (current m)) (List.rev t.metrics_rev);
+  for i = 0 to t.count - 1 do
+    let m = t.metrics.(i) in
+    Series.push m.m_series ~at (current m)
+  done;
   t.last_at <- at;
   t.samples <- t.samples + 1
 
 let maybe_sample t ~at =
-  while t.next_due <= at do
-    sample_at t t.next_due;
-    t.next_due <- Vtime.add t.next_due t.ivl
-  done
+  match t.ivl with
+  | None -> ()
+  | Some ivl ->
+    while t.next_due <= at do
+      sample_at t t.next_due;
+      t.next_due <- Vtime.add t.next_due ivl
+    done
 
 let sample_now t ~at =
-  if t.last_at <> at then begin
+  if t.ivl <> None && t.last_at <> at then begin
     (* Keep the interval grid anchored at zero: a final flush must not
        shift subsequent due times (there are none in practice, but the
        invariant keeps [maybe_sample] and [sample_now] commutative). *)
@@ -195,27 +234,48 @@ let view_of_metric m =
     v_series = m.m_series;
   }
 
-let sorted_metrics t =
-  List.sort
-    (fun a b ->
-      match String.compare a.m_name b.m_name with
-      | 0 -> String.compare a.m_labels_str b.m_labels_str
-      | c -> c)
-    t.metrics_rev
+let compare_metrics a b =
+  match String.compare a.m_name b.m_name with
+  | 0 -> String.compare a.m_labels_str b.m_labels_str
+  | c -> c
 
-let views t = List.map view_of_metric (sorted_metrics t)
+let sorted t =
+  match t.sorted with
+  | Some order -> order
+  | None ->
+    let order = Array.sub t.metrics 0 t.count in
+    Array.sort compare_metrics order;
+    t.sorted <- Some order;
+    order
+
+let views t = Array.fold_right (fun m acc -> view_of_metric m :: acc) (sorted t) []
 
 let find t ?(labels = []) name =
-  let labels_str =
-    labels_string (List.sort (fun (a, _) (b, _) -> String.compare a b) labels)
-  in
-  List.find_opt (fun m -> m.m_name = name && m.m_labels_str = labels_str) t.metrics_rev
+  Hashtbl.find_opt t.by_key (name, labels_string (sort_labels labels))
   |> Option.map view_of_metric
+
+let name m = m.m_name
+let metric_labels m = m.m_labels
+let help m = m.m_help
+let kind m = m.m_kind
+
+type reading =
+  | Value of float
+  | Buckets of { bounds : float array; counts : int array; sum : float; count : int }
+
+let read m =
+  match m.m_source with
+  | Hist h -> Buckets { bounds = h.bounds; counts = h.counts; sum = h.hsum; count = h.hcount }
+  | Owned _ | Polled _ -> Value (current m)
+
+let text m render =
+  if Array.length m.m_text = 0 then m.m_text <- render m;
+  m.m_text
 
 let to_csv t =
   let buffer = Buffer.create 4096 in
   Buffer.add_string buffer "metric,labels,t_ms,value\n";
-  List.iter
+  Array.iter
     (fun m ->
       Series.iter m.m_series (fun ~at value ->
           Buffer.add_string buffer m.m_name;
@@ -227,5 +287,5 @@ let to_csv t =
           Buffer.add_char buffer ',';
           Buffer.add_string buffer (float_repr value);
           Buffer.add_char buffer '\n'))
-    (sorted_metrics t);
+    (sorted t);
   Buffer.contents buffer

@@ -1,20 +1,23 @@
-(** Typed metrics registry sampled at a virtual-time interval.
+(** Typed metrics registry, optionally sampled at a virtual-time interval.
 
     The paper's experiments are measurements — fail-locks set and
     cleared, copier transactions requested, recovery-time breakdowns —
     but {!Raid_core.Metrics} only exposes end-of-run aggregates and
     {!Trace} raw events.  This registry is the middle layer: named
     metrics (counters, gauges, histograms, keyed by name plus static
-    labels such as [site]/[kind]) whose values are sampled into
-    in-memory {!Series} at a configurable {e virtual}-time interval.
-    Exports: Prometheus text exposition ({!Prom}) and long-form CSV
-    ({!to_csv}).
+    labels such as [site]/[kind]).  A registry created with an interval
+    also samples every metric into an in-memory {!Series} at that
+    {e virtual}-time interval; one created without keeps current values
+    only.  Exports: Prometheus text exposition ({!Prom}, current values)
+    and long-form CSV ({!to_csv}, the sampled history).
 
     Cost discipline (the {!Trace.sink} trick): nothing here is global
     and nothing is wired into the simulator by default.  A cluster
     created without a registry pays one [None] branch per engine event;
-    with a registry, counters are one float store and sampling happens
-    only when the engine's clock crosses a multiple of the interval.
+    with a registry, counters are one float store, and sampling happens
+    only in a registry with an interval, when the engine's clock crosses
+    a multiple of it.  A live server whose readers only scrape current
+    values ([raid serve]) therefore keeps no history at all.
 
     Determinism: samples are stamped with the {e due} virtual time (the
     crossed multiple of the interval), never the host clock, and
@@ -37,18 +40,21 @@ type histogram
 (** Fixed cumulative buckets plus running sum and count. *)
 
 val create : ?interval:Raid_net.Vtime.t -> unit -> t
-(** A fresh registry.  [interval] (default 100 virtual ms) is the
-    sampling period: {!maybe_sample} records one point per metric at
-    every crossed multiple of it.
+(** A fresh registry.  With [interval], the registry keeps history:
+    {!maybe_sample} records one point per metric at every crossed
+    multiple of it.  Without, it keeps current values only, and
+    {!maybe_sample} and {!sample_now} do nothing.
     @raise Invalid_argument on a non-positive interval. *)
 
-val interval : t -> Raid_net.Vtime.t
+val interval : t -> Raid_net.Vtime.t option
 
 (** {2 Registration}
 
     All registration functions raise [Invalid_argument] on a duplicate
-    (name, labels) pair, an ill-formed metric name (expected
-    [[a-zA-Z_][a-zA-Z0-9_]*]), or duplicate label keys. *)
+    (name, labels) pair, a name already registered with another kind,
+    an ill-formed metric name (expected [[a-zA-Z_][a-zA-Z0-9_]*]), or
+    duplicate label keys.  Registration is O(1) expected time (a hash
+    index over (name, labels)), so a registry can hold many clusters. *)
 
 val counter : t -> ?labels:labels -> ?help:string -> string -> counter
 (** An owned counter starting at 0; bump it with {!incr}/{!add}. *)
@@ -79,17 +85,19 @@ val observe : histogram -> float -> unit
 (** {2 Sampling} *)
 
 val maybe_sample : t -> at:Raid_net.Vtime.t -> unit
-(** Record one point per metric for every multiple of the interval in
-    ((last sampled due time), [at]]; each point is stamped with the due
-    time, not [at].  Cheap when no boundary was crossed (one comparison). *)
+(** Record one point per metric, in registration order, for every
+    multiple of the interval in ((last sampled due time), [at]]; each
+    point is stamped with the due time, not [at].  Cheap when no
+    boundary was crossed (one comparison); a no-op without an interval. *)
 
 val sample_now : t -> at:Raid_net.Vtime.t -> unit
-(** Unconditionally record a final point stamped [at] — call once at
-    the end of a run so the series cover the tail.  No-op if the last
-    sample is already stamped [at]. *)
+(** Record a final point stamped [at] — call once at the end of a run
+    so the series cover the tail.  No-op if the last sample is already
+    stamped [at], or without an interval. *)
 
 val samples_taken : t -> int
-(** Sampling instants so far (including a final {!sample_now}). *)
+(** Sampling instants so far (including a final {!sample_now}); always
+    0 without an interval. *)
 
 (** {2 Read side / export} *)
 
@@ -105,7 +113,7 @@ type view = {
       (** histograms only: (upper bound, cumulative count), ending with
           the [+Inf] ([infinity]) bucket; empty otherwise *)
   v_sum : float;  (** histograms only: sum of observations *)
-  v_series : Series.t;
+  v_series : Series.t;  (** empty in a registry without an interval *)
 }
 
 val views : t -> view list
@@ -113,6 +121,39 @@ val views : t -> view list
     deterministic export order. *)
 
 val find : t -> ?labels:labels -> string -> view option
+(** One hash lookup on (name, labels). *)
+
+(** {2 Exporter support}
+
+    What {!Prom} renders from: the registered metrics in export order,
+    their current readings, and a per-metric slot for text an exporter
+    renders once and reuses on every later export. *)
+
+type metric
+
+val sorted : t -> metric array
+(** Every registered metric in export order (the {!views} order).  The
+    array is cached until the next registration; do not mutate it. *)
+
+val name : metric -> string
+val metric_labels : metric -> labels
+val help : metric -> string
+val kind : metric -> kind
+
+type reading =
+  | Value of float  (** counters and gauges (polled now) *)
+  | Buckets of { bounds : float array; counts : int array; sum : float; count : int }
+      (** histograms: finite upper bounds, per-bucket (not cumulative)
+          counts with the [+Inf] bucket last, sum and count of
+          observations.  The arrays are the live ones: read, do not
+          keep or mutate. *)
+
+val read : metric -> reading
+
+val text : metric -> (metric -> string array) -> string array
+(** [text m render] is [render m], computed on the first call for [m]
+    and returned from then on ([render] must return a non-empty array;
+    one registry should be rendered by one exporter). *)
 
 val to_csv : t -> string
 (** Long-form CSV, one row per sampled point:

@@ -23,15 +23,14 @@ type config = {
   replication : Config.replication;
   zipf_theta : float option;
   accel : float;
-  sample : Vtime.t;
   seed : int;
   port : int;
   duration_s : float option;
 }
 
 let make_config ?(tenants = 1) ?(sites = 16) ?(items = 500) ?(max_ops = 5) ?(write_prob = 0.5)
-    ?(replication = Config.Full) ?zipf_theta ?(accel = 1.0) ?(sample = Vtime.of_ms 100)
-    ?(seed = 42) ?(port = 0) ?duration_s () =
+    ?(replication = Config.Full) ?zipf_theta ?(accel = 1.0) ?(seed = 42) ?(port = 0) ?duration_s
+    () =
   if tenants <= 0 then invalid_arg "Soak: tenants must be positive";
   if sites <= 0 then invalid_arg "Soak: sites must be positive";
   if items <= 0 then invalid_arg "Soak: items must be positive";
@@ -39,8 +38,8 @@ let make_config ?(tenants = 1) ?(sites = 16) ?(items = 500) ?(max_ops = 5) ?(wri
   (match duration_s with
   | Some d when d <= 0.0 -> invalid_arg "Soak: duration must be positive"
   | _ -> ());
-  { tenants; sites; items; max_ops; write_prob; replication; zipf_theta; accel; sample; seed;
-    port; duration_s }
+  { tenants; sites; items; max_ops; write_prob; replication; zipf_theta; accel; seed; port;
+    duration_s }
 
 (* One tenant: a full independent cluster with its own transaction
    stream.  Tenant 0 keeps the exact single-tenant stream (same seed
@@ -407,7 +406,9 @@ let routes t_ref =
   ]
 
 let create cfg =
-  let reg = Telemetry.create ~interval:cfg.sample () in
+  (* No interval: every reader of this registry ([/metrics], [/txns])
+     wants current values, so it keeps no series history. *)
+  let reg = Telemetry.create () in
   (* The recovery observatory watches tenant 0 only — the tenant the
      operator fail/recover endpoints address, so its ring holds exactly
      the incidents those actions produce. *)
@@ -585,16 +586,6 @@ let shutdown t =
   if not t.shut then begin
     t.stopping <- true;
     Array.iter (fun tn -> Cluster.run_to_quiescence tn.tn_cluster) t.tenants;
-    (* Stamp the final sample at the most advanced tenant clock. *)
-    let at =
-      Array.fold_left
-        (fun acc tn ->
-          let n = Engine.now (Cluster.engine tn.tn_cluster) in
-          if Vtime.to_ms n > Vtime.to_ms acc then n else acc)
-        (Engine.now (Cluster.engine (cluster t)))
-        t.tenants
-    in
-    Telemetry.sample_now t.reg ~at;
     (* Answer anything already buffered, then stop listening. *)
     ignore (Http.poll ~timeout:0.0 t.server);
     Http.close_server t.server;

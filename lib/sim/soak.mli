@@ -71,7 +71,6 @@ type config = {
   replication : Raid_core.Config.replication;
   zipf_theta : float option;
   accel : float;  (** virtual ms per wall ms; [0.] = as fast as possible *)
-  sample : Raid_net.Vtime.t;  (** telemetry sampling interval *)
   seed : int;
   port : int;  (** [0] picks an ephemeral port *)
   duration_s : float option;  (** wall-clock bound; [None] = until {!stop} *)
@@ -86,7 +85,6 @@ val make_config :
   ?replication:Raid_core.Config.replication ->
   ?zipf_theta:float ->
   ?accel:float ->
-  ?sample:Raid_net.Vtime.t ->
   ?seed:int ->
   ?port:int ->
   ?duration_s:float ->
@@ -94,8 +92,7 @@ val make_config :
   config
 (** Defaults: 1 tenant, 16 sites, 500 items, txn <= 5 ops, P(write)
     0.5, full replication, uniform items, real time ([accel = 1.0]),
-    100 virtual ms sampling, seed 42, ephemeral port, no duration
-    bound.  @raise Invalid_argument on non-positive sizes, a negative
+    seed 42, ephemeral port, no duration bound.  @raise Invalid_argument on non-positive sizes, a negative
     [accel], or a non-positive [duration_s]. *)
 
 type t
@@ -113,6 +110,9 @@ val cluster : t -> Raid_core.Cluster.t
     With [tenants = 1] this is the whole soak. *)
 
 val registry : t -> Raid_obs.Telemetry.t
+(** The soak's registry.  It has no sampling interval: every endpoint
+    reads current values, so it keeps no series history and a soak can
+    run indefinitely without its telemetry growing. *)
 
 val tick : ?timeout:float -> t -> unit
 (** One pump iteration: admit transactions up to the pacing target (at
@@ -139,8 +139,8 @@ type summary = {
 }
 
 val shutdown : t -> summary
-(** Drain the engine to quiescence, record a final telemetry sample,
-    close the HTTP server and return the totals (idempotent). *)
+(** Drain the engine to quiescence, close the HTTP server and return
+    the totals (idempotent). *)
 
 val run : t -> summary
 (** {!tick} until {!finished}, then {!shutdown}.  Install a SIGINT

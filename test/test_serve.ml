@@ -251,6 +251,58 @@ let test_shutdown_summary () =
       let fd = connect port in
       Unix.close fd)
 
+(* Every metric family a single-tenant soak serves on /metrics. *)
+let served_families =
+  [
+    "raid_batch_copier_rounds_total"; "raid_build_info"; "raid_clear_specials_sent_total";
+    "raid_control1_completed_total"; "raid_control2_announcements_total";
+    "raid_control3_backups_total"; "raid_copier_items_refreshed_total";
+    "raid_copier_requests_total"; "raid_engine_events_total"; "raid_engine_heap_high_water";
+    "raid_engine_messages_total"; "raid_engine_queue_depth"; "raid_engine_sent_total";
+    "raid_engine_undeliverable_total"; "raid_engine_vtime_us_total";
+    "raid_faillocks_cleared_total"; "raid_faillocks_set_total"; "raid_knowledge_loss_total";
+    "raid_process_events_per_sec"; "raid_process_requests_total"; "raid_process_uptime_seconds";
+    "raid_recovery_phase_seconds"; "raid_site_alive"; "raid_site_buffered_prepares";
+    "raid_site_faillock_bits"; "raid_site_faillocks"; "raid_site_pending_2pc";
+    "raid_site_session_up"; "raid_trace_dropped_total"; "raid_txn_latency_ms";
+    "raid_txns_aborted_total"; "raid_txns_committed_total";
+  ]
+
+(* The soak's readers want current values only, so its registry keeps
+   no history however long it runs — through failure and recovery too —
+   while /metrics still serves every family. *)
+let test_retains_no_series () =
+  with_soak (fun soak ->
+      for i = 1 to 30 do
+        if i = 10 then Alcotest.(check int) "fail" 200 (fst (post soak "/sites/2/fail"));
+        if i = 20 then Alcotest.(check int) "recover" 200 (fst (post soak "/sites/2/recover"));
+        Soak.tick ~timeout:0.0 soak
+      done;
+      let registry = Soak.registry soak in
+      Alcotest.(check bool) "no sampling interval" true
+        (Raid_obs.Telemetry.interval registry = None);
+      Alcotest.(check int) "no samples taken" 0 (Raid_obs.Telemetry.samples_taken registry);
+      List.iter
+        (fun (v : Raid_obs.Telemetry.view) ->
+          Alcotest.(check int)
+            (v.Raid_obs.Telemetry.v_name ^ " series empty")
+            0
+            (Raid_obs.Series.length v.Raid_obs.Telemetry.v_series))
+        (Raid_obs.Telemetry.views registry);
+      let status, body = get soak "/metrics" in
+      Alcotest.(check int) "metrics 200" 200 status;
+      let families =
+        List.filter_map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ "#"; "TYPE"; name; _ ] -> Some name
+            | _ -> None)
+          (String.split_on_char '\n' body)
+      in
+      Alcotest.(check (list string)) "every family served" served_families families;
+      Alcotest.(check bool) "still counting" true
+        (Soak.((summary soak).committed) > 0))
+
 let suite =
   [
     Alcotest.test_case "loopback round trip" `Quick test_round_trip;
@@ -259,4 +311,5 @@ let suite =
     Alcotest.test_case "last operational site guard" `Quick test_last_site_guard;
     Alcotest.test_case "live load adjustment" `Quick test_load_adjustment;
     Alcotest.test_case "shutdown summary" `Quick test_shutdown_summary;
+    Alcotest.test_case "retains no series" `Quick test_retains_no_series;
   ]

@@ -182,6 +182,27 @@ let test_monitor_deterministic () =
   Alcotest.(check bool) "series were sampled" true
     (Telemetry.samples_taken (Lazy.force monitor_output).Monitor.registry > 1)
 
+(* [raid metrics] keeps its history: every series holds one point per
+   crossed multiple of the interval, then the final flush. *)
+let test_monitor_samples_on_grid () =
+  let output = Lazy.force monitor_output in
+  let registry = output.Monitor.registry in
+  let interval = Vtime.of_ms 100 in
+  Alcotest.(check bool) "interval kept" true (Telemetry.interval registry = Some interval);
+  let samples = Telemetry.samples_taken registry in
+  let end_at = Raid_net.Engine.now (Raid_core.Cluster.engine output.Monitor.result.Runner.cluster) in
+  List.iter
+    (fun (v : Telemetry.view) ->
+      let points = Series.to_list v.Telemetry.v_series in
+      Alcotest.(check int) (v.Telemetry.v_name ^ " has every sample") samples
+        (List.length points);
+      List.iteri
+        (fun i (at, _) ->
+          let expected = if i = samples - 1 then end_at else (i + 1) * interval in
+          Alcotest.(check int) (v.Telemetry.v_name ^ " on the grid") expected at)
+        points)
+    (Telemetry.views registry)
+
 let test_monitor_counters_match_result () =
   let output = Lazy.force monitor_output in
   let registry = output.Monitor.registry in
@@ -292,6 +313,7 @@ let suite =
     Alcotest.test_case "exports sorted and escaped" `Quick test_exports_sorted_and_escaped;
     Alcotest.test_case "hostile label values escaped" `Quick test_label_value_escaping;
     Alcotest.test_case "monitor deterministic" `Quick test_monitor_deterministic;
+    Alcotest.test_case "monitor samples on its grid" `Quick test_monitor_samples_on_grid;
     Alcotest.test_case "counters match result" `Quick test_monitor_counters_match_result;
     Alcotest.test_case "telemetry is transparent" `Quick test_telemetry_is_transparent;
     Alcotest.test_case "concurrent lock gauges" `Quick test_concurrent_lock_gauges;
