@@ -339,7 +339,7 @@ let metrics_cmd =
     String.concat "; "
       (List.map
          (fun (name, description) -> Printf.sprintf "$(b,%s): %s" name description)
-         Raid_sim.Monitor.scenarios)
+         Raid_sim.Tracing.scenarios)
   in
   let scenario_name =
     Arg.(
@@ -384,13 +384,13 @@ let metrics_cmd =
     if list then
       List.iter
         (fun (name, description) -> Printf.printf "%-24s %s\n" name description)
-        Raid_sim.Monitor.scenarios
+        Raid_sim.Tracing.scenarios
     else begin
     if sample <= 0.0 then begin
       prerr_endline "raid metrics: --sample must be positive";
       exit 2
     end;
-    match Raid_sim.Monitor.scenario_of_name ?seed scenario_name with
+    match Raid_sim.Tracing.scenario_of_name ?seed scenario_name with
     | Error message ->
       prerr_endline ("raid metrics: " ^ message);
       exit 2
@@ -425,7 +425,7 @@ let explain_cmd =
     String.concat "; "
       (List.map
          (fun (name, description) -> Printf.sprintf "$(b,%s): %s" name description)
-         Raid_sim.Monitor.scenarios)
+         Raid_sim.Tracing.scenarios)
   in
   let scenario_name =
     Arg.(
@@ -453,7 +453,7 @@ let explain_cmd =
   in
   let run scenario_name txn json seed jobs =
     set_jobs jobs;
-    match Raid_sim.Monitor.scenario_of_name ?seed scenario_name with
+    match Raid_sim.Tracing.scenario_of_name ?seed scenario_name with
     | Error message ->
       prerr_endline ("raid explain: " ^ message);
       exit 2
@@ -501,7 +501,7 @@ let incidents_cmd =
     String.concat "; "
       (List.map
          (fun (name, description) -> Printf.sprintf "$(b,%s): %s" name description)
-         Raid_sim.Monitor.scenarios)
+         Raid_sim.Tracing.scenarios)
   in
   let scenario_name =
     Arg.(
@@ -528,7 +528,7 @@ let incidents_cmd =
   in
   let run scenario_name csv out seed jobs =
     set_jobs jobs;
-    match Raid_sim.Monitor.scenario_of_name ?seed scenario_name with
+    match Raid_sim.Tracing.scenario_of_name ?seed scenario_name with
     | Error message ->
       prerr_endline ("raid incidents: " ^ message);
       exit 2

@@ -11,7 +11,9 @@ module Timeline = Raid_sim.Timeline
 module Vtime = Raid_net.Vtime
 
 let () =
-  let cluster = Cluster.create ~settings:(Cluster.settings ~trace:true ()) (Config.make ~num_sites:3 ~num_items:10 ()) in
+  let cluster =
+    Cluster.of_spec (Cluster.Spec.make ~trace:true (Config.make ~num_sites:3 ~num_items:10 ()))
+  in
 
   print_endline "--- a plain transaction (two-phase commit, Appendix A) ---";
   let id = Cluster.next_txn_id cluster in

@@ -10,18 +10,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type detection = Immediate | On_timeout
 
-type settings = {
-  detection : detection;
-  trace : bool;
-  obs : Raid_obs.Trace.sink option;
-  telemetry : Raid_obs.Telemetry.t option;
-}
-
-let default_settings = { detection = Immediate; trace = false; obs = None; telemetry = None }
-
-let settings ?(detection = Immediate) ?(trace = false) ?obs ?telemetry () =
-  { detection; trace; obs; telemetry }
-
 module Spec = struct
   type wal_factory = site:int -> initial:Database.t -> Wal.t
 
@@ -38,17 +26,6 @@ module Spec = struct
   let make ?(detection = Immediate) ?(trace = false) ?obs ?telemetry ?(telemetry_labels = [])
       ?wal_factory config =
     { config; detection; trace; obs; telemetry; telemetry_labels; wal_factory }
-
-  let of_settings (s : settings) config =
-    {
-      config;
-      detection = s.detection;
-      trace = s.trace;
-      obs = s.obs;
-      telemetry = s.telemetry;
-      telemetry_labels = [];
-      wal_factory = None;
-    }
 end
 
 type t = {
@@ -261,7 +238,7 @@ let of_spec (spec : Spec.t) =
   | Some registry -> attach_telemetry t registry ~extra_labels:telemetry_labels);
   t
 
-let create ?(settings = default_settings) config = of_spec (Spec.of_settings settings config)
+let create config = of_spec (Spec.make config)
 
 let config t = t.config
 let metrics t = t.metrics
@@ -276,6 +253,13 @@ let alive t i = Engine.alive t.engine i
 
 let alive_sites t =
   List.filter (alive t) (List.init (num_sites t) Fun.id)
+
+let operational t =
+  let acc = ref [] in
+  for i = Array.length t.sites - 1 downto 0 do
+    if alive t i && not (Site.is_waiting t.sites.(i)) then acc := i :: !acc
+  done;
+  !acc
 
 let run_to_quiescence t = Engine.run t.engine
 

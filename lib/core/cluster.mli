@@ -21,41 +21,20 @@
 
 type detection = Immediate | On_timeout
 
-type settings = {
-  detection : detection;
-  trace : bool;
-  obs : Raid_obs.Trace.sink option;
-  telemetry : Raid_obs.Telemetry.t option;
-}
-(** Cross-cutting observation and failure-detection knobs, gathered in
-    one record so [create] does not grow an optional argument per
-    concern.  [obs] is handed to every site: one sink collects the whole
-    cluster's protocol trace (entries carry the emitting site's id).
-    [telemetry], when given, is instrumented over every layer — per-site
-    gauges (fail-lock table sizes, pending 2PC cardinalities, session
-    up-counts), engine event/message/virtual-time counters via
-    {!Raid_net.Engine.set_probe}, polled {!Metrics} totals and
-    per-outcome latency histograms — and sampled at its interval as the
-    engine's clock advances; telemetry reads but never changes the
-    run. *)
+(** The full construction row, as one record: the observation and
+    failure-detection knobs, plus everything a cluster needs to exist as
+    {e one tenant among many} in a process rather than the implicit only
+    cluster.
 
-val default_settings : settings
-(** [Immediate] detection, no trace, no sink, no telemetry. *)
-
-val settings :
-  ?detection:detection ->
-  ?trace:bool ->
-  ?obs:Raid_obs.Trace.sink ->
-  ?telemetry:Raid_obs.Telemetry.t ->
-  unit ->
-  settings
-(** {!default_settings} with the given fields overridden. *)
-
-(** The full construction row, as one record — everything a cluster
-    needs to exist as {e one tenant among many} in a process rather than
-    the implicit only cluster.  {!settings} covers the single-cluster
-    observation knobs; [Spec] adds the per-tenant dimensions:
-
+    - [obs] is handed to every site: one sink collects the whole
+      cluster's protocol trace (entries carry the emitting site's id);
+    - [telemetry], when given, is instrumented over every layer — per-site
+      gauges (fail-lock table sizes, pending 2PC cardinalities, session
+      up-counts), engine event/message/virtual-time counters via
+      {!Raid_net.Engine.set_probe}, polled {!Metrics} totals and
+      per-outcome latency histograms — and sampled at its interval as the
+      engine's clock advances; telemetry reads but never changes the
+      run;
     - [telemetry_labels] is prepended to the labels of {e every} series
       this cluster registers (the multi-tenant engine passes
       [("tenant", n)]), so thousands of clusters can share one registry
@@ -87,10 +66,8 @@ module Spec : sig
     ?wal_factory:wal_factory ->
     Config.t ->
     t
-  (** Defaults mirror {!default_settings}: [Immediate] detection, no
-      trace, no sinks, no labels, private WALs. *)
-
-  val of_settings : settings -> Config.t -> t
+  (** Defaults: [Immediate] detection, no trace, no sinks, no labels,
+      private WALs. *)
 end
 
 type t
@@ -99,9 +76,8 @@ val of_spec : Spec.t -> t
 (** A fresh cluster built from the full specification: all sites up,
     databases identical, no fail-locks. *)
 
-val create : ?settings:settings -> Config.t -> t
-(** [of_spec (Spec.of_settings settings config)] — the single-cluster
-    form.  [settings] defaults to {!default_settings}. *)
+val create : Config.t -> t
+(** [of_spec (Spec.make config)]: every knob at its default. *)
 
 val config : t -> Config.t
 val metrics : t -> Metrics.t
@@ -111,6 +87,11 @@ val site : t -> int -> Site.t
 
 val alive : t -> int -> bool
 val alive_sites : t -> int list
+
+val operational : t -> int list
+(** Ascending ids of the sites that can coordinate a transaction now:
+    alive and not waiting for a recovery donor.  Computed fresh on every
+    call, so it never goes stale across fail and recover. *)
 
 val fail_site : t -> int -> unit
 (** Crash a site between transactions.  Volatile state is lost; database,

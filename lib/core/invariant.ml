@@ -7,14 +7,9 @@ let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
 
 let fail fmt = Format.kasprintf (fun message -> Error message) fmt
 
-let checkable_sites cluster =
-  List.filter
-    (fun s -> not (Site.is_waiting (Cluster.site cluster s)))
-    (Cluster.alive_sites cluster)
-
 let faillocks_track_staleness cluster =
   let config = Cluster.config cluster in
-  let sites = checkable_sites cluster in
+  let sites = Cluster.operational cluster in
   let rec check_site = function
     | [] -> Ok ()
     | s :: rest ->
@@ -123,7 +118,7 @@ let convergence cluster =
   else Ok ()
 
 let session_vectors_sane cluster =
-  let sites = checkable_sites cluster in
+  let sites = Cluster.operational cluster in
   match sites with
   | [] -> Ok ()
   | reference :: _ ->

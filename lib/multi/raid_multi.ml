@@ -1,8 +1,7 @@
 module Config = Raid_core.Config
 module Cluster = Raid_core.Cluster
 module Workload = Raid_core.Workload
-module Metrics = Raid_core.Metrics
-module Site = Raid_core.Site
+module Driver = Raid_core.Driver
 module Engine = Raid_net.Engine
 module Vtime = Raid_net.Vtime
 module Wal = Raid_storage.Wal
@@ -62,17 +61,7 @@ type result = {
 }
 
 (* One tenant's live state while its stream is in flight. *)
-type tenant_state = {
-  t_id : int;
-  cluster : Cluster.t;
-  rng : Rng.t;
-  workload : Workload.t;
-  victim : int;  (* site its failure plan crashes, if any *)
-  mutable s_submitted : int;
-  mutable s_committed : int;
-  mutable s_aborted : int;
-  mutable s_recovered : int;
-}
+type tenant_state = { t_id : int; driver : Driver.t }
 
 let has_failure_plan spec tenant = spec.fail_every > 0 && tenant mod spec.fail_every = 0
 
@@ -84,15 +73,9 @@ let make_tenant spec ~tenant ~wal_factory ~obs ~telemetry =
   in
   let cluster =
     Cluster.of_spec
-      {
-        Cluster.Spec.config;
-        detection = Cluster.Immediate;
-        trace = false;
-        obs;
-        telemetry;
-        telemetry_labels = [ ("tenant", string_of_int tenant) ];
-        wal_factory;
-      }
+      (Cluster.Spec.make ?obs ?telemetry
+         ~telemetry_labels:[ ("tenant", string_of_int tenant) ]
+         ?wal_factory config)
   in
   (* Independent per-tenant streams: the workload draws from a split of
      the tenant generator, coordinator choice from the remainder. *)
@@ -102,65 +85,42 @@ let make_tenant spec ~tenant ~wal_factory ~obs ~telemetry =
       (Workload.Uniform { max_ops = spec.max_ops; write_prob = spec.write_prob })
       ~num_items:spec.items ~rng:(Rng.split rng)
   in
-  {
-    t_id = tenant;
-    cluster;
-    rng;
-    workload;
-    victim = 1 + (tenant mod (spec.sites - 1));
-    s_submitted = 0;
-    s_committed = 0;
-    s_aborted = 0;
-    s_recovered = 0;
-  }
-
-(* Coordinators must be alive and done recovering; the failure plan
-   keeps at least sites-1 of them so this never empties. *)
-let pick_coordinator st =
-  let operational =
-    List.filter
-      (fun s -> not (Site.is_waiting (Cluster.site st.cluster s)))
-      (Cluster.alive_sites st.cluster)
+  (* The victim is down for the middle third of the stream, so at least
+     sites-1 coordinators stay operational. *)
+  let plan =
+    if has_failure_plan spec tenant then
+      let victim = 1 + (tenant mod (spec.sites - 1)) in
+      Driver.
+        [
+          (After_txns (spec.txns / 3), Fail victim);
+          (After_txns (2 * spec.txns / 3), Recover victim);
+        ]
+    else []
   in
-  Rng.choose st.rng operational
-
-let apply_failure_plan spec st =
-  if has_failure_plan spec st.t_id then begin
-    if st.s_submitted = spec.txns / 3 && Cluster.alive st.cluster st.victim then
-      Cluster.fail_site st.cluster st.victim
-    else if st.s_submitted = 2 * spec.txns / 3 && not (Cluster.alive st.cluster st.victim) then
-      match Cluster.recover_site st.cluster st.victim with
-      | `Recovered -> st.s_recovered <- st.s_recovered + 1
-      | `Blocked -> ()
-  end
+  { t_id = tenant; driver = Driver.create ~plan cluster ~workload ~rng }
 
 (* Advance one scheduling quantum: up to [batch] transactions.  Returns
    whether the tenant still has work, so the shard loop can drop it. *)
 let step spec st =
-  let n = min spec.batch (spec.txns - st.s_submitted) in
+  let n = min spec.batch (spec.txns - Driver.submitted st.driver) in
   for _ = 1 to n do
-    apply_failure_plan spec st;
-    let id = Cluster.next_txn_id st.cluster in
-    let txn = Workload.next st.workload ~id in
-    let coordinator = pick_coordinator st in
-    let outcome = Cluster.submit st.cluster ~coordinator txn in
-    st.s_submitted <- st.s_submitted + 1;
-    if outcome.Metrics.committed then st.s_committed <- st.s_committed + 1
-    else st.s_aborted <- st.s_aborted + 1
+    ignore (Driver.step st.driver)
   done;
-  st.s_submitted < spec.txns
+  Driver.submitted st.driver < spec.txns
 
 let finish st =
-  let counters = Engine.counters (Cluster.engine st.cluster) in
+  let d = st.driver in
+  let engine = Cluster.engine (Driver.cluster d) in
+  let counters = Engine.counters engine in
   {
     tenant = st.t_id;
     shard = 0;  (* stamped by the caller *)
-    submitted = st.s_submitted;
-    committed = st.s_committed;
-    aborted = st.s_aborted;
+    submitted = Driver.submitted d;
+    committed = Driver.committed d;
+    aborted = Driver.aborted d;
     events = counters.Engine.delivered + counters.Engine.timer_fired;
-    virtual_ms = Vtime.to_ms (Engine.now (Cluster.engine st.cluster));
-    recovered = st.s_recovered;
+    virtual_ms = Vtime.to_ms (Engine.now engine);
+    recovered = Driver.recovered d;
   }
 
 (* Combine per-tenant log digests into one deterministic per-shard value

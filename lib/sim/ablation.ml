@@ -1,4 +1,5 @@
 module Cluster = Raid_core.Cluster
+module Driver = Raid_core.Driver
 module Config = Raid_core.Config
 module Workload = Raid_core.Workload
 module Metrics = Raid_core.Metrics
@@ -256,25 +257,24 @@ let protocol_availability ?(seed = 24) ?(txns = 200) () =
   let rowaa () =
     let config = Config.make ~num_sites ~num_items () in
     let cluster = Cluster.create config in
-    let stream = make_stream () in
-    let committed = ref 0 and aborted = ref 0 and elapsed = ref [] in
+    (* Every transaction is sent to site 0, so the driver's coordinator
+       generator is never drawn from. *)
+    let plan =
+      Driver.[ (After_txns (fail_at - 1), Fail 3); (After_txns (recover_at - 1), Recover 3) ]
+    in
+    let driver = Driver.create ~plan cluster ~workload:(make_stream ()) ~rng:(Rng.create seed) in
+    let elapsed = ref [] in
     let sent_before = (Raid_net.Engine.counters (Cluster.engine cluster)).Raid_net.Engine.sent in
-    for i = 1 to txns do
-      if i = fail_at then Cluster.fail_site cluster 3;
-      if i = recover_at then ignore (Cluster.recover_site cluster 3);
-      let id = Cluster.next_txn_id cluster in
-      let outcome = Cluster.submit cluster ~coordinator:0 (Workload.next stream ~id) in
-      if outcome.Metrics.committed then begin
-        incr committed;
+    for _ = 1 to txns do
+      let outcome = Driver.step ~coordinator:0 driver in
+      if outcome.Metrics.committed then
         elapsed := Raid_net.Vtime.to_ms outcome.Metrics.elapsed :: !elapsed
-      end
-      else incr aborted
     done;
     let sent_after = (Raid_net.Engine.counters (Cluster.engine cluster)).Raid_net.Engine.sent in
     {
       protocol_label = "ROWAA + fail-locks (this paper)";
-      committed = !committed;
-      aborted = !aborted;
+      committed = Driver.committed driver;
+      aborted = Driver.aborted driver;
       avg_txn_ms = Stats.mean !elapsed;
       messages = sent_after - sent_before - txns;
     }

@@ -31,11 +31,7 @@ type state = {
 }
 
 let pick_coordinator state =
-  let operational =
-    List.filter
-      (fun s -> not (Raid_core.Site.is_waiting (Cluster.site state.cluster s)))
-      (Cluster.alive_sites state.cluster)
-  in
+  let operational = Cluster.operational state.cluster in
   let n = List.length operational in
   let pick = List.nth operational (state.next_coordinator mod n) in
   state.next_coordinator <- state.next_coordinator + 1;
@@ -87,7 +83,7 @@ let run ?(seed = 17) ?(concurrency = 4) ?(txns = 200) ?(churn = []) ?telemetry ~
     ~workload () =
   if concurrency <= 0 then invalid_arg "Concurrent.run: concurrency must be positive";
   if txns <= 0 then invalid_arg "Concurrent.run: txns must be positive";
-  let cluster = Cluster.create ~settings:(Cluster.settings ?telemetry ()) config in
+  let cluster = Cluster.of_spec (Cluster.Spec.make ?telemetry config) in
   let generator =
     Workload.create workload ~num_items:config.Config.num_items ~rng:(Rng.create seed)
   in

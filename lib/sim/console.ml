@@ -1,4 +1,5 @@
 module Cluster = Raid_core.Cluster
+module Driver = Raid_core.Driver
 module Config = Raid_core.Config
 module Txn = Raid_core.Txn
 module Metrics = Raid_core.Metrics
@@ -8,17 +9,17 @@ module Workload = Raid_core.Workload
 module Database = Raid_storage.Database
 module Rng = Raid_util.Rng
 
-type t = { cluster : Cluster.t; workload : Workload.t; rng : Rng.t }
+type t = { cluster : Cluster.t; driver : Driver.t }
 
 let create ?(sites = 4) ?(items = 50) ?(max_ops = 5) ?(seed = 42) () =
   let config = Config.make ~num_sites:sites ~num_items:items () in
-  let cluster = Cluster.create ~settings:(Cluster.settings ~trace:true ()) config in
+  let cluster = Cluster.of_spec (Cluster.Spec.make ~trace:true config) in
   let rng = Rng.create seed in
   let workload =
     Workload.create (Workload.Uniform { max_ops; write_prob = 0.5 }) ~num_items:items
       ~rng:(Rng.split rng)
   in
-  { cluster; workload; rng }
+  { cluster; driver = Driver.create cluster ~workload ~rng }
 
 let cluster t = t.cluster
 
@@ -72,21 +73,18 @@ let submit t print ~coordinator ops =
   let id = Cluster.next_txn_id t.cluster in
   print (describe_outcome (Cluster.submit t.cluster ~coordinator (Txn.make ~id ops)))
 
+(* Stops at the first transaction that finds no operational site:
+   repeating the attempt could not change the answer. *)
 let auto t print n coordinator =
-  for _ = 1 to n do
-    let operational =
-      List.filter
-        (fun s -> not (Site.is_waiting (Cluster.site t.cluster s)))
-        (Cluster.alive_sites t.cluster)
-    in
-    match operational with
-    | [] -> print "no operational site"
-    | sites ->
-      let coordinator = match coordinator with Some c -> c | None -> Rng.choose t.rng sites in
-      let id = Cluster.next_txn_id t.cluster in
-      print
-        (describe_outcome (Cluster.submit t.cluster ~coordinator (Workload.next t.workload ~id)))
-  done
+  let rec loop n =
+    if n > 0 then
+      if Cluster.operational t.cluster = [] then print "no operational site"
+      else begin
+        print (describe_outcome (Driver.step ?coordinator t.driver));
+        loop (n - 1)
+      end
+  in
+  loop n
 
 let show_db t print site item =
   let db = Site.database (Cluster.site t.cluster site) in

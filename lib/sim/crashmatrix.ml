@@ -184,9 +184,7 @@ let run_cell ~point ~seed ~sites:n ~partial =
      back. *)
   let recorder = Raid_obs.Incident.recorder () in
   let cluster =
-    Cluster.create
-      ~settings:(Cluster.settings ~obs:(Raid_obs.Incident.recorder_sink recorder) ())
-      config
+    Cluster.of_spec (Cluster.Spec.make ~obs:(Raid_obs.Incident.recorder_sink recorder) config)
   in
   let engine = Cluster.engine cluster in
   let all_sites = List.init n Fun.id in

@@ -3,45 +3,8 @@ module Prom = Raid_obs.Prom
 module Trace = Raid_obs.Trace
 module Incident = Raid_obs.Incident
 module Cluster = Raid_core.Cluster
-module Config = Raid_core.Config
-module Workload = Raid_core.Workload
 module Engine = Raid_net.Engine
 module Vtime = Raid_net.Vtime
-
-(* A representative trajectory on the paper's Experiment-1 configuration
-   (4 sites, 50 items, transactions of up to 10 operations, §2.1):
-   steady load, a failure, degraded processing, on-demand recovery and a
-   settle tail.  Experiment 1 proper measures isolated overheads, so it
-   exposes no scenario of its own; this is the telemetry-facing
-   equivalent on the same configuration. *)
-let exp1_scenario ?(seed = 42) () =
-  let config = Config.make ~num_sites:4 ~num_items:50 () in
-  Scenario.make ~seed ~config
-    ~workload:(Workload.Uniform { max_ops = 10; write_prob = 0.5 })
-    [
-      Scenario.Run_txns 60;
-      Scenario.Fail 0;
-      Scenario.Run_txns 60;
-      Scenario.Recover 0;
-      Scenario.Run_until_recovered { site = 0; max_txns = 400 };
-      Scenario.Run_txns 20;
-    ]
-
-let scenarios =
-  ("exp1",
-   "Experiment-1 configuration (4 sites, 50 items, txn<=10 ops): fail, degrade, recover, settle")
-  :: Tracing.scenarios
-
-let scenario_of_name ?seed name =
-  match name with
-  | "exp1" -> Ok (exp1_scenario ?seed ())
-  | _ -> (
-    match Tracing.scenario_of_name ?seed name with
-    | Ok scenario -> Ok scenario
-    | Error _ ->
-      Error
-        (Printf.sprintf "unknown scenario %S (available: %s)" name
-           (String.concat ", " (List.map fst scenarios))))
 
 type output = {
   registry : Telemetry.t;

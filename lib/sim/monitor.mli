@@ -1,27 +1,14 @@
 (** Telemetry-instrumented scenario runs: the pipeline behind
     [raid metrics].
 
-    Runs a named scenario with a {!Raid_obs.Telemetry} registry wired
-    into the cluster (see {!Raid_core.Cluster.create}) and renders the
+    Runs a scenario (named ones come from {!Tracing.scenario_of_name})
+    with a {!Raid_obs.Telemetry} registry wired into the cluster (see
+    {!Raid_core.Cluster.Spec}) and renders the
     sampled series as Prometheus text exposition or long-form CSV.
     Sampling happens at multiples of the virtual-time interval as the
     engine processes events, plus one final sample at the quiescent end
     time — so the output is a pure function of (scenario, interval):
     byte-identical across runs, hosts and [-j] domain counts. *)
-
-val scenarios : (string * string) list
-(** Named scenarios accepted by {!scenario_of_name}: the tracing
-    scenarios ({!Tracing.scenarios}) plus ["exp1"], a fail/recover
-    cycle on the paper's Experiment-1 configuration (4 sites, 50 items,
-    transactions of up to 10 operations). *)
-
-val scenario_of_name : ?seed:int -> string -> (Scenario.t, string) result
-
-val exp1_scenario : ?seed:int -> unit -> Scenario.t
-(** The ["exp1"] scenario: warm-up transactions, site 0 fails, load
-    continues while down, site 0 recovers on demand, then a settle
-    tail — one trajectory covering every phase the registry gauges
-    track. *)
 
 type output = {
   registry : Raid_obs.Telemetry.t;

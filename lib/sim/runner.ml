@@ -1,4 +1,5 @@
 module Cluster = Raid_core.Cluster
+module Driver = Raid_core.Driver
 module Workload = Raid_core.Workload
 module Metrics = Raid_core.Metrics
 module Invariant = Raid_core.Invariant
@@ -21,35 +22,27 @@ type result = {
 }
 
 type state = {
-  scenario : Scenario.t;
-  cluster : Cluster.t;
-  workload : Workload.t;
-  rng : Rng.t;  (* coordinator choice; independent of the workload stream *)
+  driver : Driver.t;  (* its rng only chooses coordinators, apart from the workload stream *)
   mutable policy : Scenario.coordinator_policy;
   mutable round_robin_cursor : int;
   mutable records_rev : txn_record list;
-  mutable committed : int;
-  mutable aborted : int;
   mutable copiers : int;
   operational_at_commit : (int, int list) Hashtbl.t;
 }
 
 let choose_coordinator state =
-  let operational =
-    List.filter
-      (fun s -> not (Raid_core.Site.is_waiting (Cluster.site state.cluster s)))
-      (Cluster.alive_sites state.cluster)
-  in
+  let rng = Driver.rng state.driver in
+  let operational = Cluster.operational (Driver.cluster state.driver) in
   if operational = [] then invalid_arg "Runner: no operational site to coordinate";
   match state.policy with
   | Scenario.Fixed site ->
     if List.mem site operational then site
     else invalid_arg (Printf.sprintf "Runner: fixed coordinator %d is not operational" site)
-  | Scenario.Uniform_random -> Rng.choose state.rng operational
+  | Scenario.Uniform_random -> Rng.choose rng operational
   | Scenario.Weighted weights ->
     let available = List.filter (fun (s, w) -> w > 0.0 && List.mem s operational) weights in
-    if available = [] then Rng.choose state.rng operational
-    else Rng.choose_weighted state.rng available
+    if available = [] then Rng.choose rng operational
+    else Rng.choose_weighted rng available
   | Scenario.Round_robin ->
     let n = List.length operational in
     let pick = List.nth operational (state.round_robin_cursor mod n) in
@@ -57,44 +50,41 @@ let choose_coordinator state =
     pick
 
 let run_one_txn state =
-  let id = Cluster.next_txn_id state.cluster in
-  let txn = Workload.next state.workload ~id in
-  let coordinator = choose_coordinator state in
-  let outcome = Cluster.submit state.cluster ~coordinator txn in
-  if outcome.Metrics.committed then begin
-    state.committed <- state.committed + 1;
-    Hashtbl.replace state.operational_at_commit id (Cluster.alive_sites state.cluster)
-  end
-  else state.aborted <- state.aborted + 1;
+  let cluster = Driver.cluster state.driver in
+  let outcome = Driver.step ~coordinator:(choose_coordinator state) state.driver in
+  let id = outcome.Metrics.txn.Raid_core.Txn.id in
+  if outcome.Metrics.committed then
+    Hashtbl.replace state.operational_at_commit id (Cluster.alive_sites cluster);
   state.copiers <- state.copiers + outcome.Metrics.copier_requests;
-  let faillocks_per_site = Cluster.faillock_counts state.cluster in
+  let faillocks_per_site = Cluster.faillock_counts cluster in
   state.records_rev <-
     {
       index = id;
       outcome;
       faillocks_per_site;
-      cumulative_aborts = state.aborted;
+      cumulative_aborts = Driver.aborted state.driver;
       cumulative_copiers = state.copiers;
     }
     :: state.records_rev
 
-let check state =
-  match Invariant.all state.cluster with
+let check cluster =
+  match Invariant.all cluster with
   | Ok () -> ()
   | Error message -> failwith (Printf.sprintf "Runner: invariant violated: %s" message)
 
 let run_action state ~check_invariants action =
+  let cluster = Driver.cluster state.driver in
   (match action with
   | Scenario.Run_txns n ->
     for _ = 1 to n do
       run_one_txn state
     done
-  | Scenario.Fail site -> Cluster.fail_site state.cluster site
-  | Scenario.Recover site -> ignore (Cluster.recover_site state.cluster site)
+  | Scenario.Fail site -> Cluster.fail_site cluster site
+  | Scenario.Recover site -> ignore (Cluster.recover_site cluster site)
   | Scenario.Set_policy policy -> state.policy <- policy
   | Scenario.Run_until_recovered { site; max_txns } ->
     let rec loop remaining =
-      if remaining > 0 && Cluster.faillock_count_for state.cluster site > 0 then begin
+      if remaining > 0 && Cluster.faillock_count_for cluster site > 0 then begin
         run_one_txn state;
         loop (remaining - 1)
       end
@@ -102,19 +92,19 @@ let run_action state ~check_invariants action =
     loop max_txns
   | Scenario.Run_until_consistent { max_txns } ->
     let rec loop remaining =
-      if remaining > 0 && not (Cluster.fully_consistent state.cluster) then begin
+      if remaining > 0 && not (Cluster.fully_consistent cluster) then begin
         run_one_txn state;
         loop (remaining - 1)
       end
     in
     loop max_txns);
-  if check_invariants then check state
+  if check_invariants then check cluster
 
 let run ?(check_invariants = true) ?(trace = false) ?obs ?telemetry (scenario : Scenario.t) =
   let cluster =
-    Cluster.create
-      ~settings:(Cluster.settings ~detection:scenario.Scenario.detection ~trace ?obs ?telemetry ())
-      scenario.Scenario.config
+    Cluster.of_spec
+      (Cluster.Spec.make ~detection:scenario.Scenario.detection ~trace ?obs ?telemetry
+         scenario.Scenario.config)
   in
   let rng = Rng.create scenario.Scenario.seed in
   let workload_rng = Rng.split rng in
@@ -124,15 +114,10 @@ let run ?(check_invariants = true) ?(trace = false) ?obs ?telemetry (scenario : 
   in
   let state =
     {
-      scenario;
-      cluster;
-      workload;
-      rng;
+      driver = Driver.create cluster ~workload ~rng;
       policy = scenario.Scenario.policy;
       round_robin_cursor = 0;
       records_rev = [];
-      committed = 0;
-      aborted = 0;
       copiers = 0;
       operational_at_commit = Hashtbl.create 64;
     }
@@ -141,8 +126,8 @@ let run ?(check_invariants = true) ?(trace = false) ?obs ?telemetry (scenario : 
   {
     cluster;
     records = List.rev state.records_rev;
-    committed = state.committed;
-    aborted = state.aborted;
+    committed = Driver.committed state.driver;
+    aborted = Driver.aborted state.driver;
     operational_at_commit = state.operational_at_commit;
   }
 

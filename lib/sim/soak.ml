@@ -1,4 +1,5 @@
 module Cluster = Raid_core.Cluster
+module Driver = Raid_core.Driver
 module Config = Raid_core.Config
 module Workload = Raid_core.Workload
 module Message = Raid_core.Message
@@ -45,13 +46,7 @@ let make_config ?(tenants = 1) ?(sites = 16) ?(items = 500) ?(max_ops = 5) ?(wri
    stream.  Tenant 0 keeps the exact single-tenant stream (same seed
    path), so [tenants = 1] behaves byte-for-byte like the pre-tenant
    soak. *)
-type tenant = {
-  tn_id : int;
-  tn_cluster : Cluster.t;
-  tn_rng : Rng.t;
-  mutable tn_workload : Workload.t;
-  mutable tn_operational : int list;  (** cached coordinator candidates *)
-}
+type tenant = { tn_id : int; tn_cluster : Cluster.t; tn_driver : Driver.t }
 
 type t = {
   cfg : config;
@@ -69,9 +64,6 @@ type t = {
   mutable zipf_theta : float option;
   mutable rate_cap : float option;  (** max submissions per wall second *)
   mutable next_tenant : int;  (** round-robin admission cursor *)
-  mutable submitted : int;
-  mutable committed : int;
-  mutable aborted : int;
   mutable stopping : bool;
   mutable shut : bool;
   (* events/sec over a sliding wall-clock window, surfaced as a gauge *)
@@ -99,11 +91,8 @@ let events t =
       acc + c.Engine.delivered + c.Engine.timer_fired)
     0 t.tenants
 
-let refresh_operational tn =
-  tn.tn_operational <-
-    List.filter
-      (fun s -> not (Site.is_waiting (Cluster.site tn.tn_cluster s)))
-      (Cluster.alive_sites tn.tn_cluster)
+let tally f t = Array.fold_left (fun acc tn -> acc + f tn.tn_driver) 0 t.tenants
+let submitted t = tally Driver.submitted t
 
 let rebuild_workload t =
   let spec =
@@ -113,7 +102,8 @@ let rebuild_workload t =
   in
   Array.iter
     (fun tn ->
-      tn.tn_workload <- Workload.create spec ~num_items:t.cfg.items ~rng:(Rng.split tn.tn_rng))
+      let rng = Rng.split (Driver.rng tn.tn_driver) in
+      Driver.set_workload tn.tn_driver (Workload.create spec ~num_items:t.cfg.items ~rng))
     t.tenants
 
 (* {2 Endpoint bodies} *)
@@ -205,14 +195,15 @@ let latency_summary t ~outcome =
       ]
 
 let txns_body t =
-  let total = t.committed + t.aborted in
+  let committed = tally Driver.committed t and aborted = tally Driver.aborted t in
+  let total = committed + aborted in
   Json.Obj
     [
-      ("submitted", Json.Int t.submitted);
-      ("committed", Json.Int t.committed);
-      ("aborted", Json.Int t.aborted);
+      ("submitted", Json.Int (submitted t));
+      ("committed", Json.Int committed);
+      ("aborted", Json.Int aborted);
       ( "abort_rate",
-        Json.Float (if total = 0 then 0.0 else float_of_int t.aborted /. float_of_int total) );
+        Json.Float (if total = 0 then 0.0 else float_of_int aborted /. float_of_int total) );
       ("virtual_ms", Json.Float (now_ms t));
       ( "latency_ms",
         Json.Obj
@@ -249,7 +240,7 @@ let health_body t =
       ("status", Json.Str (if t.stopping then "draining" else "ok"));
       ("uptime_s", Json.Float (wall t));
       ("virtual_ms", Json.Float (now_ms t));
-      ("submitted", Json.Int t.submitted);
+      ("submitted", Json.Int (submitted t));
       ("accel", Json.Float t.cfg.accel);
     ]
 
@@ -268,11 +259,10 @@ let fail_action t ~params _req =
     let tn = tenant0 t in
     if not (Cluster.alive tn.tn_cluster id) then
       Http.error 409 (Printf.sprintf "site %d is already down" id)
-    else if tn.tn_operational = [ id ] then
+    else if Cluster.operational tn.tn_cluster = [ id ] then
       Http.error 409 "refusing to fail the last operational site"
     else begin
       Cluster.fail_site tn.tn_cluster id;
-      refresh_operational tn;
       Http.json
         (Json.Obj
            [ ("site", Json.Int id); ("alive", Json.Bool false); ("action", Json.Str "fail") ])
@@ -284,7 +274,6 @@ let recover_action t ~params _req =
   | Ok id ->
     let tn = tenant0 t in
     let report status =
-      refresh_operational tn;
       Http.json
         (Json.Obj
            [
@@ -429,18 +418,16 @@ let create cfg =
     in
     (* Tenant 0 reproduces the historical single-tenant stream; the rest
        get independent mixed streams (cf. Raid_multi). *)
-    let tn_rng =
+    let rng =
       if i = 0 then Rng.create cfg.seed
       else Rng.create (Rng.mix ((cfg.seed * 1_000_003) + i))
     in
-    let tn_workload =
+    let workload =
       Workload.create
         (Workload.Uniform { max_ops = cfg.max_ops; write_prob = cfg.write_prob })
-        ~num_items:cfg.items ~rng:(Rng.split tn_rng)
+        ~num_items:cfg.items ~rng:(Rng.split rng)
     in
-    let tn = { tn_id = i; tn_cluster; tn_rng; tn_workload; tn_operational = [] } in
-    refresh_operational tn;
-    tn
+    { tn_id = i; tn_cluster; tn_driver = Driver.create tn_cluster ~workload ~rng }
   in
   let tenants = Array.init cfg.tenants make_tenant in
   let t_ref = ref None in
@@ -460,9 +447,6 @@ let create cfg =
       zipf_theta = cfg.zipf_theta;
       rate_cap = None;
       next_tenant = 0;
-      submitted = 0;
-      committed = 0;
-      aborted = 0;
       stopping = false;
       shut = false;
       eps = 0.0;
@@ -496,7 +480,7 @@ let finished t = t.stopping || t.shut
 let rate_allows t =
   match t.rate_cap with
   | None -> true
-  | Some rate -> float_of_int t.submitted < (rate *. wall t) +. 1.0
+  | Some rate -> float_of_int (submitted t) < (rate *. wall t) +. 1.0
 
 (* Admit one transaction to the next tenant (round-robin) that has an
    operational coordinator.  False when no tenant can make progress. *)
@@ -505,19 +489,12 @@ let submit_one t =
   let rec try_from k attempts =
     if attempts = 0 then false  (* everything failable failed; idle until recover *)
     else
-      let tn = t.tenants.(k) in
       let next = (k + 1) mod n in
-      match tn.tn_operational with
-      | [] -> try_from next (attempts - 1)
-      | candidates ->
+      match Driver.step t.tenants.(k).tn_driver with
+      | (_ : Raid_core.Metrics.outcome) ->
         t.next_tenant <- next;
-        let coordinator = Rng.choose tn.tn_rng candidates in
-        let id = Cluster.next_txn_id tn.tn_cluster in
-        let outcome = Cluster.submit tn.tn_cluster ~coordinator (Workload.next tn.tn_workload ~id) in
-        t.submitted <- t.submitted + 1;
-        if outcome.Raid_core.Metrics.committed then t.committed <- t.committed + 1
-        else t.aborted <- t.aborted + 1;
         true
+      | exception Driver.No_operational_site -> try_from next (attempts - 1)
   in
   try_from t.next_tenant n
 
@@ -573,9 +550,9 @@ type summary = {
 
 let summary (t : t) =
   {
-    submitted = t.submitted;
-    committed = t.committed;
-    aborted = t.aborted;
+    submitted = submitted t;
+    committed = tally Driver.committed t;
+    aborted = tally Driver.aborted t;
     virtual_ms = now_ms t;
     wall_s = wall t;
     events = events t;

@@ -1,4 +1,5 @@
 module Cluster = Raid_core.Cluster
+module Driver = Raid_core.Driver
 module Config = Raid_core.Config
 module Workload = Raid_core.Workload
 module Metrics = Raid_core.Metrics
@@ -97,7 +98,7 @@ let run ?(seed = 42) ?telemetry ?(record_incidents = false) config =
      benchmark's deterministic fields must not depend on it either way. *)
   let recorder = if record_incidents then Some (Raid_obs.Incident.recorder ()) else None in
   let obs = Option.map Raid_obs.Incident.recorder_sink recorder in
-  let cluster = Cluster.create ~settings:(Cluster.settings ?telemetry ?obs ()) ccfg in
+  let cluster = Cluster.of_spec (Cluster.Spec.make ?telemetry ?obs ccfg) in
   let engine = Cluster.engine cluster in
   let metrics = Cluster.metrics cluster in
   let rng = Rng.create seed in
@@ -108,38 +109,16 @@ let run ?(seed = 42) ?telemetry ?(record_incidents = false) config =
       Workload.Zipfian { max_ops = config.max_ops; write_prob = config.write_prob; theta }
   in
   let workload = Workload.create workload_spec ~num_items:config.items ~rng:(Rng.split rng) in
-  let committed = ref 0 and aborted = ref 0 and submitted = ref 0 in
+  let plan =
+    match config.failure with
+    | None -> []
+    | Some f ->
+      Driver.
+        [ (At_ms f.fail_at_ms, Fail f.fail_site); (At_ms f.recover_at_ms, Recover f.fail_site) ]
+  in
+  let driver = Driver.create ~plan cluster ~workload ~rng in
   let windows = Hashtbl.create 32 in
-  let failed = ref false and recovered_once = ref false in
   let now_ms () = Vtime.to_ms (Engine.now engine) in
-  let fail_due () =
-    match config.failure with
-    | Some f when (not !failed) && (not !recovered_once) && now_ms () >= f.fail_at_ms ->
-      Some f.fail_site
-    | _ -> None
-  in
-  let recover_due () =
-    match config.failure with
-    | Some f when !failed && now_ms () >= f.recover_at_ms -> Some f.fail_site
-    | _ -> None
-  in
-  (* The operational set only changes at the staged failure/recovery
-     (and a blocked recovery), so the candidate list is cached rather
-     than rebuilt per transaction — an O(sites) allocation that dominated
-     the driver at large site counts.  [Rng.choose] consumes one draw
-     either way, so the stream is unchanged. *)
-  let operational = ref [] in
-  let refresh_operational () =
-    operational :=
-      List.filter
-        (fun s -> not (Raid_core.Site.is_waiting (Cluster.site cluster s)))
-        (Cluster.alive_sites cluster)
-  in
-  refresh_operational ();
-  let pick_coordinator () =
-    if !operational = [] then invalid_arg "Throughput: no operational site";
-    Rng.choose rng !operational
-  in
   (* Each window keeps its commit/abort tallies plus a snapshot of the
      cumulative protocol counters at its last recorded transaction; the
      snapshots are diffed into per-window activity once the run ends.
@@ -152,16 +131,7 @@ let run ?(seed = 42) ?telemetry ?(record_incidents = false) config =
       | Some (c, a, _, _, _, _) -> (c, a)
       | None -> (0, 0)
     in
-    let c, a =
-      if outcome.Metrics.committed then begin
-        incr committed;
-        (c + 1, a)
-      end
-      else begin
-        incr aborted;
-        (c, a + 1)
-      end
-    in
+    let c, a = if outcome.Metrics.committed then (c + 1, a) else (c, a + 1) in
     Hashtbl.replace windows window
       ( c,
         a,
@@ -171,23 +141,7 @@ let run ?(seed = 42) ?telemetry ?(record_incidents = false) config =
         (Engine.counters engine).Engine.sent )
   in
   while now_ms () < config.duration_ms do
-    (match fail_due () with
-    | Some site ->
-      Cluster.fail_site cluster site;
-      failed := true;
-      refresh_operational ()
-    | None -> ());
-    (match recover_due () with
-    | Some site ->
-      (match Cluster.recover_site cluster site with
-      | `Recovered -> recovered_once := true
-      | `Blocked -> ());
-      failed := false;
-      refresh_operational ()
-    | None -> ());
-    let id = Cluster.next_txn_id cluster in
-    incr submitted;
-    record (Cluster.submit cluster ~coordinator:(pick_coordinator ()) (Workload.next workload ~id))
+    record (Driver.step driver)
   done;
   (match telemetry with
   | None -> ()
@@ -195,16 +149,16 @@ let run ?(seed = 42) ?telemetry ?(record_incidents = false) config =
   let counters = Engine.counters engine in
   {
     seed;
-    submitted = !submitted;
-    committed = !committed;
-    aborted = !aborted;
+    submitted = Driver.submitted driver;
+    committed = Driver.committed driver;
+    aborted = Driver.aborted driver;
     copier_requests = metrics.Metrics.copier_requests;
     faillocks_set = metrics.Metrics.faillocks_set;
     faillocks_cleared = metrics.Metrics.faillocks_cleared;
     virtual_ms = now_ms ();
     events = counters.Engine.delivered + counters.Engine.timer_fired;
     messages_sent = counters.Engine.sent;
-    recovered = (match config.failure with None -> true | Some _ -> !recovered_once);
+    recovered = config.failure = None || Driver.recovered driver > 0;
     incidents =
       (match recorder with None -> [] | Some r -> Raid_obs.Incident.incidents r);
     windows =

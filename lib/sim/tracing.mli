@@ -17,10 +17,17 @@
     global). *)
 
 val scenarios : (string * string) list
-(** Named scenarios accepted by {!scenario_of_name}, with one-line
-    descriptions (the paper's experiments 2 and 3). *)
+(** The named scenarios, with one-line descriptions: the one list
+    behind [raid trace], [raid metrics], [raid explain] and
+    [raid incidents].  ["exp1"] runs the paper's Experiment-1
+    configuration (4 sites, 50 items, transactions of up to 10
+    operations) through warm-up, a failure of site 0, degraded load,
+    on-demand recovery and a settle tail — one trajectory covering
+    every phase the registry gauges track; the others are the paper's
+    experiments 2 and 3. *)
 
 val scenario_of_name : ?seed:int -> string -> (Scenario.t, string) result
+(** The named scenario, or an error listing the available names. *)
 
 type output = {
   trace : Raid_obs.Trace.t;

@@ -49,6 +49,19 @@ let test_auto_counts () =
     (List.length (Cluster.outcomes (Console.cluster console)));
   Alcotest.(check bool) "reported" true (contains output "T5")
 
+(* With no operational site, [auto n] reports it once and stops,
+   whether or not a coordinator is named. *)
+let test_auto_without_operational_site () =
+  let count haystack needle =
+    List.length (List.filter (( = ) needle) (String.split_on_char '\n' haystack))
+  in
+  let console, output, _ = run_commands ~sites:2 [ "fail 0"; "fail 1"; "auto 4" ] in
+  Alcotest.(check int) "reported once" 1 (count output "no operational site");
+  Alcotest.(check int) "nothing submitted" 0
+    (List.length (Cluster.outcomes (Console.cluster console)));
+  let _, output, _ = run_commands ~sites:2 [ "fail 0"; "fail 1"; "auto 3 0" ] in
+  Alcotest.(check int) "named site: reported once" 1 (count output "no operational site")
+
 let test_db_inspection () =
   let _, output, _ = run_commands [ "txn 0 w3"; "db 1 3" ] in
   Alcotest.(check bool) "copy shown" true (contains output "item 3: value=1 version=1")
@@ -82,6 +95,7 @@ let suite =
     Alcotest.test_case "fail/recover cycle" `Quick test_fail_recover_cycle;
     Alcotest.test_case "terminate" `Quick test_terminate;
     Alcotest.test_case "auto" `Quick test_auto_counts;
+    Alcotest.test_case "auto without operational site" `Quick test_auto_without_operational_site;
     Alcotest.test_case "db inspection" `Quick test_db_inspection;
     Alcotest.test_case "trace and metrics" `Quick test_trace_and_metrics;
     Alcotest.test_case "bad input is safe" `Quick test_bad_input_is_safe;

@@ -296,7 +296,9 @@ let test_mid_protocol_crash_with_wal () =
       ~durability:(Config.Durable_wal { checkpoint_interval = 4 })
       ~num_sites:3 ~num_items:8 ()
   in
-  let cluster = Cluster.create ~settings:(Cluster.settings ~detection:Cluster.On_timeout ~trace:true ()) config in
+  let cluster =
+    Cluster.of_spec (Cluster.Spec.make ~detection:Cluster.On_timeout ~trace:true config)
+  in
   (* Seed history so the crashed site has something to replay. *)
   let id = Cluster.next_txn_id cluster in
   ignore (Cluster.submit cluster ~coordinator:0 (Txn.make ~id [ Txn.Write 7 ]));
@@ -365,7 +367,7 @@ let test_participant_time_samples () =
     Config.make ~durability:(Config.Durable_wal { checkpoint_interval = 5 }) ~num_sites:3
       ~num_items:8 ()
   in
-  let cluster = Cluster.create ~settings:(Cluster.settings ~trace:true ()) config in
+  let cluster = Cluster.of_spec (Cluster.Spec.make ~trace:true config) in
   let engine = Cluster.engine cluster in
   let samples () = List.length (Cluster.metrics cluster).Raid_core.Metrics.participant_ms in
   let commit_to_1_delivered id =

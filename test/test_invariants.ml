@@ -51,7 +51,7 @@ let interpret_step cluster rng workload operational_log = function
 
 let run_schedule ~num_sites ~num_items ~detection ~recovery ~seed steps =
   let config = Config.make ~cost:Cost_model.free ~recovery ~num_sites ~num_items () in
-  let cluster = Cluster.create ~settings:(Cluster.settings ~detection ()) config in
+  let cluster = Cluster.of_spec (Cluster.Spec.make ~detection config) in
   let rng = Rng.create seed in
   let workload =
     Workload.create (Workload.Uniform { max_ops = 4; write_prob = 0.5 }) ~num_items

@@ -22,7 +22,7 @@ let sever_between engine side_a side_b =
 
 let partitioned_cluster () =
   let config = Config.make ~cost:Cost_model.free ~num_sites:4 ~num_items:10 () in
-  let cluster = Cluster.create ~settings:(Cluster.settings ~detection:Cluster.On_timeout ()) config in
+  let cluster = Cluster.of_spec (Cluster.Spec.make ~detection:Cluster.On_timeout config) in
   sever_between (Cluster.engine cluster) [ 0; 1 ] [ 2; 3 ];
   cluster
 

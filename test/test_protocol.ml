@@ -212,7 +212,9 @@ let test_consistency_restored_by_traffic () =
   check_invariants cluster
 
 let test_on_timeout_detection_aborts_then_recovers () =
-  let cluster = Cluster.create ~settings:(Cluster.settings ~detection:Cluster.On_timeout ()) (config ~num_sites:3 ()) in
+  let cluster =
+    Cluster.of_spec (Cluster.Spec.make ~detection:Cluster.On_timeout (config ~num_sites:3 ()))
+  in
   Cluster.fail_site cluster 2;
   (* Survivors do not know yet; the first transaction discovers the
      failure through a phase-1 send failure and aborts. *)
@@ -235,7 +237,8 @@ let test_commit_survives_failure_after_prepare () =
   let module Engine = Raid_net.Engine in
   let module Message = Raid_core.Message in
   let cluster =
-    Cluster.create ~settings:(Cluster.settings ~detection:Cluster.On_timeout ~trace:true ()) (config ~num_sites:3 ())
+    Cluster.of_spec
+      (Cluster.Spec.make ~detection:Cluster.On_timeout ~trace:true (config ~num_sites:3 ()))
   in
   let engine = Cluster.engine cluster in
   let id = Cluster.next_txn_id cluster in
@@ -289,7 +292,9 @@ let test_recovery_donor_failover () =
   (* The designated state donor is dead but the recovering site's stale
      vector still believes it up: the send failure must fail over to the
      next candidate rather than leave the site waiting forever. *)
-  let cluster = Cluster.create ~settings:(Cluster.settings ~detection:Cluster.On_timeout ()) (config ~num_sites:3 ()) in
+  let cluster =
+    Cluster.of_spec (Cluster.Spec.make ~detection:Cluster.On_timeout (config ~num_sites:3 ()))
+  in
   Cluster.fail_site cluster 2;  (* will be the recoverer *)
   Cluster.fail_site cluster 0;  (* will be the (dead) designated donor *)
   (match Cluster.recover_site cluster 2 with

@@ -199,7 +199,7 @@ let test_embed_clears_on_abort () =
   let config =
     Config.make ~cost:Cost_model.free ~embed_clears:true ~num_sites:3 ~num_items:8 ()
   in
-  let cluster = Cluster.create ~settings:(Cluster.settings ~detection:Cluster.On_timeout ()) config in
+  let cluster = Cluster.of_spec (Cluster.Spec.make ~detection:Cluster.On_timeout config) in
   lock_items cluster ~down:2 ~coordinator:0 [ 1 ];
   ignore (Cluster.recover_site cluster 2);
   (* Fail a participant without telling anyone, then coordinate at site 2

@@ -18,7 +18,7 @@ module Metrics = Raid_core.Metrics
 module Vtime = Raid_net.Vtime
 
 let exp1 () =
-  match Monitor.scenario_of_name "exp1" with
+  match Tracing.scenario_of_name "exp1" with
   | Ok scenario -> scenario
   | Error message -> Alcotest.fail message
 

@@ -8,6 +8,7 @@ module Prom = Raid_obs.Prom
 module Series = Raid_obs.Series
 module Vtime = Raid_net.Vtime
 module Monitor = Raid_sim.Monitor
+module Tracing = Raid_sim.Tracing
 module Runner = Raid_sim.Runner
 module Throughput = Raid_sim.Throughput
 
@@ -166,7 +167,7 @@ let test_label_value_escaping () =
 
 let monitor_output =
   lazy
-    (match Monitor.scenario_of_name "exp1" with
+    (match Tracing.scenario_of_name "exp1" with
     | Error e -> failwith e
     | Ok scenario -> Monitor.run scenario)
 
@@ -174,7 +175,7 @@ let test_monitor_deterministic () =
   let render output = (Monitor.prom output, Monitor.csv output) in
   let a = render (Lazy.force monitor_output) in
   let b =
-    match Monitor.scenario_of_name "exp1" with
+    match Tracing.scenario_of_name "exp1" with
     | Error e -> failwith e
     | Ok scenario -> render (Monitor.run scenario)
   in
@@ -259,7 +260,7 @@ let test_telemetry_is_transparent () =
           r.Runner.faillocks_per_site ))
       result.Runner.records
   in
-  (match Monitor.scenario_of_name "exp1" with
+  (match Tracing.scenario_of_name "exp1" with
   | Error e -> failwith e
   | Ok scenario ->
     let plain = Runner.run scenario in

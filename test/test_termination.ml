@@ -30,7 +30,7 @@ let test_departure_updates_vectors () =
 let test_no_aborts_after_graceful_departure () =
   (* Unlike an undetected crash under timeout detection, a graceful
      departure never costs an aborted transaction. *)
-  let cluster = Cluster.create ~settings:(Cluster.settings ~detection:Cluster.On_timeout ()) (config ()) in
+  let cluster = Cluster.of_spec (Cluster.Spec.make ~detection:Cluster.On_timeout (config ())) in
   Cluster.terminate_site cluster 2;
   let id = Cluster.next_txn_id cluster in
   let outcome = Cluster.submit cluster ~coordinator:0 (Txn.make ~id [ Txn.Write 1 ]) in

@@ -8,8 +8,8 @@ module Txn = Raid_core.Txn
 module Timeline = Raid_sim.Timeline
 
 let cluster ?(num_sites = 3) () =
-  Cluster.create ~settings:(Cluster.settings ~trace:true ())
-    (Config.make ~cost:Cost_model.free ~num_sites ~num_items:8 ())
+  Cluster.of_spec
+    (Cluster.Spec.make ~trace:true (Config.make ~cost:Cost_model.free ~num_sites ~num_items:8 ()))
 
 let test_plain_commit_trace () =
   let c = cluster () in
@@ -85,8 +85,10 @@ let test_render_format () =
     (List.length (String.split_on_char '\n' limited))
 
 let test_undeliverable_marked () =
-  let c = Cluster.create ~settings:(Cluster.settings ~detection:Cluster.On_timeout ~trace:true ())
-      (Config.make ~cost:Cost_model.free ~num_sites:2 ~num_items:4 ())
+  let c =
+    Cluster.of_spec
+      (Cluster.Spec.make ~detection:Cluster.On_timeout ~trace:true
+         (Config.make ~cost:Cost_model.free ~num_sites:2 ~num_items:4 ()))
   in
   Cluster.fail_site c 1;
   let id = Cluster.next_txn_id c in
