@@ -707,7 +707,9 @@ let throughput_cmd =
     in
     let wall_s = Unix.gettimeofday () -. t0 in
     Table.print (Raid_sim.Throughput.results_table ~config results);
-    let events = List.fold_left (fun acc r -> acc + r.Raid_sim.Throughput.events) 0 results in
+    let summary = Raid_sim.Throughput.summary results in
+    Format.printf "%a@." Raid_sim.Throughput.pp_summary summary;
+    let events = summary.Raid_sim.Throughput.total_events in
     Printf.printf "\nhost: %.2f s wall clock, %d events, %.0f events/sec\n" wall_s events
       (if wall_s > 0.0 then float_of_int events /. wall_s else 0.0);
     (match (telemetry, registry) with

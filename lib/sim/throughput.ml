@@ -66,7 +66,7 @@ type result = {
   recovered : bool;  (** the failed site completed control-1 (no failure = true) *)
   windows : window list;  (** per-virtual-second activity, ascending start time *)
   incidents : Raid_obs.Incident.t list;
-      (** recovery timelines; empty unless the run recorded incidents *)
+      (** the staged failure's recovery timelines; empty without one *)
 }
 
 let txns_per_vsec r =
@@ -76,11 +76,6 @@ let abort_rate r =
   let total = r.committed + r.aborted in
   if total = 0 then 0.0 else float_of_int r.aborted /. float_of_int total
 
-(* Host-side events per wall-clock second; the caller supplies the wall
-   time so the simulation result itself stays deterministic. *)
-let events_per_sec ~wall_s r =
-  if wall_s <= 0.0 then 0.0 else float_of_int r.events /. wall_s
-
 (* The steady-state stream.  Transactions are drawn from a uniform
    workload and submitted serially in virtual time (the paper's sites run
    serially); the stream is open-loop in the sense that load never adapts
@@ -88,15 +83,17 @@ let events_per_sec ~wall_s r =
    The optional failure/recovery pair fires at absolute virtual times
    mid-run, so the measurement covers normal processing, the degraded
    window and the recovery tail in one trajectory. *)
-let run ?(seed = 42) ?telemetry ?(record_incidents = false) config =
+let run ?(seed = 42) ?telemetry config =
   let ccfg =
     Config.make ~replication:config.replication ~num_sites:config.sites
       ~num_items:config.items ()
   in
-  (* Incident recording rides the trace-sink hook: opt-in because the
-     per-event closure call is measurable at benchmark scale, and the
-     benchmark's deterministic fields must not depend on it either way. *)
-  let recorder = if record_incidents then Some (Raid_obs.Incident.recorder ()) else None in
+  (* A staged failure's recovery timeline rides the trace-sink hook; a run
+     without one has no incident to record and skips the per-event
+     closure call. *)
+  let recorder =
+    Option.map (fun _ -> Raid_obs.Incident.recorder ()) config.failure
+  in
   let obs = Option.map Raid_obs.Incident.recorder_sink recorder in
   let cluster = Cluster.of_spec (Cluster.Spec.make ?telemetry ?obs ccfg) in
   let engine = Cluster.engine cluster in
@@ -184,10 +181,10 @@ let run ?(seed = 42) ?telemetry ?(record_incidents = false) config =
 
 (* Multi-seed sweep: each seed is an independent pure run, so the batch
    fans out over the domain pool with bit-identical results for any -j. *)
-let run_seeds ?domains ?(base_seed = 42) ?record_incidents ~seeds config =
+let run_seeds ?domains ?(base_seed = 42) ~seeds config =
   if seeds <= 0 then invalid_arg "Throughput: seeds must be positive";
   Pool.map ?domains
-    (fun seed -> run ~seed ?record_incidents config)
+    (fun seed -> run ~seed config)
     (List.init seeds (fun i -> base_seed + i))
 
 let results_table ~config results =
@@ -238,11 +235,60 @@ let results_table ~config results =
     results;
   table
 
+type summary = {
+  mean_txns_per_vsec : float;
+  mean_abort_rate : float;
+  total_events : int;
+  incidents : int;
+  complete_incidents : int;
+  recovery_ms : (string * float) list;
+}
+
+(* Recovery means are virtual time, hence as deterministic as the rest.
+   At benchmark scale the drain tail usually outlives the stream (the
+   on-demand refreshes never touch the coldest fail-locked items), so the
+   drain mean is a lower bound and "mttr" appears only when an episode
+   actually completed. *)
 let summary results =
-  let stat f = Stats.summarize (List.map f results) in
-  ( stat txns_per_vsec,
-    stat abort_rate,
-    stat (fun r -> float_of_int r.events) )
+  let incidents = List.concat_map (fun (r : result) -> r.incidents) results in
+  let complete = List.filter (fun i -> i.Raid_obs.Incident.complete) incidents in
+  let mean over f =
+    List.fold_left (fun acc i -> acc +. f i) 0.0 over /. float_of_int (List.length over)
+  in
+  let recovery_ms =
+    if incidents = [] then []
+    else
+      List.map
+        (fun p ->
+          ( Raid_obs.Incident.phase_name p,
+            mean incidents (fun i -> Vtime.to_ms (Raid_obs.Incident.phase_duration i p)) ))
+        Raid_obs.Incident.all_phases
+      @
+      if complete = [] then []
+      else
+        [
+          ( "mttr",
+            mean complete (fun i ->
+                Vtime.to_ms (Option.value ~default:Vtime.zero (Raid_obs.Incident.mttr i))) );
+        ]
+  in
+  {
+    mean_txns_per_vsec = Stats.mean (List.map txns_per_vsec results);
+    mean_abort_rate = Stats.mean (List.map abort_rate results);
+    total_events = List.fold_left (fun acc (r : result) -> acc + r.events) 0 results;
+    incidents = List.length incidents;
+    complete_incidents = List.length complete;
+    recovery_ms;
+  }
+
+let pp_summary ppf s =
+  Format.fprintf ppf "@[<v>mean: %.3f txns/vsec, abort rate %.3f, %d events" s.mean_txns_per_vsec
+    s.mean_abort_rate s.total_events;
+  if s.recovery_ms <> [] then
+    Format.fprintf ppf "@,recovery (mean over %d incidents, %d complete): %s" s.incidents
+      s.complete_incidents
+      (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s %.3f ms" k v) s.recovery_ms));
+  Format.fprintf ppf "@]"
 
 let windows_csv r =
   let buffer = Buffer.create 256 in

@@ -73,23 +73,19 @@ type result = {
   recovered : bool;
   windows : window list;  (** ascending start time *)
   incidents : Raid_obs.Incident.t list;
-      (** recovery timelines of the staged failure; empty unless the run
-          was started with [record_incidents] *)
+      (** recovery timelines of the staged failure; empty without one *)
 }
 
-val run :
-  ?seed:int -> ?telemetry:Raid_obs.Telemetry.t -> ?record_incidents:bool -> config -> result
+val run : ?seed:int -> ?telemetry:Raid_obs.Telemetry.t -> config -> result
 (** One deterministic run: a pure function of [seed] and [config].
     [telemetry] is instrumented over the cluster
     ({!Raid_core.Cluster.create}) and sampled in virtual time as the
     stream runs, with a final sample at the end; it observes the run
-    without changing any result field.  [record_incidents] (default
-    false) attaches an {!Raid_obs.Incident.recorder} and fills
-    [result.incidents]; like telemetry it observes without perturbing
-    the virtual-time results. *)
+    without changing any result field.  When [config] stages a failure,
+    an {!Raid_obs.Incident.recorder} observes the run the same way and
+    fills [result.incidents]. *)
 
-val run_seeds :
-  ?domains:int -> ?base_seed:int -> ?record_incidents:bool -> seeds:int -> config -> result list
+val run_seeds : ?domains:int -> ?base_seed:int -> seeds:int -> config -> result list
 (** [seeds] independent runs ([base_seed], [base_seed+1], ...) fanned out
     over the domain pool; result order and contents are bit-identical for
     any domain count. *)
@@ -100,15 +96,26 @@ val txns_per_vsec : result -> float
 val abort_rate : result -> float
 (** Aborted / (committed + aborted); 0 on an empty run. *)
 
-val events_per_sec : wall_s:float -> result -> float
-(** Host-side events per wall-clock second; the caller measures the wall
-    time (keeps [result] deterministic). *)
-
 val results_table : config:config -> result list -> Raid_util.Table.t
 
-val summary :
-  result list -> Raid_util.Stats.summary * Raid_util.Stats.summary * Raid_util.Stats.summary
-(** (txns/vsec, abort rate, events) across runs. *)
+type summary = {
+  mean_txns_per_vsec : float;
+  mean_abort_rate : float;
+  total_events : int;
+  incidents : int;  (** recorded over all runs *)
+  complete_incidents : int;  (** of which crash and caught-up were both observed *)
+  recovery_ms : (string * float) list;
+      (** mean virtual ms per {!Raid_obs.Incident.phase}, in timeline
+          order, over all incidents, then ["mttr"] over the complete ones
+          when there are any; empty when no incident was recorded *)
+}
+
+val summary : result list -> summary
+(** The runs' means: every field is virtual-time, hence deterministic. *)
+
+val pp_summary : Format.formatter -> summary -> unit
+(** One line of means and totals, then one line of recovery-phase means
+    when an incident was recorded; numbers to three decimals. *)
 
 val windows_csv : result -> string
 (** The per-virtual-second trajectory as CSV with header

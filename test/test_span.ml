@@ -131,7 +131,7 @@ let test_incident_partition_partial () =
           ~failure:(Throughput.default_failure ~sites:8 ~duration_ms:8_000.0)
           ~replication ()
       in
-      let result = Throughput.run ~seed:11 ~record_incidents:true config in
+      let result = Throughput.run ~seed:11 config in
       Alcotest.(check bool) "the staged failure recovered" true result.Throughput.recovered;
       let incidents = result.Throughput.incidents in
       Alcotest.(check bool) "incident recorded" true (incidents <> []);
@@ -141,18 +141,31 @@ let test_incident_partition_partial () =
       Raid_core.Config.Partial (Raid_core.Placement.spec ~factor:3 ());
     ]
 
-(* Recording incidents observes the run without perturbing it: every
-   deterministic result field matches a bare run. *)
+(* Recording incidents observes the run without perturbing it: the same
+   stream and failure plan over a cluster with and without the recorder
+   sink give the same outcomes, protocol counters and engine totals. *)
 let test_recording_is_transparent () =
-  let config =
-    Throughput.make_config ~sites:6 ~items:60 ~duration_ms:4_000.0
-      ~failure:(Throughput.default_failure ~sites:6 ~duration_ms:4_000.0)
-      ()
+  let module Cluster = Raid_core.Cluster in
+  let module Driver = Raid_core.Driver in
+  let module Workload = Raid_core.Workload in
+  let module Rng = Raid_util.Rng in
+  let drive obs =
+    let config = Raid_core.Config.make ~num_sites:6 ~num_items:60 () in
+    let cluster = Cluster.of_spec (Cluster.Spec.make ?obs config) in
+    let rng = Rng.create 5 in
+    let workload =
+      Workload.create (Workload.Uniform { max_ops = 5; write_prob = 0.5 }) ~num_items:60
+        ~rng:(Rng.split rng)
+    in
+    let plan = Driver.[ (At_ms 800.0, Fail 0); (At_ms 2000.0, Recover 0) ] in
+    let driver = Driver.create ~plan cluster ~workload ~rng in
+    let outcomes = List.init 200 (fun _ -> Driver.step driver) in
+    (outcomes, Cluster.metrics cluster, Raid_net.Engine.counters (Cluster.engine cluster))
   in
-  let bare = Throughput.run ~seed:5 config in
-  let recorded = Throughput.run ~seed:5 ~record_incidents:true config in
-  Alcotest.(check bool) "same results up to incidents" true
-    ({ recorded with Throughput.incidents = [] } = bare)
+  let recorder = Incident.recorder () in
+  let recorded = drive (Some (Incident.recorder_sink recorder)) in
+  Alcotest.(check bool) "incident recorded" true (Incident.incidents recorder <> []);
+  Alcotest.(check bool) "same results as a bare run" true (recorded = drive None)
 
 (* Incident CSV is deterministic: identical across repeated runs, and
    the crash matrix's cell-prefixed variant is identical across domain

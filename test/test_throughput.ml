@@ -70,6 +70,29 @@ let test_no_failure_run () =
   Alcotest.(check int) "nothing aborted" 0 r.Throughput.aborted;
   Alcotest.(check bool) "commits flow" true (r.Throughput.committed > 0)
 
+(* The summary is the runs' means: one incident per staged failure, its
+   phases in timeline order (then "mttr" when an episode completed), and
+   none at all without a failure. *)
+let test_summary () =
+  let results = Throughput.run_seeds ~seeds:3 (config ~failure ~duration_ms:3000.0 ()) in
+  let s = Throughput.summary results in
+  let mean f = List.fold_left (fun acc r -> acc +. f r) 0.0 results /. 3.0 in
+  Alcotest.(check (float 1e-9)) "mean txns/vsec" (mean Throughput.txns_per_vsec)
+    s.Throughput.mean_txns_per_vsec;
+  Alcotest.(check (float 1e-9)) "mean abort rate" (mean Throughput.abort_rate)
+    s.Throughput.mean_abort_rate;
+  Alcotest.(check int) "events summed"
+    (List.fold_left (fun acc r -> acc + r.Throughput.events) 0 results)
+    s.Throughput.total_events;
+  Alcotest.(check int) "one incident per run" 3 s.Throughput.incidents;
+  let phases = List.map Raid_obs.Incident.phase_name Raid_obs.Incident.all_phases in
+  Alcotest.(check (list string)) "phases then mttr"
+    (if s.Throughput.complete_incidents > 0 then phases @ [ "mttr" ] else phases)
+    (List.map fst s.Throughput.recovery_ms);
+  let bare = Throughput.summary [ Throughput.run (config ()) ] in
+  Alcotest.(check int) "no failure, no incident" 0 bare.Throughput.incidents;
+  Alcotest.(check (list string)) "no recovery means" [] (List.map fst bare.Throughput.recovery_ms)
+
 let test_validation () =
   let invalid name f = Alcotest.check_raises name (Invalid_argument name) f in
   invalid "Throughput: sites must be positive" (fun () ->
@@ -93,5 +116,6 @@ let suite =
     Alcotest.test_case "monotone in duration" `Quick test_monotone_in_duration;
     Alcotest.test_case "failure/recovery accounting" `Quick test_failure_recovery_accounting;
     Alcotest.test_case "no-failure run" `Quick test_no_failure_run;
+    Alcotest.test_case "summary means" `Quick test_summary;
     Alcotest.test_case "config validation" `Quick test_validation;
   ]
