@@ -28,6 +28,8 @@ module Spec = struct
     { config; detection; trace; obs; telemetry; telemetry_labels; wal_factory }
 end
 
+type stale_read = { reader : int; item : int; version : int; latest : int }
+
 type t = {
   config : Config.t;
   detection : detection;
@@ -35,10 +37,10 @@ type t = {
   obs : Raid_obs.Trace.sink option;
   sites : Site.t array;
   metrics : Metrics.t;
-  mutable outcomes_rev : Metrics.outcome list;
   mutable last_outcome : Metrics.outcome option;
   mutable next_id : int;
   committed_versions : int array;
+  mutable first_stale_read : stale_read option;
   mutable outcome_hook : (Metrics.outcome -> unit) option;
   mutable telemetry_observe : (Metrics.outcome -> unit) option;
   knowledge_lost : (int * int, unit) Hashtbl.t;
@@ -186,6 +188,25 @@ let attach_telemetry t registry ~extra_labels =
          on_advance = (fun ~at -> Telemetry.maybe_sample registry ~at);
        })
 
+(* Fold one outcome, in completion order, into the committed-version
+   history.  A committed read must return the newest version committed
+   before it, or the reader's own write; the first that does not is kept
+   for [Invariant.no_stale_reads], so no outcome has to be. *)
+let record_outcome t outcome =
+  if outcome.Metrics.committed then begin
+    let reader = outcome.Metrics.txn.Txn.id in
+    List.iter
+      (fun (item, _value, version) ->
+        let latest = t.committed_versions.(item) in
+        if t.first_stale_read = None && version <> latest && version <> reader then
+          t.first_stale_read <- Some { reader; item; version; latest })
+      outcome.Metrics.reads;
+    List.iter
+      (fun { Database.item; version; _ } ->
+        if version > t.committed_versions.(item) then t.committed_versions.(item) <- version)
+      outcome.Metrics.writes
+  end
+
 let of_spec (spec : Spec.t) =
   let { Spec.config; detection; trace; obs; telemetry; telemetry_labels; wal_factory } = spec in
   let metrics = Metrics.create () in
@@ -198,14 +219,8 @@ let of_spec (spec : Spec.t) =
     match !cluster_ref with
     | None -> ()
     | Some t ->
-      t.outcomes_rev <- outcome :: t.outcomes_rev;
       t.last_outcome <- Some outcome;
-      if outcome.Metrics.committed then
-        List.iter
-          (fun { Database.item; version; _ } ->
-            if version > t.committed_versions.(item) then
-              t.committed_versions.(item) <- version)
-          outcome.Metrics.writes;
+      record_outcome t outcome;
       (match t.telemetry_observe with None -> () | Some observe -> observe outcome);
       match t.outcome_hook with None -> () | Some hook -> hook outcome
   in
@@ -222,10 +237,10 @@ let of_spec (spec : Spec.t) =
       obs;
       sites;
       metrics;
-      outcomes_rev = [];
       last_outcome = None;
       next_id = 0;
       committed_versions = Array.make config.Config.num_items 0;
+      first_stale_read = None;
       outcome_hook = None;
       telemetry_observe = None;
       knowledge_lost = Hashtbl.create 8;
@@ -388,8 +403,6 @@ let submit t ~coordinator txn =
   | Some outcome -> outcome
   | None -> failwith "Cluster.submit: transaction produced no outcome (protocol bug)"
 
-let outcomes t = List.rev t.outcomes_rev
-
 (* A coordinator that durably decided commit and then crashed reports no
    outcome: its Commit messages are in flight and the writes land
    everywhere, but the oracle ([committed_version],
@@ -397,32 +410,13 @@ let outcomes t = List.rev t.outcomes_rev
    crash matrix records such ghost commits here once it has proved —
    from a survivor's update log or the coordinator's durable decision
    record — that the decision really was commit.  Must be called before
-   any later transaction is injected, so the outcome list keeps
-   submission order. *)
+   any later transaction is injected, so the committed-version history
+   keeps submission order. *)
 let note_ghost_commit t txn =
-  let writes =
-    List.map
-      (fun item -> { Database.item; value = txn.Txn.id; version = txn.Txn.id })
-      (Txn.write_items txn)
-  in
-  let outcome =
-    {
-      Metrics.txn;
-      coordinator = -1;
-      committed = true;
-      abort_reason = None;
-      copier_requests = 0;
-      copier_items = 0;
-      reads = [];
-      writes;
-      elapsed = Vtime.zero;
-    }
-  in
-  t.outcomes_rev <- outcome :: t.outcomes_rev;
+  let id = txn.Txn.id in
   List.iter
-    (fun { Database.item; version; _ } ->
-      if version > t.committed_versions.(item) then t.committed_versions.(item) <- version)
-    writes
+    (fun item -> if id > t.committed_versions.(item) then t.committed_versions.(item) <- id)
+    (Txn.write_items txn)
 
 (* {2 Oracle views} *)
 
@@ -498,6 +492,8 @@ let reference_version t item =
       | None -> acc
       | Some v -> ( match acc with None -> Some v | Some best -> Some (max best v) ))
     None (alive_sites t)
+
+let first_stale_read t = t.first_stale_read
 
 let committed_version t item =
   if item < 0 || item >= Array.length t.committed_versions then

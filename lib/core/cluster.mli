@@ -153,9 +153,6 @@ val submit : t -> coordinator:int -> Txn.t -> Metrics.outcome
 val next_txn_id : t -> int
 (** Serial transaction numbers starting at 1, as in the paper. *)
 
-val outcomes : t -> Metrics.outcome list
-(** Every outcome so far, in submission order. *)
-
 val run_to_quiescence : t -> unit
 (** Drain pending events (normally a no-op; every driver call already
     runs to quiescence). *)
@@ -225,6 +222,18 @@ val reference_version : t -> int -> int option
 val committed_version : t -> int -> int
 (** Highest version ever committed for the item (0 initially), from the
     outcome history. *)
+
+type stale_read = {
+  reader : int;  (** the committed transaction that read *)
+  item : int;
+  version : int;  (** the version it read *)
+  latest : int;  (** the newest version committed before it *)
+}
+
+val first_stale_read : t -> stale_read option
+(** The first committed read, in completion order, that returned neither
+    the newest version committed before it nor the reader's own write.
+    Checked as each outcome arrives, so the cluster keeps no outcomes. *)
 
 val fully_consistent : t -> bool
 (** All alive sites' databases equal and the union fail-lock view empty —

@@ -49,39 +49,16 @@ let faillocks_track_staleness cluster =
   check_site sites
 
 let no_stale_reads cluster =
-  let config = Cluster.config cluster in
-  let last_committed = Array.make config.Config.num_items 0 in
-  let check_outcome outcome =
-    if not outcome.Metrics.committed then Ok ()
-    else
-      let txn_id = outcome.Metrics.txn.Txn.id in
-      let rec check_reads = function
-        | [] -> Ok ()
-        | (item, _value, version) :: rest ->
-          if version <> last_committed.(item) && version <> txn_id then
-            fail "txn %d read item %d at version %d; latest committed was %d" txn_id item
-              version last_committed.(item)
-          else check_reads rest
-      in
-      let* () = check_reads outcome.Metrics.reads in
-      List.iter
-        (fun { Database.item; version; _ } ->
-          if version > last_committed.(item) then last_committed.(item) <- version)
-        outcome.Metrics.writes;
-      Ok ()
-  in
-  List.fold_left
-    (fun acc outcome ->
-      let* () = acc in
-      check_outcome outcome)
-    (Ok ()) (Cluster.outcomes cluster)
+  match Cluster.first_stale_read cluster with
+  | None -> Ok ()
+  | Some { Cluster.reader; item; version; latest } ->
+    fail "txn %d read item %d at version %d; latest committed was %d" reader item version latest
 
-let write_durability cluster ~operational_at_commit =
-  let check_outcome outcome =
+let write_durability cluster observed =
+  let check_outcome (outcome, holders) =
     if not outcome.Metrics.committed then Ok ()
     else
       let txn_id = outcome.Metrics.txn.Txn.id in
-      let holders = operational_at_commit txn_id in
       let rec check_writes = function
         | [] -> Ok ()
         | { Database.item; _ } :: rest ->
@@ -91,9 +68,8 @@ let write_durability cluster ~operational_at_commit =
                 let site = Cluster.site cluster s in
                 Site.stores site ~item
                 && not
-                     (List.exists
-                        (fun e -> e.Update_log.txn = txn_id && e.Update_log.write.Database.item = item)
-                        (Update_log.entries (Site.log site))))
+                     (Update_log.exists (Site.log site) (fun e ->
+                          e.Update_log.txn = txn_id && e.Update_log.write.Database.item = item)))
               holders
           in
           (match missing with
@@ -103,10 +79,10 @@ let write_durability cluster ~operational_at_commit =
       check_writes outcome.Metrics.writes
   in
   List.fold_left
-    (fun acc outcome ->
+    (fun acc pair ->
       let* () = acc in
-      check_outcome outcome)
-    (Ok ()) (Cluster.outcomes cluster)
+      check_outcome pair)
+    (Ok ()) observed
 
 let convergence cluster =
   let num_sites = Cluster.num_sites cluster in

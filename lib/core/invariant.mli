@@ -17,13 +17,14 @@ val faillocks_track_staleness : Cluster.t -> result
 
 val no_stale_reads : Cluster.t -> result
 (** Every read in every committed outcome returned the newest version
-    committed before the reading transaction (or the reader's own write). *)
+    committed before the reading transaction (or the reader's own write);
+    see {!Cluster.first_stale_read}. *)
 
-val write_durability : Cluster.t -> operational_at_commit:(int -> int list) -> result
-(** For each committed transaction [id], every site in
-    [operational_at_commit id] that stores a written item has that write
-    in its update log.  The caller supplies the operational sets it
-    observed when submitting (the cluster cannot reconstruct them). *)
+val write_durability : Cluster.t -> (Metrics.outcome * int list) list -> result
+(** For each committed outcome, paired with the sites operational when it
+    committed, every one of those sites that stores a written item has
+    that write in its update log.  The caller supplies the pairs it
+    observed when submitting (the cluster keeps neither). *)
 
 val convergence : Cluster.t -> result
 (** With every site up: all databases equal and no fail-locks set.  Use

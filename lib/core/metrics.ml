@@ -16,6 +16,36 @@ type outcome = {
   elapsed : Raid_net.Vtime.t;
 }
 
+module Samples = struct
+  (* Unboxed and grown by doubling: about 1.5 words a sample, where a
+     [float list] costs 5 (cons cell and boxed float).  Spare capacity is
+     zero-filled, so structural equality still compares samples. *)
+  type t = { mutable data : Float.Array.t; mutable length : int }
+
+  let create () = { data = Float.Array.create 0; length = 0 }
+
+  let add t x =
+    if t.length = Float.Array.length t.data then begin
+      let data = Float.Array.make (max 16 (2 * t.length)) 0.0 in
+      Float.Array.blit t.data 0 data 0 t.length;
+      t.data <- data
+    end;
+    Float.Array.set t.data t.length x;
+    t.length <- t.length + 1
+
+  let length t = t.length
+
+  let clear t =
+    t.data <- Float.Array.create 0;
+    t.length <- 0
+
+  let to_list t =
+    let rec from i acc =
+      if i = t.length then acc else from (i + 1) (Float.Array.get t.data i :: acc)
+    in
+    from 0 []
+end
+
 type t = {
   mutable txns_committed : int;
   mutable txns_aborted : int;
@@ -28,18 +58,18 @@ type t = {
   mutable control3_backups : int;
   mutable faillocks_set : int;
   mutable faillocks_cleared : int;
-  mutable coordinator_ms : float list;
-  mutable coordinator_copier_ms : float list;
-  mutable abort_ms : float list;
-  mutable participant_ms : float list;
-  mutable phase_copy_ms : float list;
-  mutable phase_prepare_ms : float list;
-  mutable phase_commit_ms : float list;
-  mutable control1_recovering_ms : float list;
-  mutable control1_operational_ms : float list;
-  mutable control2_ms : float list;
-  mutable copy_serve_ms : float list;
-  mutable clear_special_ms : float list;
+  coordinator_ms : Samples.t;
+  coordinator_copier_ms : Samples.t;
+  abort_ms : Samples.t;
+  participant_ms : Samples.t;
+  phase_copy_ms : Samples.t;
+  phase_prepare_ms : Samples.t;
+  phase_commit_ms : Samples.t;
+  control1_recovering_ms : Samples.t;
+  control1_operational_ms : Samples.t;
+  control2_ms : Samples.t;
+  copy_serve_ms : Samples.t;
+  clear_special_ms : Samples.t;
 }
 
 let create () =
@@ -55,19 +85,38 @@ let create () =
     control3_backups = 0;
     faillocks_set = 0;
     faillocks_cleared = 0;
-    coordinator_ms = [];
-    coordinator_copier_ms = [];
-    abort_ms = [];
-    participant_ms = [];
-    phase_copy_ms = [];
-    phase_prepare_ms = [];
-    phase_commit_ms = [];
-    control1_recovering_ms = [];
-    control1_operational_ms = [];
-    control2_ms = [];
-    copy_serve_ms = [];
-    clear_special_ms = [];
+    coordinator_ms = Samples.create ();
+    coordinator_copier_ms = Samples.create ();
+    abort_ms = Samples.create ();
+    participant_ms = Samples.create ();
+    phase_copy_ms = Samples.create ();
+    phase_prepare_ms = Samples.create ();
+    phase_commit_ms = Samples.create ();
+    control1_recovering_ms = Samples.create ();
+    control1_operational_ms = Samples.create ();
+    control2_ms = Samples.create ();
+    copy_serve_ms = Samples.create ();
+    clear_special_ms = Samples.create ();
   }
+
+(* Every latency sample list, labelled, for the observability reports:
+   first by transaction outcome, then by 2PC phase, then the control and
+   service samples the Experiment-1 tables quote. *)
+let sample_groups t =
+  [
+    ("commit (no copier)", t.coordinator_ms);
+    ("commit (with copier)", t.coordinator_copier_ms);
+    ("abort", t.abort_ms);
+    ("participant", t.participant_ms);
+    ("phase: copy", t.phase_copy_ms);
+    ("phase: prepare", t.phase_prepare_ms);
+    ("phase: commit", t.phase_commit_ms);
+    ("control1 (recovering)", t.control1_recovering_ms);
+    ("control1 (operational)", t.control1_operational_ms);
+    ("control2", t.control2_ms);
+    ("copy serve", t.copy_serve_ms);
+    ("clear special", t.clear_special_ms);
+  ]
 
 let reset t =
   t.txns_committed <- 0;
@@ -81,18 +130,7 @@ let reset t =
   t.control3_backups <- 0;
   t.faillocks_set <- 0;
   t.faillocks_cleared <- 0;
-  t.coordinator_ms <- [];
-  t.coordinator_copier_ms <- [];
-  t.abort_ms <- [];
-  t.participant_ms <- [];
-  t.phase_copy_ms <- [];
-  t.phase_prepare_ms <- [];
-  t.phase_commit_ms <- [];
-  t.control1_recovering_ms <- [];
-  t.control1_operational_ms <- [];
-  t.control2_ms <- [];
-  t.copy_serve_ms <- [];
-  t.clear_special_ms <- []
+  List.iter (fun (_, samples) -> Samples.clear samples) (sample_groups t)
 
 let counters =
   [
@@ -111,25 +149,8 @@ let counters =
 
 let snapshot_counts t = List.map (fun (name, get) -> (name, get t)) counters
 
-(* Every latency sample list, labelled, for the observability reports:
-   first by transaction outcome, then by 2PC phase, then the control and
-   service samples the Experiment-1 tables quote.  Samples are stored
-   most-recent-first; groups may be empty. *)
 let latency_groups t =
-  [
-    ("commit (no copier)", t.coordinator_ms);
-    ("commit (with copier)", t.coordinator_copier_ms);
-    ("abort", t.abort_ms);
-    ("participant", t.participant_ms);
-    ("phase: copy", t.phase_copy_ms);
-    ("phase: prepare", t.phase_prepare_ms);
-    ("phase: commit", t.phase_commit_ms);
-    ("control1 (recovering)", t.control1_recovering_ms);
-    ("control1 (operational)", t.control1_operational_ms);
-    ("control2", t.control2_ms);
-    ("copy serve", t.copy_serve_ms);
-    ("clear special", t.clear_special_ms);
-  ]
+  List.map (fun (label, samples) -> (label, Samples.to_list samples)) (sample_groups t)
 
 let pp_abort_reason ppf = function
   | Copier_unavailable -> Format.pp_print_string ppf "copier-unavailable"

@@ -29,6 +29,18 @@ type outcome = {
   elapsed : Raid_net.Vtime.t;  (** coordinator time, reception to completion *)
 }
 
+(** Latency samples in the order recorded, stored unboxed. *)
+module Samples : sig
+  type t
+
+  val create : unit -> t
+  val add : t -> float -> unit
+  val length : t -> int
+
+  val to_list : t -> float list
+  (** Most recent first. *)
+end
+
 type t = {
   mutable txns_committed : int;
   mutable txns_aborted : int;
@@ -41,21 +53,21 @@ type t = {
   mutable control3_backups : int;
   mutable faillocks_set : int;  (** bit transitions clear->set, all sites *)
   mutable faillocks_cleared : int;  (** bit transitions set->clear, all sites *)
-  mutable coordinator_ms : float list;  (** committed txns without copiers *)
-  mutable coordinator_copier_ms : float list;  (** committed txns with >= 1 copier *)
-  mutable abort_ms : float list;  (** aborted txns, reception to abort *)
-  mutable participant_ms : float list;
-  mutable phase_copy_ms : float list;
+  coordinator_ms : Samples.t;  (** committed txns without copiers *)
+  coordinator_copier_ms : Samples.t;  (** committed txns with >= 1 copier *)
+  abort_ms : Samples.t;  (** aborted txns, reception to abort *)
+  participant_ms : Samples.t;
+  phase_copy_ms : Samples.t;
       (** coordinator time in the copier round, per txn that ran one *)
-  mutable phase_prepare_ms : float list;
+  phase_prepare_ms : Samples.t;
       (** 2PC phase 1: prepare sent to last vote received *)
-  mutable phase_commit_ms : float list;
+  phase_commit_ms : Samples.t;
       (** 2PC phase 2: decide sent to last commit-ack (or send-failure) *)
-  mutable control1_recovering_ms : float list;
-  mutable control1_operational_ms : float list;
-  mutable control2_ms : float list;
-  mutable copy_serve_ms : float list;
-  mutable clear_special_ms : float list;
+  control1_recovering_ms : Samples.t;
+  control1_operational_ms : Samples.t;
+  control2_ms : Samples.t;
+  copy_serve_ms : Samples.t;
+  clear_special_ms : Samples.t;
 }
 
 val create : unit -> t

@@ -567,14 +567,13 @@ let finish t ctx coord ~committed ~abort_reason ~reads =
   if committed then begin
     t.metrics.Metrics.txns_committed <- t.metrics.Metrics.txns_committed + 1;
     if coord.copier_requests > 0 then
-      t.metrics.Metrics.coordinator_copier_ms <-
-        ms_of elapsed :: t.metrics.Metrics.coordinator_copier_ms
+      Metrics.Samples.add t.metrics.Metrics.coordinator_copier_ms (ms_of elapsed)
     else
-      t.metrics.Metrics.coordinator_ms <- ms_of elapsed :: t.metrics.Metrics.coordinator_ms
+      Metrics.Samples.add t.metrics.Metrics.coordinator_ms (ms_of elapsed)
   end
   else begin
     t.metrics.Metrics.txns_aborted <- t.metrics.Metrics.txns_aborted + 1;
-    t.metrics.Metrics.abort_ms <- ms_of elapsed :: t.metrics.Metrics.abort_ms
+    Metrics.Samples.add t.metrics.Metrics.abort_ms (ms_of elapsed)
   end;
   if tracing t then
     emit t ctx
@@ -620,9 +619,8 @@ let collect_reads t coord =
 let local_commit t ctx coord =
   (match coord.phase with
   | Committing c ->
-    t.metrics.Metrics.phase_commit_ms <-
-      ms_of (Vtime.sub (Engine.time ctx) coord.phase_entered_at)
-      :: t.metrics.Metrics.phase_commit_ms;
+    Metrics.Samples.add t.metrics.Metrics.phase_commit_ms
+      (ms_of (Vtime.sub (Engine.time ctx) coord.phase_entered_at));
     (* The decision record can be retired once every participant applied;
        if one died before acknowledging, keep it — that participant will
        ask for the outcome when it recovers. *)
@@ -643,9 +641,8 @@ let begin_phase1 t ctx coord =
   (* Close the copier phase: only transactions that actually ran a copier
      round contribute a phase-copy sample (and span). *)
   if coord.copier_requests > 0 then
-    t.metrics.Metrics.phase_copy_ms <-
-      ms_of (Vtime.sub (Engine.time ctx) coord.phase_entered_at)
-      :: t.metrics.Metrics.phase_copy_ms;
+    Metrics.Samples.add t.metrics.Metrics.phase_copy_ms
+      (ms_of (Vtime.sub (Engine.time ctx) coord.phase_entered_at));
   (* Under full replication every operational site participates, even one
      storing none of the written items: fail-locks are fully replicated
      (paper §1.1), so every site must see the commit to maintain its
@@ -967,9 +964,8 @@ let handle_prepare_ack t ctx ~txn ~src =
         Bitset.clear p.pending_acks src;
         p.remaining <- p.remaining - 1;
         if p.remaining = 0 then begin
-          t.metrics.Metrics.phase_prepare_ms <-
-            ms_of (Vtime.sub (Engine.time ctx) coord.phase_entered_at)
-            :: t.metrics.Metrics.phase_prepare_ms;
+          Metrics.Samples.add t.metrics.Metrics.phase_prepare_ms
+            (ms_of (Vtime.sub (Engine.time ctx) coord.phase_entered_at));
           (* The decide point: log the commit decision durably before any
              Commit message leaves.  A crash from here on must preserve
              the decision — participants resolve their in-doubt prepares
@@ -1164,12 +1160,11 @@ let handle_recovery_announce t ctx ~site ~session ~want_state ~src =
              faillocks = Faillock.copy t.faillocks;
              backups = Placement.View.extras t.placement;
            });
-      t.metrics.Metrics.control1_operational_ms <-
-        ms_of
+      Metrics.Samples.add t.metrics.Metrics.control1_operational_ms
+        (ms_of
           (t.cost.Cost_model.recovery_state_build_base
           + (num_items * t.cost.Cost_model.recovery_state_build_per_item)
-          + t.cost.Cost_model.message_latency)
-        :: t.metrics.Metrics.control1_operational_ms;
+          + t.cost.Cost_model.message_latency));
       if tracing t then
         emit t ctx
           (Obs.Control
@@ -1208,8 +1203,8 @@ let handle_recovery_state t ctx ~vector ~faillocks ~backups =
     Session.mark_up t.vector t.id ~session:new_session;
     t.mode <- Normal;
     t.metrics.Metrics.control1_completed <- t.metrics.Metrics.control1_completed + 1;
-    t.metrics.Metrics.control1_recovering_ms <-
-      ms_of (Vtime.sub (Engine.time ctx) started_at) :: t.metrics.Metrics.control1_recovering_ms;
+    Metrics.Samples.add t.metrics.Metrics.control1_recovering_ms
+      (ms_of (Vtime.sub (Engine.time ctx) started_at));
     if tracing t then begin
       emit t ctx (Obs.Recovery_step { step = Obs.State_installed });
       emit t ctx (Obs.Control { kind = Obs.Recovery; detail = "state installed" })
@@ -1331,8 +1326,8 @@ let handle_commit t ctx ~txn ~src =
     apply_writes t ctx ~txn writes;
     faillock_commit_update t ctx ~txn writes;
     if started >= 0 then
-      t.metrics.Metrics.participant_ms <-
-        ms_of (Vtime.sub (Engine.time ctx) started) :: t.metrics.Metrics.participant_ms
+      Metrics.Samples.add t.metrics.Metrics.participant_ms
+        (ms_of (Vtime.sub (Engine.time ctx) started))
     else resolution_step t ctx;
     start_batch_round t ctx
 
@@ -1390,9 +1385,8 @@ let handle_txn_status_request t ctx ~txn ~src =
            negative answer is only authoritative from the coordinator;
            the asker treats probe negatives as presumed abort once every
            probe agrees. *)
-        List.exists
-          (fun e -> e.Update_log.txn = txn && e.Update_log.write.Database.version = txn)
-          (Update_log.entries t.log))
+        Update_log.exists t.log (fun e ->
+            e.Update_log.txn = txn && e.Update_log.write.Database.version = txn))
   in
   Engine.send ctx src (Message.Txn_status_reply { txn; committed })
 
@@ -1539,12 +1533,11 @@ let handle_message t ctx ~src payload =
             (Database.read t.db item))
         good
     in
-    t.metrics.Metrics.copy_serve_ms <-
-      ms_of
+    Metrics.Samples.add t.metrics.Metrics.copy_serve_ms
+      (ms_of
         (t.cost.Cost_model.copier_serve_base
         + (List.length good * t.cost.Cost_model.copier_serve_per_item)
-        + t.cost.Cost_model.message_latency)
-      :: t.metrics.Metrics.copy_serve_ms;
+        + t.cost.Cost_model.message_latency));
     if bad <> [] then Engine.send ctx src (Message.Copy_unavailable { txn; items = bad });
     Engine.send ctx src (Message.Copy_reply { txn; writes })
   | Message.Copy_reply { txn; writes } -> handle_copy_reply t ctx ~txn ~writes ~src
@@ -1572,9 +1565,8 @@ let handle_message t ctx ~src payload =
         0 items
     in
     t.metrics.Metrics.faillocks_cleared <- t.metrics.Metrics.faillocks_cleared + cleared;
-    t.metrics.Metrics.clear_special_ms <-
-      ms_of (t.cost.Cost_model.faillock_clear_process + t.cost.Cost_model.message_latency)
-      :: t.metrics.Metrics.clear_special_ms
+    Metrics.Samples.add t.metrics.Metrics.clear_special_ms
+      (ms_of (t.cost.Cost_model.faillock_clear_process + t.cost.Cost_model.message_latency))
   | Message.Recovery_announce { site; session; want_state } ->
     handle_recovery_announce t ctx ~site ~session ~want_state ~src
   | Message.Txn_status_request { txn } -> handle_txn_status_request t ctx ~txn ~src
@@ -1588,9 +1580,8 @@ let handle_message t ctx ~src payload =
        [purge_prepares_from] for why this never races a commit). *)
     if not (is_waiting t) then
       List.iter (fun s -> purge_prepares_from t ~coordinator:s) failed;
-    t.metrics.Metrics.control2_ms <-
-      ms_of (t.cost.Cost_model.failure_announce_process + t.cost.Cost_model.message_latency)
-      :: t.metrics.Metrics.control2_ms
+    Metrics.Samples.add t.metrics.Metrics.control2_ms
+      (ms_of (t.cost.Cost_model.failure_announce_process + t.cost.Cost_model.message_latency))
   | Message.Faillock_hint { for_site; items } ->
     if for_site = t.id then begin
       match t.mode with

@@ -212,7 +212,7 @@ let embed_clears ?(seed = 23) ?(trials = 100) () =
     let metrics = copier_trials ~config ~seed ~trials in
     {
       embed_label = label;
-      copier_txn_ms = Stats.mean metrics.Metrics.coordinator_copier_ms;
+      copier_txn_ms = Stats.mean (Metrics.Samples.to_list metrics.Metrics.coordinator_copier_ms);
       specials_sent = metrics.Metrics.clear_specials_sent;
     }
   in
@@ -441,8 +441,8 @@ let communication_delays ?(seed = 26) ?(latencies_ms = [ 1.0; 9.0; 25.0; 50.0; 1
     let mean = function [] -> Float.nan | samples -> Stats.mean samples in
     {
       latency_ms;
-      lat_txn_ms = mean metrics.Metrics.coordinator_ms;
-      lat_control1_ms = mean metrics.Metrics.control1_recovering_ms;
+      lat_txn_ms = mean (Metrics.Samples.to_list metrics.Metrics.coordinator_ms);
+      lat_control1_ms = mean (Metrics.Samples.to_list metrics.Metrics.control1_recovering_ms);
     }
   in
   let rows = List.map run latencies_ms in

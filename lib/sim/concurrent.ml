@@ -159,7 +159,10 @@ let run ?(seed = 17) ?(concurrency = 4) ?(txns = 200) ?(churn = []) ?telemetry ~
          (List.length state.waiting));
   let metrics = Cluster.metrics cluster in
   let mean_txn_ms =
-    match metrics.Metrics.coordinator_ms @ metrics.Metrics.coordinator_copier_ms with
+    match
+      Metrics.Samples.to_list metrics.Metrics.coordinator_ms
+      @ Metrics.Samples.to_list metrics.Metrics.coordinator_copier_ms
+    with
     | [] -> 0.0
     | samples -> Stats.mean samples
   in

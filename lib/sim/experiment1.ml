@@ -37,13 +37,13 @@ let faillock_overhead ?(txns = 400) ?(seed = 7) () =
     rows =
       [
         row "coordinating site, without fail-locks code" ~paper:176.0
-          without.Metrics.coordinator_ms;
+          (Metrics.Samples.to_list without.Metrics.coordinator_ms);
         row "coordinating site, with fail-locks code" ~paper:186.0
-          with_locks.Metrics.coordinator_ms;
+          (Metrics.Samples.to_list with_locks.Metrics.coordinator_ms);
         row "participating site, without fail-locks code" ~paper:90.0
-          without.Metrics.participant_ms;
+          (Metrics.Samples.to_list without.Metrics.participant_ms);
         row "participating site, with fail-locks code" ~paper:97.0
-          with_locks.Metrics.participant_ms;
+          (Metrics.Samples.to_list with_locks.Metrics.participant_ms);
       ];
     notes =
       [
@@ -77,10 +77,11 @@ let control_overhead ?(cycles = 40) ?(seed = 11) () =
     rows =
       [
         row "control type 1, at recovering site" ~paper:190.0
-          metrics.Metrics.control1_recovering_ms;
+          (Metrics.Samples.to_list metrics.Metrics.control1_recovering_ms);
         row "control type 1, at operational site" ~paper:50.0
-          metrics.Metrics.control1_operational_ms;
-        row "control type 2, per announcement" ~paper:68.0 metrics.Metrics.control2_ms;
+          (Metrics.Samples.to_list metrics.Metrics.control1_operational_ms);
+        row "control type 2, per announcement" ~paper:68.0
+          (Metrics.Samples.to_list metrics.Metrics.control2_ms);
       ];
     notes =
       [
@@ -131,16 +132,19 @@ let copier_overhead ?(trials = 200) ?(seed = 13) () =
       Raid_net.Vtime.to_ms baseline_outcome.Metrics.elapsed :: !baseline_samples
   done;
   let metrics = Cluster.metrics cluster in
-  let with_copier = mean_of metrics.Metrics.coordinator_copier_ms in
+  let with_copier = mean_of (Metrics.Samples.to_list metrics.Metrics.coordinator_copier_ms) in
   let baseline = mean_of !baseline_samples in
   {
     title = "Experiment 1c: overhead for copier transactions (\xc2\xa72.2.3)";
     rows =
       [
         row "database txn without copier (baseline)" ~paper:186.0 !baseline_samples;
-        row "database txn incl. one copier txn" ~paper:270.0 metrics.Metrics.coordinator_copier_ms;
-        row "copy request service at source site" ~paper:25.0 metrics.Metrics.copy_serve_ms;
-        row "clear fail-locks at one site" ~paper:20.0 metrics.Metrics.clear_special_ms;
+        row "database txn incl. one copier txn" ~paper:270.0
+          (Metrics.Samples.to_list metrics.Metrics.coordinator_copier_ms);
+        row "copy request service at source site" ~paper:25.0
+          (Metrics.Samples.to_list metrics.Metrics.copy_serve_ms);
+        row "clear fail-locks at one site" ~paper:20.0
+          (Metrics.Samples.to_list metrics.Metrics.clear_special_ms);
       ];
     notes =
       [

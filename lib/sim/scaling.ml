@@ -39,9 +39,9 @@ let control1_once ~seed ~num_sites ~num_items =
   {
     num_sites;
     num_items;
-    recovering_ms = mean_of metrics.Metrics.control1_recovering_ms;
-    operational_ms = mean_of metrics.Metrics.control1_operational_ms;
-    control2_ms = mean_of metrics.Metrics.control2_ms;
+    recovering_ms = mean_of (Metrics.Samples.to_list metrics.Metrics.control1_recovering_ms);
+    operational_ms = mean_of (Metrics.Samples.to_list metrics.Metrics.control1_operational_ms);
+    control2_ms = mean_of (Metrics.Samples.to_list metrics.Metrics.control2_ms);
   }
 
 (* Default site counts reach 64: the bitset/array hot path makes the

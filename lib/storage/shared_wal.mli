@@ -4,18 +4,22 @@
     through a single append-only log, so a batch of tenants amortizes one
     group commit instead of paying one fsync each.
 
-    Like {!Wal}, nothing touches the file system; the log simulates the
-    {e information flow} and the {e host-side cost} of a real device.
-    Records carry a tenant/site-prefixed header, accumulate in a pending
-    buffer, and are group-committed once [group_size] records are
-    pending (or on {!flush}): the commit pads the batch to a whole number
-    of [page_bytes] pages and checksums every byte of those pages — the
-    per-page work a real log pays on write-out.  A per-tenant-WAL
-    configuration is simply [group_size = 1]: every record pays a full
-    page, which is exactly the fsync-per-tenant cost the shared log
+    Like {!Wal}, nothing touches the file system; the log models a real
+    device by its {e counts}: records, group commits (one fsync each),
+    padded pages and bytes.  Records carry a 13-byte tenant/site-prefixed
+    header and are group-committed once [group_size] records are pending
+    (or on {!flush}): the commit pads the batch to a whole number of
+    [page_bytes] pages.  A per-tenant-WAL configuration is simply
+    [group_size = 1]: every record pays a full page and a flush of its
+    own, which is exactly the fsync-per-tenant cost the shared log
     exists to avoid.
 
-    All counters and the rolling page digest are pure functions of the
+    The rolling digest is FNV-1a over the exact byte stream the commits
+    would write — little-endian headers, then payload and padding as
+    zero fill — computed in closed form: each header is folded in as it
+    arrives, and a commit's zero fill as one multiply by a power of the
+    FNV prime, so a commit's host work grows with its record count, not
+    its byte count.  All counters and the digest are pure functions of the
     record sequence, so two runs that feed the log identically produce
     identical {!stats} — the property the multi-tenant determinism tests
     pin down.  The log itself is not thread-safe; in a sharded engine
@@ -37,7 +41,7 @@ type stats = {
   flushes : int;  (** group commits performed *)
   pages : int;  (** padded pages written out by those commits *)
   bytes_logged : int;  (** payload + header bytes, before padding *)
-  digest : int;  (** rolling checksum over every padded page written *)
+  digest : int;  (** FNV-1a over every padded page committed, in order *)
 }
 
 val create : ?group_size:int -> ?page_bytes:int -> unit -> t

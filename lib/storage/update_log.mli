@@ -20,6 +20,10 @@ val length : t -> int
 val entries : t -> entry list
 (** In application order. *)
 
+val exists : t -> (entry -> bool) -> bool
+(** Whether any entry satisfies the predicate, scanning newest first
+    without copying the log. *)
+
 val entries_for_item : t -> int -> entry list
 (** Applications touching one item, in order. *)
 

@@ -369,7 +369,9 @@ let test_participant_time_samples () =
   in
   let cluster = Cluster.of_spec (Cluster.Spec.make ~trace:true config) in
   let engine = Cluster.engine cluster in
-  let samples () = List.length (Cluster.metrics cluster).Raid_core.Metrics.participant_ms in
+  let samples () =
+    Raid_core.Metrics.Samples.length (Cluster.metrics cluster).Raid_core.Metrics.participant_ms
+  in
   let commit_to_1_delivered id =
     List.exists
       (fun e ->

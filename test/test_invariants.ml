@@ -29,7 +29,7 @@ let interpret_step cluster rng workload operational_log = function
       let id = Cluster.next_txn_id cluster in
       let outcome = Cluster.submit cluster ~coordinator (Workload.next workload ~id) in
       if outcome.Metrics.committed then
-        Hashtbl.replace operational_log id (Cluster.alive_sites cluster)
+        operational_log := (outcome, Cluster.alive_sites cluster) :: !operational_log
   end
   | Fail_one -> begin
     (* Never induce total failure: the protocol cannot restart from zero
@@ -57,7 +57,7 @@ let run_schedule ~num_sites ~num_items ~detection ~recovery ~seed steps =
     Workload.create (Workload.Uniform { max_ops = 4; write_prob = 0.5 }) ~num_items
       ~rng:(Rng.split rng)
   in
-  let operational_log = Hashtbl.create 64 in
+  let operational_log = ref [] in
   List.iter (interpret_step cluster rng workload operational_log) steps;
   (cluster, rng, workload, operational_log)
 
@@ -87,7 +87,7 @@ let wash cluster operational_log =
     let coordinator = List.hd (Cluster.alive_sites cluster) in
     let outcome = Cluster.submit cluster ~coordinator (Txn.make ~id [ Txn.Write item ]) in
     if outcome.Metrics.committed then
-      Hashtbl.replace operational_log id (Cluster.alive_sites cluster)
+      operational_log := (outcome, Cluster.alive_sites cluster) :: !operational_log
   done
 
 let gen_steps =
@@ -117,10 +117,7 @@ let check_config ~num_sites ~detection ~recovery name =
         | Error message -> QCheck.Test.fail_reportf "mid-schedule: %s" message
       in
       let durable_mid =
-        match
-          Invariant.write_durability cluster ~operational_at_commit:(fun id ->
-              Option.value ~default:[] (Hashtbl.find_opt operational_log id))
-        with
+        match Invariant.write_durability cluster (List.rev !operational_log) with
         | Ok () -> true
         | Error message -> QCheck.Test.fail_reportf "durability: %s" message
       in

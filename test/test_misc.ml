@@ -55,23 +55,22 @@ let test_durability_checker_fires_on_false_claim () =
   let c = cluster () in
   Cluster.fail_site c 2;
   let id = Cluster.next_txn_id c in
-  ignore (Cluster.submit c ~coordinator:0 (Txn.make ~id [ Txn.Write 1 ]));
+  let outcome = Cluster.submit c ~coordinator:0 (Txn.make ~id [ Txn.Write 1 ]) in
   (* Claim the dead site was operational at commit: its log lacks the write. *)
-  expect_error "false operational claim"
-    (Invariant.write_durability c ~operational_at_commit:(fun _ -> [ 0; 1; 2 ]))
+  expect_error "false operational claim" (Invariant.write_durability c [ (outcome, [ 0; 1; 2 ]) ])
 
 (* {2 Metrics bookkeeping} *)
 
 let test_metrics_balance () =
   let c = cluster () in
   Cluster.fail_site c 2;
-  for _ = 1 to 10 do
-    let id = Cluster.next_txn_id c in
-    ignore (Cluster.submit c ~coordinator:0 (Txn.make ~id [ Txn.Write (id mod 6) ]))
-  done;
+  let outcomes =
+    List.init 10 (fun _ ->
+        let id = Cluster.next_txn_id c in
+        Cluster.submit c ~coordinator:0 (Txn.make ~id [ Txn.Write (id mod 6) ]))
+  in
   ignore (Cluster.recover_site c 2);
   let metrics = Cluster.metrics c in
-  let outcomes = Cluster.outcomes c in
   Alcotest.(check int) "committed counter matches outcomes"
     (List.length (List.filter (fun o -> o.Metrics.committed) outcomes))
     metrics.Metrics.txns_committed;
@@ -84,7 +83,8 @@ let test_metrics_balance () =
     (List.mem_assoc "faillocks_set" (Metrics.snapshot_counts metrics));
   Metrics.reset metrics;
   Alcotest.(check int) "reset zeroes" 0 metrics.Metrics.txns_committed;
-  Alcotest.(check (list (float 0.))) "reset drops samples" [] metrics.Metrics.coordinator_ms
+  Alcotest.(check (list (float 0.))) "reset drops samples" []
+    (Metrics.Samples.to_list metrics.Metrics.coordinator_ms)
 
 (* {2 Message descriptions} *)
 

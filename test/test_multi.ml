@@ -1,7 +1,8 @@
 (* Tests for the multi-tenant engine: the determinism contract (results
    and CSV are a pure function of the spec — independent of the domain
    count and of the WAL mode), the shared-WAL batching win, tenant crash
-   isolation, and the shared log's accounting. *)
+   isolation, and the shared log's accounting and digest, checked against
+   a byte-by-byte reference. *)
 
 module Multi = Raid_multi
 module Shared_wal = Raid_storage.Shared_wal
@@ -143,6 +144,118 @@ let test_shared_wal_digest () =
   Alcotest.(check bool) "tenant id is part of the record" true
     (write_stream ~tenant:1 <> write_stream ~tenant:2)
 
+(* Reference for the digest: build the bytes each group commit writes
+   (little-endian headers, then zero fill to whole pages) and run FNV-1a
+   over them one byte at a time. *)
+type wal_op = Record of int * int * Shared_wal.kind * int | Flush
+
+let kinds = Shared_wal.[ Redo; Prepare; Decision; Session; Checkpoint; Forget ]
+
+let tag =
+  Shared_wal.(
+    function Redo -> 0 | Prepare -> 1 | Decision -> 2 | Session -> 3 | Checkpoint -> 4 | Forget -> 5)
+
+let show_wal_op = function
+  | Record (tenant, site, kind, size) ->
+    Printf.sprintf "record t=%d s=%d tag=%d size=%d" tenant site (tag kind) size
+  | Flush -> "flush"
+
+type reference = {
+  batch : Buffer.t;  (* the pending records' bytes as the commit writes them *)
+  mutable payload : int;
+  mutable count : int;
+  mutable flushes : int;
+  mutable pages : int;
+  mutable bytes_logged : int;
+  mutable digest : int;
+}
+
+let reference_flush ~page_bytes r =
+  if r.count > 0 then begin
+    let len = Buffer.length r.batch + r.payload in
+    let pages = (len + page_bytes - 1) / page_bytes in
+    Buffer.add_string r.batch (String.make r.payload '\000');
+    Buffer.add_string r.batch (String.make ((pages * page_bytes) - len) '\000');
+    let d = ref r.digest in
+    String.iter (fun c -> d := (!d lxor Char.code c) * 0x100000001b3) (Buffer.contents r.batch);
+    r.digest <- !d land max_int;
+    r.flushes <- r.flushes + 1;
+    r.pages <- r.pages + pages;
+    r.bytes_logged <- r.bytes_logged + len;
+    Buffer.reset r.batch;
+    r.payload <- 0;
+    r.count <- 0
+  end
+
+let prop_shared_wal_digest =
+  let gen =
+    QCheck.Gen.(
+      let id =
+        oneof [ int_range 0 9; int_range (-5) (-1); int_range (1 lsl 31) ((1 lsl 32) + 5); int ]
+      in
+      let size =
+        frequency [ (6, int_range 0 64); (3, int_range 0 8192); (1, int_range 240_000 300_000) ]
+      in
+      let record =
+        map
+          (fun (((t, s), k), n) -> Record (t, s, k, n))
+          (pair (pair (pair id id) (oneofl kinds)) size)
+      in
+      triple (int_range 1 70) (oneofl [ 1; 7; 4096 ])
+        (list_size (int_range 1 40) (frequency [ (8, record); (1, return Flush) ])))
+  in
+  QCheck.Test.make ~name:"shared wal: digest is FNV-1a over the padded pages" ~count:200
+    (QCheck.make
+       ~print:(fun (g, p, ops) ->
+         Printf.sprintf "group_size=%d page_bytes=%d: %s" g p
+           (String.concat "; " (List.map show_wal_op ops)))
+       gen)
+    (fun (group_size, page_bytes, ops) ->
+      let log = Shared_wal.create ~group_size ~page_bytes () in
+      let r =
+        { batch = Buffer.create 64; payload = 0; count = 0; flushes = 0; pages = 0;
+          bytes_logged = 0; digest = 0x4bf29ce484222325 (* offset basis *) }
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Flush ->
+            Shared_wal.flush log;
+            reference_flush ~page_bytes r
+          | Record (tenant, site, kind, size) ->
+            Shared_wal.record (Shared_wal.attach log ~tenant ~site) kind ~size;
+            Buffer.add_int32_le r.batch (Int32.of_int tenant);
+            Buffer.add_int32_le r.batch (Int32.of_int site);
+            Buffer.add_uint8 r.batch (tag kind);
+            Buffer.add_int32_le r.batch (Int32.of_int size);
+            r.payload <- r.payload + size;
+            r.count <- r.count + 1;
+            if r.count >= group_size then reference_flush ~page_bytes r);
+          let s = Shared_wal.stats log in
+          (s.Shared_wal.digest, s.Shared_wal.pages, s.Shared_wal.bytes_logged, s.Shared_wal.flushes)
+          = (r.digest, r.pages, r.bytes_logged, r.flushes)
+          || QCheck.Test.fail_reportf "after %s: digest %x pages %d bytes %d, reference %x %d %d"
+               (show_wal_op op) s.Shared_wal.digest s.Shared_wal.pages s.Shared_wal.bytes_logged
+               r.digest r.pages r.bytes_logged)
+        ops)
+
+(* One stream's stats, pinned to what a byte-at-a-time FNV-1a over its
+   padded pages gives. *)
+let test_shared_wal_pinned () =
+  let log = Shared_wal.create ~group_size:3 ~page_bytes:7 () in
+  let a = Shared_wal.attach log ~tenant:(-1) ~site:(1 lsl 31) in
+  let b = Shared_wal.attach log ~tenant:5 ~site:2 in
+  Shared_wal.record a Shared_wal.Redo ~size:0;
+  Shared_wal.record b Shared_wal.Checkpoint ~size:4100;
+  Shared_wal.record a Shared_wal.Forget ~size:9;
+  Shared_wal.record b Shared_wal.Decision ~size:1;
+  let show () = Format.asprintf "%a" Shared_wal.pp_stats (Shared_wal.stats log) in
+  Alcotest.(check string) "after auto flush"
+    "records=4 flushes=1 pages=593 bytes=4148 digest=37739932954a94a6" (show ());
+  Shared_wal.flush log;
+  Alcotest.(check string) "after final flush"
+    "records=4 flushes=2 pages=595 bytes=4162 digest=3a7f5dc6d7bbff28" (show ())
+
 let suite =
   [
     Alcotest.test_case "results and csv identical at -j1 and -j4" `Quick test_jobs_identity;
@@ -152,4 +265,6 @@ let suite =
     Alcotest.test_case "spec validation" `Quick test_spec_validation;
     Alcotest.test_case "shared wal: group commit accounting" `Quick test_shared_wal_grouping;
     Alcotest.test_case "shared wal: digest covers tenant stream" `Quick test_shared_wal_digest;
+    Alcotest.test_case "shared wal: pinned stream" `Quick test_shared_wal_pinned;
+    QCheck_alcotest.to_alcotest prop_shared_wal_digest;
   ]

@@ -241,6 +241,8 @@ let test_commit_survives_failure_after_prepare () =
       (Cluster.Spec.make ~detection:Cluster.On_timeout ~trace:true (config ~num_sites:3 ()))
   in
   let engine = Cluster.engine cluster in
+  let outcomes = ref [] in
+  Cluster.set_outcome_hook cluster (Some (fun o -> outcomes := o :: !outcomes));
   let id = Cluster.next_txn_id cluster in
   Engine.inject engine ~dst:0 (Message.Begin_txn (Txn.make ~id [ Txn.Write 1 ]));
   (* Step until both phase-1 acks have been delivered to the coordinator,
@@ -262,7 +264,7 @@ let test_commit_survives_failure_after_prepare () =
   Engine.set_alive engine 1 false;
   Site.on_crash (Cluster.site cluster 1);
   Engine.run engine;
-  (match Cluster.outcomes cluster with
+  (match !outcomes with
   | [ outcome ] ->
     Alcotest.(check bool) "committed" true outcome.Metrics.committed;
     (* Site 2 applied the write; dead site 1 did not and is fail-locked. *)
