@@ -3,9 +3,11 @@
 
 module Cluster = Raid_core.Cluster
 module Config = Raid_core.Config
+module Placement = Raid_core.Placement
 module Workload = Raid_core.Workload
 module Scenario = Raid_sim.Scenario
 module Runner = Raid_sim.Runner
+module Observe = Raid_sim.Observe
 module Table = Raid_util.Table
 open Cmdliner
 
@@ -31,6 +33,103 @@ let jobs =
            sweep.")
 
 let set_jobs n = Raid_par.Pool.set_default_domains n
+
+(* One verb of the CLI.  [term] yields the verb's action; it runs under
+   one guard, so a library [Invalid_argument] raised by bad user input
+   is reported as [raid VERB: message] with exit code 2. *)
+let verb name ~doc term =
+  let guard action =
+    try action ()
+    with Invalid_argument message ->
+      Printf.eprintf "raid %s: %s\n" name message;
+      exit 2
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const guard $ term)
+
+(* The observe verbs (trace, metrics, explain, incidents) replay one of
+   [Observe.scenarios]; these are their shared terms. *)
+let scenario_doc =
+  String.concat "; "
+    (List.map
+       (fun (name, description) -> Printf.sprintf "$(b,%s): %s" name description)
+       Observe.scenarios)
+
+let scenario_name ~doc =
+  Arg.(
+    value & opt string "exp1"
+    & info [ "scenario" ] ~docv:"SCENARIO" ~doc:(doc ^ " " ^ scenario_doc ^ "."))
+
+let scenario_seed =
+  Arg.(
+    value & opt (some int) None
+    & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's default seed.")
+
+let scenario_list =
+  Arg.(
+    value & flag
+    & info [ "list" ] ~doc:"List the named scenarios (one per line with a description) and exit.")
+
+let print_scenarios () =
+  List.iter
+    (fun (name, description) -> Printf.printf "%-24s %s\n" name description)
+    Observe.scenarios
+
+let named_scenario ?seed name =
+  match Observe.scenario_of_name ?seed name with
+  | Ok scenario -> scenario
+  | Error message -> invalid_arg message
+
+let output_file =
+  Arg.(
+    value & opt (some string) None
+    & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
+
+let write_output ~what out rendered =
+  match out with
+  | None -> print_string rendered
+  | Some path ->
+    Raid_sim.Export.write_file ~path rendered;
+    Printf.printf "%s written to %s\n" what path
+
+(* Item placement and skew, shared by throughput and serve.  The term
+   yields a thunk so that an unknown sharding is reported by the verb's
+   guard. *)
+let placement =
+  let factor =
+    Arg.(
+      value & opt int 0
+      & info [ "replication-factor" ] ~docv:"K"
+          ~doc:
+            "Copies per item (k-holder placement).  0 keeps the paper's full replication; \
+             K >= sites also degenerates to it.")
+  in
+  let sharding =
+    Arg.(
+      value & opt string "hash"
+      & info [ "sharding" ] ~docv:"KIND"
+          ~doc:
+            "How $(b,--replication-factor) picks each item's primary holder: $(b,hash), \
+             $(b,range) or $(b,modular).")
+  in
+  let zipf_theta =
+    Arg.(
+      value & opt (some float) None
+      & info [ "zipf-theta" ] ~docv:"THETA"
+          ~doc:
+            "Zipfian item skew in (0,1) (YCSB's parameterisation; 0.99 is its default).  \
+             Omitted: the paper's uniform item draw.")
+  in
+  let make factor sharding zipf_theta () =
+    let replication =
+      if factor = 0 then Config.Full
+      else
+        match Placement.sharding_of_string sharding with
+        | Ok sharding -> Config.Partial (Placement.spec ~sharding ~factor ())
+        | Error message -> invalid_arg message
+    in
+    (replication, zipf_theta)
+  in
+  Term.(const make $ factor $ sharding $ zipf_theta)
 
 let print_exp1 () =
   List.iter
@@ -86,7 +185,7 @@ let exp_cmd =
       value & opt (some string) None
       & info [ "csv" ] ~docv:"FILE" ~doc:"Export the figure's series as CSV (experiments 2-3).")
   in
-  let run which csv =
+  let run which csv () =
     match which with
     | `One -> print_exp1 ()
     | `Two -> print_exp2 ?csv ()
@@ -96,13 +195,12 @@ let exp_cmd =
       print_exp2 ?csv ();
       print_exp3 ()
   in
-  Cmd.v
-    (Cmd.info "exp" ~doc:"Reproduce one of the paper's experiments (tables and figures).")
+  verb "exp" ~doc:"Reproduce one of the paper's experiments (tables and figures)."
     Term.(const run $ which $ csv)
 
 (* `raid ablations` *)
 let ablations_cmd =
-  let run jobs =
+  let run jobs () =
     set_jobs jobs;
     List.iter
       (fun table ->
@@ -110,8 +208,8 @@ let ablations_cmd =
         print_newline ())
       (Raid_sim.Ablation.all_tables ())
   in
-  Cmd.v
-    (Cmd.info "ablations" ~doc:"Run the ablation studies listed in DESIGN.md (A1-A6, A8-A9; A7 via `concurrency`).")
+  verb "ablations"
+    ~doc:"Run the ablation studies listed in DESIGN.md (A1-A6, A8-A9; A7 via `concurrency`)."
     Term.(const run $ jobs)
 
 (* `raid scaling` *)
@@ -125,7 +223,7 @@ let scaling_cmd =
              hash placement at 64-1024 sites over 10^5 items, against a full-replication \
              baseline at 64 sites.")
   in
-  let run partial jobs =
+  let run partial jobs () =
     set_jobs jobs;
     if partial then
       Table.print (Raid_sim.Scaling.partial_scaling_table (Raid_sim.Scaling.partial_scaling ()))
@@ -145,12 +243,11 @@ let scaling_cmd =
       Raid_util.Chart.print (Raid_sim.Analysis.figure ())
     end
   in
-  Cmd.v
-    (Cmd.info "scaling"
-       ~doc:
-         "Run the scaling and multi-seed robustness sweeps (control-1 scaling, Experiment-2 \
-          seed sweep, cluster sizes, model comparison; $(b,--partial) for the \
-          partial-replication sweep).")
+  verb "scaling"
+    ~doc:
+      "Run the scaling and multi-seed robustness sweeps (control-1 scaling, Experiment-2 seed \
+       sweep, cluster sizes, model comparison; $(b,--partial) for the partial-replication \
+       sweep)."
     Term.(const run $ partial $ jobs)
 
 (* `raid scenario` — a configurable single-outage scenario. *)
@@ -197,9 +294,8 @@ let scenario_cmd =
       value & opt (some string) None
       & info [ "csv" ] ~docv:"FILE" ~doc:"Export per-transaction records as CSV.")
   in
-  let run sites items max_ops write_prob seed fail_site down_txns max_recovery two_step csv =
-    if fail_site < 0 || fail_site >= sites then
-      invalid_arg "scenario: --fail-site out of range";
+  let run sites items max_ops write_prob seed fail_site down_txns max_recovery two_step csv () =
+    if fail_site < 0 || fail_site >= sites then invalid_arg "--fail-site out of range";
     let recovery =
       match two_step with
       | None -> Config.On_demand
@@ -244,31 +340,18 @@ let scenario_cmd =
       Raid_sim.Export.write_file ~path (Raid_sim.Export.records_csv result);
       Printf.printf "records exported to %s\n" path
   in
-  Cmd.v
-    (Cmd.info "scenario"
-       ~doc:"Run a custom fail/recover scenario and plot the fail-lock series.")
+  verb "scenario" ~doc:"Run a custom fail/recover scenario and plot the fail-lock series."
     Term.(
       const run $ sites $ items $ max_ops $ write_prob $ seed $ fail_site $ down_txns
       $ max_recovery $ two_step $ csv)
 
 (* `raid trace` — run a named scenario with protocol tracing on. *)
 let trace_cmd =
-  let scenario_doc =
-    String.concat "; "
-      (List.map
-         (fun (name, description) -> Printf.sprintf "$(b,%s): %s" name description)
-         Raid_sim.Tracing.scenarios)
-  in
-  let scenario_name =
+  let scenario_arg =
     Arg.(
       value
       & pos 0 (some string) None
       & info [] ~docv:"SCENARIO" ~doc:("Scenario to trace. " ^ scenario_doc ^ "."))
-  in
-  let list =
-    Arg.(
-      value & flag
-      & info [ "list" ] ~doc:"List the named scenarios (one per line with a description) and exit.")
   in
   let format =
     Arg.(
@@ -281,76 +364,35 @@ let trace_cmd =
              phases nested inside transaction spans) or $(b,summary) (event counts and \
              virtual-latency histograms).")
   in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
-  in
-  let seed =
-    Arg.(
-      value & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's default seed.")
-  in
-  let run list scenario_name format out seed jobs =
+  let run list name format out seed jobs () =
     set_jobs jobs;
-    if list then
-      List.iter
-        (fun (name, description) -> Printf.printf "%-24s %s\n" name description)
-        Raid_sim.Tracing.scenarios
+    if list then print_scenarios ()
     else
-    match scenario_name with
-    | None ->
-      prerr_endline "raid trace: a SCENARIO argument is required (see --list)";
-      exit 2
-    | Some scenario_name ->
-    match Raid_sim.Tracing.scenario_of_name ?seed scenario_name with
-    | Error message ->
-      prerr_endline ("raid trace: " ^ message);
-      exit 2
-    | Ok scenario ->
-      (* The summary's latency statistics silently skew if the ring
-         wraps, so give it room; the export formats keep the default
-         bound and warn instead. *)
-      let capacity = match format with `Summary -> Some (1 lsl 20) | _ -> None in
-      let output = Raid_sim.Tracing.run ?capacity scenario in
-      let dropped = Raid_obs.Trace.dropped output.Raid_sim.Tracing.trace in
-      if dropped > 0 then
-        Printf.eprintf "raid trace: dropped %d entries (capacity %d); oldest events are missing\n%!"
-          dropped
-          (Raid_obs.Trace.capacity output.Raid_sim.Tracing.trace);
-      let rendered = Raid_sim.Tracing.render ~format output in
-      (match out with
-      | None -> print_string rendered
-      | Some path ->
-        Raid_sim.Export.write_file ~path rendered;
-        Printf.printf "trace written to %s\n" path)
+      match name with
+      | None -> invalid_arg "a SCENARIO argument is required (see --list)"
+      | Some name ->
+        (* The summary's latency statistics silently skew if the ring
+           wraps, so give it room; the export formats keep the default
+           bound and warn instead. *)
+        let capacity = match format with `Summary -> Some (1 lsl 20) | _ -> None in
+        let output = Observe.run ?capacity (named_scenario ?seed name) in
+        let dropped = Raid_obs.Trace.dropped output.Observe.trace in
+        if dropped > 0 then
+          Printf.eprintf
+            "raid trace: dropped %d entries (capacity %d); oldest events are missing\n%!" dropped
+            (Raid_obs.Trace.capacity output.Observe.trace);
+        write_output ~what:"trace" out (Observe.render ~format output)
   in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run a scenario with the protocol trace enabled and export it (JSONL, Chrome \
-          trace-event JSON, or a latency summary).")
-    Term.(const run $ list $ scenario_name $ format $ out $ seed $ jobs)
+  verb "trace"
+    ~doc:
+      "Run a scenario with the protocol trace enabled and export it (JSONL, Chrome trace-event \
+       JSON, or a latency summary)."
+    Term.(
+      const run $ scenario_list $ scenario_arg $ format $ output_file $ scenario_seed $ jobs)
 
 (* `raid metrics` — run a scenario with the telemetry registry attached
    and export the time series. *)
 let metrics_cmd =
-  let scenario_doc =
-    String.concat "; "
-      (List.map
-         (fun (name, description) -> Printf.sprintf "$(b,%s): %s" name description)
-         Raid_sim.Tracing.scenarios)
-  in
-  let scenario_name =
-    Arg.(
-      value & opt string "exp1"
-      & info [ "scenario" ] ~docv:"SCENARIO" ~doc:("Scenario to instrument. " ^ scenario_doc ^ "."))
-  in
-  let list =
-    Arg.(
-      value & flag
-      & info [ "list" ] ~doc:"List the named scenarios (one per line with a description) and exit.")
-  in
   let sample =
     Arg.(
       value & opt float 100.0
@@ -369,69 +411,32 @@ let metrics_cmd =
             "Output format: $(b,prom) (Prometheus text exposition, final values plus histogram \
              buckets) or $(b,csv) (long-form time series: metric,labels,t_ms,value).")
   in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
-  in
-  let seed =
-    Arg.(
-      value & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's default seed.")
-  in
-  let run list scenario_name sample format out seed jobs =
+  let run list name sample format out seed jobs () =
     set_jobs jobs;
-    if list then
-      List.iter
-        (fun (name, description) -> Printf.printf "%-24s %s\n" name description)
-        Raid_sim.Tracing.scenarios
+    if list then print_scenarios ()
     else begin
-    if sample <= 0.0 then begin
-      prerr_endline "raid metrics: --sample must be positive";
-      exit 2
-    end;
-    match Raid_sim.Tracing.scenario_of_name ?seed scenario_name with
-    | Error message ->
-      prerr_endline ("raid metrics: " ^ message);
-      exit 2
-    | Ok scenario ->
-      let output = Raid_sim.Monitor.run ~sample:(Raid_net.Vtime.of_ms_f sample) scenario in
-      let rendered = Raid_sim.Monitor.render ~format output in
+      if sample <= 0.0 then invalid_arg "--sample must be positive";
+      (* Only the CSV reads the series history, so only it samples. *)
+      let sample = if format = `Csv then Some (Raid_net.Vtime.of_ms_f sample) else None in
+      let rendered = Observe.render ~format (Observe.run ?sample (named_scenario ?seed name)) in
       (* Build provenance rides at the end of the exposition so the
          scenario series above stay byte-identical across builds. *)
-      let rendered =
-        match format with
-        | `Prom -> rendered ^ Raid_obs.Build_info.prom_block ()
-        | `Csv -> rendered
-      in
-      (match out with
-      | None -> print_string rendered
-      | Some path ->
-        Raid_sim.Export.write_file ~path rendered;
-        Printf.printf "metrics written to %s\n" path)
+      let provenance = if format = `Prom then Raid_obs.Build_info.prom_block () else "" in
+      write_output ~what:"metrics" out (rendered ^ provenance)
     end
   in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Run a scenario with the virtual-time telemetry registry attached and export the \
-          sampled series (Prometheus text or long-form CSV).")
-    Term.(const run $ list $ scenario_name $ sample $ format $ out $ seed $ jobs)
+  verb "metrics"
+    ~doc:
+      "Run a scenario with the virtual-time telemetry registry attached and export the sampled \
+       series (Prometheus text or long-form CSV)."
+    Term.(
+      const run $ scenario_list
+      $ scenario_name ~doc:"Scenario to instrument."
+      $ sample $ format $ output_file $ scenario_seed $ jobs)
 
 (* `raid explain` — the span-tree view of one transaction: where its
    latency went, blamed site by site along the critical path. *)
 let explain_cmd =
-  let scenario_doc =
-    String.concat "; "
-      (List.map
-         (fun (name, description) -> Printf.sprintf "$(b,%s): %s" name description)
-         Raid_sim.Tracing.scenarios)
-  in
-  let scenario_name =
-    Arg.(
-      value & opt string "exp1"
-      & info [ "scenario" ] ~docv:"SCENARIO" ~doc:("Scenario to trace. " ^ scenario_doc ^ "."))
-  in
   let txn =
     Arg.(
       value & opt (some int) None
@@ -446,68 +451,46 @@ let explain_cmd =
       & info [ "json" ]
           ~doc:"Emit the span tree and critical path as JSON instead of the text rendering.")
   in
-  let seed =
-    Arg.(
-      value & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's default seed.")
-  in
-  let run scenario_name txn json seed jobs =
+  let run name txn json seed jobs () =
     set_jobs jobs;
-    match Raid_sim.Tracing.scenario_of_name ?seed scenario_name with
-    | Error message ->
-      prerr_endline ("raid explain: " ^ message);
-      exit 2
-    | Ok scenario ->
-      (* Span assembly needs the whole stream: a wrapped ring loses the
-         oldest transactions' begins, so give the collector the same
-         headroom the trace summary gets. *)
-      let output = Raid_sim.Tracing.run ~capacity:(1 lsl 20) scenario in
-      let dropped = Raid_obs.Trace.dropped output.Raid_sim.Tracing.trace in
-      if dropped > 0 then
-        Printf.eprintf
-          "raid explain: dropped %d trace entries; the oldest transactions are incomplete\n%!"
-          dropped;
-      let trees = Raid_sim.Tracing.spans output in
-      let tree =
-        match txn with
-        | Some id -> (
-          match Raid_obs.Span.find trees id with
-          | Some tree -> tree
-          | None ->
-            Printf.eprintf "raid explain: no transaction %d in scenario %s (%d traced)\n" id
-              scenario_name (List.length trees);
-            exit 2)
-        | None -> (
-          match Raid_obs.Span.slowest trees with
-          | Some tree -> tree
-          | None ->
-            prerr_endline "raid explain: the scenario traced no transactions";
-            exit 2)
-      in
-      if json then print_endline (Raid_obs.Json.to_string (Raid_obs.Span.json tree))
-      else print_string (Raid_obs.Span.render tree)
+    (* Span assembly needs the whole stream: a wrapped ring loses the
+       oldest transactions' begins, so give the collector the same
+       headroom the trace summary gets. *)
+    let output = Observe.run ~capacity:(1 lsl 20) (named_scenario ?seed name) in
+    let dropped = Raid_obs.Trace.dropped output.Observe.trace in
+    if dropped > 0 then
+      Printf.eprintf
+        "raid explain: dropped %d trace entries; the oldest transactions are incomplete\n%!"
+        dropped;
+    let trees = Observe.spans output in
+    let tree =
+      match txn with
+      | Some id -> (
+        match Raid_obs.Span.find trees id with
+        | Some tree -> tree
+        | None ->
+          invalid_arg
+            (Printf.sprintf "no transaction %d in scenario %s (%d traced)" id name
+               (List.length trees)))
+      | None -> (
+        match Raid_obs.Span.slowest trees with
+        | Some tree -> tree
+        | None -> invalid_arg "the scenario traced no transactions")
+    in
+    if json then print_endline (Raid_obs.Json.to_string (Raid_obs.Span.json tree))
+    else print_string (Raid_obs.Span.render tree)
   in
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:
-         "Trace a scenario and explain one transaction: its causal span tree (phases, copier \
-          fetches, votes) and the critical path through it, each step blamed on the site that \
-          spent the time.")
-    Term.(const run $ scenario_name $ txn $ json $ seed $ jobs)
+  verb "explain"
+    ~doc:
+      "Trace a scenario and explain one transaction: its causal span tree (phases, copier \
+       fetches, votes) and the critical path through it, each step blamed on the site that \
+       spent the time."
+    Term.(
+      const run $ scenario_name ~doc:"Scenario to trace." $ txn $ json $ scenario_seed $ jobs)
 
-(* `raid incidents` — per-(site, episode) recovery timelines. *)
+(* `raid incidents` — per-(site, episode) recovery timelines, read from
+   the streaming recorder. *)
 let incidents_cmd =
-  let scenario_doc =
-    String.concat "; "
-      (List.map
-         (fun (name, description) -> Printf.sprintf "$(b,%s): %s" name description)
-         Raid_sim.Tracing.scenarios)
-  in
-  let scenario_name =
-    Arg.(
-      value & opt string "exp1"
-      & info [ "scenario" ] ~docv:"SCENARIO" ~doc:("Scenario to run. " ^ scenario_doc ^ "."))
-  in
   let csv =
     Arg.(
       value & flag
@@ -516,50 +499,23 @@ let incidents_cmd =
             "Emit one CSV row per incident (durations in milliseconds) instead of the human \
              summary; byte-identical for any $(b,-j).")
   in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
-  in
-  let seed =
-    Arg.(
-      value & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's default seed.")
-  in
-  let run scenario_name csv out seed jobs =
+  let run name csv out seed jobs () =
     set_jobs jobs;
-    match Raid_sim.Tracing.scenario_of_name ?seed scenario_name with
-    | Error message ->
-      prerr_endline ("raid incidents: " ^ message);
-      exit 2
-    | Ok scenario ->
-      let output = Raid_sim.Tracing.run ~capacity:(1 lsl 20) scenario in
-      let dropped = Raid_obs.Trace.dropped output.Raid_sim.Tracing.trace in
-      if dropped > 0 then
-        Printf.eprintf
-          "raid incidents: dropped %d trace entries; the oldest incidents are incomplete\n%!"
-          dropped;
-      let incidents = Raid_sim.Tracing.incidents output in
-      let rendered =
-        if csv then Raid_obs.Incident.to_csv incidents
-        else if incidents = [] then "no site failures in this scenario\n"
-        else
-          String.concat ""
-            (List.map (fun i -> Raid_obs.Incident.describe i ^ "\n") incidents)
-      in
-      (match out with
-      | None -> print_string rendered
-      | Some path ->
-        Raid_sim.Export.write_file ~path rendered;
-        Printf.printf "incidents written to %s\n" path)
+    let incidents = Observe.incidents (Observe.run (named_scenario ?seed name)) in
+    let rendered =
+      if csv then Raid_obs.Incident.to_csv incidents
+      else if incidents = [] then "no site failures in this scenario\n"
+      else String.concat "" (List.map (fun i -> Raid_obs.Incident.describe i ^ "\n") incidents)
+    in
+    write_output ~what:"incidents" out rendered
   in
-  Cmd.v
-    (Cmd.info "incidents"
-       ~doc:
-         "Run a scenario and report every site-failure incident as a recovery timeline: \
-          outage, WAL replay, in-doubt resolution, state install and fail-lock drain phases \
-          that partition crash to caught-up exactly.")
-    Term.(const run $ scenario_name $ csv $ out $ seed $ jobs)
+  verb "incidents"
+    ~doc:
+      "Run a scenario and report every site-failure incident as a recovery timeline: outage, \
+       WAL replay, in-doubt resolution, state install and fail-lock drain phases that \
+       partition crash to caught-up exactly."
+    Term.(
+      const run $ scenario_name ~doc:"Scenario to run." $ csv $ output_file $ scenario_seed $ jobs)
 
 (* `raid throughput` — steady-state load on a configurable cluster. *)
 let throughput_cmd =
@@ -631,44 +587,10 @@ let throughput_cmd =
              text to $(docv) ($(b,-) for stdout).  The instrumented run produces the same \
              result row as without telemetry.")
   in
-  let replication_factor =
-    Arg.(
-      value & opt int 0
-      & info [ "replication-factor" ] ~docv:"K"
-          ~doc:
-            "Copies per item (k-holder placement).  0 keeps the paper's full replication; \
-             K >= sites also degenerates to it.")
-  in
-  let sharding =
-    Arg.(
-      value & opt string "hash"
-      & info [ "sharding" ] ~docv:"KIND"
-          ~doc:
-            "How $(b,--replication-factor) picks each item's primary holder: $(b,hash), \
-             $(b,range) or $(b,modular).")
-  in
-  let zipf_theta =
-    Arg.(
-      value & opt (some float) None
-      & info [ "zipf-theta" ] ~docv:"THETA"
-          ~doc:
-            "Zipfian item skew in (0,1) (YCSB's parameterisation; 0.99 is its default).  \
-             Omitted: the paper's uniform item draw.")
-  in
   let run sites items max_ops write_prob duration seeds seed no_failure fail_at recover_at smoke
-      csv telemetry replication_factor sharding zipf_theta jobs =
+      csv telemetry placement jobs () =
     set_jobs jobs;
-    let replication =
-      if replication_factor = 0 then Raid_core.Config.Full
-      else
-        match Raid_core.Placement.sharding_of_string sharding with
-        | Error message ->
-          Printf.eprintf "raid throughput: %s\n" message;
-          exit 2
-        | Ok sharding ->
-          Raid_core.Config.Partial
-            (Raid_core.Placement.spec ~sharding ~factor:replication_factor ())
-    in
+    let replication, zipf_theta = placement () in
     let duration = if smoke then Float.min duration 1000.0 else duration in
     let failure =
       if no_failure then None
@@ -724,15 +646,13 @@ let throughput_cmd =
       Printf.printf "trajectory exported to %s\n" path
     | _ -> ()
   in
-  Cmd.v
-    (Cmd.info "throughput"
-       ~doc:
-         "Measure steady-state throughput (committed txns per virtual second, abort rate, \
-          host events/sec) under an open-loop stream with a mid-run failure and recovery.")
+  verb "throughput"
+    ~doc:
+      "Measure steady-state throughput (committed txns per virtual second, abort rate, host \
+       events/sec) under an open-loop stream with a mid-run failure and recovery."
     Term.(
       const run $ sites $ items $ max_ops $ write_prob $ duration $ seeds $ seed $ no_failure
-      $ fail_at $ recover_at $ smoke $ csv $ telemetry $ replication_factor $ sharding
-      $ zipf_theta $ jobs)
+      $ fail_at $ recover_at $ smoke $ csv $ telemetry $ placement $ jobs)
 
 (* `raid concurrency` *)
 let concurrency_cmd =
@@ -745,13 +665,12 @@ let concurrency_cmd =
   let txns =
     Arg.(value & opt int 200 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per level.")
   in
-  let run levels txns jobs =
+  let run levels txns jobs () =
     set_jobs jobs;
     Table.print (Raid_sim.Concurrent.sweep_table (Raid_sim.Concurrent.sweep ~levels ~txns ()))
   in
-  Cmd.v
-    (Cmd.info "concurrency"
-       ~doc:"Sweep concurrent transaction processing levels (conservative strict 2PL).")
+  verb "concurrency"
+    ~doc:"Sweep concurrent transaction processing levels (conservative strict 2PL)."
     Term.(const run $ levels $ txns $ jobs)
 
 (* `raid serve` — a live soak with the HTTP introspection API. *)
@@ -802,37 +721,8 @@ let serve_cmd =
           ~doc:"Stop after this much wall-clock time (default: run until SIGINT).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
-  let replication_factor =
-    Arg.(
-      value & opt int 0
-      & info [ "replication-factor" ] ~docv:"K"
-          ~doc:"Copies per item (k-holder placement); 0 keeps full replication.")
-  in
-  let sharding =
-    Arg.(
-      value & opt string "hash"
-      & info [ "sharding" ] ~docv:"KIND"
-          ~doc:"Placement for $(b,--replication-factor): $(b,hash), $(b,range) or $(b,modular).")
-  in
-  let zipf_theta =
-    Arg.(
-      value & opt (some float) None
-      & info [ "zipf-theta" ] ~docv:"THETA"
-          ~doc:"Zipfian item skew in (0,1); omitted: uniform item draw.")
-  in
-  let run port accel tenants sites items max_ops write_prob duration seed replication_factor
-      sharding zipf_theta =
-    let replication =
-      if replication_factor = 0 then Raid_core.Config.Full
-      else
-        match Raid_core.Placement.sharding_of_string sharding with
-        | Error message ->
-          Printf.eprintf "raid serve: %s\n" message;
-          exit 2
-        | Ok sharding ->
-          Raid_core.Config.Partial
-            (Raid_core.Placement.spec ~sharding ~factor:replication_factor ())
-    in
+  let run port accel tenants sites items max_ops write_prob duration seed placement () =
+    let replication, zipf_theta = placement () in
     let config =
       Raid_sim.Soak.make_config ~tenants ~sites ~items ~max_ops ~write_prob ~replication
         ?zipf_theta ~accel ~seed ~port
@@ -857,17 +747,15 @@ let serve_cmd =
       s.Raid_sim.Soak.virtual_ms s.Raid_sim.Soak.wall_s s.Raid_sim.Soak.events
       s.Raid_sim.Soak.requests
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run a long-lived soak — virtual time paced against the wall clock — while an HTTP \
-          API on 127.0.0.1 exposes the cluster live: /health, /metrics (Prometheus), /sites, \
-          /txns, POST /sites/ID/fail|recover, POST /load.")
+  verb "serve"
+    ~doc:
+      "Run a long-lived soak — virtual time paced against the wall clock — while an HTTP API on \
+       127.0.0.1 exposes the cluster live: /health, /metrics (Prometheus), /sites, /txns, POST \
+       /sites/ID/fail|recover, POST /load."
     Term.(
-      const run $ port $ accel $ tenants $ sites $ items $ max_ops $ write_prob
-      $ duration $ seed $ replication_factor $ sharding $ zipf_theta)
+      const run $ port $ accel $ tenants $ sites $ items $ max_ops $ write_prob $ duration $ seed
+      $ placement)
 
-(* `raid repl` *)
 (* `raid crashmatrix` — the systematic crash-injection matrix: kill a
    site at every distinct boundary of the 2PC/copier/fail-lock state
    machine, replay its WAL, resolve its in-doubt transactions and assert
@@ -935,7 +823,7 @@ let crashmatrix_cmd =
              per (site, episode) prefixed with the cell coordinates; byte-identical for any \
              $(b,-j).")
   in
-  let run list smoke csv incidents seeds sizes points jobs =
+  let run list smoke csv incidents seeds sizes points jobs () =
     set_jobs jobs;
     if list then
       List.iter
@@ -953,9 +841,7 @@ let crashmatrix_cmd =
             (fun name ->
               match Crashmatrix.point_of_name (String.trim name) with
               | Some p -> p
-              | None ->
-                Printf.eprintf "raid crashmatrix: unknown crash point %S (see --list)\n" name;
-                exit 2)
+              | None -> invalid_arg (Printf.sprintf "unknown crash point %S (see --list)" name))
             (String.split_on_char ',' names)
       in
       let seeds = match seeds with Some s -> s | None -> if smoke then [ 1 ] else [ 1; 2; 3 ] in
@@ -975,14 +861,14 @@ let crashmatrix_cmd =
       if not (Crashmatrix.ok summary) then exit 1
     end
   in
-  Cmd.v
-    (Cmd.info "crashmatrix"
-       ~doc:
-         "Crash a site at every distinct point of the 2PC/copier/fail-lock state machine, \
-          replay its WAL, resolve in-doubt transactions and assert the protocol invariants; \
-          non-zero exit on any violation.")
+  verb "crashmatrix"
+    ~doc:
+      "Crash a site at every distinct point of the 2PC/copier/fail-lock state machine, replay \
+       its WAL, resolve in-doubt transactions and assert the protocol invariants; non-zero exit \
+       on any violation."
     Term.(const run $ list $ smoke $ csv $ incidents $ seeds $ sizes $ points $ jobs)
 
+(* `raid repl` *)
 let repl_cmd =
   let sites = Arg.(value & opt int 4 & info [ "sites" ] ~docv:"N" ~doc:"Number of sites.") in
   let items = Arg.(value & opt int 50 & info [ "items" ] ~docv:"N" ~doc:"Data items.") in
@@ -990,13 +876,13 @@ let repl_cmd =
     Arg.(value & opt int 5 & info [ "max-ops" ] ~docv:"N" ~doc:"Max operations per random txn.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
-  let run sites items max_ops seed =
+  let run sites items max_ops seed () =
     Raid_sim.Console.run_stdin (Raid_sim.Console.create ~sites ~items ~max_ops ~seed ())
   in
-  Cmd.v
-    (Cmd.info "repl" ~doc:"Interactive managing-site console (fail/recover sites, run txns).")
+  verb "repl" ~doc:"Interactive managing-site console (fail/recover sites, run txns)."
     Term.(const run $ sites $ items $ max_ops $ seed)
 
+(* `raid multi` *)
 let multi_cmd =
   let tenants =
     Arg.(
@@ -1065,7 +951,7 @@ let multi_cmd =
              $(b,-j) and in both WAL modes (tenant rows).")
   in
   let run tenants sites items txns shards batch seed group_size per_tenant_wal fail_every smoke
-      csv jobs =
+      csv jobs () =
     set_jobs jobs;
     let tenants = if smoke then min tenants 64 else tenants in
     let txns = if smoke then min txns 10 else txns in
@@ -1073,12 +959,7 @@ let multi_cmd =
       if per_tenant_wal then Raid_multi.Per_tenant else Raid_multi.Shared { group_size }
     in
     let spec =
-      try
-        Raid_multi.spec ~tenants ~sites ~items ~txns ~shards ~batch ~seed ~wal_mode ~fail_every
-          ()
-      with Invalid_argument message ->
-        Printf.eprintf "raid multi: %s\n" message;
-        exit 2
+      Raid_multi.spec ~tenants ~sites ~items ~txns ~shards ~batch ~seed ~wal_mode ~fail_every ()
     in
     let t0 = Unix.gettimeofday () in
     let result = Raid_multi.run spec in
@@ -1093,11 +974,10 @@ let multi_cmd =
       Printf.printf "per-tenant results exported to %s\n" path
     | None -> ()
   in
-  Cmd.v
-    (Cmd.info "multi"
-       ~doc:
-         "Run many independent tenant clusters in one process, sharing one group-committed WAL \
-          per shard; reports per-tenant results and aggregate events/sec.")
+  verb "multi"
+    ~doc:
+      "Run many independent tenant clusters in one process, sharing one group-committed WAL per \
+       shard; reports per-tenant results and aggregate events/sec."
     Term.(
       const run $ tenants $ sites $ items $ txns $ shards $ batch $ seed $ group_size
       $ per_tenant_wal $ fail_every $ smoke $ csv $ jobs)

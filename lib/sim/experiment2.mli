@@ -35,7 +35,7 @@ type t = {
 val scenario :
   ?seed:int -> ?recovering_weight:float -> ?max_recovery_txns:int -> unit -> Scenario.t
 (** The declarative scenario behind {!run}, for reuse by other drivers
-    (e.g. {!Tracing}).  Same defaults as {!run}. *)
+    (e.g. {!Observe}).  Same defaults as {!run}. *)
 
 val run : ?seed:int -> ?recovering_weight:float -> ?max_recovery_txns:int -> unit -> t
 (** Defaults: seed 15, [recovering_weight] 0.05, bound 1200. *)

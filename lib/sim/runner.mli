@@ -35,9 +35,9 @@ val run :
     DESIGN.md invariants are verified after every action and a [Failure]
     is raised on violation — experiments double as protocol tests.
     [trace] turns on the network engine's message trace; [obs] receives
-    the sites' protocol trace (see {!Tracing} for the assembled
-    pipeline); [telemetry] is instrumented over the cluster and sampled
-    in virtual time (see {!Monitor}).  All default to off, which costs
+    the sites' protocol trace; [telemetry] is instrumented over the
+    cluster and sampled in virtual time ({!Observe} attaches all three
+    and assembles the pipeline).  All default to off, which costs
     nothing.
 
     @raise Invalid_argument if a [Fixed] coordinator is down when a

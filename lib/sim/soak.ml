@@ -402,7 +402,7 @@ let create cfg =
      operator fail/recover endpoints address, so its ring holds exactly
      the incidents those actions produce. *)
   let obs_trace = Trace.create () in
-  let obs_sink, obs_recorder = Monitor.attach_observatory reg obs_trace in
+  let obs_sink, obs_recorder = Observe.attach_observatory reg obs_trace in
   let ccfg =
     Config.make ~replication:cfg.replication ~num_sites:cfg.sites ~num_items:cfg.items ()
   in

@@ -9,7 +9,7 @@ module Export = Raid_obs.Trace_export
 module Json = Raid_obs.Json
 module Faillock = Raid_core.Faillock
 module Session = Raid_core.Session
-module Tracing = Raid_sim.Tracing
+module Observe = Raid_sim.Observe
 
 let parse_exn label s =
   match Json.parse s with
@@ -189,14 +189,15 @@ let traced_output =
   (* One traced run of Experiment 3 scenario 1 (failures, copiers and
      aborts all occur), shared by the export tests. *)
   lazy
-    (match Tracing.scenario_of_name "exp3-1" with
+    (match Observe.scenario_of_name "exp3-1" with
     | Error e -> failwith e
-    | Ok scenario -> Tracing.run scenario)
+    | Ok scenario -> Observe.run scenario)
 
 let test_jsonl_lines_parse () =
   let output = Lazy.force traced_output in
   let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Tracing.jsonl output))
+    List.filter (fun l -> l <> "")
+      (String.split_on_char '\n' (Observe.render ~format:`Jsonl output))
   in
   Alcotest.(check bool) "has events" true (List.length lines > 100);
   List.iter
@@ -208,7 +209,7 @@ let test_jsonl_lines_parse () =
     lines
 
 let chrome_events output =
-  let v = parse_exn "chrome export" (Tracing.chrome output) in
+  let v = parse_exn "chrome export" (Observe.render ~format:`Chrome output) in
   match Json.member "traceEvents" v with
   | Some events -> Json.to_list events
   | None -> Alcotest.fail "no traceEvents key"
@@ -236,12 +237,10 @@ let test_chrome_one_track_per_site () =
       (fun e -> str_field "ph" e = "M" && str_field "name" e = "thread_name")
       events
   in
-  Alcotest.(check int) "one thread_name per site" output.Tracing.num_sites
-    (List.length tracks);
+  let num_sites = Raid_core.Cluster.num_sites output.Observe.result.Raid_sim.Runner.cluster in
+  Alcotest.(check int) "one thread_name per site" num_sites (List.length tracks);
   let tids = List.sort compare (List.map (int_field "tid") tracks) in
-  Alcotest.(check (list int)) "tids are the site ids"
-    (List.init output.Tracing.num_sites Fun.id)
-    tids
+  Alcotest.(check (list int)) "tids are the site ids" (List.init num_sites Fun.id) tids
 
 let test_chrome_phases_nest () =
   let output = Lazy.force traced_output in
@@ -266,17 +265,21 @@ let test_chrome_phases_nest () =
     phase_spans
 
 let test_exports_deterministic () =
-  let render output = (Tracing.jsonl output, Tracing.chrome output, Tracing.summary output) in
+  let render output =
+    List.map
+      (fun format -> Observe.render ~format output)
+      [ `Jsonl; `Chrome; `Summary; `Prom; `Csv ]
+  in
   let a = render (Lazy.force traced_output) in
   let b =
-    match Tracing.scenario_of_name "exp3-1" with
+    match Observe.scenario_of_name "exp3-1" with
     | Error e -> failwith e
-    | Ok scenario -> render (Tracing.run scenario)
+    | Ok scenario -> render (Observe.run scenario)
   in
   Alcotest.(check bool) "two runs render byte-identically" true (a = b)
 
 let test_untraced_run_unchanged () =
-  (* Tracing must not perturb the simulation: the same scenario with and
+  (* Observers must not perturb the simulation: the same scenario with and
      without the sink produces identical outcomes. *)
   let outcomes result =
     List.map
@@ -286,13 +289,13 @@ let test_untraced_run_unchanged () =
           r.Raid_sim.Runner.faillocks_per_site ))
       result.Raid_sim.Runner.records
   in
-  match Tracing.scenario_of_name "exp3-1" with
+  match Observe.scenario_of_name "exp3-1" with
   | Error e -> failwith e
   | Ok scenario ->
     let traced = Lazy.force traced_output in
     let untraced = Raid_sim.Runner.run scenario in
     Alcotest.(check bool) "same outcomes" true
-      (outcomes traced.Tracing.result = outcomes untraced)
+      (outcomes traced.Observe.result = outcomes untraced)
 
 let suite =
   [

@@ -9,8 +9,7 @@ module Span = Raid_obs.Span
 module Incident = Raid_obs.Incident
 module Trace = Raid_obs.Trace
 module Json = Raid_obs.Json
-module Tracing = Raid_sim.Tracing
-module Monitor = Raid_sim.Monitor
+module Observe = Raid_sim.Observe
 module Runner = Raid_sim.Runner
 module Throughput = Raid_sim.Throughput
 module Crashmatrix = Raid_sim.Crashmatrix
@@ -18,19 +17,19 @@ module Metrics = Raid_core.Metrics
 module Vtime = Raid_net.Vtime
 
 let exp1 () =
-  match Tracing.scenario_of_name "exp1" with
+  match Observe.scenario_of_name "exp1" with
   | Ok scenario -> scenario
   | Error message -> Alcotest.fail message
 
-let run_exp1 () = Tracing.run ~capacity:(1 lsl 20) (exp1 ())
+let run_exp1 () = Observe.run ~capacity:(1 lsl 20) (exp1 ())
 
 (* Every transaction the runner recorded has a span tree whose root
    duration equals the outcome's elapsed time — `raid explain` and the
    raid_txn_latency_ms histogram are two views of one number. *)
 let test_span_latency_matches_outcome () =
   let output = run_exp1 () in
-  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped output.Tracing.trace);
-  let trees = Tracing.spans output in
+  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped output.Observe.trace);
+  let trees = Observe.spans output in
   Alcotest.(check bool) "trees assembled" true (trees <> []);
   List.iter
     (fun record ->
@@ -46,13 +45,13 @@ let test_span_latency_matches_outcome () =
         Alcotest.(check int)
           (Printf.sprintf "txn %d root span = elapsed" id)
           outcome.Metrics.elapsed (Span.latency tree))
-    output.Tracing.result.Runner.records
+    output.Observe.result.Runner.records
 
 (* The critical path is a contiguous partition of the root span: step
    boundaries telescope and the durations sum exactly to the latency. *)
 let test_critical_path_sums_to_latency () =
   let output = run_exp1 () in
-  let trees = Tracing.spans output in
+  let trees = Observe.spans output in
   let checked = ref 0 in
   List.iter
     (fun tree ->
@@ -79,9 +78,9 @@ let test_critical_path_sums_to_latency () =
 (* The ring collector only drops the oldest prefix, so a wrapped run
    marks the truncated trees instead of silently shortening them. *)
 let test_tiny_ring_flags_incomplete () =
-  let output = Tracing.run ~capacity:64 (exp1 ()) in
-  Alcotest.(check bool) "ring wrapped" true (Trace.dropped output.Tracing.trace > 0);
-  let trees = Tracing.spans output in
+  let output = Observe.run ~capacity:64 (exp1 ()) in
+  Alcotest.(check bool) "ring wrapped" true (Trace.dropped output.Observe.trace > 0);
+  let trees = Observe.spans output in
   Alcotest.(check bool) "a truncated tree is flagged incomplete" true
     (List.exists (fun tree -> not tree.Span.complete) trees);
   (* The survivors still render without raising. *)
@@ -108,7 +107,7 @@ let check_incident_tiles incident =
    replay + resolve + install + drain = crash → caught-up, exactly. *)
 let test_incident_partition_exp1 () =
   let output = run_exp1 () in
-  let incidents = Tracing.incidents output in
+  let incidents = Observe.incidents output in
   Alcotest.(check bool) "an incident was recorded" true (incidents <> []);
   List.iter check_incident_tiles incidents;
   Alcotest.(check bool) "the exp1 episode completes" true
@@ -171,10 +170,30 @@ let test_recording_is_transparent () =
    the crash matrix's cell-prefixed variant is identical across domain
    counts. *)
 let test_incidents_csv_deterministic () =
-  let csv () = Incident.to_csv (Tracing.incidents (run_exp1 ())) in
+  let csv () = Incident.to_csv (Observe.incidents (run_exp1 ())) in
   let first = csv () in
   Alcotest.(check bool) "csv has rows" true (String.length first > String.length Incident.csv_header);
   Alcotest.(check string) "identical across runs" first (csv ())
+
+(* `raid incidents` reads the streaming recorder: for every named
+   scenario its timelines equal those assembled after the fact from a
+   ring that dropped nothing. *)
+let test_recorder_matches_assembly () =
+  List.iter
+    (fun (name, _) ->
+      let output =
+        match Observe.scenario_of_name name with
+        | Ok scenario -> Observe.run ~capacity:(1 lsl 20) scenario
+        | Error message -> Alcotest.fail message
+      in
+      Alcotest.(check int) (name ^ ": nothing dropped") 0 (Trace.dropped output.Observe.trace);
+      let streamed = Observe.incidents output in
+      Alcotest.(check bool) (name ^ ": incidents recorded") true (streamed <> []);
+      Alcotest.(check bool)
+        (name ^ ": recorder = assembly")
+        true
+        (streamed = Incident.assemble (Trace.entries output.Observe.trace)))
+    Observe.scenarios
 
 let test_crashmatrix_incidents_csv_j_invariant () =
   let run domains =
@@ -214,7 +233,7 @@ let test_faillock_txn_jsonl_round_trip () =
    return them verbatim). *)
 let test_json_bodies_parse () =
   let output = run_exp1 () in
-  let trees = Tracing.spans output in
+  let trees = Observe.spans output in
   (match Span.slowest trees with
   | None -> Alcotest.fail "no slowest tree"
   | Some tree -> (
@@ -226,7 +245,7 @@ let test_json_bodies_parse () =
       match Json.parse (Json.to_string (Incident.json incident)) with
       | Ok _ -> ()
       | Error m -> Alcotest.failf "incident json: %s" m)
-    (Tracing.incidents output)
+    (Observe.incidents output)
 
 let suite =
   [
@@ -238,6 +257,8 @@ let suite =
       test_incident_partition_partial;
     Alcotest.test_case "incident recording is transparent" `Quick test_recording_is_transparent;
     Alcotest.test_case "incidents csv deterministic" `Quick test_incidents_csv_deterministic;
+    Alcotest.test_case "recorder incidents = assembly, every scenario" `Quick
+      test_recorder_matches_assembly;
     Alcotest.test_case "crashmatrix incidents csv is -j invariant" `Quick
       test_crashmatrix_incidents_csv_j_invariant;
     Alcotest.test_case "faillock txn JSONL round trip" `Quick test_faillock_txn_jsonl_round_trip;

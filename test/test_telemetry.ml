@@ -7,8 +7,7 @@ module Telemetry = Raid_obs.Telemetry
 module Prom = Raid_obs.Prom
 module Series = Raid_obs.Series
 module Vtime = Raid_net.Vtime
-module Monitor = Raid_sim.Monitor
-module Tracing = Raid_sim.Tracing
+module Observe = Raid_sim.Observe
 module Runner = Raid_sim.Runner
 module Throughput = Raid_sim.Throughput
 
@@ -167,31 +166,31 @@ let test_label_value_escaping () =
 
 let monitor_output =
   lazy
-    (match Tracing.scenario_of_name "exp1" with
+    (match Observe.scenario_of_name "exp1" with
     | Error e -> failwith e
-    | Ok scenario -> Monitor.run scenario)
+    | Ok scenario -> Observe.run ~sample:(Vtime.of_ms 100) scenario)
 
 let test_monitor_deterministic () =
-  let render output = (Monitor.prom output, Monitor.csv output) in
+  let render output = (Observe.render ~format:`Prom output, Observe.render ~format:`Csv output) in
   let a = render (Lazy.force monitor_output) in
   let b =
-    match Tracing.scenario_of_name "exp1" with
+    match Observe.scenario_of_name "exp1" with
     | Error e -> failwith e
-    | Ok scenario -> render (Monitor.run scenario)
+    | Ok scenario -> render (Observe.run ~sample:(Vtime.of_ms 100) scenario)
   in
   Alcotest.(check bool) "two instrumented runs render byte-identically" true (a = b);
   Alcotest.(check bool) "series were sampled" true
-    (Telemetry.samples_taken (Lazy.force monitor_output).Monitor.registry > 1)
+    (Telemetry.samples_taken (Lazy.force monitor_output).Observe.registry > 1)
 
 (* [raid metrics] keeps its history: every series holds one point per
    crossed multiple of the interval, then the final flush. *)
 let test_monitor_samples_on_grid () =
   let output = Lazy.force monitor_output in
-  let registry = output.Monitor.registry in
+  let registry = output.Observe.registry in
   let interval = Vtime.of_ms 100 in
   Alcotest.(check bool) "interval kept" true (Telemetry.interval registry = Some interval);
   let samples = Telemetry.samples_taken registry in
-  let end_at = Raid_net.Engine.now (Raid_core.Cluster.engine output.Monitor.result.Runner.cluster) in
+  let end_at = Raid_net.Engine.now (Raid_core.Cluster.engine output.Observe.result.Runner.cluster) in
   List.iter
     (fun (v : Telemetry.view) ->
       let points = Series.to_list v.Telemetry.v_series in
@@ -206,17 +205,17 @@ let test_monitor_samples_on_grid () =
 
 let test_monitor_counters_match_result () =
   let output = Lazy.force monitor_output in
-  let registry = output.Monitor.registry in
+  let registry = output.Observe.registry in
   let value name =
     match Telemetry.find registry name with
     | Some view -> view.Telemetry.v_value
     | None -> Alcotest.fail (name ^ " not registered")
   in
   Alcotest.check feq "committed counter mirrors the run"
-    (float_of_int output.Monitor.result.Runner.committed)
+    (float_of_int output.Observe.result.Runner.committed)
     (value "raid_txns_committed_total");
   Alcotest.check feq "aborted counter mirrors the run"
-    (float_of_int output.Monitor.result.Runner.aborted)
+    (float_of_int output.Observe.result.Runner.aborted)
     (value "raid_txns_aborted_total");
   Alcotest.(check bool) "engine processed events" true (value "raid_engine_events_total" > 0.0);
   Alcotest.(check bool) "heap high-water observed" true
@@ -244,7 +243,7 @@ let test_monitor_counters_match_result () =
         else acc)
       0.0 (Telemetry.views registry)
   in
-  let cluster = output.Monitor.result.Runner.cluster in
+  let cluster = output.Observe.result.Runner.cluster in
   let clock_us = float_of_int (Raid_net.Engine.now (Raid_core.Cluster.engine cluster)) in
   Alcotest.(check bool) "per-kind virtual time bounded by clock * sites" true
     (vtime_us > 0.0
@@ -260,13 +259,13 @@ let test_telemetry_is_transparent () =
           r.Runner.faillocks_per_site ))
       result.Runner.records
   in
-  (match Tracing.scenario_of_name "exp1" with
+  (match Observe.scenario_of_name "exp1" with
   | Error e -> failwith e
   | Ok scenario ->
     let plain = Runner.run scenario in
     let instrumented = Lazy.force monitor_output in
     Alcotest.(check bool) "runner outcomes unchanged" true
-      (outcomes plain = outcomes instrumented.Monitor.result));
+      (outcomes plain = outcomes instrumented.Observe.result));
   let config = Throughput.make_config ~sites:4 ~items:20 ~duration_ms:800.0 () in
   let strip (r : Throughput.result) =
     (r.Throughput.seed, r.Throughput.submitted, r.Throughput.committed, r.Throughput.aborted,
