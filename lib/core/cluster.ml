@@ -348,7 +348,7 @@ let crash_site_now t i =
     (match t.obs with
     | None -> ()
     | Some sink -> sink.Raid_obs.Trace.emit ~at:(Engine.now t.engine) ~site:i Raid_obs.Trace.Site_failed);
-    Site.on_crash ~now:(Engine.now t.engine) (site t i);
+    Site.on_crash (site t i);
     detect_knowledge_loss t ~dying:i
   end
 

@@ -13,15 +13,18 @@
     - A coordinator receiving a transaction first runs copier
       transactions for every read of a fail-locked copy; if any needed
       copy has no operational up-to-date source the transaction aborts.
-    - Phase 1 sends the copy updates to every operational site; phase 2
-      commits.  A participant failure aborts the transaction and triggers
-      control transaction type 2; a missing commit-ack triggers
-      control-2 but the commit still completes.
+    - Phase 1 sends the copy updates to the participants — every
+      operational site under full replication, the operational holders
+      of the written items under partial replication; phase 2 commits.
+      A participant failure aborts the transaction and triggers control
+      transaction type 2; a missing commit-ack triggers control-2 but
+      the commit still completes.
     - Commitment (re-)clears each written item's fail-lock bit for every
       up site and sets it for every down site.
-    - Recovery (control-1) announces a fresh session number to the
-      believed-operational sites and installs the session vector and
-      fail-lock table fetched from one of them.
+    - Recovery (control-1) announces a fresh session number to every
+      other site (its own vector may be stale) and installs the session
+      vector and fail-lock table fetched from one of them, trying the
+      believed-operational sites first.
     - The two-step recovery policy and control transaction type 3 are the
       paper's §3.2 proposed extensions. *)
 
@@ -104,12 +107,11 @@ val wal : t -> Raid_storage.Wal.t option
     [Config.In_memory]).  Read-only introspection for tests and the
     crash matrix; mutating it mid-run voids the recovery guarantees. *)
 
-val on_crash : ?now:Raid_net.Vtime.t -> t -> unit
+val on_crash : t -> unit
 (** Reset volatile state (in-flight coordination, buffered phase-1
     writes).  The cluster driver calls this when it fails the site;
     database, fail-locks and session vector survive, as they would on
     stable storage.  A coordinated transaction past its decide point has
     durably logged the decision with its Commit messages already in
     flight, so its writes are preserved locally (logged to the WAL under
-    [Config.Durable_wal]) rather than lost; [now] stamps those update-log
-    entries. *)
+    [Config.Durable_wal]) rather than lost. *)

@@ -1,4 +1,4 @@
-type entry = { txn : int; write : Database.write; applied_at : int }
+type entry = { txn : int; write : Database.write }
 
 (* In application order, in an array grown by doubling: a slot costs a
    word where a list cell costs three, and the log only ever grows. *)

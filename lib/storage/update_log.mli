@@ -2,13 +2,13 @@
 
     mini-RAID factored real I/O out; this log is the accounting artefact
     that lets tests check write durability ("a committed write is present
-    at every site that was operational at commit time") and lets the
-    experiment harness replay who applied what, when. *)
+    at every site that was operational at commit time") and lets
+    in-doubt resolution and the oracles ask which transaction applied
+    which write, in application order. *)
 
 type entry = {
   txn : int;  (** transaction (or copier/control) identifier *)
   write : Database.write;
-  applied_at : int;  (** virtual time in microseconds *)
 }
 
 type t

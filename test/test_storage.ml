@@ -71,9 +71,9 @@ let test_equal_and_snapshot () =
 let test_update_log () =
   let log = Update_log.create () in
   Alcotest.(check int) "empty" 0 (Update_log.length log);
-  Update_log.append log { Update_log.txn = 1; write = write ~item:0 ~value:1 ~version:1; applied_at = 10 };
-  Update_log.append log { Update_log.txn = 2; write = write ~item:1 ~value:2 ~version:2; applied_at = 20 };
-  Update_log.append log { Update_log.txn = 3; write = write ~item:0 ~value:3 ~version:3; applied_at = 30 };
+  Update_log.append log { Update_log.txn = 1; write = write ~item:0 ~value:1 ~version:1 };
+  Update_log.append log { Update_log.txn = 2; write = write ~item:1 ~value:2 ~version:2 };
+  Update_log.append log { Update_log.txn = 3; write = write ~item:0 ~value:3 ~version:3 };
   Alcotest.(check int) "length" 3 (Update_log.length log);
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ]
     (List.map (fun e -> e.Update_log.txn) (Update_log.entries log));
