@@ -131,6 +131,28 @@ let placement =
   in
   Term.(const make $ factor $ sharding $ zipf_theta)
 
+(* Cluster size and transaction mix, shared by throughput and serve. *)
+let load =
+  let sites =
+    Arg.(value & opt int 16 & info [ "sites" ] ~docv:"N" ~doc:"Number of database sites.")
+  in
+  let items =
+    Arg.(value & opt int 500 & info [ "items" ] ~docv:"N" ~doc:"Database size in data items.")
+  in
+  let max_ops =
+    Arg.(
+      value & opt int 5
+      & info [ "max-ops" ] ~docv:"N" ~doc:"Maximum operations per transaction.")
+  in
+  let write_prob =
+    Arg.(
+      value & opt float 0.5
+      & info [ "write-prob" ] ~docv:"P" ~doc:"Probability that an operation is a write.")
+  in
+  Term.(
+    const (fun sites items max_ops write_prob -> (sites, items, max_ops, write_prob))
+    $ sites $ items $ max_ops $ write_prob)
+
 let print_exp1 () =
   List.iter
     (fun report ->
@@ -519,22 +541,6 @@ let incidents_cmd =
 
 (* `raid throughput` — steady-state load on a configurable cluster. *)
 let throughput_cmd =
-  let sites =
-    Arg.(value & opt int 16 & info [ "sites" ] ~docv:"N" ~doc:"Number of database sites.")
-  in
-  let items =
-    Arg.(value & opt int 500 & info [ "items" ] ~docv:"N" ~doc:"Database size in data items.")
-  in
-  let max_ops =
-    Arg.(
-      value & opt int 5
-      & info [ "max-ops" ] ~docv:"N" ~doc:"Maximum operations per transaction.")
-  in
-  let write_prob =
-    Arg.(
-      value & opt float 0.5
-      & info [ "write-prob" ] ~docv:"P" ~doc:"Probability that an operation is a write.")
-  in
   let duration =
     Arg.(
       value & opt float 10_000.0
@@ -587,8 +593,8 @@ let throughput_cmd =
              text to $(docv) ($(b,-) for stdout).  The instrumented run produces the same \
              result row as without telemetry.")
   in
-  let run sites items max_ops write_prob duration seeds seed no_failure fail_at recover_at smoke
-      csv telemetry placement jobs () =
+  let run (sites, items, max_ops, write_prob) duration seeds seed no_failure fail_at recover_at
+      smoke csv telemetry placement jobs () =
     set_jobs jobs;
     let replication, zipf_theta = placement () in
     let duration = if smoke then Float.min duration 1000.0 else duration in
@@ -651,8 +657,8 @@ let throughput_cmd =
       "Measure steady-state throughput (committed txns per virtual second, abort rate, host \
        events/sec) under an open-loop stream with a mid-run failure and recovery."
     Term.(
-      const run $ sites $ items $ max_ops $ write_prob $ duration $ seeds $ seed $ no_failure
-      $ fail_at $ recover_at $ smoke $ csv $ telemetry $ placement $ jobs)
+      const run $ load $ duration $ seeds $ seed $ no_failure $ fail_at $ recover_at $ smoke
+      $ csv $ telemetry $ placement $ jobs)
 
 (* `raid concurrency` *)
 let concurrency_cmd =
@@ -698,22 +704,6 @@ let serve_cmd =
             "Host $(docv) independent clusters in one soak; telemetry and /sites gain a \
              tenant label, fail/recover actions address tenant 0.")
   in
-  let sites =
-    Arg.(value & opt int 16 & info [ "sites" ] ~docv:"N" ~doc:"Number of database sites.")
-  in
-  let items =
-    Arg.(value & opt int 500 & info [ "items" ] ~docv:"N" ~doc:"Database size in data items.")
-  in
-  let max_ops =
-    Arg.(
-      value & opt int 5
-      & info [ "max-ops" ] ~docv:"N" ~doc:"Maximum operations per transaction.")
-  in
-  let write_prob =
-    Arg.(
-      value & opt float 0.5
-      & info [ "write-prob" ] ~docv:"P" ~doc:"Probability that an operation is a write.")
-  in
   let duration =
     Arg.(
       value & opt (some float) None
@@ -721,7 +711,7 @@ let serve_cmd =
           ~doc:"Stop after this much wall-clock time (default: run until SIGINT).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
-  let run port accel tenants sites items max_ops write_prob duration seed placement () =
+  let run port accel tenants (sites, items, max_ops, write_prob) duration seed placement () =
     let replication, zipf_theta = placement () in
     let config =
       Raid_sim.Soak.make_config ~tenants ~sites ~items ~max_ops ~write_prob ~replication
@@ -753,8 +743,7 @@ let serve_cmd =
        127.0.0.1 exposes the cluster live: /health, /metrics (Prometheus), /sites, /txns, POST \
        /sites/ID/fail|recover, POST /load."
     Term.(
-      const run $ port $ accel $ tenants $ sites $ items $ max_ops $ write_prob $ duration $ seed
-      $ placement)
+      const run $ port $ accel $ tenants $ load $ duration $ seed $ placement)
 
 (* `raid crashmatrix` — the systematic crash-injection matrix: kill a
    site at every distinct boundary of the 2PC/copier/fail-lock state

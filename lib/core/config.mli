@@ -85,9 +85,3 @@ val placement : t -> Placement.t
 
 val stores : t -> site:int -> item:int -> bool
 (** Initial placement. *)
-
-val paper_experiment1 : t
-(** 4 sites, 50 items (transaction size bound 10 lives in the workload). *)
-
-val paper_experiment2 : t
-(** 2 sites, 50 items. *)

@@ -162,6 +162,4 @@ module View = struct
           t.extra_count <- t.extra_count + List.length sites
         end)
       pairs
-
-  let copy_extras_from dst src = install_extras dst (extras src)
 end

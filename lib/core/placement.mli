@@ -120,7 +120,4 @@ module View : sig
 
   val install_extras : t -> (int * int list) list -> unit
   (** Replace this view's extras wholesale (recovery installation). *)
-
-  val copy_extras_from : t -> t -> unit
-  (** [copy_extras_from dst src] replaces [dst]'s extras with [src]'s. *)
 end

@@ -27,5 +27,4 @@ val items : t -> int list
 
 val is_read_only : t -> bool
 
-val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit

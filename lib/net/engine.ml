@@ -62,8 +62,6 @@ type 'm t = {
   mutable clock : Vtime.t;
   mutable seq : int;
   live : live_counters;
-  sent_by : int array;
-  delivered_to : int array;
   trace_enabled : bool;
   mutable trace_rev : 'm trace_entry list;
   mutable ctxs : 'm ctx array;  (* per-site scratch, reset on each invoke *)
@@ -105,8 +103,6 @@ let create ?(message_latency = Vtime.of_ms 9) ?failure_timeout ?(trace = false) 
           live_timer_fired = 0;
           live_timer_discarded = 0;
         };
-      sent_by = Array.make num_sites 0;
-      delivered_to = Array.make num_sites 0;
       trace_enabled = trace;
       trace_rev = [];
       ctxs = [||];
@@ -181,7 +177,6 @@ let record_trace t ~time ~src ~dst ~payload ~outcome =
 let submit t ~at ~src ~dst payload =
   check_site t dst;
   t.live.live_sent <- t.live.live_sent + 1;
-  if src >= 0 then t.sent_by.(src) <- t.sent_by.(src) + 1;
   let latency = if src >= 0 then t.latencies.(src).(dst) else t.message_latency in
   schedule t (Vtime.add at latency) (Arrive { src; dst; payload; sent = at })
 
@@ -229,7 +224,6 @@ let step t =
     | Arrive { src; dst; payload; sent } ->
       if deliverable t ~src ~dst then begin
         t.live.live_delivered <- t.live.live_delivered + 1;
-        t.delivered_to.(dst) <- t.delivered_to.(dst) + 1;
         record_trace t ~time:at ~src ~dst ~payload ~outcome:Delivered;
         invoke t dst (Message { src; payload })
       end
@@ -285,13 +279,5 @@ let counters t =
     timer_fired = t.live.live_timer_fired;
     timer_discarded = t.live.live_timer_discarded;
   }
-
-let sent_by t site =
-  check_site t site;
-  t.sent_by.(site)
-
-let delivered_to t site =
-  check_site t site;
-  t.delivered_to.(site)
 
 let trace t = List.rev t.trace_rev

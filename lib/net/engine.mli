@@ -183,10 +183,5 @@ val counters : _ t -> counters
 (** Immutable snapshot of the running totals (the engine keeps them in
     mutable fields internally; this copies). *)
 
-val sent_by : _ t -> int -> int
-(** Messages sent by one site (injections are attributed to no site). *)
-
-val delivered_to : _ t -> int -> int
-
 val trace : 'm t -> 'm trace_entry list
 (** Chronological trace (empty unless [create ~trace:true]). *)

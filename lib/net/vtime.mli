@@ -11,7 +11,6 @@ type t = int
 
 val zero : t
 
-val of_us : int -> t
 val of_ms : int -> t
 val of_ms_f : float -> t
 (** Rounded to the nearest microsecond. *)

@@ -1,4 +1,4 @@
-let version = "1.16.0"
+let version = "1.17.0"
 
 (* One child process per OCaml process, not per export. *)
 let resolved_revision =

@@ -5,6 +5,7 @@ type span = {
   site : int;
   started : Vtime.t;
   finished : Vtime.t;
+  ended_by : int option;
   children : span list;
 }
 
@@ -35,25 +36,23 @@ let latency tree = Vtime.sub tree.root.finished tree.root.started
    build.  Drops from the ring collector only ever remove the oldest
    prefix of the stream, so a tree whose [Txn_begin] (its earliest
    event) survived is structurally complete once its terminal arrives;
-   a tree missing either end is flagged. *)
+   a tree missing either end is flagged.  The events that end a span
+   keep their stream position for [ended_by]. *)
 
 type collect = {
   mutable c_begin : (int * Vtime.t * int * int) option;  (* site, at, reads, writes *)
-  mutable c_phases : (Trace.phase * Vtime.t) list;  (* reversed *)
-  mutable c_terminal : (Vtime.t * bool * string option) option;
+  mutable c_phases : (Trace.phase * Vtime.t * int) list;  (* at, position; reversed *)
+  mutable c_terminal : (Vtime.t * int * bool * string option) option;  (* at, position *)
   mutable c_requests : (int * Vtime.t) list;  (* source, at; reversed *)
-  mutable c_replies : (int * Vtime.t) list;  (* source, at; reversed *)
+  mutable c_replies : (int * Vtime.t * int) list;  (* source, at, position; reversed *)
   mutable c_prepare_sent : Vtime.t option;
-  mutable c_votes : (int * Vtime.t) list;  (* participant, at; reversed *)
+  mutable c_votes : (int * Vtime.t * int) list;  (* participant, at, position; reversed *)
   mutable c_first : Vtime.t;
   mutable c_last : Vtime.t;
-  mutable c_order : int;  (* stream position of the first event, for ordering *)
 }
 
 let assemble entries =
   let table : (int, collect) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  let position = ref 0 in
   let get txn at =
     match Hashtbl.find_opt table txn with
     | Some c ->
@@ -71,35 +70,32 @@ let assemble entries =
           c_votes = [];
           c_first = at;
           c_last = at;
-          c_order = !position;
         }
       in
       Hashtbl.replace table txn c;
-      order := txn :: !order;
       c
   in
-  List.iter
-    (fun ({ at; site; event } : Trace.entry) ->
-      incr position;
+  List.iteri
+    (fun position ({ at; site; event } : Trace.entry) ->
       match event with
       | Trace.Txn_begin { txn; reads; writes } ->
         (get txn at).c_begin <- Some (site, at, reads, writes)
       | Trace.Phase_enter { txn; phase } ->
         let c = get txn at in
-        c.c_phases <- (phase, at) :: c.c_phases
-      | Trace.Txn_commit { txn } -> (get txn at).c_terminal <- Some (at, true, None)
+        c.c_phases <- (phase, at, position) :: c.c_phases
+      | Trace.Txn_commit { txn } -> (get txn at).c_terminal <- Some (at, position, true, None)
       | Trace.Txn_abort { txn; reason } ->
-        (get txn at).c_terminal <- Some (at, false, Some reason)
+        (get txn at).c_terminal <- Some (at, position, false, Some reason)
       | Trace.Copier_request { txn; source; _ } when txn >= 0 ->
         let c = get txn at in
         c.c_requests <- (source, at) :: c.c_requests
       | Trace.Copier_reply { txn; source; _ } when txn >= 0 ->
         let c = get txn at in
-        c.c_replies <- (source, at) :: c.c_replies
+        c.c_replies <- (source, at, position) :: c.c_replies
       | Trace.Prepare_sent { txn; _ } -> (get txn at).c_prepare_sent <- Some at
       | Trace.Vote { txn; participant } ->
         let c = get txn at in
-        c.c_votes <- (participant, at) :: c.c_votes
+        c.c_votes <- (participant, at, position) :: c.c_votes
       | _ -> ())
     entries;
   let build txn (c : collect) =
@@ -108,24 +104,27 @@ let assemble entries =
       | Some (site, at, reads, writes) -> (site, at, reads, writes)
       | None -> (-1, c.c_first, 0, 0)
     in
-    let finished, committed, reason =
+    let finished, ended_by, committed, reason =
       match c.c_terminal with
-      | Some (at, committed, reason) -> (at, committed, reason)
-      | None -> (c.c_last, false, None)
+      | Some (at, position, committed, reason) -> (at, Some position, committed, reason)
+      | None -> (c.c_last, None, false, None)
     in
     (* Phase windows tile [started, finished]: the pre-copy window
        ("begin": reads, lock checks, local setup) runs to the first
        recorded phase; each phase runs to the next. *)
     let boundaries =
-      ("begin", started) :: List.rev_map (fun (p, at) -> (Trace.phase_name p, at)) c.c_phases
+      ("begin", started, None)
+      :: List.rev_map (fun (p, at, position) -> (Trace.phase_name p, at, Some position)) c.c_phases
     in
     let rec windows = function
       | [] -> []
-      | (name, from_) :: rest ->
-        let until = match rest with (_, next) :: _ -> next | [] -> finished in
-        (name, from_, until) :: windows rest
+      | (name, from_, _) :: rest ->
+        let until, ended_by =
+          match rest with (_, next, position) :: _ -> (next, position) | [] -> (finished, ended_by)
+        in
+        { name; site = coordinator; started = from_; finished = until; ended_by; children = [] }
+        :: windows rest
     in
-    let windows = windows boundaries in
     (* Request -> reply pairing is FIFO per source (the protocol answers
        a source's requests in order). *)
     let fetches =
@@ -144,7 +143,7 @@ let assemble entries =
           Queue.add at q)
         (List.rev c.c_requests);
       List.iter
-        (fun (source, at) ->
+        (fun (source, at, position) ->
           match Hashtbl.find_opt pending source with
           | Some q when not (Queue.is_empty q) ->
             let from_ = Queue.pop q in
@@ -154,6 +153,7 @@ let assemble entries =
                 site = source;
                 started = from_;
                 finished = at;
+                ended_by = Some position;
                 children = [];
               }
               :: !spans
@@ -170,6 +170,7 @@ let assemble entries =
                 site = source;
                 started = from_;
                 finished;
+                ended_by = None;
                 children = [];
               }
               :: acc)
@@ -180,33 +181,31 @@ let assemble entries =
     in
     let votes =
       List.rev_map
-        (fun (participant, at) ->
+        (fun (participant, at, position) ->
           {
             name = Printf.sprintf "vote site %d" participant;
             site = participant;
             started = Option.value ~default:at c.c_prepare_sent;
             finished = at;
+            ended_by = Some position;
             children = [];
           })
         c.c_votes
       |> List.sort (fun a b -> compare (a.finished, a.site) (b.finished, b.site))
     in
-    let child_of (name, from_, until) child =
-      (* Bucket sub-spans into the phase window containing their start. *)
-      ignore name;
-      child.started >= from_ && (child.started < until || from_ = until)
+    (* Bucket sub-spans into the phase window containing their start. *)
+    let within window child =
+      child.started >= window.started
+      && (child.started < window.finished || window.started = window.finished)
     in
     let phase_spans =
       List.map
-        (fun ((name, from_, until) as w) ->
-          let children =
-            match name with
-            | "copy" -> List.filter (child_of w) fetches
-            | "prepare" -> List.filter (child_of w) votes
-            | _ -> []
-          in
-          { name; site = coordinator; started = from_; finished = until; children })
-        windows
+        (fun window ->
+          match window.name with
+          | "copy" -> { window with children = List.filter (within window) fetches }
+          | "prepare" -> { window with children = List.filter (within window) votes }
+          | _ -> window)
+        (windows boundaries)
     in
     {
       txn;
@@ -222,14 +221,12 @@ let assemble entries =
           site = coordinator;
           started;
           finished;
+          ended_by;
           children = phase_spans;
         };
     }
   in
-  List.rev !order
-  |> List.filter_map (fun txn ->
-         if txn < 0 then None
-         else Option.map (build txn) (Hashtbl.find_opt table txn))
+  Hashtbl.fold (fun txn c trees -> if txn < 0 then trees else build txn c :: trees) table []
   |> List.sort (fun a b -> compare a.txn b.txn)
 
 let find trees txn = List.find_opt (fun t -> t.txn = txn) trees

@@ -27,6 +27,12 @@ type span = {
   site : int;  (** the site the time is attributed to *)
   started : Raid_net.Vtime.t;
   finished : Raid_net.Vtime.t;
+  ended_by : int option;
+      (** position in the assembled entry list of the entry that ends
+          this span: the vote, the copy reply, the next phase's
+          [Phase_enter], or the commit or abort.  [None] for an
+          unanswered fetch and for a span cut off by a missing
+          terminal. *)
   children : span list;
 }
 

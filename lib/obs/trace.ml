@@ -114,44 +114,3 @@ let counts t =
       Hashtbl.replace table tag (1 + Option.value ~default:0 (Hashtbl.find_opt table tag)))
     (entries t);
   List.sort compare (Hashtbl.fold (fun tag count acc -> (tag, count) :: acc) table [])
-
-let pp_event ppf = function
-  | Txn_begin { txn; reads; writes } ->
-    Format.fprintf ppf "txn_begin(T%d,%dr/%dw)" txn reads writes
-  | Txn_read { txn; item; remote } ->
-    Format.fprintf ppf "txn_read(T%d,item %d%s)" txn item (if remote then ",remote" else "")
-  | Txn_write { txn; item } -> Format.fprintf ppf "txn_write(T%d,item %d)" txn item
-  | Txn_commit { txn } -> Format.fprintf ppf "txn_commit(T%d)" txn
-  | Txn_abort { txn; reason } -> Format.fprintf ppf "txn_abort(T%d,%s)" txn reason
-  | Phase_enter { txn; phase } -> Format.fprintf ppf "phase_enter(T%d,%s)" txn (phase_name phase)
-  | Prepare_sent { txn; participants } ->
-    Format.fprintf ppf "prepare_sent(T%d,%d participants)" txn participants
-  | Vote { txn; participant } -> Format.fprintf ppf "vote(T%d,site %d)" txn participant
-  | Decide { txn; commit } ->
-    Format.fprintf ppf "decide(T%d,%s)" txn (if commit then "commit" else "abort")
-  | Faillock_set { item; for_site; txn } ->
-    Format.fprintf ppf "faillock_set(item %d,site %d%s)" item for_site
-      (match txn with None -> "" | Some id -> Printf.sprintf ",T%d" id)
-  | Faillock_cleared { item; for_site; txn } ->
-    Format.fprintf ppf "faillock_cleared(item %d,site %d%s)" item for_site
-      (match txn with None -> "" | Some id -> Printf.sprintf ",T%d" id)
-  | Session_change { about; session; state } ->
-    Format.fprintf ppf "session_change(site %d,session %d,%s)" about session state
-  | Site_failed -> Format.fprintf ppf "site_failed"
-  | Recovery_step { step } -> (
-    match step with
-    | Recover_command -> Format.fprintf ppf "recovery_step(recover_command)"
-    | Wal_replayed entries -> Format.fprintf ppf "recovery_step(wal_replayed,%d entries)" entries
-    | Announced session -> Format.fprintf ppf "recovery_step(announced,session %d)" session
-    | State_installed -> Format.fprintf ppf "recovery_step(state_installed)")
-  | Control { kind; detail } ->
-    Format.fprintf ppf "control(%s%s%s)" (control_kind_name kind)
-      (if detail = "" then "" else ",")
-      detail
-  | Copier_request { txn; source; items } ->
-    Format.fprintf ppf "copier_request(T%d,source %d,%d items)" txn source items
-  | Copier_reply { txn; source; items } ->
-    Format.fprintf ppf "copier_reply(T%d,source %d,%d items)" txn source items
-
-let pp_entry ppf { at; site; event } =
-  Format.fprintf ppf "%9.2f ms site %d %a" (Vtime.to_ms at) site pp_event event

@@ -1,12 +1,5 @@
 module Vtime = Raid_net.Vtime
-
-type message = {
-  msg_at : Vtime.t;
-  msg_src : int;
-  msg_dst : int;
-  msg_label : string;
-  msg_delivered : bool;
-}
+module Engine = Raid_net.Engine
 
 let event_fields : Trace.event -> (string * Json.t) list = function
   | Txn_begin { txn; reads; writes } ->
@@ -101,14 +94,8 @@ let metadata ~name ~tid args =
       ("args", Json.Obj args);
     ]
 
-(* Per-coordinated-transaction open state while scanning the entries. *)
-type open_txn = {
-  started : Vtime.t;
-  mutable open_phase : (string * Vtime.t) option;
-  mutable done_phases : (string * Vtime.t * Vtime.t) list;  (* name, start, end; reversed *)
-}
-
-let chrome ?(messages = []) ~num_sites trace =
+let chrome ~num_sites ~label ~messages trace =
+  let entries = Trace.entries trace in
   let events = ref [] in
   let push event = events := event :: !events in
   push (metadata ~name:"process_name" ~tid:0 [ ("name", Json.Str "raid cluster") ]);
@@ -117,109 +104,66 @@ let chrome ?(messages = []) ~num_sites trace =
       (metadata ~name:"thread_name" ~tid:site
          [ ("name", Json.Str (Printf.sprintf "site %d" site)) ])
   done;
-  let open_txns : (int * int, open_txn) Hashtbl.t = Hashtbl.create 16 in
-  (* Span-shaped pairs below the phase level: prepare->vote per
-     participant and copier request->reply per source, rendered as
-     duration bars so the causal tree is visible in Perfetto. *)
-  let prepares : (int, Vtime.t) Hashtbl.t = Hashtbl.create 16 in
-  let fetches : (int * int * int, Vtime.t Queue.t) Hashtbl.t = Hashtbl.create 16 in
-  let close_phase state at =
-    match state.open_phase with
-    | None -> ()
-    | Some (name, started) ->
-      state.done_phases <- (name, started, at) :: state.done_phases;
-      state.open_phase <- None
+  let bar ~name ~cat ~tid (span : Span.span) args =
+    complete ~name ~cat ~tid ~ts:(Vtime.to_us span.started)
+      ~dur:(Vtime.to_us (Vtime.sub span.finished span.started))
+      args
   in
-  let close_txn ~site ~txn ~at ~outcome args =
-    match Hashtbl.find_opt open_txns (site, txn) with
-    | None -> ()
-    | Some state ->
-      Hashtbl.remove open_txns (site, txn);
-      close_phase state at;
-      push
-        (complete
-           ~name:(Printf.sprintf "T%d" txn)
-           ~cat:"txn" ~tid:site ~ts:(Vtime.to_us state.started)
-           ~dur:(Vtime.to_us (Vtime.sub at state.started))
-           (("txn", Json.Int txn) :: ("outcome", Json.Str outcome) :: args));
-      List.iter
-        (fun (name, started, finished) ->
-          push
-            (complete ~name ~cat:"2pc" ~tid:site ~ts:(Vtime.to_us started)
-               ~dur:(Vtime.to_us (Vtime.sub finished started))
-               [ ("txn", Json.Int txn) ]))
-        (List.rev state.done_phases)
+  (* A transaction's bar, then its phase windows except the pre-copy
+     "begin" one. *)
+  let transaction ~tid ~txn (root : Span.span) outcome =
+    push (bar ~name:root.name ~cat:"txn" ~tid root (("txn", Json.Int txn) :: outcome));
+    List.iter
+      (fun (phase : Span.span) ->
+        if phase.name <> "begin" then
+          push (bar ~name:phase.name ~cat:"2pc" ~tid phase [ ("txn", Json.Int txn) ]))
+      root.children
   in
-  List.iter
-    (fun ({ at; site; event } : Trace.entry) ->
-      let ts = Vtime.to_us at in
-      match event with
-      | Txn_begin { txn; _ } ->
-        Hashtbl.replace open_txns (site, txn)
-          { started = at; open_phase = None; done_phases = [] };
-        push (instant ~name:(Printf.sprintf "begin T%d" txn) ~cat:"txn" ~tid:site ~ts
+  (* The bars, by the stream position of the entry that ends them: each
+     complete transaction's root (its phase windows ride along) and
+     every answered vote and fetch.  Each entry ends at most one. *)
+  let ends =
+    ref
+      (Span.assemble entries
+      |> List.concat_map (fun (tree : Span.tree) ->
+             (if tree.complete then [ tree.root ] else [])
+             @ List.concat_map (fun (phase : Span.span) -> phase.children) tree.root.children)
+      |> List.filter_map (fun (span : Span.span) ->
+             Option.map (fun position -> (position, span)) span.ended_by)
+      |> List.sort (fun (a, _) (b, _) -> compare a b))
+  in
+  List.iteri
+    (fun position ({ at; site; event } : Trace.entry) ->
+      let ended =
+        match !ends with
+        | (p, span) :: rest when p = position ->
+          ends := rest;
+          Some span
+        | _ -> None
+      in
+      let point ?(cat = Trace.kind event) name =
+        push (instant ~name ~cat ~tid:site ~ts:(Vtime.to_us at) (event_fields event))
+      in
+      match (event, ended) with
+      | Txn_commit { txn }, Some root ->
+        transaction ~tid:site ~txn root [ ("outcome", Json.Str "commit") ]
+      | Txn_abort { txn; reason }, Some root ->
+        transaction ~tid:site ~txn root
+          [ ("outcome", Json.Str "abort"); ("reason", Json.Str reason) ]
+      | Vote { txn; _ }, Some vote ->
+        push (bar ~name:(Printf.sprintf "vote T%d" txn) ~cat:"vote" ~tid:site vote
                 (event_fields event))
-      | Phase_enter { txn; phase } -> begin
-        match Hashtbl.find_opt open_txns (site, txn) with
-        | None -> ()
-        | Some state ->
-          close_phase state at;
-          state.open_phase <- Some (Trace.phase_name phase, at)
-      end
-      | Txn_commit { txn } -> close_txn ~site ~txn ~at ~outcome:"commit" []
-      | Txn_abort { txn; reason } ->
-        close_txn ~site ~txn ~at ~outcome:"abort" [ ("reason", Json.Str reason) ]
-      | Txn_read _ | Txn_write _ -> ()
-      | Prepare_sent { txn; _ } ->
-        Hashtbl.replace prepares txn at;
-        push (instant ~name:(Trace.kind event) ~cat:(Trace.kind event) ~tid:site ~ts
-                (event_fields event))
-      | Vote { txn; participant } -> begin
-        match Hashtbl.find_opt prepares txn with
-        | None ->
-          push (instant ~name:(Trace.kind event) ~cat:(Trace.kind event) ~tid:site ~ts
-                  (event_fields event))
-        | Some sent ->
-          push
-            (complete
-               ~name:(Printf.sprintf "vote T%d" txn)
-               ~cat:"vote" ~tid:participant ~ts:(Vtime.to_us sent)
-               ~dur:(Vtime.to_us (Vtime.sub at sent))
-               (event_fields event))
-      end
-      | Copier_request { txn; source; _ } ->
-        let queue =
-          match Hashtbl.find_opt fetches (site, txn, source) with
-          | Some q -> q
-          | None ->
-            let q = Queue.create () in
-            Hashtbl.replace fetches (site, txn, source) q;
-            q
-        in
-        Queue.add at queue
-      | Copier_reply { txn; source; _ } -> begin
-        match Hashtbl.find_opt fetches (site, txn, source) with
-        | Some q when not (Queue.is_empty q) ->
-          let requested = Queue.pop q in
-          push
-            (complete
-               ~name:(Printf.sprintf "fetch T%d <- site %d" txn source)
-               ~cat:"copier" ~tid:site ~ts:(Vtime.to_us requested)
-               ~dur:(Vtime.to_us (Vtime.sub at requested))
-               (event_fields event))
-        | _ ->
-          push (instant ~name:(Trace.kind event) ~cat:(Trace.kind event) ~tid:site ~ts
-                  (event_fields event))
-      end
-      | Decide _ | Faillock_set _ | Faillock_cleared _ | Session_change _ | Site_failed
-      | Recovery_step _ | Control _ ->
-        let name =
-          match event with
-          | Control { kind; _ } -> Trace.control_kind_name kind
-          | _ -> Trace.kind event
-        in
-        push (instant ~name ~cat:(Trace.kind event) ~tid:site ~ts (event_fields event)))
-    (Trace.entries trace);
+      | Copier_reply { txn; source; _ }, Some fetch ->
+        push
+          (bar ~name:(Printf.sprintf "fetch T%d <- site %d" txn source) ~cat:"copier" ~tid:site
+             fetch (event_fields event))
+      | Txn_begin { txn; _ }, _ -> point ~cat:"txn" (Printf.sprintf "begin T%d" txn)
+      | (Txn_commit _ | Txn_abort _ | Phase_enter _ | Txn_read _ | Txn_write _ | Copier_request _), _
+        ->
+        ()
+      | Control { kind; _ }, _ -> point (Trace.control_kind_name kind)
+      | _ -> point (Trace.kind event))
+    entries;
   (* Recovery incidents render as one enclosing bar per failure episode
      with its exact phase decomposition nested inside. *)
   List.iter
@@ -240,16 +184,19 @@ let chrome ?(messages = []) ~num_sites trace =
                ~dur:(Vtime.to_us (Vtime.sub until from_))
                [ ("site", Json.Int incident.Incident.site) ]))
         incident.Incident.phases)
-    (Incident.assemble (Trace.entries trace));
+    (Incident.assemble entries);
   List.iter
-    (fun { msg_at; msg_src; msg_dst; msg_label; msg_delivered } ->
-      let name = if msg_delivered then msg_label else "undeliverable: " ^ msg_label in
+    (fun (message : _ Engine.trace_entry) ->
+      let delivered = message.trace_outcome = Engine.Delivered in
+      let name = label message.trace_payload in
       push
-        (instant ~name ~cat:"msg" ~tid:msg_dst ~ts:(Vtime.to_us msg_at)
+        (instant
+           ~name:(if delivered then name else "undeliverable: " ^ name)
+           ~cat:"msg" ~tid:message.trace_dst ~ts:(Vtime.to_us message.trace_time)
            [
-             ("src", Json.Int msg_src);
-             ("dst", Json.Int msg_dst);
-             ("delivered", Json.Bool msg_delivered);
+             ("src", Json.Int message.trace_src);
+             ("dst", Json.Int message.trace_dst);
+             ("delivered", Json.Bool delivered);
            ]))
     messages;
   Json.to_string ~indent:true (Json.Obj [ ("traceEvents", Json.Arr (List.rev !events)) ])

@@ -16,8 +16,6 @@ val create : ?sites:int -> ?items:int -> ?max_ops:int -> ?seed:int -> unit -> t
 
 val cluster : t -> Raid_core.Cluster.t
 
-val help_text : string
-
 val command : t -> print:(string -> unit) -> string -> [ `Continue | `Quit ]
 (** Interpret one command line; every line of output is passed to
     [print] (without trailing newlines).  Unknown or malformed commands

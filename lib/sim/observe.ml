@@ -91,7 +91,6 @@ type output = {
   result : Runner.result;
   trace : Trace.t;
   recorder : Incident.recorder;
-  messages : Trace_export.message list;
   registry : Telemetry.t;
 }
 
@@ -104,19 +103,7 @@ let run ?capacity ?sample scenario =
   (* One final point at the quiescent end time, so every series covers
      the whole run even when it ends between interval boundaries. *)
   Telemetry.sample_now registry ~at:(Engine.now engine);
-  let messages =
-    List.map
-      (fun (e : Message.t Engine.trace_entry) ->
-        {
-          Trace_export.msg_at = e.Engine.trace_time;
-          msg_src = e.Engine.trace_src;
-          msg_dst = e.Engine.trace_dst;
-          msg_label = Message.describe e.Engine.trace_payload;
-          msg_delivered = (e.Engine.trace_outcome = Engine.Delivered);
-        })
-      (Engine.trace engine)
-  in
-  { result; trace; recorder; messages; registry }
+  { result; trace; recorder; registry }
 
 let spans output = Raid_obs.Span.assemble (Trace.entries output.trace)
 let incidents output = Incident.incidents output.recorder
@@ -129,7 +116,7 @@ let summary output =
     output.result.Runner.committed output.result.Runner.aborted;
   Format.fprintf ppf "trace: %d events emitted, %d dropped, %d messages@.@."
     (Trace.emitted output.trace) (Trace.dropped output.trace)
-    (List.length output.messages);
+    (List.length (Timeline.entries output.result.Runner.cluster));
   Format.fprintf ppf "events by kind:@.";
   List.iter
     (fun (kind, count) -> Format.fprintf ppf "  %-20s %6d@." kind count)
@@ -152,9 +139,9 @@ let render ~format output =
   match format with
   | `Jsonl -> Trace_export.jsonl output.trace
   | `Chrome ->
-    Trace_export.chrome ~messages:output.messages
-      ~num_sites:(Cluster.num_sites output.result.Runner.cluster)
-      output.trace
+    let cluster = output.result.Runner.cluster in
+    Trace_export.chrome ~num_sites:(Cluster.num_sites cluster) ~label:Message.describe
+      ~messages:(Timeline.entries cluster) output.trace
   | `Summary -> summary output
   | `Prom -> Raid_obs.Prom.render output.registry
   | `Csv -> Telemetry.to_csv output.registry

@@ -9,8 +9,9 @@
 
     - [`Jsonl]: one JSON object per protocol event, for ad-hoc analysis;
     - [`Chrome]: Chrome trace-event JSON (Perfetto / [chrome://tracing]),
-      one track per site, 2PC phases as spans nested in their
-      transaction's span, message deliveries as instants;
+      one track per site, drawing the {!spans} trees — phases nested in
+      their transaction's span, votes and fetches as spans — and the
+      engine's message trace (the one {!Timeline} renders) as instants;
     - [`Summary]: a text report — event counts by kind plus
       {!Raid_util.Stats} summaries and histograms of the per-transaction
       virtual latencies by outcome and by 2PC phase;
@@ -45,8 +46,6 @@ type output = {
   result : Runner.result;
   trace : Raid_obs.Trace.t;  (** the ring collector of the typed event stream *)
   recorder : Raid_obs.Incident.recorder;  (** streaming recovery timelines *)
-  messages : Raid_obs.Trace_export.message list;
-      (** engine deliveries, pre-rendered for the chrome export *)
   registry : Raid_obs.Telemetry.t;
 }
 

@@ -136,6 +136,4 @@ let series (result : result) ~site =
     (fun r -> (float_of_int r.index, float_of_int r.faillocks_per_site.(site)))
     result.records
 
-let abort_count (result : result) = result.aborted
-
 let final_faillocks (result : result) ~site = Cluster.faillock_count_for result.cluster site

@@ -46,6 +46,4 @@ val run :
 val series : result -> site:int -> (float * float) list
 (** (transaction number, fail-locks for [site]) — a figure's data. *)
 
-val abort_count : result -> int
-
 val final_faillocks : result -> site:int -> int

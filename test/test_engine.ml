@@ -217,7 +217,7 @@ let test_trace_records () =
     Alcotest.(check bool) "delivered" true (second.Engine.trace_outcome = Engine.Delivered)
   | _ -> Alcotest.fail "unexpected trace shape")
 
-let test_per_site_counters () =
+let test_message_counters () =
   let engine = Engine.create ~num_sites:2 () in
   Engine.register engine 0 (fun ctx _ ->
       Engine.send ctx 1 Tick;
@@ -225,9 +225,10 @@ let test_per_site_counters () =
   Engine.register engine 1 (fun _ _ -> ());
   Engine.inject engine ~dst:0 Tick;
   Engine.run engine;
-  Alcotest.(check int) "sent by 0" 2 (Engine.sent_by engine 0);
-  Alcotest.(check int) "delivered to 1" 2 (Engine.delivered_to engine 1);
-  Alcotest.(check int) "delivered to 0 (injection)" 1 (Engine.delivered_to engine 0)
+  let counters = Engine.counters engine in
+  Alcotest.(check int) "sent (injection included)" 3 counters.Engine.sent;
+  Alcotest.(check int) "delivered" 3 counters.Engine.delivered;
+  Alcotest.(check int) "undeliverable" 0 counters.Engine.undeliverable
 
 let test_validation () =
   Alcotest.check_raises "zero sites" (Invalid_argument "Engine.create: num_sites must be positive")
@@ -274,7 +275,7 @@ let suite =
     Alcotest.test_case "severed link" `Quick test_severed_link;
     Alcotest.test_case "timers and site death" `Quick test_timer_fires_and_respects_death;
     Alcotest.test_case "trace records" `Quick test_trace_records;
-    Alcotest.test_case "per-site counters" `Quick test_per_site_counters;
+    Alcotest.test_case "message counters" `Quick test_message_counters;
     Alcotest.test_case "constructor validation" `Quick test_validation;
     Alcotest.test_case "livelock guard" `Quick test_run_guard;
   ]

@@ -247,6 +247,88 @@ let test_json_bodies_parse () =
       | Error m -> Alcotest.failf "incident json: %s" m)
     (Observe.incidents output)
 
+(* Perfetto, `raid explain` and /txns/:id read one assembler: for every
+   named scenario, the Chrome export's txn, 2pc, vote and copier bars
+   are exactly the Span trees' complete roots, non-begin phase windows
+   and answered votes and fetches, at the same times. *)
+let test_chrome_bars_are_span_trees () =
+  List.iter
+    (fun (name, _) ->
+      let scenario =
+        match Observe.scenario_of_name name with
+        | Ok scenario -> scenario
+        | Error message -> Alcotest.fail message
+      in
+      let output = Observe.run ~capacity:(1 lsl 20) scenario in
+      let events =
+        match Json.parse (Observe.render ~format:`Chrome output) with
+        | Ok json -> Option.fold ~none:[] ~some:Json.to_list (Json.member "traceEvents" json)
+        | Error message -> Alcotest.failf "%s: chrome export does not parse: %s" name message
+      in
+      let int_field key event =
+        match Json.member key event with
+        | Some (Json.Int n) -> n
+        | _ -> Alcotest.failf "%s: bar without an integer %S" name key
+      in
+      let bars cat =
+        List.filter
+          (fun event ->
+            Json.member "ph" event = Some (Json.Str "X")
+            && Json.member "cat" event = Some (Json.Str cat))
+          events
+        |> List.map (fun event ->
+               let txn = Option.fold ~none:(-1) ~some:(int_field "txn") (Json.member "args" event) in
+               (txn, (int_field "tid" event, int_field "ts" event, int_field "dur" event)))
+        |> List.sort compare
+      in
+      let expect spans =
+        List.map
+          (fun (txn, tid, (span : Span.span)) ->
+            (txn, (tid, Vtime.to_us span.started, Vtime.to_us (Vtime.sub span.finished span.started))))
+          spans
+        |> List.sort compare
+      in
+      let trees = Observe.spans output in
+      let windows (tree : Span.tree) = tree.root.children in
+      let children phase (tree : Span.tree) =
+        List.concat_map
+          (fun (window : Span.span) -> if window.name = phase then window.children else [])
+          (windows tree)
+        |> List.filter (fun (span : Span.span) -> span.ended_by <> None)
+      in
+      let complete = List.filter (fun (tree : Span.tree) -> tree.complete) trees in
+      let bar_set = Alcotest.(list (pair int (triple int int int))) in
+      Alcotest.check bar_set (name ^ ": one txn bar per complete tree")
+        (expect (List.map (fun (tree : Span.tree) -> (tree.txn, tree.coordinator, tree.root)) complete))
+        (bars "txn");
+      Alcotest.check bar_set (name ^ ": one 2pc bar per non-begin phase window")
+        (expect
+           (List.concat_map
+              (fun (tree : Span.tree) ->
+                List.filter_map
+                  (fun (window : Span.span) ->
+                    if window.name = "begin" then None else Some (tree.txn, tree.coordinator, window))
+                  (windows tree))
+              complete))
+        (bars "2pc");
+      let votes = bars "vote" in
+      Alcotest.(check bool) (name ^ ": votes drawn") true (votes <> []);
+      Alcotest.check bar_set (name ^ ": one vote bar per answered vote span")
+        (expect
+           (List.concat_map
+              (fun (tree : Span.tree) ->
+                List.map (fun (span : Span.span) -> (tree.txn, span.site, span)) (children "prepare" tree))
+              trees))
+        votes;
+      Alcotest.check bar_set (name ^ ": one copier bar per answered fetch span")
+        (expect
+           (List.concat_map
+              (fun (tree : Span.tree) ->
+                List.map (fun span -> (tree.txn, tree.coordinator, span)) (children "copy" tree))
+              trees))
+        (bars "copier"))
+    Observe.scenarios
+
 let suite =
   [
     Alcotest.test_case "span latency = recorded outcome" `Quick test_span_latency_matches_outcome;
@@ -263,4 +345,6 @@ let suite =
       test_crashmatrix_incidents_csv_j_invariant;
     Alcotest.test_case "faillock txn JSONL round trip" `Quick test_faillock_txn_jsonl_round_trip;
     Alcotest.test_case "span and incident json parse" `Quick test_json_bodies_parse;
+    Alcotest.test_case "chrome bars are the span trees, every scenario" `Quick
+      test_chrome_bars_are_span_trees;
   ]
