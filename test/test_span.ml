@@ -289,14 +289,19 @@ let test_chrome_bars_are_span_trees () =
         |> List.sort compare
       in
       let trees = Observe.spans output in
-      let windows (tree : Span.tree) = tree.root.children in
-      let children phase (tree : Span.tree) =
-        List.concat_map
-          (fun (window : Span.span) -> if window.name = phase then window.children else [])
-          (windows tree)
-        |> List.filter (fun (span : Span.span) -> span.ended_by <> None)
-      in
       let complete = List.filter (fun (tree : Span.tree) -> tree.complete) trees in
+      (* Answered spans under a tree's [phase] windows, with the track
+         their bar belongs on. *)
+      let answered phase tid =
+        List.concat_map
+          (fun (tree : Span.tree) ->
+            List.concat_map
+              (fun (window : Span.span) -> if window.name = phase then window.children else [])
+              tree.root.children
+            |> List.filter_map (fun (span : Span.span) ->
+                   Option.map (fun _ -> (tree.txn, tid tree span, span)) span.ended_by))
+          trees
+      in
       let bar_set = Alcotest.(list (pair int (triple int int int))) in
       Alcotest.check bar_set (name ^ ": one txn bar per complete tree")
         (expect (List.map (fun (tree : Span.tree) -> (tree.txn, tree.coordinator, tree.root)) complete))
@@ -308,24 +313,16 @@ let test_chrome_bars_are_span_trees () =
                 List.filter_map
                   (fun (window : Span.span) ->
                     if window.name = "begin" then None else Some (tree.txn, tree.coordinator, window))
-                  (windows tree))
+                  tree.root.children)
               complete))
         (bars "2pc");
       let votes = bars "vote" in
       Alcotest.(check bool) (name ^ ": votes drawn") true (votes <> []);
       Alcotest.check bar_set (name ^ ": one vote bar per answered vote span")
-        (expect
-           (List.concat_map
-              (fun (tree : Span.tree) ->
-                List.map (fun (span : Span.span) -> (tree.txn, span.site, span)) (children "prepare" tree))
-              trees))
+        (expect (answered "prepare" (fun _ (vote : Span.span) -> vote.site)))
         votes;
       Alcotest.check bar_set (name ^ ": one copier bar per answered fetch span")
-        (expect
-           (List.concat_map
-              (fun (tree : Span.tree) ->
-                List.map (fun span -> (tree.txn, tree.coordinator, span)) (children "copy" tree))
-              trees))
+        (expect (answered "copy" (fun (tree : Span.tree) _ -> tree.coordinator)))
         (bars "copier"))
     Observe.scenarios
 
