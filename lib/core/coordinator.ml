@@ -11,7 +11,7 @@ open Site_state
    holding an up-to-date copy of [item], per this site's fail-lock table
    and placement view. *)
 let find_source t ~above item =
-  if Placement.View.is_full t.placement then
+  if t.full then
     Session.first_operational t.vector (fun s ->
         s <> t.id && s > above && not (Faillock.is_locked t.faillocks ~item ~site:s))
   else begin
@@ -83,7 +83,7 @@ let install_refreshed t ctx ~round writes =
       if stale then begin
         Engine.work ctx t.cost.Cost_model.copier_install_per_item;
         Database.materialize t.db write;
-        Update_log.append t.log { Update_log.txn = round; write };
+        Update_log.append t.log ~txn:round write;
         log_durable t ctx ~txn:round write
       end;
       if Faillock.clear t.faillocks ~item ~site:t.id then begin
@@ -293,7 +293,7 @@ let begin_phase1 t ctx coord =
      the 2PC fan-out is O(k · writes) instead of O(sites). *)
   let participants = Bitset.create (Session.num_sites t.vector) in
   let participant_count = ref 0 in
-  if Placement.View.is_full t.placement then begin
+  if t.full then begin
     participant_count := count_others t;
     iter_others t (fun s -> Bitset.set participants s)
   end

@@ -7,11 +7,15 @@ type hook = item:int -> site:int -> locked:bool -> unit
    failed site) this costs the same as the old dense array-of-bitmaps;
    at placement scale (1024 sites x 10^5 items, k holders per item) the
    dense table is ~13 GB while the sparse one is proportional to the
-   actual inconsistency.  Invariant: a row is present iff non-empty. *)
+   actual inconsistency.  Invariant: a row is present iff non-empty, and
+   iff the item's bit in [has_row] is set.  That bitmap (num_items / 8
+   bytes) answers "no row" for an item without hashing into [rows],
+   whose buckets a wide commit fan-out keeps evicting. *)
 type t = {
   num_items : int;
   num_sites : int;
   rows : (int, Bitset.t) Hashtbl.t;
+  has_row : Bitset.t;
   counts : int array;  (* per-site number of locked items *)
   mutable total : int;
   mutable hook : hook option;
@@ -24,6 +28,7 @@ let create ~num_items ~num_sites =
     num_items;
     num_sites;
     rows = Hashtbl.create 16;
+    has_row = Bitset.create num_items;
     counts = Array.make num_sites 0;
     total = 0;
     hook = None;
@@ -45,9 +50,20 @@ let check_item t item =
 let check_site t site =
   if site < 0 || site >= t.num_sites then invalid_arg "Faillock: site out of range"
 
+(* Rows are added and removed only through these two. *)
+let add_row t item m =
+  Hashtbl.replace t.rows item m;
+  Bitset.set t.has_row item
+
+let remove_row t item =
+  Hashtbl.remove t.rows item;
+  Bitset.clear t.has_row item
+
+let find_row t item = if Bitset.mem t.has_row item then Hashtbl.find_opt t.rows item else None
+
 let row_opt t item =
   check_item t item;
-  Hashtbl.find_opt t.rows item
+  find_row t item
 
 let is_locked t ~item ~site =
   check_site t site;
@@ -63,7 +79,7 @@ let set_raw t ~item ~site =
     | Some m -> m
     | None ->
       let m = Bitset.create t.num_sites in
-      Hashtbl.replace t.rows item m;
+      add_row t item m;
       m
   in
   if Bitset.mem m site then false
@@ -83,7 +99,7 @@ let clear_raw t ~item ~site =
       Bitset.clear m site;
       t.counts.(site) <- t.counts.(site) - 1;
       t.total <- t.total - 1;
-      if Bitset.is_empty m then Hashtbl.remove t.rows item;
+      if Bitset.is_empty m then remove_row t item;
       true
     end
     else false
@@ -131,11 +147,11 @@ let transition t ~item ~site ~locked ~set ~cleared =
    counts, tallies and the hook see the same sequence, at a cost of
    O(sites/8 + transitions) instead of one row probe per site. *)
 let assign_row t ~item ~target ~set ~cleared =
-  match Hashtbl.find_opt t.rows item with
+  match find_row t item with
   | None ->
     if not (Bitset.is_empty target) then begin
       Bitset.iter (fun site -> transition t ~item ~site ~locked:true ~set ~cleared) target;
-      Hashtbl.replace t.rows item (Bitset.copy target)
+      add_row t item (Bitset.copy target)
     end
   | Some row ->
     (* Equal rows (the steady state of an outage) need no diff at all. *)
@@ -143,18 +159,21 @@ let assign_row t ~item ~target ~set ~cleared =
       Bitset.iter_diff
         (fun site -> transition t ~item ~site ~locked:(Bitset.mem target site) ~set ~cleared)
         row target;
-      if Bitset.is_empty target then Hashtbl.remove t.rows item
+      if Bitset.is_empty target then remove_row t item
       else begin
         Bitset.clear_all row;
         Bitset.union_into ~dst:row target
       end
     end
 
+(* With no locked bit anywhere and every site up (the steady state of a
+   failure-free run) the row is absent and stays absent: skip the probe
+   into [rows], whose buckets a wide commit fan-out has long evicted. *)
 let commit_update t ~item ~down ~set ~cleared =
   check_item t item;
   if Bitset.capacity down <> t.num_sites then
     invalid_arg "Faillock.commit_update: down set capacity mismatch";
-  assign_row t ~item ~target:down ~set ~cleared
+  if t.total > 0 || not (Bitset.is_empty down) then assign_row t ~item ~target:down ~set ~cleared
 
 let locked_items t = List.sort compare (Hashtbl.fold (fun item _ acc -> item :: acc) t.rows [])
 
@@ -183,7 +202,9 @@ let union_locked_into ~dst t ~item =
     if Bitset.capacity dst <> t.num_sites then invalid_arg "Bitset: capacity mismatch"
   | Some m -> Bitset.union_into ~dst m
 
-let any_locked t ~item = row_opt t item <> None
+let any_locked t ~item =
+  check_item t item;
+  Bitset.mem t.has_row item
 
 let clear_sites t ~item ~sites =
   List.fold_left (fun acc site -> if clear t ~item ~site then acc + 1 else acc) 0 sites
@@ -193,7 +214,7 @@ let clear_sites t ~item ~sites =
 let copy t =
   let rows = Hashtbl.create (max 16 (Hashtbl.length t.rows)) in
   Hashtbl.iter (fun item m -> Hashtbl.replace rows item (Bitset.copy m)) t.rows;
-  { t with rows; counts = Array.copy t.counts; hook = None }
+  { t with rows; has_row = Bitset.copy t.has_row; counts = Array.copy t.counts; hook = None }
 
 let check_shape t from =
   if t.num_items <> from.num_items || t.num_sites <> from.num_sites then

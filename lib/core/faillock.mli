@@ -43,9 +43,10 @@ val commit_update :
     paper found cheaper than conditional maintenance.  [down] is the set
     of sites not up (read, never kept); the item's row becomes exactly
     [down].  The transitions are [row xor down], visited in increasing
-    site order at a cost of O(sites/8 + transitions); with no row and no
-    site down the call is one table lookup.  Transition counts are
-    accumulated into [set]/[cleared].
+    site order at a cost of O(sites/8 + transitions).  With no bit set
+    in the whole table and no site down the call returns at once; an
+    item without a row costs one bitmap probe, not a table lookup.
+    Transition counts are accumulated into [set]/[cleared].
     @raise Invalid_argument if [down]'s capacity is not [num_sites]. *)
 
 val update_for : t -> item:int -> site:int -> up:bool -> set:int ref -> cleared:int ref -> unit

@@ -35,7 +35,7 @@ let on_crash t =
           (fun ({ Database.item; _ } as write) ->
             if stores t ~item then begin
               Database.apply t.db write;
-              Update_log.append t.log { Update_log.txn = coord.txn.Txn.id; write };
+              Update_log.append t.log ~txn:coord.txn.Txn.id write;
               match t.stable with
               | None -> ()
               | Some wal -> Wal.append wal { Wal.txn = coord.txn.Txn.id; write }
@@ -287,7 +287,7 @@ let handle_recovery_state t ctx ~vector ~faillocks ~backups =
     (* Under partial replication only rows of locally held items are
        installed: this site will never hear commit-time clears for items
        it does not hold, so foreign rows would go stale. *)
-    (if Placement.View.is_full t.placement then Faillock.install t.faillocks ~from:faillocks
+    (if t.full then Faillock.install t.faillocks ~from:faillocks
      else Faillock.install ~keep:(fun item -> stores t ~item) t.faillocks ~from:faillocks);
     (* A fail-lock hint names items this site missed updates on. *)
     List.iter (set_faillocks t ~site:t.id) (List.rev hints);
@@ -430,7 +430,7 @@ let handle_txn_status_request t ctx ~txn ~src =
            negative answer is only authoritative from the coordinator;
            the asker treats probe negatives as presumed abort once every
            probe agrees. *)
-        Update_log.exists t.log (fun e ->
-            e.Update_log.txn = txn && e.Update_log.write.Database.version = txn))
+        Update_log.exists t.log (fun ~txn:applier write ->
+            applier = txn && write.Database.version = txn))
   in
   Engine.send ctx src (Message.Txn_status_reply { txn; committed })

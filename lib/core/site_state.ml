@@ -109,6 +109,9 @@ type t = {
   log : Update_log.t;
   stable : Wal.t option;  (* simulated stable storage (durability extension) *)
   placement : Placement.View.t;  (* this site's view of who holds what *)
+  full : bool;
+      (* full replication: every site holds every item, so [stores] and
+         the commit-time fail-lock rule need not consult [placement] *)
   pending_prepares : (int, pending_prepare) Hashtbl.t;
   mutable mode : mode;
   coords : (int, coord) Hashtbl.t;  (* in-flight coordinated transactions *)
@@ -135,6 +138,7 @@ let create ~id ~config ~metrics ~on_outcome ?obs ?wal_factory () =
   let num_items = config.Config.num_items in
   let num_sites = config.Config.num_sites in
   let stored item = Config.stores config ~site:id ~item in
+  let placement = Config.placement config in
   let db =
     match config.Config.replication with
     | Config.Full -> Database.create ~num_items
@@ -159,7 +163,8 @@ let create ~id ~config ~metrics ~on_outcome ?obs ?wal_factory () =
           (match wal_factory with
           | Some factory -> factory ~site:id ~initial:db
           | None -> Wal.create ~checkpoint_interval ~initial:db ~num_items ()));
-    placement = Placement.View.create (Config.placement config);
+    placement = Placement.View.create placement;
+    full = Placement.is_full placement;
     pending_prepares = Hashtbl.create 16;
     mode = Normal;
     coords = Hashtbl.create 4;
@@ -198,9 +203,9 @@ let database t = t.db
 let faillocks t = t.faillocks
 let vector t = t.vector
 let log t = t.log
-let stores t ~item = Placement.View.holds t.placement ~site:t.id ~item
+let stores t ~item = t.full || Placement.View.holds t.placement ~site:t.id ~item
 let believes_stored t ~site ~item = Placement.View.holds t.placement ~site ~item
-let partial t = not (Placement.View.is_full t.placement)
+let partial t = not t.full
 let locked_items t = Faillock.locked_items_for t.faillocks ~site:t.id
 let is_recovering t = Faillock.any_locked_for t.faillocks ~site:t.id
 let is_waiting t = match t.mode with Waiting_recovery _ -> true | Normal -> false
@@ -328,7 +333,7 @@ let faillock_commit_update ?(witness = false) t ctx ~txn writes =
     List.iter
       (fun { Database.item; _ } ->
         Engine.work ctx t.cost.Cost_model.faillock_update_per_write;
-        if Placement.View.is_full t.placement then
+        if t.full then
           Faillock.commit_update t.faillocks ~item ~down:(Session.non_up t.vector)
             ~set:set_count ~cleared
         else if witness || stores t ~item then begin
@@ -363,7 +368,7 @@ let apply_writes t ctx ~txn writes =
       if stores t ~item then begin
         Engine.work ctx t.cost.Cost_model.commit_apply_per_write;
         Database.apply t.db write;
-        Update_log.append t.log { Update_log.txn; write };
+        Update_log.append t.log ~txn write;
         log_durable t ctx ~txn write
       end)
     writes

@@ -55,25 +55,33 @@ type 'm t = {
   message_latency : Vtime.t;
   failure_timeout : Vtime.t;
   queue : 'm action Heap.Prio.t;
-  handlers : 'm handler option array;
   alive : bool array;
-  links : bool array array;
-  latencies : Vtime.t array array;  (* per-link one-way latency *)
+  links : bool array;  (* n×n: [links.(a * num_sites + b)], the a-b link is up *)
+  latencies : Vtime.t array;  (* per-link one-way latency, indexed like [links] *)
   mutable clock : Vtime.t;
   mutable seq : int;
   live : live_counters;
   trace_enabled : bool;
   mutable trace_rev : 'm trace_entry list;
-  mutable ctxs : 'm ctx array;  (* per-site scratch, reset on each invoke *)
+  mutable ctxs : 'm ctx array;  (* per-site handler and scratch, reset on each invoke *)
   mutable probe : 'm probe option;
   mutable heap_high_water : int;
 }
 
 and 'm handler = 'm ctx -> 'm event -> unit
 
-and 'm ctx = { engine : 'm t; ctx_self : int; mutable base : Vtime.t; mutable elapsed : Vtime.t }
+and 'm ctx = {
+  engine : 'm t;
+  ctx_self : int;
+  mutable handler : 'm handler;
+  mutable base : Vtime.t;
+  mutable elapsed : Vtime.t;
+}
 
 let external_source = -1
+
+let unregistered ctx _ =
+  failwith (Printf.sprintf "Engine: no handler registered for site %d" ctx.ctx_self)
 
 let create ?(message_latency = Vtime.of_ms 9) ?failure_timeout ?(trace = false) ~num_sites () =
   if num_sites <= 0 then invalid_arg "Engine.create: num_sites must be positive";
@@ -89,10 +97,9 @@ let create ?(message_latency = Vtime.of_ms 9) ?failure_timeout ?(trace = false) 
       message_latency;
       failure_timeout;
       queue = Heap.Prio.create ();
-      handlers = Array.make num_sites None;
       alive = Array.make num_sites true;
-      links = Array.init num_sites (fun _ -> Array.make num_sites true);
-      latencies = Array.init num_sites (fun _ -> Array.make num_sites message_latency);
+      links = Array.make (num_sites * num_sites) true;
+      latencies = Array.make (num_sites * num_sites) message_latency;
       clock = Vtime.zero;
       seq = 0;
       live =
@@ -112,12 +119,18 @@ let create ?(message_latency = Vtime.of_ms 9) ?failure_timeout ?(trace = false) 
   in
   t.ctxs <-
     Array.init num_sites (fun i ->
-        { engine = t; ctx_self = i; base = Vtime.zero; elapsed = Vtime.zero });
+        {
+          engine = t;
+          ctx_self = i;
+          handler = unregistered;
+          base = Vtime.zero;
+          elapsed = Vtime.zero;
+        });
   t
 
 let register t site handler =
   if site < 0 || site >= t.num_sites then invalid_arg "Engine.register: bad site id";
-  t.handlers.(site) <- Some handler
+  t.ctxs.(site).handler <- handler
 
 let num_sites t = t.num_sites
 let now t = t.clock
@@ -125,6 +138,9 @@ let message_latency t = t.message_latency
 
 let check_site t site =
   if site < 0 || site >= t.num_sites then invalid_arg "Engine: bad site id"
+
+(* Index of the a-b link in [links] and [latencies]. *)
+let link t a b = (a * t.num_sites) + b
 
 let set_alive t site up =
   check_site t site;
@@ -137,25 +153,25 @@ let alive t site =
 let set_link t a b ok =
   check_site t a;
   check_site t b;
-  t.links.(a).(b) <- ok;
-  t.links.(b).(a) <- ok
+  t.links.(link t a b) <- ok;
+  t.links.(link t b a) <- ok
 
 let link_ok t a b =
   check_site t a;
   check_site t b;
-  a = b || t.links.(a).(b)
+  a = b || t.links.(link t a b)
 
 let set_link_latency t a b latency =
   check_site t a;
   check_site t b;
   if latency < 0 then invalid_arg "Engine.set_link_latency: negative latency";
-  t.latencies.(a).(b) <- latency;
-  t.latencies.(b).(a) <- latency
+  t.latencies.(link t a b) <- latency;
+  t.latencies.(link t b a) <- latency
 
 let link_latency t a b =
   check_site t a;
   check_site t b;
-  t.latencies.(a).(b)
+  t.latencies.(link t a b)
 
 let set_probe t probe = t.probe <- probe
 let heap_high_water t = t.heap_high_water
@@ -177,7 +193,7 @@ let record_trace t ~time ~src ~dst ~payload ~outcome =
 let submit t ~at ~src ~dst payload =
   check_site t dst;
   t.live.live_sent <- t.live.live_sent + 1;
-  let latency = if src >= 0 then t.latencies.(src).(dst) else t.message_latency in
+  let latency = if src >= 0 then t.latencies.(link t src dst) else t.message_latency in
   schedule t (Vtime.add at latency) (Arrive { src; dst; payload; sent = at })
 
 let inject t ~dst payload = submit t ~at:t.clock ~src:external_source ~dst payload
@@ -197,22 +213,22 @@ let set_timer ctx delay payload =
 
 (* Handlers run one at a time (only [step] invokes them, and sends/timers
    merely schedule), so each site's scratch [ctx] can be reset and reused
-   instead of allocating a fresh one per event. *)
-let invoke t site event =
-  match t.handlers.(site) with
-  | None -> failwith (Printf.sprintf "Engine: no handler registered for site %d" site)
-  | Some handler ->
-    let ctx = t.ctxs.(site) in
-    ctx.base <- t.clock;
-    ctx.elapsed <- Vtime.zero;
-    handler ctx event;
-    (* After the handler returns, [ctx.elapsed] is the total virtual
-       cost it accumulated through [work] — the per-event profile. *)
-    match t.probe with
-    | None -> ()
-    | Some probe -> probe.on_event ~at:t.clock event ~cost:ctx.elapsed
+   instead of allocating a fresh one per event; it carries the site's
+   handler, so a delivery reads one record.  Every site id in the queue
+   was checked when it was scheduled ([submit] checks [dst]; [src] and
+   timer owners are handler contexts). *)
+let invoke t ctx event =
+  ctx.base <- t.clock;
+  ctx.elapsed <- Vtime.zero;
+  ctx.handler ctx event;
+  (* After the handler returns, [ctx.elapsed] is the total virtual
+     cost it accumulated through [work] — the per-event profile. *)
+  match t.probe with
+  | None -> ()
+  | Some probe -> probe.on_event ~at:t.clock event ~cost:ctx.elapsed
 
-let deliverable t ~src ~dst = t.alive.(dst) && (src < 0 || link_ok t src dst)
+let deliverable t ~src ~dst =
+  t.alive.(dst) && (src < 0 || src = dst || t.links.(link t src dst))
 
 let step t =
   if Heap.Prio.is_empty t.queue then false
@@ -225,7 +241,7 @@ let step t =
       if deliverable t ~src ~dst then begin
         t.live.live_delivered <- t.live.live_delivered + 1;
         record_trace t ~time:at ~src ~dst ~payload ~outcome:Delivered;
-        invoke t dst (Message { src; payload })
+        invoke t t.ctxs.(dst) (Message { src; payload })
       end
       else begin
         t.live.live_undeliverable <- t.live.live_undeliverable + 1;
@@ -240,11 +256,11 @@ let step t =
             (Notify_failure { src; dst; payload })
       end
     | Notify_failure { src; dst; payload } ->
-      if t.alive.(src) then invoke t src (Send_failed { dst; payload })
+      if t.alive.(src) then invoke t t.ctxs.(src) (Send_failed { dst; payload })
     | Fire { dst; payload } ->
       if t.alive.(dst) then begin
         t.live.live_timer_fired <- t.live.live_timer_fired + 1;
-        invoke t dst (Timer payload)
+        invoke t t.ctxs.(dst) (Timer payload)
       end
       else t.live.live_timer_discarded <- t.live.live_timer_discarded + 1);
     (match t.probe with None -> () | Some probe -> probe.on_advance ~at:t.clock);

@@ -1,62 +1,3 @@
-type 'a t = { cmp : 'a -> 'a -> int; mutable data : 'a array; mutable size : int }
-
-let create ~cmp = { cmp; data = [||]; size = 0 }
-
-let is_empty t = t.size = 0
-let size t = t.size
-
-let grow t x =
-  let capacity = Array.length t.data in
-  if t.size = capacity then begin
-    let next = Array.make (max 16 (capacity * 2)) x in
-    Array.blit t.data 0 next 0 t.size;
-    t.data <- next
-  end
-
-let swap t i j =
-  let tmp = t.data.(i) in
-  t.data.(i) <- t.data.(j);
-  t.data.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.cmp t.data.(i) t.data.(parent) < 0 then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < t.size && t.cmp t.data.(left) t.data.(!smallest) < 0 then smallest := left;
-  if right < t.size && t.cmp t.data.(right) t.data.(!smallest) < 0 then smallest := right;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let push t x =
-  grow t x;
-  t.data.(t.size) <- x;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some top
-  end
-
-let peek t = if t.size = 0 then None else Some t.data.(0)
-
 module Prio = struct
   type 'a t = {
     mutable ats : int array;
@@ -73,40 +14,57 @@ module Prio = struct
     if t.size = 0 then invalid_arg "Heap.Prio.min_at: empty heap";
     t.ats.(0)
 
-  (* Lexicographic (at, seq) order on unboxed int keys. *)
-  let less t i j =
-    let ai = t.ats.(i) and aj = t.ats.(j) in
-    ai < aj || (ai = aj && t.seqs.(i) < t.seqs.(j))
+  (* Lexicographic (at, seq) order on unboxed int keys, between the
+     entry being sifted and slot [j]: does the key [(at, seq)] come
+     first, or does slot [j]'s? *)
+  let key_first t ~at ~seq j =
+    let aj = t.ats.(j) in
+    at < aj || (at = aj && seq < t.seqs.(j))
 
-  let swap t i j =
-    let a = t.ats.(i) in
-    t.ats.(i) <- t.ats.(j);
-    t.ats.(j) <- a;
-    let s = t.seqs.(i) in
-    t.seqs.(i) <- t.seqs.(j);
-    t.seqs.(j) <- s;
-    let p = t.payloads.(i) in
-    t.payloads.(i) <- t.payloads.(j);
-    t.payloads.(j) <- p
+  let slot_first t j ~at ~seq =
+    let aj = t.ats.(j) in
+    aj < at || (aj = at && t.seqs.(j) < seq)
 
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if less t i parent then begin
-        swap t i parent;
-        sift_up t parent
-      end
+  (* Both sifts carry the moving entry in locals and leave a hole where
+     it would sit, moving one entry per level into the hole and writing
+     the carried entry once at the end: one write per array per level
+     where a swap costs two, and each [payloads] write is a
+     [caml_modify].  The comparisons are those of a swap-based sift. *)
+  let move t ~src ~dst =
+    t.ats.(dst) <- t.ats.(src);
+    t.seqs.(dst) <- t.seqs.(src);
+    t.payloads.(dst) <- t.payloads.(src)
+
+  let fill t i ~at ~seq x =
+    t.ats.(i) <- at;
+    t.seqs.(i) <- seq;
+    t.payloads.(i) <- x
+
+  let rec sift_up t i ~at ~seq x =
+    let parent = (i - 1) / 2 in
+    if i > 0 && key_first t ~at ~seq parent then begin
+      move t ~src:parent ~dst:i;
+      sift_up t parent ~at ~seq x
     end
+    else fill t i ~at ~seq x
 
-  let rec sift_down t i =
+  let rec sift_down t i ~at ~seq x =
     let left = (2 * i) + 1 and right = (2 * i) + 2 in
-    let smallest = ref i in
-    if left < t.size && less t left !smallest then smallest := left;
-    if right < t.size && less t right !smallest then smallest := right;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
+    let smallest = if left < t.size && slot_first t left ~at ~seq then left else i in
+    let smallest =
+      if
+        right < t.size
+        &&
+        if smallest = i then slot_first t right ~at ~seq
+        else slot_first t right ~at:t.ats.(left) ~seq:t.seqs.(left)
+      then right
+      else smallest
+    in
+    if smallest <> i then begin
+      move t ~src:smallest ~dst:i;
+      sift_down t smallest ~at ~seq x
     end
+    else fill t i ~at ~seq x
 
   let grow t x =
     let capacity = Array.length t.payloads in
@@ -124,25 +82,17 @@ module Prio = struct
   let push t ~at ~seq x =
     grow t x;
     let i = t.size in
-    t.ats.(i) <- at;
-    t.seqs.(i) <- seq;
-    t.payloads.(i) <- x;
     t.size <- i + 1;
-    sift_up t i
+    sift_up t i ~at ~seq x
 
   let pop_min t =
     if t.size = 0 then invalid_arg "Heap.Prio.pop_min: empty heap";
     let top = t.payloads.(0) in
     let n = t.size - 1 in
     t.size <- n;
-    if n > 0 then begin
-      t.ats.(0) <- t.ats.(n);
-      t.seqs.(0) <- t.seqs.(n);
-      t.payloads.(0) <- t.payloads.(n);
-      (* Alias the vacated tail slot to a live element so the popped
-         payload is not retained by the backing array. *)
-      t.payloads.(n) <- t.payloads.(0);
-      sift_down t 0
-    end;
+    (* Sift the last entry down from the root.  Its old slot [n] keeps a
+       pointer to it, a live entry, so the backing array does not retain
+       the popped payload. *)
+    if n > 0 then sift_down t 0 ~at:t.ats.(n) ~seq:t.seqs.(n) t.payloads.(n);
     top
 end

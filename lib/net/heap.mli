@@ -1,31 +1,13 @@
-(** Minimal binary min-heap, specialised to the event queue's needs.
-
-    Elements are ordered by a caller-supplied comparison; ties must be
-    broken by the caller (the engine uses a monotonically increasing
-    sequence number) so that event processing is fully deterministic. *)
-
-type 'a t
-
-val create : cmp:('a -> 'a -> int) -> 'a t
-val is_empty : 'a t -> bool
-val size : 'a t -> int
-val push : 'a t -> 'a -> unit
-
-val pop : 'a t -> 'a option
-(** Removes and returns the minimum, or [None] when empty. *)
-
-val peek : 'a t -> 'a option
-
-(** Event queue specialised to the engine's hot path.
+(** The engine's event queue: a binary min-heap keyed by [(at, seq)].
 
     The engine orders events by [(at, seq)] where both are plain [int]s
     ({!Vtime.t} is an integer count of microseconds, [seq] a submission
-    sequence number).  The generic heap above pays for that with a
-    closure-captured comparator call and one heap-allocated element
-    record per scheduled event; [Prio] stores the two keys unboxed in
-    parallel [int] arrays, compares them with monomorphic integer
-    comparisons, and neither [push] nor [pop_min] allocates (beyond
-    amortised array growth). *)
+    sequence number).  [Prio] stores the two keys unboxed in parallel
+    [int] arrays beside a payload array and compares them with
+    monomorphic integer comparisons.  Neither [push] nor [pop_min]
+    allocates (beyond amortised array growth), and both sift with a
+    hole: each level of a sift writes one slot of each array, so a level
+    costs one [payloads] write barrier where a swap costs two. *)
 module Prio : sig
   type 'a t
   (** A min-heap of ['a] payloads keyed by [(at, seq)]. *)

@@ -19,12 +19,17 @@ type write = { item : int; value : int; version : int }
 
 val create : num_items:int -> t
 (** All items start present with value 0 and version 0 (consistent across
-    sites).  @raise Invalid_argument on negative [num_items]. *)
+    sites).  The dense backend: one unboxed [int array] of
+    [2 * num_items] words holding each item's value and version side by
+    side, with no per-item record, so {!apply} touches one cache line
+    and allocates nothing, and {!image}, {!restore} and {!wipe} are
+    blits.  @raise Invalid_argument on negative [num_items]. *)
 
 val create_partial : num_items:int -> stored:(int -> bool) -> t
 (** Partial replication: only items with [stored item = true] have a local
     copy; the rest are absent until materialised (control transaction
-    type 3). *)
+    type 3).  The sparse backend: a table of the copies that diverged
+    from that initial state, O(touched items) whatever [num_items]. *)
 
 val num_items : t -> int
 
@@ -50,7 +55,9 @@ val apply : t -> write -> unit
     with a version at or below the stored one raises [Invalid_argument] —
     the engine's FIFO delivery and the protocol's serial execution make
     regressions a protocol bug, so we fail loudly.  Applying to an absent
-    item materialises it (a write refreshes the copy). *)
+    item materialises it (a write refreshes the copy).  Versions are
+    above [min_int], which the dense backend reserves for an absent
+    copy; {!apply} and {!materialize} reject it. *)
 
 val apply_all : t -> write list -> unit
 
@@ -67,7 +74,7 @@ type image
 (** A checkpoint image: an immutable copy of a database in its backend's
     own format.  A partial-replication database images its placement
     predicate plus its diverged copies, O(stored copies); a dense one
-    images every copy. *)
+    copies its array. *)
 
 val image : t -> image
 (** The database's current state; later mutations do not affect it. *)

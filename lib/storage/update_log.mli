@@ -12,17 +12,23 @@ type entry = {
 }
 
 type t
+(** Stored as parallel arrays of transaction ids and writes, so neither
+    {!append} nor {!exists} allocates. *)
 
 val create : unit -> t
-val append : t -> entry -> unit
+
+val append : t -> txn:int -> Database.write -> unit
+(** Record that [txn] applied the write.  The log keeps the write record
+    itself, not a copy. *)
+
 val length : t -> int
 
 val entries : t -> entry list
-(** In application order. *)
+(** In application order; builds a fresh list of fresh entries. *)
 
-val exists : t -> (entry -> bool) -> bool
+val exists : t -> (txn:int -> Database.write -> bool) -> bool
 (** Whether any entry satisfies the predicate, scanning newest first
-    without copying the log. *)
+    without copying the log or building an entry. *)
 
 val entries_for_item : t -> int -> entry list
 (** Applications touching one item, in order. *)

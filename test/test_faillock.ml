@@ -204,6 +204,99 @@ let prop_install_matches_reference =
       done;
       snapshot fast = snapshot slow && Faillock.equal fast slow && !fast_log = !slow_log)
 
+(* Sequences of operations from an empty table, on one table updated by
+   [commit_update] and one by the reference loop.  Most commits run with
+   no site down, and clears, installs and commits empty the table again,
+   so [commit_update]'s early return (no bit set anywhere, no site down)
+   is taken often — and it is only right while the running total it
+   reads stays exact through [install ~keep], [merge] and [copy]. *)
+type seq_op =
+  | Commit of int * int list  (* item, down sites *)
+  | Clear of int * int
+  | Set of int * int
+  | Install of int * (int * int) list  (* keep mask, source bits *)
+  | Merge of (int * int) list
+  | Copy
+
+let gen_seq_case =
+  let open QCheck.Gen in
+  oneofl [ 1; 7; 8; 9; 64; 65 ] >>= fun sites ->
+  let site = int_range 0 (sites - 1) and item = int_range 0 (diff_items - 1) in
+  let bits = list_size (int_range 0 4) (pair item site) in
+  let down =
+    frequency [ (3, return []); (1, list_size (int_range 1 3) site >|= List.sort_uniq compare) ]
+  in
+  let op =
+    frequency
+      [
+        (6, map2 (fun i d -> Commit (i, d)) item down);
+        (3, map2 (fun i s -> Clear (i, s)) item site);
+        (2, map2 (fun i s -> Set (i, s)) item site);
+        (1, map2 (fun k b -> Install (k, b)) (int_range 0 ((1 lsl diff_items) - 1)) bits);
+        (1, map (fun b -> Merge b) bits);
+        (1, return Copy);
+      ]
+  in
+  list_size (int_range 1 40) op >|= fun ops -> (sites, ops)
+
+let print_seq_case (sites, ops) =
+  let pairs l = String.concat ";" (List.map (fun (i, s) -> Printf.sprintf "%d/%d" i s) l) in
+  let op = function
+    | Commit (i, d) ->
+      Printf.sprintf "commit %d down=[%s]" i (String.concat ";" (List.map string_of_int d))
+    | Clear (i, s) -> Printf.sprintf "clear %d/%d" i s
+    | Set (i, s) -> Printf.sprintf "set %d/%d" i s
+    | Install (k, b) -> Printf.sprintf "install keep=%x [%s]" k (pairs b)
+    | Merge b -> Printf.sprintf "merge [%s]" (pairs b)
+    | Copy -> "copy"
+  in
+  Printf.sprintf "sites=%d: %s" sites (String.concat ", " (List.map op ops))
+
+let prop_commit_update_sequences =
+  QCheck.Test.make ~name:"commit_update = reference over op sequences" ~count:500
+    (QCheck.make ~print:print_seq_case gen_seq_case) (fun (sites, ops) ->
+      let fast, fast_log = table_of ~sites [] in
+      let slow, slow_log = table_of ~sites [] in
+      let fast = ref fast and slow = ref slow in
+      let rehook t log =
+        Faillock.set_hook t (Some (fun ~item ~site ~locked -> log := (item, site, locked) :: !log))
+      in
+      let fs = ref 0 and fc = ref 0 and ss = ref 0 and sc = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Commit (item, down) ->
+            Faillock.commit_update !fast ~item ~down:(Bitset.of_list sites down) ~set:fs
+              ~cleared:fc;
+            reference_assign !slow ~item ~target:down ~set_count:ss ~cleared:sc
+          | Clear (item, site) ->
+            ignore (Faillock.clear !fast ~item ~site);
+            ignore (Faillock.clear !slow ~item ~site)
+          | Set (item, site) ->
+            ignore (Faillock.set !fast ~item ~site);
+            ignore (Faillock.set !slow ~item ~site)
+          | Install (keep_mask, bits) ->
+            let from, _ = table_of ~sites bits in
+            let keep item = (keep_mask lsr item) land 1 = 1 in
+            Faillock.install ~keep !fast ~from;
+            Faillock.install ~keep !slow ~from
+          | Merge bits ->
+            let from, _ = table_of ~sites bits in
+            Faillock.merge !fast ~from;
+            Faillock.merge !slow ~from
+          | Copy ->
+            fast := Faillock.copy !fast;
+            slow := Faillock.copy !slow;
+            rehook !fast fast_log;
+            rehook !slow slow_log);
+          let (rows, counts, total) as seen = snapshot !fast in
+          seen = snapshot !slow
+          && total = List.fold_left (fun acc row -> acc + List.length row) 0 rows
+          && total = List.fold_left ( + ) 0 counts
+          && (!fs, !fc) = (!ss, !sc)
+          && !fast_log = !slow_log)
+        ops)
+
 let test_iteration_helpers () =
   let t = table () in
   ignore (Faillock.set t ~item:0 ~site:1);
@@ -235,4 +328,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_commit_update_postcondition;
     QCheck_alcotest.to_alcotest prop_commit_update_matches_reference;
     QCheck_alcotest.to_alcotest prop_install_matches_reference;
+    QCheck_alcotest.to_alcotest prop_commit_update_sequences;
   ]

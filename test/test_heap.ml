@@ -1,109 +1,119 @@
-module Heap = Raid_net.Heap
+module Prio = Raid_net.Heap.Prio
 
-let drain heap =
-  let rec loop acc = match Heap.pop heap with None -> List.rev acc | Some x -> loop (x :: acc) in
-  loop []
-
-let test_empty () =
-  let h = Heap.create ~cmp:Int.compare in
-  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h);
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h)
-
-let test_ordering () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 5; 9; 2; 6 ];
-  Alcotest.(check int) "size" 8 (Heap.size h);
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check (list int)) "sorted drain" [ 1; 1; 2; 4; 5; 5; 6; 9 ] (drain h)
-
-let test_interleaved () =
-  let h = Heap.create ~cmp:Int.compare in
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Heap.pop h);
-  Heap.push h 0;
-  Heap.push h 2;
-  Alcotest.(check (option int)) "pop 0" (Some 0) (Heap.pop h);
-  Alcotest.(check (list int)) "rest" [ 2; 3 ] (drain h)
-
-let test_custom_comparison () =
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) in
-  Heap.push h (2, "b");
-  Heap.push h (1, "a");
-  Alcotest.(check (option (pair int string))) "min by key" (Some (1, "a")) (Heap.pop h)
-
-let prop_sorted =
-  QCheck.Test.make ~name:"heap drains sorted" ~count:300 QCheck.(list int) (fun items ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) items;
-      drain h = List.sort Int.compare items)
-
-(* {2 The specialised (at, seq) event queue} *)
-
-let drain_prio h =
+(* Pop everything as (at, payload), in pop order. *)
+let drain h =
   let rec loop acc =
-    if Heap.Prio.is_empty h then List.rev acc
+    if Prio.is_empty h then List.rev acc
     else
-      let at = Heap.Prio.min_at h in
-      let payload = Heap.Prio.pop_min h in
+      let at = Prio.min_at h in
+      let payload = Prio.pop_min h in
       loop ((at, payload) :: acc)
   in
   loop []
 
+(* Push each key with its list index as both seq and payload, the way
+   the engine numbers its events. *)
+let of_ats ats =
+  let h = Prio.create () in
+  List.iteri (fun seq at -> Prio.push h ~at ~seq seq) ats;
+  h
+
+let test_empty () =
+  let h = of_ats [ 3 ] in
+  Alcotest.(check bool) "not empty" false (Prio.is_empty h);
+  Alcotest.(check int) "popped" 0 (Prio.pop_min h);
+  Alcotest.(check bool) "is_empty" true (Prio.is_empty h);
+  Alcotest.(check int) "size" 0 (Prio.size h)
+
+let test_ordering () =
+  let h = of_ats [ 5; 1; 4; 1; 5; 9; 2; 6 ] in
+  Alcotest.(check int) "size" 8 (Prio.size h);
+  Alcotest.(check int) "min at" 1 (Prio.min_at h);
+  Alcotest.(check (list (pair int int)))
+    "sorted drain, equal ats in push order"
+    [ (1, 1); (1, 3); (2, 6); (4, 2); (5, 0); (5, 4); (6, 7); (9, 5) ]
+    (drain h)
+
+let test_interleaved () =
+  let h = Prio.create () in
+  Prio.push h ~at:3 ~seq:0 "a";
+  Prio.push h ~at:1 ~seq:1 "b";
+  Alcotest.(check string) "pop 1" "b" (Prio.pop_min h);
+  Prio.push h ~at:0 ~seq:2 "c";
+  Prio.push h ~at:2 ~seq:3 "d";
+  Alcotest.(check string) "pop 0" "c" (Prio.pop_min h);
+  Alcotest.(check (list (pair int string))) "rest" [ (2, "d"); (3, "a") ] (drain h)
+
+let prop_sorted =
+  QCheck.Test.make ~name:"heap drains sorted" ~count:300 QCheck.(list int) (fun ats ->
+      List.map fst (drain (of_ats ats)) = List.sort Int.compare ats)
+
 let test_prio_empty () =
-  let h = Heap.Prio.create () in
-  Alcotest.(check bool) "is_empty" true (Heap.Prio.is_empty h);
-  Alcotest.(check int) "size" 0 (Heap.Prio.size h);
+  let h = Prio.create () in
+  Alcotest.(check bool) "is_empty" true (Prio.is_empty h);
+  Alcotest.(check int) "size" 0 (Prio.size h);
   Alcotest.check_raises "min_at empty" (Invalid_argument "Heap.Prio.min_at: empty heap")
-    (fun () -> ignore (Heap.Prio.min_at h));
+    (fun () -> ignore (Prio.min_at h));
   Alcotest.check_raises "pop_min empty" (Invalid_argument "Heap.Prio.pop_min: empty heap")
-    (fun () -> ignore (Heap.Prio.pop_min h))
+    (fun () -> ignore (Prio.pop_min h))
 
 let test_prio_at_then_seq_order () =
-  let h = Heap.Prio.create () in
+  let h = Prio.create () in
   (* Same at: seq breaks the tie; different at: at wins regardless of seq. *)
-  Heap.Prio.push h ~at:20 ~seq:0 "late";
-  Heap.Prio.push h ~at:10 ~seq:2 "early-second";
-  Heap.Prio.push h ~at:10 ~seq:1 "early-first";
-  Heap.Prio.push h ~at:30 ~seq:3 "latest";
-  Alcotest.(check int) "size" 4 (Heap.Prio.size h);
+  Prio.push h ~at:20 ~seq:0 "late";
+  Prio.push h ~at:10 ~seq:2 "early-second";
+  Prio.push h ~at:10 ~seq:1 "early-first";
+  Prio.push h ~at:30 ~seq:3 "latest";
+  Alcotest.(check int) "size" 4 (Prio.size h);
   Alcotest.(check (list (pair int string)))
     "drain order"
     [ (10, "early-first"); (10, "early-second"); (20, "late"); (30, "latest") ]
-    (drain_prio h)
+    (drain h)
 
-let prop_prio_matches_generic =
-  (* The specialised queue must order exactly like the generic heap under
-     the engine's (at, seq) comparator; seq is the (unique) list index. *)
-  QCheck.Test.make ~name:"Prio matches generic heap on (at, seq)" ~count:300
-    QCheck.(list small_nat)
-    (fun ats ->
-      let generic =
-        Heap.create ~cmp:(fun (a1, s1) (a2, s2) ->
-            match Int.compare a1 a2 with 0 -> Int.compare s1 s2 | c -> c)
-      in
-      let prio = Heap.Prio.create () in
-      List.iteri
-        (fun seq at ->
-          Heap.push generic (at, seq);
-          Heap.Prio.push prio ~at ~seq seq)
-        ats;
-      let rec drain_generic acc =
-        match Heap.pop generic with
-        | None -> List.rev acc
-        | Some (_, seq) -> drain_generic (seq :: acc)
-      in
-      drain_generic [] = List.map snd (drain_prio prio))
+(* Random push/pop interleavings against a sorted-list reference.  Keys
+   come from a handful of [at]s, so most pops break a tie on [seq]; seqs
+   are a permutation of the op indices, pushed out of order, so a sift
+   that ignored them would show.  Every pop must return exactly the
+   reference's minimum, and the sizes must agree throughout. *)
+let prop_interleavings =
+  let op =
+    QCheck.Gen.(frequency [ (3, map (fun at -> `Push at) (int_range 0 3)); (2, return `Pop) ])
+  in
+  let show = function `Push at -> Printf.sprintf "push %d" at | `Pop -> "pop" in
+  QCheck.Test.make ~name:"Prio pops interleavings in (at, seq) order" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat ", " (List.map show ops))
+       QCheck.Gen.(list_size (int_range 0 200) op))
+    (fun ops ->
+      let n = List.length ops in
+      let seqs = Array.init n (fun i -> (i * 7919) mod (max 1 n)) in
+      let h = Prio.create () in
+      let reference = ref [] in
+      List.for_all Fun.id
+        (List.mapi
+           (fun i op ->
+             match op with
+             | `Push at ->
+               let key = (at, seqs.(i)) in
+               Prio.push h ~at ~seq:seqs.(i) key;
+               reference := List.merge compare [ key ] !reference;
+               Prio.size h = List.length !reference
+             | `Pop -> (
+               match !reference with
+               | [] -> Prio.is_empty h
+               | ((at, _) as key) :: rest ->
+                 reference := rest;
+                 Prio.min_at h = at && Prio.pop_min h = key))
+           ops)
+      && List.map snd (drain h) = !reference)
 
 let suite =
   [
     Alcotest.test_case "empty heap" `Quick test_empty;
     Alcotest.test_case "ordering" `Quick test_ordering;
     Alcotest.test_case "interleaved push/pop" `Quick test_interleaved;
-    Alcotest.test_case "custom comparison" `Quick test_custom_comparison;
     QCheck_alcotest.to_alcotest prop_sorted;
     Alcotest.test_case "prio: empty" `Quick test_prio_empty;
     Alcotest.test_case "prio: at then seq order" `Quick test_prio_at_then_seq_order;
-    QCheck_alcotest.to_alcotest prop_prio_matches_generic;
+    QCheck_alcotest.to_alcotest prop_interleavings;
   ]

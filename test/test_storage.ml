@@ -30,6 +30,16 @@ let test_version_regression_rejected () =
     (Invalid_argument "Database.apply: version regression on item 0 (3 <= 5)") (fun () ->
       Database.apply db (write ~item:0 ~value:2 ~version:3))
 
+let test_reserved_version () =
+  List.iter
+    (fun db ->
+      Alcotest.check_raises "apply" (Invalid_argument "Database: version out of range") (fun () ->
+          Database.apply db (write ~item:0 ~value:1 ~version:min_int));
+      Alcotest.check_raises "materialize" (Invalid_argument "Database: version out of range")
+        (fun () -> Database.materialize db (write ~item:0 ~value:1 ~version:min_int));
+      Alcotest.(check (option (pair int int))) "unchanged" (Some (0, 0)) (Database.read db 0))
+    [ Database.create ~num_items:1; Database.create_partial ~num_items:1 ~stored:(fun _ -> true) ]
+
 let test_out_of_range () =
   let db = Database.create ~num_items:1 in
   Alcotest.check_raises "read out of range" (Invalid_argument "Database: item out of range")
@@ -71,9 +81,9 @@ let test_equal_and_snapshot () =
 let test_update_log () =
   let log = Update_log.create () in
   Alcotest.(check int) "empty" 0 (Update_log.length log);
-  Update_log.append log { Update_log.txn = 1; write = write ~item:0 ~value:1 ~version:1 };
-  Update_log.append log { Update_log.txn = 2; write = write ~item:1 ~value:2 ~version:2 };
-  Update_log.append log { Update_log.txn = 3; write = write ~item:0 ~value:3 ~version:3 };
+  Update_log.append log ~txn:1 (write ~item:0 ~value:1 ~version:1);
+  Update_log.append log ~txn:2 (write ~item:1 ~value:2 ~version:2);
+  Update_log.append log ~txn:3 (write ~item:0 ~value:3 ~version:3);
   Alcotest.(check int) "length" 3 (Update_log.length log);
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ]
     (List.map (fun e -> e.Update_log.txn) (Update_log.entries log));
@@ -97,16 +107,166 @@ let prop_apply_monotone =
         (fun item -> Database.read db item = Some expected.(item))
         (List.init 10 Fun.id))
 
+(* {2 Differential: dense, sparse and a reference model}
+
+   One random operation sequence drives three databases: the dense
+   backend, the sparse backend over a base that stores every item (so
+   both start identical), and a plain array of [(value, version)
+   option]s.  Versions come from one ascending counter, so no apply is a
+   regression.  After every operation all three must read back the
+   same, item by item and through [snapshot], [equal] and
+   [items_behind]. *)
+let diff_items = 9
+
+type db_op =
+  | Apply of int * int  (* item, value *)
+  | Materialize of int * int
+  | Drop of int
+  | Wipe
+  | Image  (* remember every side's image *)
+  | Restore_own  (* each side restores its own remembered image *)
+  | Restore_foreign  (* dense and sparse restore each other's *)
+
+let gen_db_op =
+  let open QCheck.Gen in
+  let item = int_range 0 (diff_items - 1) in
+  frequency
+    [
+      (6, map2 (fun i v -> Apply (i, v)) item small_nat);
+      (2, map2 (fun i v -> Materialize (i, v)) item small_nat);
+      (3, map (fun i -> Drop i) item);
+      (1, return Wipe);
+      (2, return Image);
+      (1, return Restore_own);
+      (1, return Restore_foreign);
+    ]
+
+let show_db_op = function
+  | Apply (i, v) -> Printf.sprintf "apply %d=%d" i v
+  | Materialize (i, v) -> Printf.sprintf "materialize %d=%d" i v
+  | Drop i -> Printf.sprintf "drop %d" i
+  | Wipe -> "wipe"
+  | Image -> "image"
+  | Restore_own -> "restore own"
+  | Restore_foreign -> "restore foreign"
+
+let prop_backends_agree =
+  QCheck.Test.make ~name:"dense and sparse backends match a reference model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat ", " (List.map show_db_op ops))
+       QCheck.Gen.(list_size (int_range 0 60) gen_db_op))
+    (fun ops ->
+      let dense = Database.create ~num_items:diff_items in
+      let sparse = Database.create_partial ~num_items:diff_items ~stored:(fun _ -> true) in
+      let pristine = Database.create ~num_items:diff_items in
+      let model = Array.make diff_items (Some (0, 0)) in
+      let saved = ref None and version = ref 0 in
+      let next () = incr version; !version in
+      let agree () =
+        Database.snapshot dense = model
+        && Database.snapshot sparse = model
+        && List.for_all
+             (fun item ->
+               let r = model.(item) in
+               Database.read dense item = r
+               && Database.read sparse item = r
+               && Database.stores dense item = Option.is_some r
+               && Database.stores sparse item = Option.is_some r
+               && Database.version dense item = Option.map snd r
+               && Database.version sparse item = Option.map snd r)
+             (List.init diff_items Fun.id)
+        && Database.equal dense sparse && Database.equal sparse dense
+        && Database.equal dense pristine = (model = Array.make diff_items (Some (0, 0)))
+        && Database.items_behind dense sparse = []
+        &&
+        let behind =
+          List.filter
+            (fun item -> match model.(item) with Some (_, v) -> v > 0 | None -> false)
+            (List.init diff_items Fun.id)
+        in
+        Database.items_behind pristine dense = behind
+        && Database.items_behind pristine sparse = behind
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Apply (item, value) ->
+            let w = { Database.item; value; version = next () } in
+            Database.apply dense w;
+            Database.apply sparse w;
+            model.(item) <- Some (value, w.Database.version)
+          | Materialize (item, value) ->
+            let w = { Database.item; value; version = next () } in
+            Database.materialize dense w;
+            Database.materialize sparse w;
+            model.(item) <- Some (value, w.Database.version)
+          | Drop item ->
+            Database.drop dense item;
+            Database.drop sparse item;
+            model.(item) <- None
+          | Wipe ->
+            Database.wipe dense;
+            Database.wipe sparse;
+            Array.fill model 0 diff_items (Some (0, 0))
+          | Image -> saved := Some (Database.image dense, Database.image sparse, Array.copy model)
+          | Restore_own | Restore_foreign -> (
+            match !saved with
+            | None -> ()
+            | Some (dense_img, sparse_img, copy) ->
+              let own = op = Restore_own in
+              Database.restore dense (if own then dense_img else sparse_img);
+              Database.restore sparse (if own then sparse_img else dense_img);
+              Array.blit copy 0 model 0 diff_items));
+          agree ())
+        ops)
+
+(* The update log against a plain list of (txn, write) pairs. *)
+let prop_update_log_model =
+  QCheck.Test.make ~name:"update log matches a list model" ~count:300
+    QCheck.(
+      pair
+        (list_of_size
+           Gen.(int_range 0 40)
+           (triple (int_range (-3) 5) (int_range 0 4) (int_range 0 6)))
+        (pair (int_range (-3) 5) (int_range 0 4)))
+    (fun (appends, (probe_txn, probe_item)) ->
+      let log = Update_log.create () in
+      let model =
+        List.map
+          (fun (txn, item, version) ->
+            let write = { Database.item; value = txn + version; version } in
+            Update_log.append log ~txn write;
+            (txn, write))
+          appends
+      in
+      let as_pairs = List.map (fun e -> (e.Update_log.txn, e.Update_log.write)) in
+      let for_item item = List.filter (fun (_, w) -> w.Database.item = item) model in
+      Update_log.length log = List.length model
+      && as_pairs (Update_log.entries log) = model
+      && Update_log.exists log (fun ~txn w -> txn = probe_txn && w.Database.item = probe_item)
+         = List.exists (fun (txn, w) -> txn = probe_txn && w.Database.item = probe_item) model
+      && List.for_all
+           (fun item ->
+             as_pairs (Update_log.entries_for_item log item) = for_item item
+             && Update_log.last_version_of log item
+                = (match List.rev (for_item item) with
+                  | [] -> None
+                  | (_, w) :: _ -> Some w.Database.version))
+           (List.init 5 Fun.id))
+
 let suite =
   [
     Alcotest.test_case "initial state" `Quick test_initial_state;
     Alcotest.test_case "apply and read" `Quick test_apply_and_read;
     Alcotest.test_case "version regression rejected" `Quick test_version_regression_rejected;
     Alcotest.test_case "bounds checked" `Quick test_out_of_range;
+    Alcotest.test_case "reserved version rejected" `Quick test_reserved_version;
     Alcotest.test_case "partial replication and materialize" `Quick test_partial_and_materialize;
     Alcotest.test_case "apply materializes absent copy" `Quick test_apply_materializes_absent;
     Alcotest.test_case "items_behind" `Quick test_items_behind;
     Alcotest.test_case "equal and snapshot" `Quick test_equal_and_snapshot;
     Alcotest.test_case "update log" `Quick test_update_log;
     QCheck_alcotest.to_alcotest prop_apply_monotone;
+    QCheck_alcotest.to_alcotest prop_backends_agree;
+    QCheck_alcotest.to_alcotest prop_update_log_model;
   ]
