@@ -268,10 +268,10 @@ let abort_txn t ctx coord ~reason ~notify =
       emit t ctx (Obs.Decide { txn = coord.txn.Txn.id; commit = false })
   end;
   (* Without embedded clears an abort message carries nothing, yet copier
-     installs that already ran have cleared local bits other sites track;
-     under partial replication announce them explicitly. *)
-  if (not t.config.Config.embed_clears) && partial t then
-    broadcast_clears t ctx coord.cleared_items;
+     installs that already ran have cleared local bits other sites track
+     (an abort in the copy phase never reached the end-of-phase special
+     transaction), so announce them explicitly. *)
+  if not t.config.Config.embed_clears then broadcast_clears t ctx coord.cleared_items;
   finish t ctx coord ~committed:false ~abort_reason:(Some reason) ~reads:[]
 
 (* {2 Two-phase commit} *)

@@ -151,6 +151,33 @@ let prop_two_sites =
   check_config ~num_sites:2 ~detection:Cluster.Immediate ~recovery:Config.On_demand
     "random schedules, 2 sites (paper's Figure 1/2 setting)"
 
+(* A schedule the timeout property once shrank to: a copier transaction
+   installs item 1 at site 0 from site 2, clearing site 0's bit there, then
+   aborts with [Copier_source_failed] because another of its copy requests
+   went to the failed site 1.  The abort must still announce the clear, or
+   site 2 keeps site 0's bit for a copy that is current. *)
+let test_copy_phase_abort_announces_clears () =
+  let steps =
+    List.map
+      (function
+        | "txn" -> Run_txn
+        | "fail" -> Fail_one
+        | "recover" -> Recover_one
+        | step -> invalid_arg step)
+      (String.split_on_char ';'
+         "txn;recover;txn;recover;recover;txn;txn;txn;txn;txn;txn;txn;recover;txn;fail;fail;\
+          txn;fail;fail;txn;fail;txn;txn;txn;recover;txn;txn;txn;txn;recover;fail;txn")
+  in
+  let cluster, _rng, _workload, _log =
+    run_schedule ~num_sites:3 ~num_items:12 ~detection:Cluster.On_timeout
+      ~recovery:Config.On_demand ~seed:9 steps
+  in
+  Alcotest.(check (result unit string)) "invariants" (Ok ()) (Invariant.all cluster)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_immediate; prop_timeout; prop_four_sites; prop_two_step; prop_two_sites ]
+  @ [
+      Alcotest.test_case "copy-phase abort announces copier clears" `Quick
+        test_copy_phase_abort_announces_clears;
+    ]
