@@ -252,15 +252,15 @@ let scaling_cmd =
     else begin
       Table.print (Raid_sim.Scaling.control1_table (Raid_sim.Scaling.control1_scaling ()));
       print_newline ();
-      Table.print
-        (Raid_sim.Scaling.experiment2_seeds_table (Raid_sim.Scaling.experiment2_seeds ()));
+      let exp2_seeds = Raid_sim.Scaling.experiment2_seeds () in
+      Table.print (Raid_sim.Scaling.experiment2_seeds_table exp2_seeds);
       print_newline ();
       Table.print (Raid_sim.Scaling.scenario1_seeds_table (Raid_sim.Scaling.scenario1_seeds ()));
       print_newline ();
       Table.print
         (Raid_sim.Scaling.cluster_size_table (Raid_sim.Scaling.recovery_vs_cluster_size ()));
       print_newline ();
-      Table.print (Raid_sim.Analysis.comparison_table ());
+      Table.print (Raid_sim.Analysis.comparison_table exp2_seeds);
       print_newline ();
       Raid_util.Chart.print (Raid_sim.Analysis.figure ())
     end
@@ -327,12 +327,7 @@ let scenario_cmd =
     let scenario =
       Scenario.make ~seed ~config
         ~workload:(Workload.Uniform { max_ops; write_prob })
-        [
-          Scenario.Fail fail_site;
-          Scenario.Run_txns down_txns;
-          Scenario.Recover fail_site;
-          Scenario.Run_until_recovered { site = fail_site; max_txns = max_recovery };
-        ]
+        (Scenario.outage ~site:fail_site ~down_txns ~max_recovery_txns:max_recovery ())
     in
     let result = Runner.run scenario in
     let chart =

@@ -13,13 +13,9 @@ let () =
   let scenario =
     Scenario.make ~policy:(Scenario.Fixed 1) ~seed:15 ~config
       ~workload:(Workload.Uniform { max_ops = 5; write_prob = 0.5 })
-      [
-        Scenario.Fail 0;
-        Scenario.Run_txns 100;
-        Scenario.Recover 0;
-        Scenario.Set_policy (Scenario.Weighted [ (0, 0.05); (1, 0.95) ]);
-        Scenario.Run_until_recovered { site = 0; max_txns = 1000 };
-      ]
+      (Scenario.outage
+         ~route:(Scenario.Weighted [ (0, 0.05); (1, 0.95) ])
+         ~site:0 ~down_txns:100 ~max_recovery_txns:1000 ())
   in
   let result = Runner.run scenario in
   print_endline "txn  | locks for site 0 | note";

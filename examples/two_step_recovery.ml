@@ -13,28 +13,21 @@ module Workload = Raid_core.Workload
 module Metrics = Raid_core.Metrics
 module Scenario = Raid_sim.Scenario
 module Runner = Raid_sim.Runner
+module Experiment2 = Raid_sim.Experiment2
 
 let run ~label ~recovery =
   let config = Config.make ~recovery ~num_sites:2 ~num_items:50 () in
   let scenario =
     Scenario.make ~policy:(Scenario.Fixed 1) ~seed:30 ~config
       ~workload:(Workload.Uniform { max_ops = 5; write_prob = 0.5 })
-      [
-        Scenario.Fail 0;
-        Scenario.Run_txns 100;
-        Scenario.Recover 0;
-        Scenario.Set_policy (Scenario.Weighted [ (0, 0.5); (1, 0.5) ]);
-        Scenario.Run_until_recovered { site = 0; max_txns = 1500 };
-      ]
+      (Scenario.outage
+         ~route:(Scenario.Weighted [ (0, 0.5); (1, 0.5) ])
+         ~site:0 ~down_txns:100 ~max_recovery_txns:1500 ())
   in
   let result = Runner.run scenario in
   let metrics = Cluster.metrics result.Runner.cluster in
-  let recovery_txns =
-    match List.rev result.Runner.records with
-    | [] -> 0
-    | last :: _ -> max 0 (last.Runner.index - 100)
-  in
-  Printf.printf "%-44s | %9d | %7d | %6d\n" label recovery_txns
+  let stats, _ = Experiment2.recovery result ~site:0 ~down_txns:100 in
+  Printf.printf "%-44s | %9d | %7d | %6d\n" label stats.Experiment2.txns_to_recover
     metrics.Metrics.copier_requests metrics.Metrics.batch_copier_rounds
 
 let () =

@@ -13,10 +13,19 @@ type table = Table.t
 
 let paper_workload = Workload.Uniform { max_ops = 5; write_prob = 0.5 }
 
-let recovery_length result =
-  match List.rev result.Runner.records with
-  | [] -> 0
-  | last :: _ -> max 0 (last.Runner.index - 100)
+(* The Experiment-2 schedule (site 0 down for 100 transactions), with
+   coordinators alternating between the two sites once it is back.  The
+   copier column reads the cluster's metrics, which under two-step
+   recovery also count batch-round requests. *)
+let alternating_outage ~seed ~config ~workload ~max_recovery_txns =
+  let scenario =
+    Scenario.make ~policy:(Scenario.Fixed 1) ~seed ~config ~workload
+      (Scenario.outage
+         ~route:(Scenario.Weighted [ (0, 0.5); (1, 0.5) ])
+         ~site:0 ~down_txns:100 ~max_recovery_txns ())
+  in
+  let result = Runner.run scenario in
+  (fst (Experiment2.recovery result ~site:0 ~down_txns:100), Cluster.metrics result.Runner.cluster)
 
 (* {2 A1: two-step recovery} *)
 
@@ -30,21 +39,12 @@ type recovery_row = {
 let two_step_recovery ?(seed = 21) () =
   let run ~label ~recovery =
     let config = Config.make ~recovery ~num_sites:2 ~num_items:50 () in
-    let scenario =
-      Scenario.make ~policy:(Scenario.Fixed 1) ~seed ~config ~workload:paper_workload
-        [
-          Scenario.Fail 0;
-          Scenario.Run_txns 100;
-          Scenario.Recover 0;
-          Scenario.Set_policy (Scenario.Weighted [ (0, 0.5); (1, 0.5) ]);
-          Scenario.Run_until_recovered { site = 0; max_txns = 1500 };
-        ]
+    let stats, metrics =
+      alternating_outage ~seed ~config ~workload:paper_workload ~max_recovery_txns:1500
     in
-    let result = Runner.run scenario in
-    let metrics = Cluster.metrics result.Runner.cluster in
     {
       policy_label = label;
-      txns_to_recover = recovery_length result;
+      txns_to_recover = stats.Experiment2.txns_to_recover;
       copier_requests = metrics.Metrics.copier_requests;
       batch_rounds = metrics.Metrics.batch_copier_rounds;
     }
@@ -91,28 +91,15 @@ type rw_row = {
 let rw_ratio ?(seed = 22) ?(write_probs = [ 0.1; 0.25; 0.5; 0.75; 0.9 ]) () =
   let run write_prob =
     let config = Config.make ~num_sites:2 ~num_items:50 () in
-    let scenario =
-      Scenario.make ~policy:(Scenario.Fixed 1) ~seed ~config
+    let stats, metrics =
+      alternating_outage ~seed ~config
         ~workload:(Workload.Uniform { max_ops = 5; write_prob })
-        [
-          Scenario.Fail 0;
-          Scenario.Run_txns 100;
-          Scenario.Recover 0;
-          Scenario.Set_policy (Scenario.Weighted [ (0, 0.5); (1, 0.5) ]);
-          Scenario.Run_until_recovered { site = 0; max_txns = 4000 };
-        ]
+        ~max_recovery_txns:4000
     in
-    let result = Runner.run scenario in
-    let peak =
-      List.fold_left
-        (fun acc r -> if r.Runner.index <= 100 then max acc r.Runner.faillocks_per_site.(0) else acc)
-        0 result.Runner.records
-    in
-    let metrics = Cluster.metrics result.Runner.cluster in
     {
       write_prob;
-      peak_locked = peak;
-      rw_txns_to_recover = recovery_length result;
+      peak_locked = stats.Experiment2.peak_faillocks;
+      rw_txns_to_recover = stats.Experiment2.txns_to_recover;
       rw_copiers = metrics.Metrics.copier_requests;
     }
   in
@@ -419,22 +406,10 @@ let communication_delays ?(seed = 26) ?(latencies_ms = [ 1.0; 9.0; 25.0; 50.0; 1
       }
     in
     let config = Config.make ~cost ~num_sites:4 ~num_items:50 () in
-    let actions =
-      List.concat_map
-        (fun _ ->
-          [
-            Scenario.Run_txns 5;
-            Scenario.Fail 3;
-            Scenario.Run_txns 2;
-            Scenario.Recover 3;
-            Scenario.Run_until_recovered { site = 3; max_txns = 80 };
-          ])
-        (List.init 8 Fun.id)
-    in
     let scenario =
       Scenario.make ~policy:(Scenario.Fixed 0) ~seed ~config
         ~workload:(Workload.Uniform { max_ops = 10; write_prob = 0.5 })
-        actions
+        (Scenario.cycles ~before:5 ~cycles:8 ~site:3 ~down_txns:2 ~max_txns:80 ())
     in
     let result = Runner.run scenario in
     let metrics = Cluster.metrics result.Runner.cluster in
@@ -480,29 +455,15 @@ type workload_row = {
 let benchmark_workloads ?(seed = 27) () =
   let run (workload_label, workload) =
     let config = Config.make ~num_sites:2 ~num_items:50 () in
-    let scenario =
-      Scenario.make ~policy:(Scenario.Fixed 1) ~seed ~config ~workload
-        [
-          Scenario.Fail 0;
-          Scenario.Run_txns 100;
-          Scenario.Recover 0;
-          Scenario.Set_policy (Scenario.Weighted [ (0, 0.5); (1, 0.5) ]);
-          Scenario.Run_until_recovered { site = 0; max_txns = 4000 };
-        ]
+    let stats, metrics =
+      alternating_outage ~seed ~config ~workload ~max_recovery_txns:4000
     in
-    let result = Runner.run scenario in
-    let peak =
-      List.fold_left
-        (fun acc r -> if r.Runner.index <= 100 then max acc r.Runner.faillocks_per_site.(0) else acc)
-        0 result.Runner.records
-    in
-    let metrics = Cluster.metrics result.Runner.cluster in
     {
       workload_label;
-      wl_peak_locked = peak;
-      wl_txns_to_recover = recovery_length result;
+      wl_peak_locked = stats.Experiment2.peak_faillocks;
+      wl_txns_to_recover = stats.Experiment2.txns_to_recover;
       wl_copiers = metrics.Metrics.copier_requests;
-      wl_aborted = result.Runner.aborted;
+      wl_aborted = stats.Experiment2.aborted;
     }
   in
   let rows =

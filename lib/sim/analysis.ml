@@ -43,9 +43,8 @@ let recovery_curve ~q ~peak =
 
 let paper_q = lazy (item_write_probability ~num_items:50 ~max_ops:5 ~write_prob:0.5)
 
-let comparison_table ?domains ?(seeds = List.init 25 (fun i -> i + 1)) () =
+let comparison_table (summary : Scaling.seed_summary) =
   let q = Lazy.force paper_q in
-  let summary = Scaling.experiment2_seeds ?domains ~seeds () in
   let model_peak = expected_locked_after ~q ~num_items:50 ~txns:100 in
   let peak_int = int_of_float (Float.round model_peak) in
   let model_first10 = expected_txns_to_clear ~q ~from_locks:peak_int ~to_locks:(peak_int - 10) in

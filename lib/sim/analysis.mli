@@ -36,10 +36,10 @@ val recovery_curve : q:float -> peak:int -> (float * float) list
 (** Model points for the right half: expected locked count as a function
     of transactions since recovery (inverted from the clearing times). *)
 
-val comparison_table : ?domains:int -> ?seeds:int list -> unit -> Raid_util.Table.t
-(** Model vs. multi-seed simulation means for Experiment 2's headline
-    statistics; the seed sweep fans out over [?domains]
-    {!Raid_par.Pool} domains. *)
+val comparison_table : Scaling.seed_summary -> Raid_util.Table.t
+(** Model vs. the multi-seed simulation means of
+    {!Scaling.experiment2_seeds} for Experiment 2's headline
+    statistics. *)
 
 val figure : ?seed:int -> unit -> Raid_util.Chart.t
 (** Figure 1 with the measured series and the model curve overlaid. *)

@@ -56,19 +56,9 @@ let faillock_overhead ?(txns = 400) ?(seed = 7) () =
 (* §2.2.2 — control transaction costs over repeated fail/recover cycles. *)
 let control_overhead ?(cycles = 40) ?(seed = 11) () =
   let config = Config.make ~num_sites:4 ~num_items:50 () in
-  let actions =
-    List.concat_map
-      (fun _ ->
-        [
-          Scenario.Fail 3;
-          Scenario.Run_txns 3;
-          Scenario.Recover 3;
-          Scenario.Run_until_recovered { site = 3; max_txns = 60 };
-        ])
-      (List.init cycles Fun.id)
-  in
   let scenario =
-    Scenario.make ~policy:(Scenario.Fixed 0) ~seed ~config ~workload:paper_workload actions
+    Scenario.make ~policy:(Scenario.Fixed 0) ~seed ~config ~workload:paper_workload
+      (Scenario.cycles ~cycles ~site:3 ~down_txns:3 ~max_txns:60 ())
   in
   let result = Runner.run scenario in
   let metrics = Cluster.metrics result.Runner.cluster in

@@ -20,64 +20,52 @@ let paper_workload = Workload.Uniform { max_ops = 5; write_prob = 0.5 }
 let scenario ?(seed = 15) ?(recovering_weight = 0.05) ?(max_recovery_txns = 1200) () =
   let config = Config.make ~num_sites:2 ~num_items:50 () in
   Scenario.make ~policy:(Scenario.Fixed 1) ~seed ~config ~workload:paper_workload
-    [
-      Scenario.Fail 0;
-      Scenario.Run_txns 100;
-      Scenario.Recover 0;
-      Scenario.Set_policy
-        (Scenario.Weighted [ (0, recovering_weight); (1, 1.0 -. recovering_weight) ]);
-      Scenario.Run_until_recovered { site = 0; max_txns = max_recovery_txns };
-    ]
+    (Scenario.outage
+       ~route:(Scenario.Weighted [ (0, recovering_weight); (1, 1.0 -. recovering_weight) ])
+       ~site:0 ~down_txns:100 ~max_recovery_txns ())
 
-let run ?seed ?recovering_weight ?max_recovery_txns () =
-  let result = Runner.run (scenario ?seed ?recovering_weight ?max_recovery_txns ()) in
-  let series = Runner.series result ~site:0 in
-  (* Locks for site 0 over the recovery phase (txn 101 onwards). *)
-  let recovery_records =
-    List.filter (fun r -> r.Runner.index > 100) result.Runner.records
-  in
+let recovery (result : Runner.result) ~site ~down_txns =
+  let locks r = r.Runner.faillocks_per_site.(site) in
+  let recovery_records = List.filter (fun r -> r.Runner.index > down_txns) result.Runner.records in
+  (* A down site's locks only grow, so the count after the outage's last
+     transaction is the peak. *)
   let peak_faillocks =
-    match recovery_records with
-    | [] -> 0
-    | first :: _ ->
-      (* Value when site 0 came back = locks before its first post-recovery
-         transaction; the count recorded at txn 100 equals it. *)
-      let at_100 =
-        List.fold_left
-          (fun acc r -> if r.Runner.index = 100 then r.Runner.faillocks_per_site.(0) else acc)
-          first.Runner.faillocks_per_site.(0)
-          result.Runner.records
-      in
-      at_100
+    match List.find_opt (fun r -> r.Runner.index = down_txns) result.Runner.records with
+    | Some r -> locks r
+    | None -> 0
   in
   let txns_to_recover =
-    match List.rev recovery_records with
+    match List.rev result.Runner.records with
     | [] -> 0
-    | last :: _ -> last.Runner.index - 100
+    | last :: _ -> max 0 (last.Runner.index - down_txns)
   in
   let count_while predicate =
-    List.length (List.filter (fun r -> predicate r.Runner.faillocks_per_site.(0)) recovery_records)
+    List.length (List.filter (fun r -> predicate (locks r)) recovery_records)
   in
   let first_10_cleared_in =
     if peak_faillocks < 10 then None
-    else Some (count_while (fun locks -> locks > peak_faillocks - 10))
+    else Some (count_while (fun l -> l > peak_faillocks - 10))
   in
   let last_10_cleared_in = if peak_faillocks < 10 then None else Some (count_while (fun l -> l < 10)) in
   let copier_requests =
     List.fold_left (fun acc r -> acc + r.Runner.outcome.Raid_core.Metrics.copier_requests) 0
       recovery_records
   in
-  let stats =
-    {
+  let num_items = (Raid_core.Cluster.config result.Runner.cluster).Config.num_items in
+  ( {
       peak_faillocks;
-      peak_fraction = float_of_int peak_faillocks /. 50.0;
+      peak_fraction = float_of_int peak_faillocks /. float_of_int num_items;
       txns_to_recover;
       copier_requests;
       first_10_cleared_in;
       last_10_cleared_in;
       aborted = result.Runner.aborted;
-    }
-  in
+    },
+    Runner.series result ~site )
+
+let run ?seed ?recovering_weight ?max_recovery_txns () =
+  let result = Runner.run (scenario ?seed ?recovering_weight ?max_recovery_txns ()) in
+  let stats, series = recovery result ~site:0 ~down_txns:100 in
   { result; stats; series }
 
 let figure t =

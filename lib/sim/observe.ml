@@ -19,14 +19,8 @@ let exp1_scenario ?(seed = 42) () =
   let config = Raid_core.Config.make ~num_sites:4 ~num_items:50 () in
   Scenario.make ~seed ~config
     ~workload:(Raid_core.Workload.Uniform { max_ops = 10; write_prob = 0.5 })
-    [
-      Scenario.Run_txns 60;
-      Scenario.Fail 0;
-      Scenario.Run_txns 60;
-      Scenario.Recover 0;
-      Scenario.Run_until_recovered { site = 0; max_txns = 400 };
-      Scenario.Run_txns 20;
-    ]
+    ((Scenario.Run_txns 60 :: Scenario.outage ~site:0 ~down_txns:60 ~max_recovery_txns:400 ())
+    @ [ Scenario.Run_txns 20 ])
 
 let named =
   [

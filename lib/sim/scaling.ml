@@ -18,21 +18,10 @@ let mean_of = function [] -> Float.nan | samples -> Stats.mean samples
 
 let control1_once ~seed ~num_sites ~num_items =
   let config = Config.make ~num_sites ~num_items () in
-  let actions =
-    List.concat_map
-      (fun _ ->
-        [
-          Scenario.Fail (num_sites - 1);
-          Scenario.Run_txns 2;
-          Scenario.Recover (num_sites - 1);
-          Scenario.Run_until_recovered { site = num_sites - 1; max_txns = 200 };
-        ])
-      (List.init 10 Fun.id)
-  in
   let scenario =
     Scenario.make ~policy:(Scenario.Fixed 0) ~seed ~config
       ~workload:(Workload.Uniform { max_ops = 5; write_prob = 0.5 })
-      actions
+      (Scenario.cycles ~cycles:10 ~site:(num_sites - 1) ~down_txns:2 ~max_txns:200 ())
   in
   let result = Runner.run scenario in
   let metrics = Cluster.metrics result.Runner.cluster in
@@ -155,29 +144,14 @@ let recovery_vs_cluster_size ?domains ?(seed = 33) ?(site_counts = [ 2; 4; 8 ]) 
     let scenario =
       Scenario.make ~policy:Scenario.Uniform_random ~seed ~config
         ~workload:(Workload.Uniform { max_ops = 5; write_prob = 0.5 })
-        [
-          Scenario.Fail 0;
-          Scenario.Run_txns 100;
-          Scenario.Recover 0;
-          Scenario.Run_until_recovered { site = 0; max_txns = 2000 };
-        ]
+        (Scenario.outage ~site:0 ~down_txns:100 ~max_recovery_txns:2000 ())
     in
     let result = Runner.run scenario in
-    let peak =
-      List.fold_left
-        (fun acc r ->
-          if r.Runner.index <= 100 then max acc r.Runner.faillocks_per_site.(0) else acc)
-        0 result.Runner.records
-    in
-    let recovery =
-      match List.rev result.Runner.records with
-      | [] -> 0
-      | last :: _ -> max 0 (last.Runner.index - 100)
-    in
+    let stats, _ = Experiment2.recovery result ~site:0 ~down_txns:100 in
     {
       cs_sites = num_sites;
-      cs_peak = peak;
-      cs_recovery_txns = recovery;
+      cs_peak = stats.Experiment2.peak_faillocks;
+      cs_recovery_txns = stats.Experiment2.txns_to_recover;
       cs_copiers = (Cluster.metrics result.Runner.cluster).Metrics.copier_requests;
     }
   in

@@ -24,3 +24,14 @@ type t = {
 let make ?(detection = Raid_core.Cluster.Immediate) ?(policy = Uniform_random) ?(seed = 42)
     ~config ~workload actions =
   { config; detection; workload; policy; seed; actions }
+
+let outage ?route ~site ~down_txns ~max_recovery_txns () =
+  [ Fail site; Run_txns down_txns; Recover site ]
+  @ (match route with Some policy -> [ Set_policy policy ] | None -> [])
+  @ [ Run_until_recovered { site; max_txns = max_recovery_txns } ]
+
+let cycles ?(before = 0) ~cycles ~site ~down_txns ~max_txns () =
+  List.concat
+    (List.init cycles (fun _ ->
+         (if before > 0 then [ Run_txns before ] else [])
+         @ outage ~site ~down_txns ~max_recovery_txns:max_txns ()))

@@ -44,3 +44,26 @@ val make :
   action list ->
   t
 (** Defaults: immediate detection, [Uniform_random] policy, seed 42. *)
+
+(** {2 Schedules shared by the studies} *)
+
+val outage :
+  ?route:coordinator_policy ->
+  site:int ->
+  down_txns:int ->
+  max_recovery_txns:int ->
+  unit ->
+  action list
+(** One outage, the shape of Experiment 2 (Figure 1): [Fail site],
+    [Run_txns down_txns], [Recover site], then [Set_policy route] when
+    [route] is given, then [Run_until_recovered] for [site] bounded by
+    [max_recovery_txns].  Experiment 2, ablations A1, A2 and A9, the
+    cluster-size sweep, the [exp1] observed scenario and [raid scenario]
+    all run this schedule. *)
+
+val cycles :
+  ?before:int -> cycles:int -> site:int -> down_txns:int -> max_txns:int -> unit -> action list
+(** [cycles] back-to-back {!outage}s of [site] (no routing change), each
+    preceded by [Run_txns before] when [before > 0] (default 0): the
+    repeated fail/recover cycles behind Experiment 1b's control
+    transaction costs, the control-1 scaling sweep and ablation A8. *)

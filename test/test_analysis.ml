@@ -67,7 +67,17 @@ let test_model_matches_simulation () =
   Alcotest.(check bool)
     (Printf.sprintf "peak: model %.1f vs simulated %.1f" model_peak summary.Scaling.peak.Stats.mean)
     true
-    (Float.abs (model_peak -. summary.Scaling.peak.Stats.mean) < 3.0)
+    (Float.abs (model_peak -. summary.Scaling.peak.Stats.mean) < 3.0);
+  (* The comparison table reads the same sweep rather than rerunning it. *)
+  let rendered = Raid_util.Table.render (Analysis.comparison_table summary) in
+  let contains needle =
+    let n = String.length needle and h = String.length rendered in
+    let rec at i = i + n <= h && (String.sub rendered i n = needle || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "table names the sweep's seed count" true (contains "10 seeds");
+  Alcotest.(check bool) "table shows the sweep's peak mean" true
+    (contains (Printf.sprintf "%.1f" summary.Scaling.peak.Stats.mean))
 
 let test_control1_scaling_directions () =
   let rows = Scaling.control1_scaling ~site_counts:[ 2; 8 ] ~item_counts:[ 50; 400 ] () in
