@@ -167,7 +167,8 @@ let maybe_spawn_backups t ctx writes =
             Engine.work ctx t.cost.Cost_model.backup_spawn;
             (* Broadcast so every operational site updates its placement
                view; the target also materialises the copy. *)
-            iter_others t (fun r -> Engine.send ctx r (Message.Backup_copy { target; write }));
+            let backup = Message.Backup_copy { target; write } in
+            iter_others t (fun r -> Engine.send ctx r backup);
             Placement.View.add_backup t.placement ~site:target ~item;
             if target = t.id then Database.materialize t.db write;
             t.metrics.Metrics.control3_backups <- t.metrics.Metrics.control3_backups + 1;
@@ -262,8 +263,8 @@ let abort_txn t ctx coord ~reason ~notify =
      stale bits for this site. *)
   let cleared = if t.config.Config.embed_clears then coord.cleared_items else [] in
   if notify || cleared <> [] then begin
-    iter_others t (fun p ->
-        Engine.send ctx p (Message.Abort { txn = coord.txn.Txn.id; cleared }));
+    let abort = Message.Abort { txn = coord.txn.Txn.id; cleared } in
+    iter_others t (fun p -> Engine.send ctx p abort);
     if notify && tracing t then
       emit t ctx (Obs.Decide { txn = coord.txn.Txn.id; commit = false })
   end;
@@ -324,11 +325,13 @@ let begin_phase1 t ctx coord =
         (Obs.Prepare_sent { txn = coord.txn.Txn.id; participants = participant_count })
     end;
     let cleared = if t.config.Config.embed_clears then coord.cleared_items else [] in
+    (* One payload for the whole fan-out: the engine then builds one
+       event for it, not one per participant. *)
+    let prepare = Message.Prepare { txn = coord.txn.Txn.id; writes = coord.writes; cleared } in
     Bitset.iter
       (fun p ->
         Engine.work ctx t.cost.Cost_model.prepare_send;
-        Engine.send ctx p
-          (Message.Prepare { txn = coord.txn.Txn.id; writes = coord.writes; cleared }))
+        Engine.send ctx p prepare)
       participants
   end
 
@@ -534,7 +537,8 @@ let handle_prepare_ack t ctx ~txn ~src =
             emit t ctx (Obs.Decide { txn; commit = true });
             emit t ctx (Obs.Phase_enter { txn; phase = Obs.Commit })
           end;
-          Bitset.iter (fun s -> Engine.send ctx s (Message.Commit { txn })) p.participants
+          let commit = Message.Commit { txn } in
+          Bitset.iter (fun s -> Engine.send ctx s commit) p.participants
         end
       end
     | Copying _ | Committing _ -> ()
@@ -588,9 +592,10 @@ let commit_failed t ctx ~txn ~dst =
              if believes_stored t ~site:dst ~item then Some item else None)
            coord.writes
        in
-       if items <> [] then
-         iter_others t (fun r ->
-             Engine.send ctx r (Message.Faillock_hint { for_site = dst; items }))
+       if items <> [] then begin
+         let hint = Message.Faillock_hint { for_site = dst; items } in
+         iter_others t (fun r -> Engine.send ctx r hint)
+       end
      end);
     Bitset.clear c.pending_acks dst;
     c.remaining <- c.remaining - 1;

@@ -44,8 +44,9 @@ val commit_update :
     of sites not up (read, never kept); the item's row becomes exactly
     [down].  The transitions are [row xor down], visited in increasing
     site order at a cost of O(sites/8 + transitions).  With no bit set
-    in the whole table and no site down the call returns at once; an
-    item without a row costs one bitmap probe, not a table lookup.
+    in the whole table and no site down the call returns at once.
+    Creating a row allocates nothing beyond amortised growth: rows live
+    in one byte slab, found through an open-addressing index.
     Transition counts are accumulated into [set]/[cleared].
     @raise Invalid_argument if [down]'s capacity is not [num_sites]. *)
 

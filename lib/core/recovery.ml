@@ -38,7 +38,7 @@ let on_crash t =
               Update_log.append t.log ~txn:coord.txn.Txn.id write;
               match t.stable with
               | None -> ()
-              | Some wal -> Wal.append wal { Wal.txn = coord.txn.Txn.id; write }
+              | Some wal -> Wal.append wal ~txn:coord.txn.Txn.id write
             end)
           coord.writes
       | Copying _ | Preparing _ -> ())
@@ -65,7 +65,8 @@ let announce_failures t ctx failed =
        buffered prepares; purging here would strand its bookkeeping. *)
     if not (is_waiting t) then
       List.iter (fun s -> purge_prepares_from t ~coordinator:s) fresh;
-    iter_others t (fun r -> Engine.send ctx r (Message.Failure_announce { failed = fresh }));
+    let announce = Message.Failure_announce { failed = fresh } in
+    iter_others t (fun r -> Engine.send ctx r announce);
     t.metrics.Metrics.control2_announcements <-
       t.metrics.Metrics.control2_announcements + count_others t;
     if tracing t then
@@ -104,9 +105,10 @@ let handle_failure_announce t ctx failed =
    have to discover the absence through timeouts. *)
 let depart t ctx =
   Session.mark_terminating t.vector t.id;
+  let departure = Message.Departure_announce { site = t.id } in
   iter_others t (fun r ->
       Engine.work ctx t.cost.Cost_model.recovery_announce_send;
-      Engine.send ctx r (Message.Departure_announce { site = t.id }))
+      Engine.send ctx r departure)
 
 (* {2 Control transaction type 1} *)
 

@@ -290,9 +290,10 @@ let clear_faillocks t ~site items =
    partial replication). *)
 let broadcast_clears t ctx items =
   if items <> [] then begin
+    let clears = Message.Faillocks_cleared { site = t.id; items } in
     iter_others t (fun r ->
         Engine.work ctx t.cost.Cost_model.faillock_clear_send;
-        Engine.send ctx r (Message.Faillocks_cleared { site = t.id; items });
+        Engine.send ctx r clears;
         t.metrics.Metrics.clear_specials_sent <- t.metrics.Metrics.clear_specials_sent + 1);
     if tracing t then
       emit t ctx
@@ -358,7 +359,7 @@ let log_durable t ctx ~txn write =
   | None -> ()
   | Some wal ->
     Engine.work ctx t.cost.Cost_model.wal_append;
-    Wal.append wal { Wal.txn; write };
+    Wal.append wal ~txn write;
     ignore (Wal.maybe_checkpoint wal t.db)
 
 (* Apply committed writes to the local copy (those this site stores). *)

@@ -1,12 +1,12 @@
 module Prio = struct
-  type 'a t = {
+  type t = {
     mutable ats : int array;
     mutable seqs : int array;
-    mutable payloads : 'a array;
+    mutable slots : int array;
     mutable size : int;
   }
 
-  let create () = { ats = [||]; seqs = [||]; payloads = [||]; size = 0 }
+  let create () = { ats = [||]; seqs = [||]; slots = [||]; size = 0 }
   let is_empty t = t.size = 0
   let size t = t.size
 
@@ -28,27 +28,27 @@ module Prio = struct
   (* Both sifts carry the moving entry in locals and leave a hole where
      it would sit, moving one entry per level into the hole and writing
      the carried entry once at the end: one write per array per level
-     where a swap costs two, and each [payloads] write is a
-     [caml_modify].  The comparisons are those of a swap-based sift. *)
+     where a swap costs two.  Every array holds ints, so no write runs
+     the GC's write barrier. *)
   let move t ~src ~dst =
     t.ats.(dst) <- t.ats.(src);
     t.seqs.(dst) <- t.seqs.(src);
-    t.payloads.(dst) <- t.payloads.(src)
+    t.slots.(dst) <- t.slots.(src)
 
-  let fill t i ~at ~seq x =
+  let fill t i ~at ~seq slot =
     t.ats.(i) <- at;
     t.seqs.(i) <- seq;
-    t.payloads.(i) <- x
+    t.slots.(i) <- slot
 
-  let rec sift_up t i ~at ~seq x =
+  let rec sift_up t i ~at ~seq slot =
     let parent = (i - 1) / 2 in
     if i > 0 && key_first t ~at ~seq parent then begin
       move t ~src:parent ~dst:i;
-      sift_up t parent ~at ~seq x
+      sift_up t parent ~at ~seq slot
     end
-    else fill t i ~at ~seq x
+    else fill t i ~at ~seq slot
 
-  let rec sift_down t i ~at ~seq x =
+  let rec sift_down t i ~at ~seq slot =
     let left = (2 * i) + 1 and right = (2 * i) + 2 in
     let smallest = if left < t.size && slot_first t left ~at ~seq then left else i in
     let smallest =
@@ -62,37 +62,36 @@ module Prio = struct
     in
     if smallest <> i then begin
       move t ~src:smallest ~dst:i;
-      sift_down t smallest ~at ~seq x
+      sift_down t smallest ~at ~seq slot
     end
-    else fill t i ~at ~seq x
+    else fill t i ~at ~seq slot
 
-  let grow t x =
-    let capacity = Array.length t.payloads in
+  let grow t =
+    let capacity = Array.length t.slots in
     if t.size = capacity then begin
       let next = max 16 (capacity * 2) in
-      let ats = Array.make next 0 and seqs = Array.make next 0 and payloads = Array.make next x in
-      Array.blit t.ats 0 ats 0 t.size;
-      Array.blit t.seqs 0 seqs 0 t.size;
-      Array.blit t.payloads 0 payloads 0 t.size;
-      t.ats <- ats;
-      t.seqs <- seqs;
-      t.payloads <- payloads
+      let extend a =
+        let b = Array.make next 0 in
+        Array.blit a 0 b 0 t.size;
+        b
+      in
+      t.ats <- extend t.ats;
+      t.seqs <- extend t.seqs;
+      t.slots <- extend t.slots
     end
 
-  let push t ~at ~seq x =
-    grow t x;
+  let push t ~at ~seq slot =
+    grow t;
     let i = t.size in
     t.size <- i + 1;
-    sift_up t i ~at ~seq x
+    sift_up t i ~at ~seq slot
 
   let pop_min t =
     if t.size = 0 then invalid_arg "Heap.Prio.pop_min: empty heap";
-    let top = t.payloads.(0) in
+    let top = t.slots.(0) in
     let n = t.size - 1 in
     t.size <- n;
-    (* Sift the last entry down from the root.  Its old slot [n] keeps a
-       pointer to it, a live entry, so the backing array does not retain
-       the popped payload. *)
-    if n > 0 then sift_down t 0 ~at:t.ats.(n) ~seq:t.seqs.(n) t.payloads.(n);
+    (* Sift the last entry down from the root. *)
+    if n > 0 then sift_down t 0 ~at:t.ats.(n) ~seq:t.seqs.(n) t.slots.(n);
     top
 end

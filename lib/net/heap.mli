@@ -1,30 +1,33 @@
-(** The engine's event queue: a binary min-heap keyed by [(at, seq)].
+(** The engine's event queue: a binary min-heap of slot numbers keyed by
+    [(at, seq)].
 
     The engine orders events by [(at, seq)] where both are plain [int]s
     ({!Vtime.t} is an integer count of microseconds, [seq] a submission
-    sequence number).  [Prio] stores the two keys unboxed in parallel
-    [int] arrays beside a payload array and compares them with
-    monomorphic integer comparisons.  Neither [push] nor [pop_min]
-    allocates (beyond amortised array growth), and both sift with a
-    hole: each level of a sift writes one slot of each array, so a level
-    costs one [payloads] write barrier where a swap costs two. *)
+    sequence number), and keeps each event's data in a slot of its own
+    pool; the heap holds only the slot number.  [Prio] stores the two
+    keys and the slot in three parallel [int] arrays and compares them
+    with monomorphic integer comparisons.  Neither [push] nor [pop_min]
+    allocates (beyond amortised array growth), and no write runs the
+    GC's write barrier.  Both sift with a hole: each level of a sift
+    writes one entry of each array, where a swap writes two. *)
 module Prio : sig
-  type 'a t
-  (** A min-heap of ['a] payloads keyed by [(at, seq)]. *)
+  type t
+  (** A min-heap of [int] slots keyed by [(at, seq)]. *)
 
-  val create : unit -> 'a t
-  val is_empty : _ t -> bool
-  val size : _ t -> int
+  val create : unit -> t
+  val is_empty : t -> bool
+  val size : t -> int
 
-  val push : 'a t -> at:int -> seq:int -> 'a -> unit
-  (** Keys are compared lexicographically: earlier [at] first, ties
-      broken by lower [seq].  [seq] values must be distinct for a fully
-      deterministic order (the engine guarantees this). *)
+  val push : t -> at:int -> seq:int -> int -> unit
+  (** [push t ~at ~seq slot].  Keys are compared lexicographically:
+      earlier [at] first, ties broken by lower [seq].  [seq] values must
+      be distinct for a fully deterministic order (the engine guarantees
+      this). *)
 
-  val min_at : _ t -> int
+  val min_at : t -> int
   (** [at] key of the minimum.  @raise Invalid_argument when empty. *)
 
-  val pop_min : 'a t -> 'a
-  (** Removes the minimum and returns its payload; read {!min_at} first
-      if the key is needed.  @raise Invalid_argument when empty. *)
+  val pop_min : t -> int
+  (** Removes the minimum and returns its slot; read {!min_at} first if
+      the key is needed.  @raise Invalid_argument when empty. *)
 end

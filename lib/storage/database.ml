@@ -134,16 +134,22 @@ type image = { image_items : int; image : image_repr }
 
 let copy_of (c : copy) = { value = c.value; version = c.version; present = c.present }
 
-let image t =
-  {
-    image_items = t.num_items;
-    image =
-      (match t.repr with
-      | Dense cells -> Dense_image (Array.copy cells)
-      | Sparse s ->
-        let slots = Hashtbl.fold (fun item c acc -> (item, copy_of c) :: acc) s.table [] in
-        Sparse_image { base = s.base; slots });
-  }
+let image ?reuse t =
+  match (reuse, t.repr) with
+  | Some ({ image = Dense_image saved; _ } as img), Dense cells
+    when img.image_items = t.num_items ->
+    Array.blit cells 0 saved 0 (Array.length cells);
+    img
+  | _ ->
+    {
+      image_items = t.num_items;
+      image =
+        (match t.repr with
+        | Dense cells -> Dense_image (Array.copy cells)
+        | Sparse s ->
+          let slots = Hashtbl.fold (fun item c acc -> (item, copy_of c) :: acc) s.table [] in
+          Sparse_image { base = s.base; slots });
+    }
 
 (* The imaged copy of each item, by the same rule as [read]. *)
 let image_reader img =

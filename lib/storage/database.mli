@@ -76,8 +76,12 @@ type image
     predicate plus its diverged copies, O(stored copies); a dense one
     copies its array. *)
 
-val image : t -> image
-(** The database's current state; later mutations do not affect it. *)
+val image : ?reuse:image -> t -> image
+(** The database's current state; later mutations do not affect it.
+    [reuse] is an image the caller gives up: when both it and [t] are
+    dense over the same items, its storage is overwritten and it is
+    returned, so re-imaging allocates nothing.  The caller must hold no
+    other reference to it.  Otherwise a fresh image is returned. *)
 
 val restore : t -> image -> unit
 (** [restore t img] makes every [read t item] equal to the [read] of the

@@ -1,41 +1,74 @@
 type entry = { txn : int; write : Database.write }
 
-(* In application order, in parallel arrays grown by doubling: appending
-   stores an int and a pointer to the write the site already holds, so
-   it allocates nothing, and the log only ever grows. *)
-type t = { mutable txns : int array; mutable writes : Database.write array; mutable length : int }
+(* In application order, in chunks that double in size (16, 16, 32, 64,
+   ...): appending stores an int and a pointer to the write the site
+   already holds into the newest chunk, so it allocates nothing, and a
+   full log gains a chunk as large as everything before it rather than
+   copying itself into a larger array.  Growth thus leaves no garbage:
+   each copied-out array used to survive minor collections, be promoted
+   and die at the next doubling.  The log only ever grows. *)
+type chunk = { txns : int array; writes : Database.write array }
 
-let create () = { txns = [||]; writes = [||]; length = 0 }
+type t = {
+  mutable chunks : chunk list;  (* newest first; all but the newest are full *)
+  mutable fill : int;  (* entries in the newest chunk *)
+  mutable length : int;
+}
+
+let create () = { chunks = []; fill = 0; length = 0 }
 
 let append t ~txn write =
-  if t.length = Array.length t.writes then begin
-    let capacity = max 16 (2 * t.length) in
-    let txns = Array.make capacity 0 and writes = Array.make capacity write in
-    Array.blit t.txns 0 txns 0 t.length;
-    Array.blit t.writes 0 writes 0 t.length;
-    t.txns <- txns;
-    t.writes <- writes
-  end;
-  t.txns.(t.length) <- txn;
-  t.writes.(t.length) <- write;
+  let c =
+    match t.chunks with
+    | c :: _ when t.fill < Array.length c.writes -> c
+    | _ ->
+      let size = max 16 t.length in
+      let c = { txns = Array.make size 0; writes = Array.make size write } in
+      t.chunks <- c :: t.chunks;
+      t.fill <- 0;
+      c
+  in
+  c.txns.(t.fill) <- txn;
+  c.writes.(t.fill) <- write;
+  t.fill <- t.fill + 1;
   t.length <- t.length + 1
 
 let length t = t.length
-let entries t = List.init t.length (fun i -> { txn = t.txns.(i); write = t.writes.(i) })
 
-(* Newest first, like [last_version_of]. *)
-let exists t p =
-  let rec from i = i >= 0 && (p ~txn:t.txns.(i) t.writes.(i) || from (i - 1)) in
-  from (t.length - 1)
+(* The scans below run newest first: index [i] counts down through chunk
+   [c], then through each older chunk from its last entry.  They are
+   top-level functions, so a scan allocates no closure. *)
+
+let rec entries_from c i older acc =
+  if i >= 0 then entries_from c (i - 1) older ({ txn = c.txns.(i); write = c.writes.(i) } :: acc)
+  else
+    match older with
+    | [] -> acc
+    | c :: older -> entries_from c (Array.length c.writes - 1) older acc
+
+let entries t = match t.chunks with [] -> [] | c :: older -> entries_from c (t.fill - 1) older []
+
+let rec exists_from p c i older =
+  if i >= 0 then p ~txn:c.txns.(i) c.writes.(i) || exists_from p c (i - 1) older
+  else
+    match older with
+    | [] -> false
+    | c :: older -> exists_from p c (Array.length c.writes - 1) older
+
+let exists t p = match t.chunks with [] -> false | c :: older -> exists_from p c (t.fill - 1) older
 
 let entries_for_item t item =
   List.filter (fun e -> e.write.Database.item = item) (entries t)
 
+let rec last_version_from item c i older =
+  if i >= 0 then
+    let write = c.writes.(i) in
+    if write.Database.item = item then Some write.Database.version
+    else last_version_from item c (i - 1) older
+  else
+    match older with
+    | [] -> None
+    | c :: older -> last_version_from item c (Array.length c.writes - 1) older
+
 let last_version_of t item =
-  let rec from i =
-    if i < 0 then None
-    else
-      let write = t.writes.(i) in
-      if write.Database.item = item then Some write.Database.version else from (i - 1)
-  in
-  from (t.length - 1)
+  match t.chunks with [] -> None | c :: older -> last_version_from item c (t.fill - 1) older

@@ -12,8 +12,10 @@ type entry = {
 }
 
 type t
-(** Stored as parallel arrays of transaction ids and writes, so neither
-    {!append} nor {!exists} allocates. *)
+(** Stored as chunks of parallel arrays of transaction ids and writes,
+    each chunk as large as all before it, so neither {!append} (beyond
+    a new chunk when the last is full) nor {!exists} allocates, and
+    growth copies nothing. *)
 
 val create : unit -> t
 

@@ -16,7 +16,14 @@ type t = {
   backing : Shared_wal.handle option;  (* shard log this WAL's records funnel into *)
   num_items : int;
   mutable checkpoint_image : Database.image;
-  mutable log_rev : entry list;
+  (* The redo log since the checkpoint, oldest first, in parallel arrays
+     grown by doubling (as in [Update_log]): appending stores an int and
+     a pointer to the write the site already holds, so it allocates
+     nothing.  Slots past [log_length] keep pointing at writes from
+     before the last checkpoint until appends overwrite them; the site's
+     [Update_log] holds those writes anyway. *)
+  mutable txns : int array;
+  mutable writes : Database.write array;
   mutable log_length : int;
   mutable checkpoints_taken : int;
   mutable session : int;
@@ -56,7 +63,8 @@ let create ?(checkpoint_interval = 64) ?backing ?initial ~num_items () =
         (match initial with
         | Some db -> db
         | None -> Database.create_partial ~num_items ~stored:(fun _ -> true));
-    log_rev = [];
+    txns = [||];
+    writes = [||];
     log_length = 0;
     checkpoints_taken = 0;
     session = 1;
@@ -64,19 +72,30 @@ let create ?(checkpoint_interval = 64) ?backing ?initial ~num_items () =
     decided_tbl = Hashtbl.create 8;
   }
 
-let append t entry =
-  t.log_rev <- entry :: t.log_rev;
-  t.log_length <- t.log_length + 1;
+let append t ~txn write =
+  let n = t.log_length in
+  if n = Array.length t.writes then begin
+    let capacity = max 16 (2 * n) in
+    let txns = Array.make capacity 0 and writes = Array.make capacity write in
+    Array.blit t.txns 0 txns 0 n;
+    Array.blit t.writes 0 writes 0 n;
+    t.txns <- txns;
+    t.writes <- writes
+  end;
+  t.txns.(n) <- txn;
+  t.writes.(n) <- write;
+  t.log_length <- n + 1;
   notify t Shared_wal.Redo ~size:redo_bytes
 
 let log_length t = t.log_length
-let entries t = List.rev t.log_rev
+let entries t = List.init t.log_length (fun i -> { txn = t.txns.(i); write = t.writes.(i) })
 
 let checkpoint t db =
   if Database.num_items db <> t.num_items then
     invalid_arg "Wal.checkpoint: database shape mismatch";
-  t.checkpoint_image <- Database.image db;
-  t.log_rev <- [];
+  (* The previous checkpoint is dead from here on, so its storage is
+     reused: a checkpoint no longer leaves a promoted image behind. *)
+  t.checkpoint_image <- Database.image ~reuse:t.checkpoint_image db;
   t.log_length <- 0;
   t.checkpoints_taken <- t.checkpoints_taken + 1;
   notify t Shared_wal.Checkpoint ~size:(Database.num_items db * item_image_bytes)
@@ -94,7 +113,9 @@ let replay_into t db =
   if Database.num_items db <> t.num_items then
     invalid_arg "Wal.replay_into: database shape mismatch";
   Database.restore db t.checkpoint_image;
-  List.iter (fun { write; _ } -> Database.materialize db write) (entries t);
+  for i = 0 to t.log_length - 1 do
+    Database.materialize db t.writes.(i)
+  done;
   t.log_length
 
 let session t = t.session

@@ -47,8 +47,9 @@ val create :
     @raise Invalid_argument on non-positive interval, negative
     [num_items], or an [initial] of a different shape. *)
 
-val append : t -> entry -> unit
-(** Log one committed write (redo record). *)
+val append : t -> txn:int -> Database.write -> unit
+(** Log one committed write of [txn] (redo record).  Allocates nothing
+    beyond amortised growth of the log's arrays. *)
 
 val log_length : t -> int
 (** Entries since the last checkpoint. *)

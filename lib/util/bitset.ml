@@ -47,11 +47,15 @@ let cardinal t =
 
 let clear_all t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
 
+(* Or the bytes of [src] from [pos] into [dst], as many as [dst] has. *)
+let union_bytes ~dst src pos =
+  for i = 0 to Bytes.length dst.bits - 1 do
+    Bytes.set_uint8 dst.bits i (Bytes.get_uint8 dst.bits i lor Bytes.get_uint8 src (pos + i))
+  done
+
 let union_into ~dst src =
   if dst.capacity <> src.capacity then invalid_arg "Bitset.union_into: capacity mismatch";
-  for i = 0 to Bytes.length dst.bits - 1 do
-    Bytes.set_uint8 dst.bits i (Bytes.get_uint8 dst.bits i lor Bytes.get_uint8 src.bits i)
-  done
+  union_bytes ~dst src.bits 0
 
 let equal a b = a.capacity = b.capacity && Bytes.equal a.bits b.bits
 
@@ -75,14 +79,49 @@ let iter f t =
     if b <> 0 then iter_byte f (i lsl 3) b
   done
 
-(* The same scan over [a xor b].  Bits past [capacity] are always clear,
-   so a partial tail byte needs no mask. *)
-let iter_diff f a b =
-  if a.capacity <> b.capacity then invalid_arg "Bitset.iter_diff: capacity mismatch";
+(* The same scan over [a xor b], where [b] is the bytes of [bits] from
+   [pos].  Bits past [capacity] are always clear, so a partial tail byte
+   needs no mask. *)
+let iter_diff_bytes f a bits pos =
   for i = 0 to Bytes.length a.bits - 1 do
-    let d = Bytes.get_uint8 a.bits i lxor Bytes.get_uint8 b.bits i in
+    let d = Bytes.get_uint8 a.bits i lxor Bytes.get_uint8 bits (pos + i) in
     if d <> 0 then iter_byte f (i lsl 3) d
   done
+
+let iter_diff f a b =
+  if a.capacity <> b.capacity then invalid_arg "Bitset.iter_diff: capacity mismatch";
+  iter_diff_bytes f a b.bits 0
+
+(* Rows of a slab: a row at [pos] is a [t]'s [bits], stored elsewhere. *)
+let bytes_for capacity = (capacity + 7) / 8
+
+let check_row t slab pos =
+  if pos < 0 || pos + Bytes.length t.bits > Bytes.length slab then
+    invalid_arg "Bitset: row out of slab bounds"
+
+let store t slab pos =
+  check_row t slab pos;
+  Bytes.blit t.bits 0 slab pos (Bytes.length t.bits)
+
+let load t slab pos =
+  check_row t slab pos;
+  Bytes.blit slab pos t.bits 0 (Bytes.length t.bits)
+
+let rec equal_from bits slab pos i =
+  i >= Bytes.length bits
+  || (Bytes.get bits i = Bytes.get slab (pos + i) && equal_from bits slab pos (i + 1))
+
+let equal_row t slab pos =
+  check_row t slab pos;
+  equal_from t.bits slab pos 0
+
+let iter_diff_row f t slab pos =
+  check_row t slab pos;
+  iter_diff_bytes f t slab pos
+
+let union_row_into ~dst slab pos =
+  check_row dst slab pos;
+  union_bytes ~dst slab pos
 
 let fold f t init =
   let acc = ref init in

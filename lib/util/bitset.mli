@@ -56,6 +56,33 @@ val iter_diff : (int -> unit) -> t -> t -> unit
     O(capacity/8 + differences), with no intermediate set.
     @raise Invalid_argument on capacity mismatch. *)
 
+(** {2 Rows of a slab}
+
+    A table of many bitmaps of one capacity can keep them all in one
+    [Bytes.t] slab, [bytes_for capacity] bytes per row, instead of one
+    heap block per bitmap.  The row at byte offset [pos] has the layout
+    of a [t]'s bits.  These functions move bits between a [t] and a row
+    without allocating.  Each takes the row's length from the [t] and
+    raises [Invalid_argument] if the row does not fit in the slab. *)
+
+val bytes_for : int -> int
+(** Bytes a bitmap of this capacity occupies: [(capacity + 7) / 8]. *)
+
+val store : t -> Bytes.t -> int -> unit
+(** [store t slab pos] overwrites the row at [pos] with [t]'s bits. *)
+
+val load : t -> Bytes.t -> int -> unit
+(** [load t slab pos] overwrites [t] with the row at [pos]. *)
+
+val equal_row : t -> Bytes.t -> int -> bool
+(** Does the row at [pos] hold exactly [t]'s members? *)
+
+val iter_diff_row : (int -> unit) -> t -> Bytes.t -> int -> unit
+(** {!iter_diff} between [t] and the row at [pos]. *)
+
+val union_row_into : dst:t -> Bytes.t -> int -> unit
+(** Or the row at [pos] into [dst]. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val to_list : t -> int list

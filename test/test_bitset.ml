@@ -161,6 +161,32 @@ let test_iter_diff_capacity_mismatch () =
     (Invalid_argument "Bitset.iter_diff: capacity mismatch") (fun () ->
       Bitset.iter_diff ignore (Bitset.create 8) (Bitset.create 9))
 
+(* Slab rows: two 10-bit rows (2 bytes each) side by side, the second
+   at byte 2, written, compared, diffed and read back without touching
+   the first. *)
+let test_slab_rows () =
+  let width = Bitset.bytes_for 10 in
+  Alcotest.(check int) "bytes per row" 2 width;
+  let slab = Bytes.make (2 * width) '\000' in
+  let row = Bitset.of_list 10 [ 1; 8; 9 ] in
+  Bitset.store row slab width;
+  Alcotest.(check bool) "stored row equal" true (Bitset.equal_row row slab width);
+  Alcotest.(check bool) "other row differs" false (Bitset.equal_row row slab 0);
+  let target = Bitset.of_list 10 [ 1; 3 ] in
+  let diff = ref [] in
+  Bitset.iter_diff_row (fun i -> diff := i :: !diff) target slab width;
+  Alcotest.(check (list int)) "diff with the row" [ 3; 8; 9 ] (List.rev !diff);
+  let union = Bitset.of_list 10 [ 0 ] in
+  Bitset.union_row_into ~dst:union slab width;
+  Alcotest.(check (list int)) "union with the row" [ 0; 1; 8; 9 ] (Bitset.to_list union);
+  let back = Bitset.create 10 in
+  Bitset.load back slab width;
+  Alcotest.(check bool) "load round trip" true (Bitset.equal back row);
+  Bitset.load back slab 0;
+  Alcotest.(check bool) "first row untouched" true (Bitset.is_empty back);
+  Alcotest.check_raises "row past the slab" (Invalid_argument "Bitset: row out of slab bounds")
+    (fun () -> Bitset.store row slab 3)
+
 let suite =
   [
     Alcotest.test_case "empty set" `Quick test_empty;
@@ -180,5 +206,6 @@ let suite =
     Alcotest.test_case "clear_all" `Quick test_clear_all;
     Alcotest.test_case "equal" `Quick test_equal;
     Alcotest.test_case "fold and iter" `Quick test_fold_iter;
+    Alcotest.test_case "slab rows" `Quick test_slab_rows;
     QCheck_alcotest.to_alcotest prop_model;
   ]

@@ -26,9 +26,9 @@ let test_wal_initial () =
 
 let test_wal_replay () =
   let wal = Wal.create ~num_items:4 () in
-  Wal.append wal { Wal.txn = 1; write = write ~item:2 ~value:5 ~version:1 };
-  Wal.append wal { Wal.txn = 2; write = write ~item:2 ~value:7 ~version:2 };
-  Wal.append wal { Wal.txn = 3; write = write ~item:0 ~value:1 ~version:3 };
+  Wal.append wal ~txn:1 (write ~item:2 ~value:5 ~version:1);
+  Wal.append wal ~txn:2 (write ~item:2 ~value:7 ~version:2);
+  Wal.append wal ~txn:3 (write ~item:0 ~value:1 ~version:3);
   let db = Database.create ~num_items:4 in
   Alcotest.(check int) "three replayed" 3 (Wal.replay_into wal db);
   Alcotest.(check (option (pair int int))) "last write wins" (Some (7, 2)) (Database.read db 2);
@@ -40,7 +40,7 @@ let test_wal_checkpoint_truncates () =
   let apply_and_log txn item =
     let w = write ~item ~value:txn ~version:txn in
     Database.apply db w;
-    Wal.append wal { Wal.txn; write = w };
+    Wal.append wal ~txn w;
     ignore (Wal.maybe_checkpoint wal db)
   in
   apply_and_log 1 0;
@@ -143,7 +143,7 @@ let test_checkpoint_preserves_prepares () =
     (fun (txn, item) ->
       let w = write ~item ~value:txn ~version:txn in
       Database.apply db w;
-      Wal.append wal { Wal.txn; write = w };
+      Wal.append wal ~txn w;
       ignore (Wal.maybe_checkpoint wal db))
     [ (1, 0); (2, 1) ];
   Alcotest.(check int) "log truncated" 0 (Wal.log_length wal);
@@ -207,7 +207,7 @@ let replay_idempotent_prop =
         (fun i (item, value) ->
           let w = write ~item ~value ~version:(i + 1) in
           Database.apply db w;
-          Wal.append wal { Wal.txn = i + 1; write = w };
+          Wal.append wal ~txn:(i + 1) w;
           ignore (Wal.maybe_checkpoint wal db))
         writes;
       let once = Database.create ~num_items in
@@ -487,7 +487,7 @@ let image_restore_prop =
           | Apply ->
             let w = next_write item value in
             Database.apply db w;
-            Wal.append wal { Wal.txn = !version; write = w };
+            Wal.append wal ~txn:!version w;
             log_rev := w :: !log_rev;
             !model.(item) <- Some (value, !version)
           | Materialize ->

@@ -297,6 +297,189 @@ let prop_commit_update_sequences =
           && !fast_log = !slow_log)
         ops)
 
+(* Long op sequences against a plain per-site model: a dense bool matrix
+   whose every update is a per-site loop.  With 200 items the rows
+   outgrow the index's first bucket arrays several times over, and fill
+   and drain ops create and delete rows by the hundred, so index growth,
+   deletions and slot reuse all meet the model; sites range over 1-130.
+   After every op the table's observable state must equal the model's,
+   the hook must have reported exactly the transitions the model made,
+   in the same order, and [equal] must hold against the model's bits
+   laid out in other slots but fail once one bit moves. *)
+let model_items = 200
+
+type model_op =
+  | M_set of int * int
+  | M_clear of int * int
+  | M_commit of int * int list  (* item, down sites *)
+  | M_fill of int * int * int list  (* commit items [lo, hi) with these sites down *)
+  | M_drain of int * int  (* commit items [lo, hi) with every site up *)
+  | M_install of int * (int * int) list  (* keep rule, source bits *)
+  | M_copy
+
+(* [k] in 0-3 drops every item [i] with [(i + k) mod 4 = 0]; 4 keeps all. *)
+let model_keep k item = k = 4 || (item + k) mod 4 <> 0
+
+let gen_model_case =
+  let open QCheck.Gen in
+  oneof [ oneofl [ 1; 7; 8; 9; 63; 64; 65; 130 ]; int_range 1 130 ] >>= fun sites ->
+  let site = int_range 0 (sites - 1) and item = int_range 0 (model_items - 1) in
+  let down = list_size (int_range 0 3) site >|= List.sort_uniq compare in
+  let range =
+    pair item (int_range 1 model_items) >|= fun (lo, len) -> (lo, min model_items (lo + len))
+  in
+  let op =
+    frequency
+      [
+        (3, map2 (fun i s -> M_set (i, s)) item site);
+        (3, map2 (fun i s -> M_clear (i, s)) item site);
+        (3, map2 (fun i d -> M_commit (i, d)) item down);
+        (2, map2 (fun (lo, hi) d -> M_fill (lo, hi, d)) range down);
+        (2, map (fun (lo, hi) -> M_drain (lo, hi)) range);
+        ( 1,
+          map2
+            (fun k b -> M_install (k, b))
+            (int_range 0 4)
+            (list_size (int_range 0 120) (pair item site)) );
+        (1, return M_copy);
+      ]
+  in
+  list_size (int_range 1 30) op >|= fun ops -> (sites, ops)
+
+let print_model_case (sites, ops) =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let op = function
+    | M_set (i, s) -> Printf.sprintf "set %d/%d" i s
+    | M_clear (i, s) -> Printf.sprintf "clear %d/%d" i s
+    | M_commit (i, d) -> Printf.sprintf "commit %d down=[%s]" i (ints d)
+    | M_fill (lo, hi, d) -> Printf.sprintf "fill %d-%d down=[%s]" lo hi (ints d)
+    | M_drain (lo, hi) -> Printf.sprintf "drain %d-%d" lo hi
+    | M_install (k, b) -> Printf.sprintf "install keep=%d (%d bits)" k (List.length b)
+    | M_copy -> "copy"
+  in
+  Printf.sprintf "sites=%d: %s" sites (String.concat ", " (List.map op ops))
+
+let prop_model_sequences =
+  QCheck.Test.make ~name:"fail-lock table = per-site model over long sequences" ~count:150
+    (QCheck.make ~print:print_model_case gen_model_case) (fun (sites, ops) ->
+      let all_sites = List.init sites Fun.id and all_items = List.init model_items Fun.id in
+      let model = Array.make_matrix model_items sites false in
+      let expected = ref [] and log = ref [] in
+      (* The model's update of one item's row: a per-site loop. *)
+      let assign item target =
+        List.iter
+          (fun site ->
+            if model.(item).(site) <> target site then begin
+              model.(item).(site) <- target site;
+              expected := (item, site, target site) :: !expected
+            end)
+          all_sites
+      in
+      let logged t =
+        Faillock.set_hook t (Some (fun ~item ~site ~locked -> log := (item, site, locked) :: !log));
+        t
+      in
+      let t = ref (logged (Faillock.create ~num_items:model_items ~num_sites:sites)) in
+      (* A table holding the model's bits, its rows created in decreasing
+         item order so that its slots differ from [!t]'s. *)
+      let of_model () =
+        let u = Faillock.create ~num_items:model_items ~num_sites:sites in
+        List.iter
+          (fun item ->
+            List.iter
+              (fun site -> if model.(item).(site) then ignore (Faillock.set u ~item ~site))
+              all_sites)
+          (List.rev all_items);
+        u
+      in
+      let commit item down =
+        Faillock.commit_update !t ~item ~down:(Bitset.of_list sites down) ~set:(ref 0)
+          ~cleared:(ref 0);
+        assign item (fun s -> List.mem s down)
+      in
+      let apply = function
+        | M_set (item, site) ->
+          ignore (Faillock.set !t ~item ~site);
+          assign item (fun s -> model.(item).(s) || s = site)
+        | M_clear (item, site) ->
+          ignore (Faillock.clear !t ~item ~site);
+          assign item (fun s -> model.(item).(s) && s <> site)
+        | M_commit (item, down) -> commit item down
+        | M_fill (lo, hi, down) ->
+          for item = lo to hi - 1 do
+            commit item down
+          done
+        | M_drain (lo, hi) ->
+          for item = lo to hi - 1 do
+            commit item []
+          done
+        | M_install (k, bits) ->
+          let from = Faillock.create ~num_items:model_items ~num_sites:sites in
+          List.iter (fun (item, site) -> ignore (Faillock.set from ~item ~site)) bits;
+          Faillock.install ~keep:(model_keep k) !t ~from;
+          List.iter
+            (fun item -> assign item (fun s -> model_keep k item && List.mem (item, s) bits))
+            all_items
+        | M_copy ->
+          (* Continue on the copy; a change to the original must not
+             reach it. *)
+          let original = !t in
+          t := logged (Faillock.copy original);
+          Faillock.set_hook original None;
+          if Faillock.is_locked original ~item:0 ~site:0 then
+            ignore (Faillock.clear original ~item:0 ~site:0)
+          else ignore (Faillock.set original ~item:0 ~site:0)
+      in
+      let rows () =
+        List.map (fun item -> List.filter (fun s -> model.(item).(s)) all_sites) all_items
+      in
+      let matches () =
+        let rows = rows () in
+        let locked = List.filter (fun item -> Array.exists Fun.id model.(item)) all_items in
+        List.map (fun item -> Faillock.locked_sites !t ~item) all_items = rows
+        && Faillock.locked_items !t = locked
+        && List.for_all (fun item -> Faillock.any_locked !t ~item = List.mem item locked) all_items
+        && List.for_all
+             (fun site ->
+               let items = List.filter (fun item -> model.(item).(site)) all_items in
+               Faillock.locked_items_for !t ~site = items
+               && Faillock.count_for !t ~site = List.length items)
+             all_sites
+        && Faillock.total_locked !t = List.length (List.concat rows)
+        && !log = !expected
+      in
+      (* [equal] against the same bits in other slots, and against a table
+         with one bit moved within a row (same total, same rows). *)
+      let equal_holds () =
+        Faillock.equal !t (of_model ())
+        && Faillock.equal (of_model ()) !t
+        &&
+        match
+          List.find_opt
+            (fun item -> Array.exists Fun.id model.(item) && not (Array.for_all Fun.id model.(item)))
+            all_items
+        with
+        | None -> true
+        | Some item ->
+          let moved = of_model () in
+          let on = List.find (fun s -> model.(item).(s)) all_sites in
+          let off = List.find (fun s -> not model.(item).(s)) all_sites in
+          ignore (Faillock.clear moved ~item ~site:on);
+          ignore (Faillock.set moved ~item ~site:off);
+          (not (Faillock.equal !t moved)) && not (Faillock.equal moved !t)
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          matches () && equal_holds ())
+        ops
+      && List.for_all
+           (fun item ->
+             List.for_all
+               (fun site -> Faillock.is_locked !t ~item ~site = model.(item).(site))
+               all_sites)
+           all_items)
+
 let test_iteration_helpers () =
   let t = table () in
   ignore (Faillock.set t ~item:0 ~site:1);
@@ -329,4 +512,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_commit_update_matches_reference;
     QCheck_alcotest.to_alcotest prop_install_matches_reference;
     QCheck_alcotest.to_alcotest prop_commit_update_sequences;
+    QCheck_alcotest.to_alcotest prop_model_sequences;
   ]

@@ -1,17 +1,17 @@
 module Prio = Raid_net.Heap.Prio
 
-(* Pop everything as (at, payload), in pop order. *)
+(* Pop everything as (at, slot), in pop order. *)
 let drain h =
   let rec loop acc =
     if Prio.is_empty h then List.rev acc
     else
       let at = Prio.min_at h in
-      let payload = Prio.pop_min h in
-      loop ((at, payload) :: acc)
+      let slot = Prio.pop_min h in
+      loop ((at, slot) :: acc)
   in
   loop []
 
-(* Push each key with its list index as both seq and payload, the way
+(* Push each key with its list index as both seq and slot, the way
    the engine numbers its events. *)
 let of_ats ats =
   let h = Prio.create () in
@@ -34,15 +34,17 @@ let test_ordering () =
     [ (1, 1); (1, 3); (2, 6); (4, 2); (5, 0); (5, 4); (6, 7); (9, 5) ]
     (drain h)
 
+(* Slots are arbitrary ints, unrelated to the keys: the engine reuses
+   freed slots in any order. *)
 let test_interleaved () =
   let h = Prio.create () in
-  Prio.push h ~at:3 ~seq:0 "a";
-  Prio.push h ~at:1 ~seq:1 "b";
-  Alcotest.(check string) "pop 1" "b" (Prio.pop_min h);
-  Prio.push h ~at:0 ~seq:2 "c";
-  Prio.push h ~at:2 ~seq:3 "d";
-  Alcotest.(check string) "pop 0" "c" (Prio.pop_min h);
-  Alcotest.(check (list (pair int string))) "rest" [ (2, "d"); (3, "a") ] (drain h)
+  Prio.push h ~at:3 ~seq:0 10;
+  Prio.push h ~at:1 ~seq:1 11;
+  Alcotest.(check int) "pop 1" 11 (Prio.pop_min h);
+  Prio.push h ~at:0 ~seq:2 11;
+  Prio.push h ~at:2 ~seq:3 7;
+  Alcotest.(check int) "pop 0" 11 (Prio.pop_min h);
+  Alcotest.(check (list (pair int int))) "rest" [ (2, 7); (3, 10) ] (drain h)
 
 let prop_sorted =
   QCheck.Test.make ~name:"heap drains sorted" ~count:300 QCheck.(list int) (fun ats ->
@@ -60,21 +62,22 @@ let test_prio_empty () =
 let test_prio_at_then_seq_order () =
   let h = Prio.create () in
   (* Same at: seq breaks the tie; different at: at wins regardless of seq. *)
-  Prio.push h ~at:20 ~seq:0 "late";
-  Prio.push h ~at:10 ~seq:2 "early-second";
-  Prio.push h ~at:10 ~seq:1 "early-first";
-  Prio.push h ~at:30 ~seq:3 "latest";
+  Prio.push h ~at:20 ~seq:0 3;
+  Prio.push h ~at:10 ~seq:2 2;
+  Prio.push h ~at:10 ~seq:1 1;
+  Prio.push h ~at:30 ~seq:3 4;
   Alcotest.(check int) "size" 4 (Prio.size h);
-  Alcotest.(check (list (pair int string)))
+  Alcotest.(check (list (pair int int)))
     "drain order"
-    [ (10, "early-first"); (10, "early-second"); (20, "late"); (30, "latest") ]
+    [ (10, 1); (10, 2); (20, 3); (30, 4) ]
     (drain h)
 
 (* Random push/pop interleavings against a sorted-list reference.  Keys
    come from a handful of [at]s, so most pops break a tie on [seq]; seqs
    are a permutation of the op indices, pushed out of order, so a sift
-   that ignored them would show.  Every pop must return exactly the
-   reference's minimum, and the sizes must agree throughout. *)
+   that ignored them would show.  Each push's slot is its op index.
+   Every pop must return exactly the reference minimum's slot, and the
+   sizes must agree throughout. *)
 let prop_interleavings =
   let op =
     QCheck.Gen.(frequency [ (3, map (fun at -> `Push at) (int_range 0 3)); (2, return `Pop) ])
@@ -94,18 +97,17 @@ let prop_interleavings =
            (fun i op ->
              match op with
              | `Push at ->
-               let key = (at, seqs.(i)) in
-               Prio.push h ~at ~seq:seqs.(i) key;
-               reference := List.merge compare [ key ] !reference;
+               Prio.push h ~at ~seq:seqs.(i) i;
+               reference := List.merge compare [ (at, seqs.(i), i) ] !reference;
                Prio.size h = List.length !reference
              | `Pop -> (
                match !reference with
                | [] -> Prio.is_empty h
-               | ((at, _) as key) :: rest ->
+               | (at, _, slot) :: rest ->
                  reference := rest;
-                 Prio.min_at h = at && Prio.pop_min h = key))
+                 Prio.min_at h = at && Prio.pop_min h = slot))
            ops)
-      && List.map snd (drain h) = !reference)
+      && drain h = List.map (fun (at, _, slot) -> (at, slot)) !reference)
 
 let suite =
   [

@@ -78,6 +78,25 @@ let test_equal_and_snapshot () =
   Alcotest.(check (array (option (pair int int)))) "snapshot"
     [| Some (1, 1); Some (0, 0) |] snapshot
 
+(* Re-imaging a dense database into its previous image overwrites that
+   image in place; a partial database cannot, and gets a fresh one. *)
+let test_image_reuse () =
+  let db = Database.create ~num_items:3 in
+  Database.apply db (write ~item:1 ~value:5 ~version:1);
+  let img = Database.image db in
+  Database.apply db (write ~item:2 ~value:7 ~version:2);
+  let again = Database.image ~reuse:img db in
+  Alcotest.(check bool) "same image" true (again == img);
+  Database.wipe db;
+  Database.restore db again;
+  Alcotest.(check (list (option (pair int int))))
+    "restored from the reused image"
+    [ Some (0, 0); Some (5, 1); Some (7, 2) ]
+    (Array.to_list (Database.snapshot db));
+  let partial = Database.create_partial ~num_items:3 ~stored:(fun _ -> true) in
+  Alcotest.(check bool) "fresh for a partial database" false
+    (Database.image ~reuse:again partial == again)
+
 let test_update_log () =
   let log = Update_log.create () in
   Alcotest.(check int) "empty" 0 (Update_log.length log);
@@ -208,7 +227,16 @@ let prop_backends_agree =
             Database.wipe dense;
             Database.wipe sparse;
             Array.fill model 0 diff_items (Some (0, 0))
-          | Image -> saved := Some (Database.image dense, Database.image sparse, Array.copy model)
+          | Image ->
+            (* Each image reuses the previous one's storage where the
+               backend allows it (the dense side), as a WAL checkpoint
+               does. *)
+            let reuse pick = Option.map pick !saved in
+            saved :=
+              Some
+                ( Database.image ?reuse:(reuse (fun (d, _, _) -> d)) dense,
+                  Database.image ?reuse:(reuse (fun (_, s, _) -> s)) sparse,
+                  Array.copy model )
           | Restore_own | Restore_foreign -> (
             match !saved with
             | None -> ()
@@ -226,7 +254,7 @@ let prop_update_log_model =
     QCheck.(
       pair
         (list_of_size
-           Gen.(int_range 0 40)
+           Gen.(int_range 0 100)
            (triple (int_range (-3) 5) (int_range 0 4) (int_range 0 6)))
         (pair (int_range (-3) 5) (int_range 0 4)))
     (fun (appends, (probe_txn, probe_item)) ->
@@ -266,6 +294,7 @@ let suite =
     Alcotest.test_case "items_behind" `Quick test_items_behind;
     Alcotest.test_case "equal and snapshot" `Quick test_equal_and_snapshot;
     Alcotest.test_case "update log" `Quick test_update_log;
+    Alcotest.test_case "image reuse" `Quick test_image_reuse;
     QCheck_alcotest.to_alcotest prop_apply_monotone;
     QCheck_alcotest.to_alcotest prop_backends_agree;
     QCheck_alcotest.to_alcotest prop_update_log_model;
