@@ -206,8 +206,6 @@ and handle_message t site ctx ~src payload =
     | _ -> ()
   end
 
-let kind t = t.kind
-let num_sites t = Array.length t.sites
 
 let set_view t =
   Array.iter
@@ -239,25 +237,3 @@ let submit t ~coordinator txn =
 
 let database t i = t.sites.(i).db
 
-let read_value t ~coordinator item =
-  let site = t.sites.(coordinator) in
-  match t.kind with
-  | Strict_rowa -> Database.read site.db item
-  | Quorum { read_quorum; _ } ->
-    (* Synchronous oracle-style quorum read over current copies. *)
-    let up = List.filter (fun s -> site.view.(s)) (List.init (num_sites t) Fun.id) in
-    if List.length up < read_quorum then None
-    else
-      let rec take n = function
-        | [] -> []
-        | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-      in
-      let members = take read_quorum (coordinator :: List.filter (fun s -> s <> coordinator) up) in
-      List.fold_left
-        (fun best s ->
-          match (best, Database.read t.sites.(s).db item) with
-          | None, copy -> copy
-          | copy, None -> copy
-          | Some (_, bv), Some (value, version) when version > bv -> Some (value, version)
-          | best, _ -> best)
-        None members

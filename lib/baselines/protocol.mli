@@ -40,9 +40,6 @@ val create :
   ?cost:Raid_core.Cost_model.t -> kind -> num_sites:int -> num_items:int -> unit -> t
 (** @raise Invalid_argument on invalid quorum sizes. *)
 
-val kind : t -> kind
-val num_sites : t -> int
-
 val fail_site : t -> int -> unit
 (** Crash a site; every survivor's view is updated (the comparison grants
     baselines free perfect failure detection, which only flatters them). *)
@@ -56,7 +53,3 @@ val submit : t -> coordinator:int -> Raid_core.Txn.t -> outcome
     @raise Invalid_argument if the coordinator is down. *)
 
 val database : t -> int -> Raid_storage.Database.t
-
-val read_value : t -> coordinator:int -> int -> (int * int) option
-(** Protocol-correct read of one item (quorum-read under [Quorum]),
-    bypassing transaction accounting; for tests. *)

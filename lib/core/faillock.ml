@@ -332,8 +332,6 @@ let union_locked_into ~dst t ~item =
   if Bitset.capacity dst <> t.num_sites then invalid_arg "Bitset: capacity mismatch";
   if row <> no_row then Bitset.union_row_into ~dst t.slab row
 
-let any_locked t ~item = row t item <> no_row
-
 let clear_sites t ~item ~sites =
   List.fold_left (fun acc site -> if clear t ~item ~site then acc + 1 else acc) 0 sites
 
@@ -395,11 +393,3 @@ let equal a b =
          let rb = find_row b key in
          rb <> no_row && same_row (slot * a.row_bytes) rb)
        a.keys a.slots
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun item ->
-      Format.fprintf ppf "item %3d: %a@," item Bitset.pp (row_bitset t (find_row t item)))
-    (locked_items t);
-  Format.fprintf ppf "@]"

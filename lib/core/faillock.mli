@@ -82,8 +82,6 @@ val union_locked_into : dst:Raid_util.Bitset.t -> t -> item:int -> unit
     sites' tables in one pass).  @raise Invalid_argument on capacity
     mismatch. *)
 
-val any_locked : t -> item:int -> bool
-
 val clear_sites : t -> item:int -> sites:int list -> int
 (** Clear the given sites' bits on one item; returns the number of bits
     actually cleared. *)
@@ -105,4 +103,3 @@ val total_locked : t -> int
 (** Total set bits over all items and sites. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -111,5 +111,3 @@ let describe = function
   | Txn_status_request { txn } -> Printf.sprintf "txn_status_request(%d)" txn
   | Txn_status_reply { txn; committed } ->
     Printf.sprintf "txn_status_reply(%d,%s)" txn (if committed then "committed" else "aborted")
-
-let pp ppf t = Format.pp_print_string ppf (describe t)

@@ -103,5 +103,3 @@ val all_kinds : string list
 
 val describe : t -> string
 (** Short human-readable tag for traces and logs. *)
-
-val pp : Format.formatter -> t -> unit

@@ -35,10 +35,6 @@ module Samples = struct
 
   let length t = t.length
 
-  let clear t =
-    t.data <- Float.Array.create 0;
-    t.length <- 0
-
   let to_list t =
     let rec from i acc =
       if i = t.length then acc else from (i + 1) (Float.Array.get t.data i :: acc)
@@ -117,20 +113,6 @@ let sample_groups t =
     ("copy serve", t.copy_serve_ms);
     ("clear special", t.clear_special_ms);
   ]
-
-let reset t =
-  t.txns_committed <- 0;
-  t.txns_aborted <- 0;
-  t.copier_requests <- 0;
-  t.copier_items_refreshed <- 0;
-  t.batch_copier_rounds <- 0;
-  t.clear_specials_sent <- 0;
-  t.control1_completed <- 0;
-  t.control2_announcements <- 0;
-  t.control3_backups <- 0;
-  t.faillocks_set <- 0;
-  t.faillocks_cleared <- 0;
-  List.iter (fun (_, samples) -> Samples.clear samples) (sample_groups t)
 
 let counters =
   [

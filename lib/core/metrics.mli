@@ -72,9 +72,6 @@ type t = {
 
 val create : unit -> t
 
-val reset : t -> unit
-(** Zero all counters and drop all samples. *)
-
 val counters : (string * (t -> int)) list
 (** Every counter's name and getter, in report order. *)
 

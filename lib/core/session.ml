@@ -127,12 +127,6 @@ let operational_count_except t ~self = t.up - (if is_up t self then 1 else 0)
 
 exception Found
 
-let exists_operational t pred =
-  try
-    iter_operational t (fun site -> if pred site then raise Found);
-    false
-  with Found -> true
-
 let first_operational t pred =
   let found = ref (-1) in
   (try

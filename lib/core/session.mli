@@ -82,9 +82,6 @@ val iter_operational_except : t -> self:int -> (int -> unit) -> unit
 val operational_count_except : t -> self:int -> int
 (** [List.length (operational_except t self)], in O(1). *)
 
-val exists_operational : t -> (int -> bool) -> bool
-(** Does any [Up] site satisfy the predicate?  Stops at the first hit. *)
-
 val first_operational : t -> (int -> bool) -> int option
 (** Lowest-id [Up] site satisfying the predicate — equivalent to
     [List.find_opt pred (operational t)]. *)

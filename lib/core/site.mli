@@ -75,10 +75,6 @@ val locked_items : t -> int list
 (** Items currently fail-locked {e for this site} according to its own
     table — its out-of-date copies. *)
 
-val is_recovering : t -> bool
-(** [true] while this site has out-of-date copies ([locked_items] non
-    empty) — the paper's "recovery period". *)
-
 val is_waiting : t -> bool
 (** [true] between [Recover_command] and the installation of the fetched
     state (control-1 in flight). *)

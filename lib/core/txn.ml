@@ -28,8 +28,6 @@ let write_items t =
 
 let items t = distinct (List.map (function Read item | Write item -> item) t.ops)
 
-let is_read_only t = write_items t = []
-
 let pp_op ppf = function
   | Read item -> Format.fprintf ppf "r(%d)" item
   | Write item -> Format.fprintf ppf "w(%d)" item

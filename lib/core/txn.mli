@@ -25,6 +25,4 @@ val write_items : t -> int list
 val items : t -> int list
 (** Distinct items touched, in first-occurrence order. *)
 
-val is_read_only : t -> bool
-
 val pp : Format.formatter -> t -> unit

@@ -117,5 +117,3 @@ let next t ~id =
           (List.init update_ops Fun.id)
   in
   Txn.make ~id ops
-
-let paper_default ~max_ops = Uniform { max_ops; write_prob = 0.5 }

@@ -43,6 +43,3 @@ val create : spec -> num_items:int -> rng:Raid_util.Rng.t -> t
 
 val next : t -> id:int -> Txn.t
 (** Generate the transaction with serial number [id]. *)
-
-val paper_default : max_ops:int -> spec
-(** [Uniform] with the paper's equal read/write probability. *)

@@ -60,10 +60,6 @@ val mttr : t -> Raid_net.Vtime.t option
 
 val phase_duration : t -> phase -> Raid_net.Vtime.t
 
-val dominant : t -> phase option
-(** The phase the MTTR is mostly spent in ([None] on an all-zero
-    timeline; earlier phase wins ties). *)
-
 (** {2 Streaming assembly} *)
 
 type recorder

@@ -38,7 +38,6 @@ type t = {
   mutable sorted : metric array option;  (* export order; dropped by every registration *)
   mutable next_due : Vtime.t;
   mutable last_at : Vtime.t;  (* stamp of the most recent sample; -1 = none *)
-  mutable samples : int;
 }
 
 let labels_string labels =
@@ -68,7 +67,6 @@ let create ?interval () =
     sorted = None;
     next_due = Option.value interval ~default:0;
     last_at = -1;
-    samples = 0;
   }
 
 let interval t = t.ivl
@@ -150,7 +148,6 @@ let histogram t ?(labels = []) ?(help = "") ?(buckets = default_buckets) name =
 
 let incr c = c.total <- c.total +. 1.0
 let add c x = c.total <- c.total +. x
-let counter_value c = c.total
 
 let observe h x =
   (* Linear scan: bucket lists are short and observations are per
@@ -173,8 +170,7 @@ let sample_at t at =
     let m = t.metrics.(i) in
     Series.push m.m_series ~at (current m)
   done;
-  t.last_at <- at;
-  t.samples <- t.samples + 1
+  t.last_at <- at
 
 let maybe_sample t ~at =
   match t.ivl with
@@ -193,8 +189,6 @@ let sample_now t ~at =
     maybe_sample t ~at;
     if t.last_at <> at then sample_at t at
   end
-
-let samples_taken t = t.samples
 
 type view = {
   v_name : string;

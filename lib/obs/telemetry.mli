@@ -79,7 +79,6 @@ val histogram : t -> ?labels:labels -> ?help:string -> ?buckets:float list -> st
 
 val incr : counter -> unit
 val add : counter -> float -> unit
-val counter_value : counter -> float
 val observe : histogram -> float -> unit
 
 (** {2 Sampling} *)
@@ -94,10 +93,6 @@ val sample_now : t -> at:Raid_net.Vtime.t -> unit
 (** Record a final point stamped [at] — call once at the end of a run
     so the series cover the tail.  No-op if the last sample is already
     stamped [at], or without an interval. *)
-
-val samples_taken : t -> int
-(** Sampling instants so far (including a final {!sample_now}); always
-    0 without an interval. *)
 
 (** {2 Read side / export} *)
 

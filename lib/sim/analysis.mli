@@ -29,13 +29,6 @@ val expected_txns_to_clear : q:float -> from_locks:int -> to_locks:int -> float
     [from_locks] to [to_locks].  @raise Invalid_argument unless
     [0 <= to_locks <= from_locks] and [0 < q <= 1]. *)
 
-val outage_curve : q:float -> num_items:int -> txns:int -> (float * float) list
-(** Model points for the left half of Figure 1. *)
-
-val recovery_curve : q:float -> peak:int -> (float * float) list
-(** Model points for the right half: expected locked count as a function
-    of transactions since recovery (inverted from the clearing times). *)
-
 val comparison_table : Scaling.seed_summary -> Raid_util.Table.t
 (** Model vs. the multi-seed simulation means of
     {!Scaling.experiment2_seeds} for Experiment 2's headline

@@ -5,7 +5,7 @@
     - {!faillock_overhead}: transaction times at coordinating and
       participating sites with the fail-lock maintenance code removed
       vs. included (§2.2.1, paper: 176→186 ms and 90→97 ms).
-    - {!control_overhead}: control transaction costs (§2.2.2, paper:
+    - control transaction costs (§2.2.2, paper:
       type 1 = 190 ms at the recovering site and 50 ms at an operational
       site; type 2 = 68 ms).
     - {!copier_overhead}: a database transaction that triggers one copier
@@ -32,10 +32,6 @@ type report = {
 val faillock_overhead : ?txns:int -> ?seed:int -> unit -> report
 (** [txns] transactions (default 400) are run twice — without and with
     fail-lock maintenance — over the same workload stream. *)
-
-val control_overhead : ?cycles:int -> ?seed:int -> unit -> report
-(** [cycles] (default 40) fail/recover cycles of one site, collecting
-    control-1 and control-2 event times. *)
 
 val copier_overhead : ?trials:int -> ?seed:int -> unit -> report
 (** [trials] (default 200) controlled trials: fail a site, lock one item,

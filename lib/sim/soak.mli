@@ -125,9 +125,6 @@ val stop : t -> unit
     {!run} returns after quiescing.  Safe to call from a signal
     handler. *)
 
-val finished : t -> bool
-(** True once {!stop} was called or the wall-clock duration elapsed. *)
-
 type summary = {
   submitted : int;
   committed : int;

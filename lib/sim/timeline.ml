@@ -26,11 +26,3 @@ let render ?(since = Vtime.zero) ?limit cluster =
     | Some n -> List.filteri (fun i _ -> i < n) selected
   in
   String.concat "\n" (List.map describe_entry selected)
-
-let message_kinds cluster =
-  List.filter_map
-    (fun e ->
-      match e.Engine.trace_outcome with
-      | Engine.Delivered -> Some (Message.describe e.Engine.trace_payload)
-      | Engine.Undeliverable -> None)
-    (entries cluster)

@@ -23,8 +23,3 @@ val render :
   string
 (** Render the trace (optionally only entries at or after [since], and at
     most [limit] lines, default unlimited). *)
-
-val message_kinds :
-  Raid_core.Cluster.t -> string list
-(** Just the message descriptions of {e delivered} entries, in order —
-    the skeleton the golden-trace tests compare against. *)

@@ -191,16 +191,6 @@ let restore t img =
       | None, true -> Hashtbl.replace s.table item { value = 0; version = 0; present = false }
     done
 
-let items_behind replica reference =
-  let behind = ref [] in
-  for item = num_items replica - 1 downto 0 do
-    match (read replica item, read reference item) with
-    | Some (_, v_replica), Some (_, v_reference) when v_replica < v_reference ->
-      behind := item :: !behind
-    | _ -> ()
-  done;
-  !behind
-
 let equal a b =
   num_items a = num_items b
   &&
@@ -209,13 +199,3 @@ let equal a b =
     if read a item <> read b item then same := false
   done;
   !same
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  for item = 0 to t.num_items - 1 do
-    match read t item with
-    | Some (value, version) ->
-      Format.fprintf ppf "%3d: value=%d version=%d@," item value version
-    | None -> Format.fprintf ppf "%3d: (absent)@," item
-  done;
-  Format.fprintf ppf "@]"

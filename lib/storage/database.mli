@@ -91,11 +91,5 @@ val restore : t -> image -> unit
     O(image), not O(items).
     @raise Invalid_argument if the item counts differ. *)
 
-val items_behind : t -> t -> int list
-(** [items_behind replica reference] lists items stored by both whose
-    version in [replica] is strictly below that in [reference]. *)
-
 val equal : t -> t -> bool
 (** Same item count and identical (value, version) for every item. *)
-
-val pp : Format.formatter -> t -> unit

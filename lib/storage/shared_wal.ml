@@ -34,8 +34,6 @@ let create ?(group_size = 64) ?(page_bytes = 4096) () =
     records = 0; flushes = 0; pages = 0; bytes_logged = 0; digest = offset_basis }
 
 let attach log ~tenant ~site = { log; tenant; site }
-let tenant h = h.tenant
-let site h = h.site
 
 let fold_byte d b = (d lxor (b land 0xff)) * fnv_prime
 
@@ -82,12 +80,7 @@ let record h kind ~size =
   t.pending <- t.pending + 1;
   if t.pending >= t.group_size then flush t
 
-let pending t = t.pending
 
 let stats (t : t) : stats =
   { records = t.records; flushes = t.flushes; pages = t.pages;
     bytes_logged = t.bytes_logged; digest = t.digest }
-
-let pp_stats ppf s =
-  Format.fprintf ppf "@[<h>records=%d flushes=%d pages=%d bytes=%d digest=%x@]" s.records
-    s.flushes s.pages s.bytes_logged s.digest

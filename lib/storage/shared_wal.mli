@@ -53,9 +53,6 @@ val create : ?group_size:int -> ?page_bytes:int -> unit -> t
 val attach : t -> tenant:int -> site:int -> handle
 (** Scope a writer to one tenant's site. *)
 
-val tenant : handle -> int
-val site : handle -> int
-
 val record : handle -> kind -> size:int -> unit
 (** Append one record of [size] payload bytes under the handle's
     tenant/site prefix; group-commits automatically when the pending
@@ -66,11 +63,6 @@ val flush : t -> unit
 (** Force a group commit of any pending records (end-of-quantum or
     shutdown barrier).  No-op when nothing is pending. *)
 
-val pending : t -> int
-(** Records appended but not yet group-committed. *)
-
 val stats : t -> stats
 (** Deterministic given the record sequence.  Call after a final
     {!flush} if every record must be accounted to a page. *)
-
-val pp_stats : Format.formatter -> stats -> unit

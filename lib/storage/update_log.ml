@@ -56,19 +56,3 @@ let rec exists_from p c i older =
     | c :: older -> exists_from p c (Array.length c.writes - 1) older
 
 let exists t p = match t.chunks with [] -> false | c :: older -> exists_from p c (t.fill - 1) older
-
-let entries_for_item t item =
-  List.filter (fun e -> e.write.Database.item = item) (entries t)
-
-let rec last_version_from item c i older =
-  if i >= 0 then
-    let write = c.writes.(i) in
-    if write.Database.item = item then Some write.Database.version
-    else last_version_from item c (i - 1) older
-  else
-    match older with
-    | [] -> None
-    | c :: older -> last_version_from item c (Array.length c.writes - 1) older
-
-let last_version_of t item =
-  match t.chunks with [] -> None | c :: older -> last_version_from item c (t.fill - 1) older

@@ -31,9 +31,3 @@ val entries : t -> entry list
 val exists : t -> (txn:int -> Database.write -> bool) -> bool
 (** Whether any entry satisfies the predicate, scanning newest first
     without copying the log or building an entry. *)
-
-val entries_for_item : t -> int -> entry list
-(** Applications touching one item, in order. *)
-
-val last_version_of : t -> int -> int option
-(** Highest version this log has applied for the item. *)

@@ -21,8 +21,6 @@ let clear t i =
   let b = Bytes.get_uint8 t.bits (i lsr 3) in
   Bytes.set_uint8 t.bits (i lsr 3) (b land lnot (1 lsl (i land 7)))
 
-let assign t i b = if b then set t i else clear t i
-
 let mem t i =
   check t i;
   Bytes.get_uint8 t.bits (i lsr 3) land (1 lsl (i land 7)) <> 0
@@ -37,14 +35,6 @@ let popcount_byte b =
   let b = (b land 0x33) + ((b lsr 2) land 0x33) in
   (b + (b lsr 4)) land 0x0F
 
-let cardinal t =
-  let n = Bytes.length t.bits in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    count := !count + popcount_byte (Bytes.get_uint8 t.bits i)
-  done;
-  !count
-
 let clear_all t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
 
 (* Or the bytes of [src] from [pos] into [dst], as many as [dst] has. *)
@@ -52,10 +42,6 @@ let union_bytes ~dst src pos =
   for i = 0 to Bytes.length dst.bits - 1 do
     Bytes.set_uint8 dst.bits i (Bytes.get_uint8 dst.bits i lor Bytes.get_uint8 src (pos + i))
   done
-
-let union_into ~dst src =
-  if dst.capacity <> src.capacity then invalid_arg "Bitset.union_into: capacity mismatch";
-  union_bytes ~dst src.bits 0
 
 let equal a b = a.capacity = b.capacity && Bytes.equal a.bits b.bits
 
@@ -87,10 +73,6 @@ let iter_diff_bytes f a bits pos =
     let d = Bytes.get_uint8 a.bits i lxor Bytes.get_uint8 bits (pos + i) in
     if d <> 0 then iter_byte f (i lsl 3) d
   done
-
-let iter_diff f a b =
-  if a.capacity <> b.capacity then invalid_arg "Bitset.iter_diff: capacity mismatch";
-  iter_diff_bytes f a b.bits 0
 
 (* Rows of a slab: a row at [pos] is a [t]'s [bits], stored elsewhere. *)
 let bytes_for capacity = (capacity + 7) / 8
@@ -129,11 +111,6 @@ let fold f t init =
   !acc
 
 let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
-
-let of_list capacity members =
-  let t = create capacity in
-  List.iter (set t) members;
-  t
 
 let pp ppf t =
   Format.fprintf ppf "{%a}"

@@ -5,7 +5,7 @@
     operations [can] be performed very quickly" (§1.2).  This module is
     that bitmap: a flat [Bytes.t]-backed set over indices
     [0 .. capacity-1] with O(1) set/clear/test and O(capacity/8)
-    iteration, union and population count. *)
+    iteration. *)
 
 type t
 
@@ -24,22 +24,12 @@ val set : t -> int -> unit
 val clear : t -> int -> unit
 (** @raise Invalid_argument if the index is out of range. *)
 
-val assign : t -> int -> bool -> unit
-(** [assign t i b] sets bit [i] to [b]. *)
-
 val mem : t -> int -> bool
 (** @raise Invalid_argument if the index is out of range. *)
 
 val is_empty : t -> bool
 
-val cardinal : t -> int
-(** Population count. *)
-
 val clear_all : t -> unit
-
-val union_into : dst:t -> t -> unit
-(** [union_into ~dst src] ors [src] into [dst].
-    @raise Invalid_argument on capacity mismatch. *)
 
 val equal : t -> t -> bool
 (** Structural equality; capacities must match for [true]. *)
@@ -48,13 +38,6 @@ val iter : (int -> unit) -> t -> unit
 (** [iter f t] applies [f] to each member in increasing order.  Zero
     bytes are skipped whole and only set bits are visited —
     O(capacity/8 + cardinal), with no intermediate list. *)
-
-val iter_diff : (int -> unit) -> t -> t -> unit
-(** [iter_diff f a b] applies [f] to each index that is a member of
-    exactly one of [a] and [b] (their symmetric difference), in
-    increasing order.  Bytes where the sets agree are skipped whole —
-    O(capacity/8 + differences), with no intermediate set.
-    @raise Invalid_argument on capacity mismatch. *)
 
 (** {2 Rows of a slab}
 
@@ -78,7 +61,11 @@ val equal_row : t -> Bytes.t -> int -> bool
 (** Does the row at [pos] hold exactly [t]'s members? *)
 
 val iter_diff_row : (int -> unit) -> t -> Bytes.t -> int -> unit
-(** {!iter_diff} between [t] and the row at [pos]. *)
+(** [iter_diff_row f t slab pos] applies [f] to each index that is a
+    member of exactly one of [t] and the row at [pos] (their symmetric
+    difference), in increasing order.  Bytes where they agree are
+    skipped whole — O(capacity/8 + differences), with no intermediate
+    set. *)
 
 val union_row_into : dst:t -> Bytes.t -> int -> unit
 (** Or the row at [pos] into [dst]. *)
@@ -87,9 +74,6 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val to_list : t -> int list
 (** Members in increasing order. *)
-
-val of_list : int -> int list -> t
-(** [of_list capacity members]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [{i1,i2,...}]. *)

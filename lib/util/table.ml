@@ -1,12 +1,10 @@
 type align = Left | Right
 
-type row = Cells of string list | Rule
-
 type t = {
   title : string option;
   headers : string list;
   aligns : align list;
-  mutable rows : row list;  (* reversed *)
+  mutable rows : string list list;  (* reversed *)
 }
 
 let create ?title columns =
@@ -16,9 +14,7 @@ let create ?title columns =
 let add_row t cells =
   if List.length cells <> List.length t.headers then
     invalid_arg "Table.add_row: wrong number of cells";
-  t.rows <- Cells cells :: t.rows
-
-let add_rule t = t.rows <- Rule :: t.rows
+  t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -31,10 +27,7 @@ let render t =
   let rows = List.rev t.rows in
   let widths =
     List.fold_left
-      (fun widths row ->
-        match row with
-        | Rule -> widths
-        | Cells cells -> List.map2 (fun w c -> max w (String.length c)) widths cells)
+      (fun widths cells -> List.map2 (fun w c -> max w (String.length c)) widths cells)
       (List.map String.length t.headers)
       rows
   in
@@ -56,14 +49,7 @@ let render t =
   Buffer.add_string buffer
     (String.concat "-+-" (List.map (fun w -> String.make w '-') widths));
   Buffer.add_char buffer '\n';
-  List.iter
-    (function
-      | Cells cells -> render_cells cells
-      | Rule ->
-        Buffer.add_string buffer
-          (String.concat "-+-" (List.map (fun w -> String.make w '-') widths));
-        Buffer.add_char buffer '\n')
-    rows;
+  List.iter render_cells rows;
   Buffer.contents buffer
 
 let print t = print_string (render t); print_newline ()

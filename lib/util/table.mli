@@ -14,9 +14,6 @@ val create : ?title:string -> (string * align) list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row width differs from the header. *)
 
-val add_rule : t -> unit
-(** Inserts a horizontal rule between the rows added before and after. *)
-
 val render : t -> string
 (** Full rendering, including title, header, separator and rows. *)
 

@@ -1,10 +1,24 @@
 module Bitset = Raid_util.Bitset
 
+let of_list capacity members =
+  let b = Bitset.create capacity in
+  List.iter (Bitset.set b) members;
+  b
+
+let cardinal b = List.length (Bitset.to_list b)
+
+(* [b]'s bits as the only row of a slab, the slab form that
+   [iter_diff_row], [union_row_into] and [equal_row] read. *)
+let as_row b =
+  let slab = Bytes.make (Bitset.bytes_for (Bitset.capacity b)) '\000' in
+  Bitset.store b slab 0;
+  slab
+
 let test_empty () =
   let b = Bitset.create 10 in
   Alcotest.(check int) "capacity" 10 (Bitset.capacity b);
   Alcotest.(check bool) "is_empty" true (Bitset.is_empty b);
-  Alcotest.(check int) "cardinal" 0 (Bitset.cardinal b);
+  Alcotest.(check int) "cardinal" 0 (cardinal b);
   Alcotest.(check (list int)) "to_list" [] (Bitset.to_list b)
 
 let test_set_clear_mem () =
@@ -15,7 +29,7 @@ let test_set_clear_mem () =
   Alcotest.(check bool) "mem 0" true (Bitset.mem b 0);
   Alcotest.(check bool) "mem 7" true (Bitset.mem b 7);
   Alcotest.(check bool) "mem 8" false (Bitset.mem b 8);
-  Alcotest.(check int) "cardinal" 3 (Bitset.cardinal b);
+  Alcotest.(check int) "cardinal" 3 (cardinal b);
   Bitset.clear b 7;
   Alcotest.(check bool) "cleared" false (Bitset.mem b 7);
   Alcotest.(check (list int)) "to_list sorted" [ 0; 15 ] (Bitset.to_list b)
@@ -24,7 +38,7 @@ let test_set_idempotent () =
   let b = Bitset.create 8 in
   Bitset.set b 3;
   Bitset.set b 3;
-  Alcotest.(check int) "still one" 1 (Bitset.cardinal b)
+  Alcotest.(check int) "still one" 1 (cardinal b)
 
 let test_bounds () =
   let b = Bitset.create 8 in
@@ -37,13 +51,6 @@ let test_zero_capacity () =
   let b = Bitset.create 0 in
   Alcotest.(check bool) "empty" true (Bitset.is_empty b)
 
-let test_assign () =
-  let b = Bitset.create 4 in
-  Bitset.assign b 2 true;
-  Alcotest.(check bool) "assigned true" true (Bitset.mem b 2);
-  Bitset.assign b 2 false;
-  Alcotest.(check bool) "assigned false" false (Bitset.mem b 2)
-
 let test_copy_independent () =
   let a = Bitset.create 8 in
   Bitset.set a 1;
@@ -53,28 +60,28 @@ let test_copy_independent () =
   Alcotest.(check bool) "copy has original" true (Bitset.mem b 1)
 
 let test_union_into () =
-  let a = Bitset.of_list 8 [ 1; 3 ] and b = Bitset.of_list 8 [ 3; 5 ] in
-  Bitset.union_into ~dst:a b;
+  let a = of_list 8 [ 1; 3 ] and b = of_list 8 [ 3; 5 ] in
+  Bitset.union_row_into ~dst:a (as_row b) 0;
   Alcotest.(check (list int)) "union" [ 1; 3; 5 ] (Bitset.to_list a);
   let c = Bitset.create 9 in
-  Alcotest.check_raises "capacity mismatch"
-    (Invalid_argument "Bitset.union_into: capacity mismatch") (fun () ->
-      Bitset.union_into ~dst:a c)
+  Alcotest.check_raises "row narrower than the set"
+    (Invalid_argument "Bitset: row out of slab bounds") (fun () ->
+      Bitset.union_row_into ~dst:c (as_row a) 0)
 
 let test_clear_all () =
-  let b = Bitset.of_list 12 [ 0; 5; 11 ] in
+  let b = of_list 12 [ 0; 5; 11 ] in
   Bitset.clear_all b;
   Alcotest.(check bool) "empty after clear_all" true (Bitset.is_empty b)
 
 let test_equal () =
-  Alcotest.(check bool) "equal" true (Bitset.equal (Bitset.of_list 8 [ 1 ]) (Bitset.of_list 8 [ 1 ]));
+  Alcotest.(check bool) "equal" true (Bitset.equal (of_list 8 [ 1 ]) (of_list 8 [ 1 ]));
   Alcotest.(check bool) "different members" false
-    (Bitset.equal (Bitset.of_list 8 [ 1 ]) (Bitset.of_list 8 [ 2 ]));
+    (Bitset.equal (of_list 8 [ 1 ]) (of_list 8 [ 2 ]));
   Alcotest.(check bool) "different capacity" false
     (Bitset.equal (Bitset.create 8) (Bitset.create 9))
 
 let test_fold_iter () =
-  let b = Bitset.of_list 64 [ 0; 31; 32; 63 ] in
+  let b = of_list 64 [ 0; 31; 32; 63 ] in
   Alcotest.(check int) "fold sum" 126 (Bitset.fold ( + ) b 0);
   let seen = ref [] in
   Bitset.iter (fun i -> seen := i :: !seen) b;
@@ -100,7 +107,7 @@ let prop_model =
           IntSet.empty operations
       in
       Bitset.to_list b = IntSet.elements model
-      && Bitset.cardinal b = IntSet.cardinal model
+      && cardinal b = IntSet.cardinal model
       && Bitset.is_empty b = IntSet.is_empty model)
 
 (* The word-scan [iter] isolates bits within bytes and skips zero bytes;
@@ -112,7 +119,7 @@ let test_iter_byte_boundaries () =
   let seen = ref [] in
   Bitset.iter (fun i -> seen := i :: !seen) b;
   Alcotest.(check (list int)) "increasing order, every member" members (List.rev !seen);
-  Alcotest.(check int) "cardinal agrees" (List.length members) (Bitset.cardinal b)
+  Alcotest.(check int) "cardinal agrees" (List.length members) (cardinal b)
 
 let test_iter_sparse () =
   let b = Bitset.create 256 in
@@ -128,12 +135,12 @@ let test_iter_sparse () =
 
 let diff_list a b =
   let seen = ref [] in
-  Bitset.iter_diff (fun i -> seen := i :: !seen) a b;
+  Bitset.iter_diff_row (fun i -> seen := i :: !seen) a (as_row b) 0;
   List.rev !seen
 
 let test_iter_diff_order () =
-  let a = Bitset.of_list 70 [ 0; 7; 8; 31; 40; 69 ]
-  and b = Bitset.of_list 70 [ 7; 9; 15; 40; 63; 64 ] in
+  let a = of_list 70 [ 0; 7; 8; 31; 40; 69 ]
+  and b = of_list 70 [ 7; 9; 15; 40; 63; 64 ] in
   Alcotest.(check (list int))
     "symmetric difference, increasing" [ 0; 8; 9; 15; 31; 63; 64; 69 ] (diff_list a b);
   Alcotest.(check (list int)) "argument order does not matter" (diff_list a b) (diff_list b a)
@@ -142,7 +149,7 @@ let test_iter_diff_tail_bits () =
   List.iter
     (fun capacity ->
       let last = capacity - 1 in
-      let a = Bitset.of_list capacity [ last ] and b = Bitset.create capacity in
+      let a = of_list capacity [ last ] and b = Bitset.create capacity in
       Alcotest.(check (list int))
         (Printf.sprintf "tail bit %d of %d" last capacity) [ last ] (diff_list a b);
       Bitset.set b (last - 1);
@@ -151,15 +158,14 @@ let test_iter_diff_tail_bits () =
     [ 9; 65 ]
 
 let test_iter_diff_equal () =
-  let a = Bitset.of_list 65 [ 1; 8; 64 ] in
+  let a = of_list 65 [ 1; 8; 64 ] in
   Alcotest.(check (list int)) "equal sets visit nothing" [] (diff_list a (Bitset.copy a));
   Alcotest.(check (list int)) "a set against itself" [] (diff_list a a);
   Alcotest.(check (list int)) "two empty sets" [] (diff_list (Bitset.create 9) (Bitset.create 9))
 
 let test_iter_diff_capacity_mismatch () =
-  Alcotest.check_raises "capacity mismatch"
-    (Invalid_argument "Bitset.iter_diff: capacity mismatch") (fun () ->
-      Bitset.iter_diff ignore (Bitset.create 8) (Bitset.create 9))
+  Alcotest.check_raises "capacity mismatch" (Invalid_argument "Bitset: row out of slab bounds")
+    (fun () -> Bitset.iter_diff_row ignore (Bitset.create 9) (as_row (Bitset.create 8)) 0)
 
 (* Slab rows: two 10-bit rows (2 bytes each) side by side, the second
    at byte 2, written, compared, diffed and read back without touching
@@ -168,15 +174,15 @@ let test_slab_rows () =
   let width = Bitset.bytes_for 10 in
   Alcotest.(check int) "bytes per row" 2 width;
   let slab = Bytes.make (2 * width) '\000' in
-  let row = Bitset.of_list 10 [ 1; 8; 9 ] in
+  let row = of_list 10 [ 1; 8; 9 ] in
   Bitset.store row slab width;
   Alcotest.(check bool) "stored row equal" true (Bitset.equal_row row slab width);
   Alcotest.(check bool) "other row differs" false (Bitset.equal_row row slab 0);
-  let target = Bitset.of_list 10 [ 1; 3 ] in
+  let target = of_list 10 [ 1; 3 ] in
   let diff = ref [] in
   Bitset.iter_diff_row (fun i -> diff := i :: !diff) target slab width;
   Alcotest.(check (list int)) "diff with the row" [ 3; 8; 9 ] (List.rev !diff);
-  let union = Bitset.of_list 10 [ 0 ] in
+  let union = of_list 10 [ 0 ] in
   Bitset.union_row_into ~dst:union slab width;
   Alcotest.(check (list int)) "union with the row" [ 0; 1; 8; 9 ] (Bitset.to_list union);
   let back = Bitset.create 10 in
@@ -186,6 +192,42 @@ let test_slab_rows () =
   Alcotest.(check bool) "first row untouched" true (Bitset.is_empty back);
   Alcotest.check_raises "row past the slab" (Invalid_argument "Bitset: row out of slab bounds")
     (fun () -> Bitset.store row slab 3)
+
+(* The slab-row forms against a list model: sets as sorted lists of
+   distinct members, at random capacities (most not a multiple of 8, so
+   the partial tail byte is exercised), with the row placed among other
+   rows of random content that must neither leak into the result nor
+   change. *)
+let prop_rows_model =
+  let gen =
+    QCheck.(
+      pair
+        (pair (int_range 1 70) (int_range 0 3))
+        (quad bool (list small_nat) (list small_nat) (list small_nat)))
+  in
+  QCheck.Test.make ~name:"slab rows match a list model" ~count:500 gen
+    (fun ((capacity, row), (same, a, b, noise)) ->
+      let members l = List.sort_uniq compare (List.map (fun i -> i mod capacity) l) in
+      let a = members a in
+      let b = if same then a else members b in
+      let width = Bitset.bytes_for capacity in
+      let slab = Bytes.make (4 * width) '\000' in
+      for r = 0 to 3 do
+        if r <> row then
+          Bitset.store (of_list capacity (members (List.map (( + ) r) noise))) slab (r * width)
+      done;
+      Bitset.store (of_list capacity b) slab (row * width);
+      let before = Bytes.copy slab in
+      let pos = row * width in
+      let diff = ref [] in
+      Bitset.iter_diff_row (fun i -> diff := i :: !diff) (of_list capacity a) slab pos;
+      let union = of_list capacity a in
+      Bitset.union_row_into ~dst:union slab pos;
+      let only_in x y = List.filter (fun i -> not (List.mem i y)) x in
+      List.rev !diff = List.sort compare (only_in a b @ only_in b a)
+      && Bitset.to_list union = List.sort_uniq compare (a @ b)
+      && Bitset.equal_row (of_list capacity a) slab pos = (a = b)
+      && Bytes.equal slab before)
 
 let suite =
   [
@@ -200,7 +242,6 @@ let suite =
     Alcotest.test_case "set idempotent" `Quick test_set_idempotent;
     Alcotest.test_case "bounds checked" `Quick test_bounds;
     Alcotest.test_case "zero capacity" `Quick test_zero_capacity;
-    Alcotest.test_case "assign" `Quick test_assign;
     Alcotest.test_case "copy independent" `Quick test_copy_independent;
     Alcotest.test_case "union_into" `Quick test_union_into;
     Alcotest.test_case "clear_all" `Quick test_clear_all;
@@ -208,4 +249,5 @@ let suite =
     Alcotest.test_case "fold and iter" `Quick test_fold_iter;
     Alcotest.test_case "slab rows" `Quick test_slab_rows;
     QCheck_alcotest.to_alcotest prop_model;
+    QCheck_alcotest.to_alcotest prop_rows_model;
   ]

@@ -153,7 +153,9 @@ let test_per_item_version_order () =
       let versions =
         List.map
           (fun e -> e.Raid_storage.Update_log.write.Raid_storage.Database.version)
-          (Raid_storage.Update_log.entries_for_item log item)
+          (List.filter
+             (fun e -> e.Raid_storage.Update_log.write.Raid_storage.Database.item = item)
+             (Raid_storage.Update_log.entries log))
       in
       let sorted = List.sort compare versions in
       Alcotest.(check (list int)) (Printf.sprintf "site %d item %d ordered" s item) sorted versions

@@ -1,6 +1,11 @@
 module Faillock = Raid_core.Faillock
 module Bitset = Raid_util.Bitset
 
+let bitset_of_list capacity members =
+  let b = Bitset.create capacity in
+  List.iter (Bitset.set b) members;
+  b
+
 let table () = Faillock.create ~num_items:5 ~num_sites:3
 
 let test_initial () =
@@ -22,7 +27,7 @@ let test_commit_update () =
   let t = table () in
   (* Site 2 is down: committing item 3 sets its bit, clears others. *)
   ignore (Faillock.set t ~item:3 ~site:0);
-  let down = Bitset.of_list 3 [ 2 ] in
+  let down = bitset_of_list 3 [ 2 ] in
   let set_count = ref 0 and cleared = ref 0 in
   Faillock.commit_update t ~item:3 ~down ~set:set_count ~cleared;
   Alcotest.(check int) "one set" 1 !set_count;
@@ -37,7 +42,7 @@ let test_commit_update () =
   (* Every site back up: the row empties and the item reads unlocked. *)
   Faillock.commit_update t ~item:3 ~down:(Bitset.create 3) ~set:set2 ~cleared:cleared2;
   Alcotest.(check int) "down site's bit cleared" 1 !cleared2;
-  Alcotest.(check bool) "row removed" false (Faillock.any_locked t ~item:3);
+  Alcotest.(check bool) "row removed" false (List.mem 3 (Faillock.locked_items t));
   Alcotest.check_raises "down set capacity"
     (Invalid_argument "Faillock.commit_update: down set capacity mismatch") (fun () ->
       Faillock.commit_update t ~item:3 ~down:(Bitset.create 4) ~set:set2 ~cleared:cleared2)
@@ -50,8 +55,8 @@ let test_locked_items_and_counts () =
   Alcotest.(check (list int)) "items for site 1" [ 0; 4 ] (Faillock.locked_items_for t ~site:1);
   Alcotest.(check int) "count for site 1" 2 (Faillock.count_for t ~site:1);
   Alcotest.(check (list int)) "sites for item 0" [ 1 ] (Faillock.locked_sites t ~item:0);
-  Alcotest.(check bool) "any locked" true (Faillock.any_locked t ~item:2);
-  Alcotest.(check bool) "none locked" false (Faillock.any_locked t ~item:1);
+  Alcotest.(check bool) "any locked" true (List.mem 2 (Faillock.locked_items t));
+  Alcotest.(check bool) "none locked" false (List.mem 1 (Faillock.locked_items t));
   Alcotest.(check int) "total" 3 (Faillock.total_locked t)
 
 let test_clear_sites () =
@@ -91,7 +96,7 @@ let prop_commit_update_postcondition =
       let t = table () in
       List.iter (fun (item, site) -> ignore (Faillock.set t ~item ~site)) initial;
       let site_up s = (up_mask lsr s) land 1 = 1 in
-      let down = Bitset.of_list 3 (List.filter (fun s -> not (site_up s)) [ 0; 1; 2 ]) in
+      let down = bitset_of_list 3 (List.filter (fun s -> not (site_up s)) [ 0; 1; 2 ]) in
       let set_count = ref 0 and cleared = ref 0 in
       Faillock.commit_update t ~item:2 ~down ~set:set_count ~cleared;
       List.for_all
@@ -181,7 +186,7 @@ let prop_commit_update_matches_reference =
       let fast, fast_log = table_of ~sites:c.sites initial in
       let slow, slow_log = table_of ~sites:c.sites initial in
       let fs = ref 0 and fc = ref 0 and ss = ref 0 and sc = ref 0 in
-      Faillock.commit_update fast ~item:c.item ~down:(Bitset.of_list c.sites c.down) ~set:fs
+      Faillock.commit_update fast ~item:c.item ~down:(bitset_of_list c.sites c.down) ~set:fs
         ~cleared:fc;
       reference_assign slow ~item:c.item ~target:c.down ~set_count:ss ~cleared:sc;
       snapshot fast = snapshot slow
@@ -266,7 +271,7 @@ let prop_commit_update_sequences =
         (fun op ->
           (match op with
           | Commit (item, down) ->
-            Faillock.commit_update !fast ~item ~down:(Bitset.of_list sites down) ~set:fs
+            Faillock.commit_update !fast ~item ~down:(bitset_of_list sites down) ~set:fs
               ~cleared:fc;
             reference_assign !slow ~item ~target:down ~set_count:ss ~cleared:sc
           | Clear (item, site) ->
@@ -393,7 +398,7 @@ let prop_model_sequences =
         u
       in
       let commit item down =
-        Faillock.commit_update !t ~item ~down:(Bitset.of_list sites down) ~set:(ref 0)
+        Faillock.commit_update !t ~item ~down:(bitset_of_list sites down) ~set:(ref 0)
           ~cleared:(ref 0);
         assign item (fun s -> List.mem s down)
       in
@@ -438,7 +443,6 @@ let prop_model_sequences =
         let locked = List.filter (fun item -> Array.exists Fun.id model.(item)) all_items in
         List.map (fun item -> Faillock.locked_sites !t ~item) all_items = rows
         && Faillock.locked_items !t = locked
-        && List.for_all (fun item -> Faillock.any_locked !t ~item = List.mem item locked) all_items
         && List.for_all
              (fun site ->
                let items = List.filter (fun item -> model.(item).(site)) all_items in

@@ -167,7 +167,6 @@ let test_recovery_installs_session_and_faillocks () =
   let site1 = Cluster.site cluster 1 in
   Alcotest.(check int) "session incremented" 2 (Site.session_number site1);
   Alcotest.(check (list int)) "knows its stale items" [ 1; 2 ] (Site.locked_items site1);
-  Alcotest.(check bool) "recovering" true (Site.is_recovering site1);
   (* Other sites perceive the new session number. *)
   List.iter
     (fun s ->

@@ -20,14 +20,6 @@ let test_table_basic () =
   Alcotest.(check bool) "left aligned" true (contains rendered "alpha");
   Alcotest.(check bool) "separator" true (contains rendered "-+-")
 
-let test_table_rule () =
-  let t = Table.create [ ("a", Table.Left) ] in
-  Table.add_row t [ "x" ];
-  Table.add_rule t;
-  Table.add_row t [ "y" ];
-  let lines = String.split_on_char '\n' (Table.render t) in
-  Alcotest.(check int) "five lines" 5 (List.length (List.filter (fun l -> l <> "") lines))
-
 let test_table_validation () =
   Alcotest.check_raises "no columns" (Invalid_argument "Table.create: no columns") (fun () ->
       ignore (Table.create []));
@@ -71,7 +63,6 @@ let test_chart_validation () =
 let suite =
   [
     Alcotest.test_case "table basics" `Quick test_table_basic;
-    Alcotest.test_case "table rule" `Quick test_table_rule;
     Alcotest.test_case "table validation" `Quick test_table_validation;
     Alcotest.test_case "chart with no data" `Quick test_chart_empty;
     Alcotest.test_case "chart plots points" `Quick test_chart_plots_points;

@@ -281,7 +281,6 @@ let test_retains_no_series () =
       let registry = Soak.registry soak in
       Alcotest.(check bool) "no sampling interval" true
         (Raid_obs.Telemetry.interval registry = None);
-      Alcotest.(check int) "no samples taken" 0 (Raid_obs.Telemetry.samples_taken registry);
       List.iter
         (fun (v : Raid_obs.Telemetry.view) ->
           Alcotest.(check int)

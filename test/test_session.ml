@@ -102,9 +102,6 @@ let test_up_count_cached () =
 let test_search_helpers () =
   let v = Session.create ~num_sites:5 in
   Session.mark_down v 0;
-  Alcotest.(check bool) "exists" true (Session.exists_operational v (fun s -> s > 3));
-  Alcotest.(check bool) "exists misses down" false
-    (Session.exists_operational v (fun s -> s = 0));
   Alcotest.(check (option int))
     "first is lowest up" (Some 1)
     (Session.first_operational v (fun _ -> true));

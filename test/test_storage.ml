@@ -60,13 +60,6 @@ let test_apply_materializes_absent () =
   Database.apply db (write ~item:0 ~value:3 ~version:2);
   Alcotest.(check (option (pair int int))) "write creates copy" (Some (3, 2)) (Database.read db 0)
 
-let test_items_behind () =
-  let a = Database.create ~num_items:4 and b = Database.create ~num_items:4 in
-  Database.apply b (write ~item:1 ~value:5 ~version:2);
-  Database.apply b (write ~item:3 ~value:5 ~version:7);
-  Alcotest.(check (list int)) "behind" [ 1; 3 ] (Database.items_behind a b);
-  Alcotest.(check (list int)) "reference not behind" [] (Database.items_behind b a)
-
 let test_equal_and_snapshot () =
   let a = Database.create ~num_items:2 and b = Database.create ~num_items:2 in
   Alcotest.(check bool) "equal initially" true (Database.equal a b);
@@ -106,9 +99,10 @@ let test_update_log () =
   Alcotest.(check int) "length" 3 (Update_log.length log);
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ]
     (List.map (fun e -> e.Update_log.txn) (Update_log.entries log));
-  Alcotest.(check int) "entries for item 0" 2 (List.length (Update_log.entries_for_item log 0));
-  Alcotest.(check (option int)) "last version of 0" (Some 3) (Update_log.last_version_of log 0);
-  Alcotest.(check (option int)) "last version of 2" None (Update_log.last_version_of log 2)
+  Alcotest.(check bool) "exists" true
+    (Update_log.exists log (fun ~txn w -> txn = 3 && w.Database.version = 3));
+  Alcotest.(check bool) "exists nothing" false
+    (Update_log.exists log (fun ~txn:_ w -> w.Database.item = 2))
 
 let prop_apply_monotone =
   QCheck.Test.make ~name:"ascending applies always succeed and read back" ~count:200
@@ -133,8 +127,7 @@ let prop_apply_monotone =
    both start identical), and a plain array of [(value, version)
    option]s.  Versions come from one ascending counter, so no apply is a
    regression.  After every operation all three must read back the
-   same, item by item and through [snapshot], [equal] and
-   [items_behind]. *)
+   same, item by item and through [snapshot] and [equal]. *)
 let diff_items = 9
 
 type db_op =
@@ -196,15 +189,6 @@ let prop_backends_agree =
              (List.init diff_items Fun.id)
         && Database.equal dense sparse && Database.equal sparse dense
         && Database.equal dense pristine = (model = Array.make diff_items (Some (0, 0)))
-        && Database.items_behind dense sparse = []
-        &&
-        let behind =
-          List.filter
-            (fun item -> match model.(item) with Some (_, v) -> v > 0 | None -> false)
-            (List.init diff_items Fun.id)
-        in
-        Database.items_behind pristine dense = behind
-        && Database.items_behind pristine sparse = behind
       in
       List.for_all
         (fun op ->
@@ -268,19 +252,10 @@ let prop_update_log_model =
           appends
       in
       let as_pairs = List.map (fun e -> (e.Update_log.txn, e.Update_log.write)) in
-      let for_item item = List.filter (fun (_, w) -> w.Database.item = item) model in
       Update_log.length log = List.length model
       && as_pairs (Update_log.entries log) = model
       && Update_log.exists log (fun ~txn w -> txn = probe_txn && w.Database.item = probe_item)
-         = List.exists (fun (txn, w) -> txn = probe_txn && w.Database.item = probe_item) model
-      && List.for_all
-           (fun item ->
-             as_pairs (Update_log.entries_for_item log item) = for_item item
-             && Update_log.last_version_of log item
-                = (match List.rev (for_item item) with
-                  | [] -> None
-                  | (_, w) :: _ -> Some w.Database.version))
-           (List.init 5 Fun.id))
+         = List.exists (fun (txn, w) -> txn = probe_txn && w.Database.item = probe_item) model)
 
 let suite =
   [
@@ -291,7 +266,6 @@ let suite =
     Alcotest.test_case "reserved version rejected" `Quick test_reserved_version;
     Alcotest.test_case "partial replication and materialize" `Quick test_partial_and_materialize;
     Alcotest.test_case "apply materializes absent copy" `Quick test_apply_materializes_absent;
-    Alcotest.test_case "items_behind" `Quick test_items_behind;
     Alcotest.test_case "equal and snapshot" `Quick test_equal_and_snapshot;
     Alcotest.test_case "update log" `Quick test_update_log;
     Alcotest.test_case "image reuse" `Quick test_image_reuse;

@@ -13,6 +13,18 @@ module Throughput = Raid_sim.Throughput
 
 let feq = Alcotest.float 1e-9
 
+(* Sampling instants so far: every series registered before the first
+   sample holds one point per instant. *)
+let samples_taken registry =
+  List.fold_left
+    (fun n (v : Telemetry.view) -> max n (Series.length v.Telemetry.v_series))
+    0 (Telemetry.views registry)
+
+let value registry name =
+  match Telemetry.find registry name with
+  | Some view -> view.Telemetry.v_value
+  | None -> Alcotest.failf "%s not registered" name
+
 (* {2 Series} *)
 
 let test_series_growth () =
@@ -62,7 +74,7 @@ let test_counter_and_histogram_values () =
   let c = Telemetry.counter t "ops_total" in
   Telemetry.incr c;
   Telemetry.add c 2.5;
-  Alcotest.check feq "counter accumulates" 3.5 (Telemetry.counter_value c);
+  Alcotest.check feq "counter accumulates" 3.5 (value t "ops_total");
   let h = Telemetry.histogram t ~buckets:[ 1.0; 10.0 ] "lat_ms" in
   List.iter (Telemetry.observe h) [ 0.5; 5.0; 7.0; 50.0 ];
   match Telemetry.find t "lat_ms" with
@@ -83,7 +95,7 @@ let test_sampling_grid () =
   Telemetry.incr c;
   (* Catch-up stamps one sample per elapsed due time, at the due time. *)
   Telemetry.maybe_sample t ~at:(Vtime.of_ms 35);
-  Alcotest.(check int) "three dues elapsed" 3 (Telemetry.samples_taken t);
+  Alcotest.(check int) "three dues elapsed" 3 (samples_taken t);
   (match Telemetry.find t "ticks_total" with
   | None -> Alcotest.fail "counter not found"
   | Some view ->
@@ -94,12 +106,12 @@ let test_sampling_grid () =
   (* A final flush adds one off-grid point, once. *)
   Telemetry.sample_now t ~at:(Vtime.of_ms 35);
   Telemetry.sample_now t ~at:(Vtime.of_ms 35);
-  Alcotest.(check int) "flush is idempotent" 4 (Telemetry.samples_taken t);
+  Alcotest.(check int) "flush is idempotent" 4 (samples_taken t);
   (* The grid stays anchored: the next due time is still 40 ms. *)
   Telemetry.maybe_sample t ~at:(Vtime.of_ms 39);
-  Alcotest.(check int) "no sample before the next due" 4 (Telemetry.samples_taken t);
+  Alcotest.(check int) "no sample before the next due" 4 (samples_taken t);
   Telemetry.maybe_sample t ~at:(Vtime.of_ms 40);
-  Alcotest.(check int) "due at 40 fires" 5 (Telemetry.samples_taken t)
+  Alcotest.(check int) "due at 40 fires" 5 (samples_taken t)
 
 (* {2 Exports} *)
 
@@ -180,7 +192,7 @@ let test_monitor_deterministic () =
   in
   Alcotest.(check bool) "two instrumented runs render byte-identically" true (a = b);
   Alcotest.(check bool) "series were sampled" true
-    (Telemetry.samples_taken (Lazy.force monitor_output).Observe.registry > 1)
+    (samples_taken (Lazy.force monitor_output).Observe.registry > 1)
 
 (* [raid metrics] keeps its history: every series holds one point per
    crossed multiple of the interval, then the final flush. *)
@@ -189,7 +201,7 @@ let test_monitor_samples_on_grid () =
   let registry = output.Observe.registry in
   let interval = Vtime.of_ms 100 in
   Alcotest.(check bool) "interval kept" true (Telemetry.interval registry = Some interval);
-  let samples = Telemetry.samples_taken registry in
+  let samples = samples_taken registry in
   let end_at = Raid_net.Engine.now (Raid_core.Cluster.engine output.Observe.result.Runner.cluster) in
   List.iter
     (fun (v : Telemetry.view) ->
@@ -277,7 +289,7 @@ let test_telemetry_is_transparent () =
   let instrumented = Throughput.run ~telemetry:registry config in
   Alcotest.(check bool) "throughput result unchanged" true (strip plain = strip instrumented);
   Alcotest.(check bool) "throughput run was sampled" true
-    (Telemetry.samples_taken registry > 1)
+    (samples_taken registry > 1)
 
 let test_concurrent_lock_gauges () =
   let config = Raid_core.Config.make ~num_sites:4 ~num_items:50 () in

@@ -6,6 +6,17 @@ module Config = Raid_core.Config
 module Cost_model = Raid_core.Cost_model
 module Txn = Raid_core.Txn
 module Timeline = Raid_sim.Timeline
+module Engine = Raid_net.Engine
+
+(* Just the message descriptions of delivered entries, in order: the
+   skeleton these tests compare against. *)
+let message_kinds c =
+  List.filter_map
+    (fun e ->
+      match e.Engine.trace_outcome with
+      | Engine.Delivered -> Some (Raid_core.Message.describe e.Engine.trace_payload)
+      | Engine.Undeliverable -> None)
+    (Timeline.entries c)
 
 let cluster ?(num_sites = 3) () =
   Cluster.of_spec
@@ -27,7 +38,7 @@ let test_plain_commit_trace () =
       "commit_ack(1)";
       "commit_ack(1)";
     ]
-    (Timeline.message_kinds c)
+    (message_kinds c)
 
 let test_copier_trace () =
   let c = cluster () in
@@ -37,7 +48,7 @@ let test_copier_trace () =
   ignore (Cluster.recover_site c 2);
   let id = Cluster.next_txn_id c in
   ignore (Cluster.submit c ~coordinator:2 (Txn.make ~id [ Txn.Read 3 ]));
-  let kinds = Timeline.message_kinds c in
+  let kinds = message_kinds c in
   (* The copier must run before phase 1 begins (Appendix A). *)
   let index_of needle =
     let rec find i = function
@@ -57,7 +68,7 @@ let test_recovery_trace () =
   let c = cluster () in
   Cluster.fail_site c 1;
   ignore (Cluster.recover_site c 1);
-  let kinds = Timeline.message_kinds c in
+  let kinds = message_kinds c in
   (* Control-2 from the witness, then control-1: announcements to every
      other site and exactly one state shipment. *)
   Alcotest.(check bool) "failure announce" true

@@ -13,10 +13,6 @@ let test_item_extraction () =
   Alcotest.(check (list int)) "writes deduplicated, in order" [ 1; 3 ] (Txn.write_items txn);
   Alcotest.(check (list int)) "all items" [ 3; 1; 2 ] (Txn.items txn)
 
-let test_read_only () =
-  Alcotest.(check bool) "read-only" true (Txn.is_read_only (Txn.make ~id:1 [ Txn.Read 0 ]));
-  Alcotest.(check bool) "writer" false (Txn.is_read_only (Txn.make ~id:1 [ Txn.Write 0 ]))
-
 let test_pp () =
   let txn = Txn.make ~id:7 [ Txn.Read 1; Txn.Write 2 ] in
   Alcotest.(check string) "render" "T7[r(1) w(2)]" (Format.asprintf "%a" Txn.pp txn)
@@ -25,6 +21,5 @@ let suite =
   [
     Alcotest.test_case "make validation" `Quick test_make_validation;
     Alcotest.test_case "item extraction" `Quick test_item_extraction;
-    Alcotest.test_case "read-only detection" `Quick test_read_only;
     Alcotest.test_case "pretty printing" `Quick test_pp;
   ]

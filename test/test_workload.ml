@@ -35,13 +35,13 @@ let test_uniform_write_prob_extremes () =
   let all_reads = make (Workload.Uniform { max_ops = 5; write_prob = 0.0 }) in
   let all_writes = make (Workload.Uniform { max_ops = 5; write_prob = 1.0 }) in
   for id = 1 to 50 do
-    Alcotest.(check bool) "read-only" true (Txn.is_read_only (Workload.next all_reads ~id));
+    Alcotest.(check bool) "read-only" true (Txn.write_items (Workload.next all_reads ~id) = []);
     Alcotest.(check (list int)) "no reads" [] (Txn.read_items (Workload.next all_writes ~id))
   done
 
 let test_determinism () =
-  let a = make ~seed:9 (Workload.paper_default ~max_ops:10) in
-  let b = make ~seed:9 (Workload.paper_default ~max_ops:10) in
+  let a = make ~seed:9 (Workload.Uniform { max_ops = 10; write_prob = 0.5 }) in
+  let b = make ~seed:9 (Workload.Uniform { max_ops = 10; write_prob = 0.5 }) in
   for id = 1 to 50 do
     Alcotest.(check string) "same stream"
       (Format.asprintf "%a" Txn.pp (Workload.next a ~id))
@@ -82,7 +82,7 @@ let test_wisconsin_mix () =
   let scans = ref 0 and updates = ref 0 in
   for id = 1 to 200 do
     let txn = Workload.next w ~id in
-    if Txn.is_read_only txn then begin
+    if Txn.write_items txn = [] then begin
       incr scans;
       Alcotest.(check int) "scan length" 8 (Txn.size txn);
       (* Scan reads are consecutive. *)
