@@ -93,32 +93,3 @@ let zero =
   }
 
 let free = { zero with message_latency = ms 9.0 }
-
-let scale factor t =
-  let f v = int_of_float (Float.round (float_of_int v *. factor)) in
-  {
-    t with
-    txn_setup = f t.txn_setup;
-    op_process = f t.op_process;
-    prepare_send = f t.prepare_send;
-    prepare_process = f t.prepare_process;
-    commit_apply_per_write = f t.commit_apply_per_write;
-    faillock_update_per_write = f t.faillock_update_per_write;
-    faillock_read_check = f t.faillock_read_check;
-    ack_process = f t.ack_process;
-    copier_request_send = f t.copier_request_send;
-    copier_serve_base = f t.copier_serve_base;
-    copier_serve_per_item = f t.copier_serve_per_item;
-    copier_install_per_item = f t.copier_install_per_item;
-    faillock_clear_send = f t.faillock_clear_send;
-    faillock_clear_process = f t.faillock_clear_process;
-    recovery_announce_send = f t.recovery_announce_send;
-    recovery_state_build_base = f t.recovery_state_build_base;
-    recovery_state_build_per_item = f t.recovery_state_build_per_item;
-    recovery_install_base = f t.recovery_install_base;
-    recovery_install_per_item = f t.recovery_install_per_item;
-    failure_announce_process = f t.failure_announce_process;
-    backup_spawn = f t.backup_spawn;
-    wal_append = f t.wal_append;
-    wal_replay_per_entry = f t.wal_replay_per_entry;
-  }

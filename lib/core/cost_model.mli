@@ -77,6 +77,3 @@ val free : t
 
 val zero : t
 (** Everything zero, including latency — for logic-only tests. *)
-
-val scale : float -> t -> t
-(** Multiply every processing cost (not the latency) by a factor. *)

@@ -67,9 +67,6 @@ let set_hook t hook = t.hook <- hook
 let notify t ~item ~site ~locked =
   match t.hook with None -> () | Some hook -> hook ~item ~site ~locked
 
-let num_items t = t.num_items
-let num_sites t = t.num_sites
-
 let check_item t item =
   if item < 0 || item >= t.num_items then invalid_arg "Faillock: item out of range"
 

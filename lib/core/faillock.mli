@@ -22,9 +22,6 @@ val set_hook : t -> hook option -> unit
     hook over — copies are inert data shipped in messages.  With no hook
     the per-operation overhead is one branch. *)
 
-val num_items : t -> int
-val num_sites : t -> int
-
 val set : t -> item:int -> site:int -> bool
 (** Returns [true] if the bit transitioned from clear to set (used to
     count newly created inconsistency).  @raise Invalid_argument out of

@@ -59,7 +59,6 @@ let kind_names =
 
 let kind_count = Array.length kind_names
 let kind_of_index i = kind_names.(i)
-let kind m = kind_names.(kind_index m)
 
 (* Kinds pre-registered for aligned telemetry series.  [faillock_hint]
    is deliberately absent: it only flows under partial replication, and

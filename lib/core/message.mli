@@ -76,11 +76,6 @@ type t =
           live coordinator state); absence of a record means presumed
           abort *)
 
-val kind : t -> string
-(** Stable snake_case tag of the constructor alone ("prepare",
-    "copy_request", ...) — unlike {!describe} it carries no transaction
-    ids, so it is usable as a metric label. *)
-
 val kind_index : t -> int
 (** The constructor's position in declaration order, in
     [0 .. kind_count - 1]: a dense key for per-kind counters, so a probe

@@ -33,8 +33,6 @@ module Samples = struct
     Float.Array.set t.data t.length x;
     t.length <- t.length + 1
 
-  let length t = t.length
-
   let to_list t =
     let rec from i acc =
       if i = t.length then acc else from (i + 1) (Float.Array.get t.data i :: acc)

@@ -33,9 +33,7 @@ type outcome = {
 module Samples : sig
   type t
 
-  val create : unit -> t
   val add : t -> float -> unit
-  val length : t -> int
 
   val to_list : t -> float list
   (** Most recent first. *)

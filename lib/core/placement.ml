@@ -44,8 +44,6 @@ let make ~num_sites ~num_items spec =
   if spec.factor >= num_sites then Full { num_sites; num_items }
   else Sharded { num_sites; num_items; factor = spec.factor; sharding = spec.sharding }
 
-let num_sites = function Full p -> p.num_sites | Sharded p -> p.num_sites
-let num_items = function Full p -> p.num_items | Sharded p -> p.num_items
 let is_full = function Full _ -> true | Sharded _ -> false
 let factor = function Full p -> p.num_sites | Sharded p -> p.factor
 
@@ -106,11 +104,6 @@ module View = struct
   }
 
   let create base = { base; extras = Hashtbl.create 8; extra_count = 0 }
-
-  let base t = t.base
-  let num_sites t = num_sites t.base
-  let num_items t = num_items t.base
-  let is_full t = is_full t.base
 
   let holds t ~site ~item =
     holds t.base ~site ~item

@@ -50,9 +50,6 @@ val make : num_sites:int -> num_items:int -> spec -> t
     [Affinity] array has the wrong length, or when an affinity primary is
     out of range. *)
 
-val num_sites : t -> int
-val num_items : t -> int
-
 val is_full : t -> bool
 (** True when every site holds every item — either built with {!full} or
     a spec whose factor covers all sites.  The protocol uses this to keep
@@ -91,12 +88,6 @@ module View : sig
 
   val create : placement -> t
   (** Fresh view with no extras. *)
-
-  val base : t -> placement
-
-  val num_sites : t -> int
-  val num_items : t -> int
-  val is_full : t -> bool
 
   val holds : t -> site:int -> item:int -> bool
   (** Static base OR a recorded backup. *)

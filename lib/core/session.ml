@@ -90,19 +90,9 @@ let is_up t site =
 let up_count t = t.up
 let non_up t = t.non_up
 
-let operational t =
-  let up = ref [] in
-  for site = t.num_sites - 1 downto 0 do
-    if not (Bitset.mem t.non_up site) then up := site :: !up
-  done;
-  !up
-
-let operational_except t site = List.filter (fun s -> s <> site) (operational t)
-
-(* Allocation-free traversal of the [Up] sites, in increasing id order —
-   the same order [operational] returns, so send sequences (and therefore
-   traces) are identical whichever form a caller uses.  With every site
-   up (the common steady state) the bitmap test is skipped entirely. *)
+(* Allocation-free traversal of the [Up] sites, in increasing id order.
+   With every site up (the common steady state) the bitmap test is
+   skipped entirely. *)
 let iter_operational t f =
   if t.up = t.num_sites then
     for site = 0 to t.num_sites - 1 do
@@ -181,12 +171,3 @@ let pp_state ppf = function
   | Terminating -> Format.pp_print_string ppf "terminating"
 
 let state_name state = Format.asprintf "%a" pp_state state
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>[";
-  for site = 0 to t.num_sites - 1 do
-    let { session; state } = get t site in
-    if site > 0 then Format.fprintf ppf "; ";
-    Format.fprintf ppf "%d:%d/%a" site session pp_state state
-  done;
-  Format.fprintf ppf "]@]"

@@ -43,7 +43,6 @@ val get : t -> int -> entry
 val session : t -> int -> int
 val state : t -> int -> state
 
-val set : t -> int -> entry -> unit
 val mark_down : t -> int -> unit
 (** Session number is retained; only the state changes. *)
 
@@ -65,26 +64,18 @@ val non_up : t -> Raid_util.Bitset.t
     read-only view that follows every state transition.  Callers must
     not mutate it; {!copy} it to keep a snapshot. *)
 
-val operational : t -> int list
-(** Sites perceived [Up], in increasing id order. *)
-
-val operational_except : t -> int -> int list
-(** [operational] minus the given site (a coordinator's participants). *)
-
 val iter_operational : t -> (int -> unit) -> unit
-(** Apply to every [Up] site in increasing id order without materialising
-    a list — equivalent to [List.iter f (operational t)]. *)
+(** Apply to every site perceived [Up], in increasing id order, without
+    materialising a list. *)
 
 val iter_operational_except : t -> self:int -> (int -> unit) -> unit
-(** {!iter_operational} skipping [self] — the allocation-free form of
-    [List.iter f (operational_except t self)]. *)
+(** {!iter_operational} skipping [self] (a coordinator's participants). *)
 
 val operational_count_except : t -> self:int -> int
-(** [List.length (operational_except t self)], in O(1). *)
+(** The number of sites {!iter_operational_except} visits, in O(1). *)
 
 val first_operational : t -> (int -> bool) -> int option
-(** Lowest-id [Up] site satisfying the predicate — equivalent to
-    [List.find_opt pred (operational t)]. *)
+(** Lowest-id [Up] site satisfying the predicate. *)
 
 val copy : t -> t
 (** O(diverged): only entries differing from the initial default are
@@ -107,5 +98,3 @@ val pp_state : Format.formatter -> state -> unit
 
 val state_name : state -> string
 (** ["up"], ["down"], ["waiting"] or ["terminating"]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -71,10 +71,6 @@ val stores : t -> item:int -> bool
 val believes_stored : t -> site:int -> item:int -> bool
 (** This site's view of another site's placement. *)
 
-val locked_items : t -> int list
-(** Items currently fail-locked {e for this site} according to its own
-    table — its out-of-date copies. *)
-
 val is_waiting : t -> bool
 (** [true] between [Recover_command] and the installation of the fetched
     state (control-1 in flight). *)

@@ -206,7 +206,6 @@ let log t = t.log
 let stores t ~item = t.full || Placement.View.holds t.placement ~site:t.id ~item
 let believes_stored t ~site ~item = Placement.View.holds t.placement ~site ~item
 let partial t = not t.full
-let locked_items t = Faillock.locked_items_for t.faillocks ~site:t.id
 let is_waiting t = match t.mode with Waiting_recovery _ -> true | Normal -> false
 let session_number t = Session.session t.vector t.id
 

@@ -25,14 +25,3 @@ let read_items t =
 
 let write_items t =
   distinct (List.filter_map (function Write item -> Some item | Read _ -> None) t.ops)
-
-let items t = distinct (List.map (function Read item | Write item -> item) t.ops)
-
-let pp_op ppf = function
-  | Read item -> Format.fprintf ppf "r(%d)" item
-  | Write item -> Format.fprintf ppf "w(%d)" item
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>T%d[%a]@]" t.id
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ' ') pp_op)
-    t.ops

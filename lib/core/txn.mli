@@ -21,8 +21,3 @@ val read_items : t -> int list
 
 val write_items : t -> int list
 (** Distinct items written, in first-occurrence order. *)
-
-val items : t -> int list
-(** Distinct items touched, in first-occurrence order. *)
-
-val pp : Format.formatter -> t -> unit

@@ -42,13 +42,11 @@ type live_counters = {
 (* The event pool.  Every scheduled event sits in one slot of a set of
    parallel arrays until [step] takes it out; the queue orders slot
    numbers only.  A slot holds the ['m event] a handler will receive,
-   the site it is for ([dsts]: the receiver of a [Message] or [Timer],
-   the sender of a [Send_failed]) and, for a message, its send time.
-   What [step] does with a slot is read off its event: a [Message] is an
-   arrival whose deliverability is evaluated at arrival time and whose
-   send time fixes when a failed delivery is notified, whatever the
-   link's latency; a [Send_failed] is the sender-side timeout; a [Timer]
-   is a local timer.
+   and the site it is for ([dsts]: the receiver of a [Message] or
+   [Timer], the sender of a [Send_failed]).  What [step] does with a slot
+   is read off its event: a [Message] is an arrival whose deliverability
+   is evaluated at arrival time; a [Send_failed] is the sender-side
+   timeout; a [Timer] is a local timer.
 
    A free slot must not keep a delivered event (and its payload)
    reachable, so it is overwritten with [filler], one fixed value of
@@ -61,10 +59,8 @@ type live_counters = {
 type 'm t = {
   num_sites : int;
   message_latency : Vtime.t;
-  failure_timeout : Vtime.t;
   queue : Heap.Prio.t;
   mutable dsts : int array;
-  mutable sents : Vtime.t array;
   mutable events : 'm event array;
   mutable free : int array;  (* free-slot stack: [free.(0 .. free_top - 1)] *)
   mutable free_top : int;
@@ -73,7 +69,6 @@ type 'm t = {
   mutable last_slot : int;  (* the slot it was scheduled in *)
   alive : bool array;
   links : bool array;  (* n×n: [links.(a * num_sites + b)], the a-b link is up *)
-  latencies : Vtime.t array;  (* per-link one-way latency, indexed like [links] *)
   mutable clock : Vtime.t;
   mutable seq : int;
   live : live_counters;
@@ -100,22 +95,15 @@ let no_source = min_int
 let unregistered ctx _ =
   failwith (Printf.sprintf "Engine: no handler registered for site %d" ctx.ctx_self)
 
-let create ?(message_latency = Vtime.of_ms 9) ?failure_timeout ?(trace = false) ~num_sites () =
+let create ?(message_latency = Vtime.of_ms 9) ?(trace = false) ~num_sites () =
   if num_sites <= 0 then invalid_arg "Engine.create: num_sites must be positive";
   if message_latency < 0 then invalid_arg "Engine.create: negative latency";
-  let failure_timeout =
-    match failure_timeout with Some t -> t | None -> 3 * message_latency
-  in
-  if failure_timeout < message_latency then
-    invalid_arg "Engine.create: failure_timeout below message_latency";
   let t =
     {
       num_sites;
       message_latency;
-      failure_timeout;
       queue = Heap.Prio.create ();
       dsts = [||];
-      sents = [||];
       events = [||];
       free = [||];
       free_top = 0;
@@ -124,7 +112,6 @@ let create ?(message_latency = Vtime.of_ms 9) ?failure_timeout ?(trace = false) 
       last_slot = 0;
       alive = Array.make num_sites true;
       links = Array.make (num_sites * num_sites) true;
-      latencies = Array.make (num_sites * num_sites) message_latency;
       clock = Vtime.zero;
       seq = 0;
       live =
@@ -157,14 +144,12 @@ let register t site handler =
   if site < 0 || site >= t.num_sites then invalid_arg "Engine.register: bad site id";
   t.ctxs.(site).handler <- handler
 
-let num_sites t = t.num_sites
 let now t = t.clock
-let message_latency t = t.message_latency
 
 let check_site t site =
   if site < 0 || site >= t.num_sites then invalid_arg "Engine: bad site id"
 
-(* Index of the a-b link in [links] and [latencies]. *)
+(* Index of the a-b link in [links]. *)
 let link t a b = (a * t.num_sites) + b
 
 let set_alive t site up =
@@ -185,18 +170,6 @@ let link_ok t a b =
   check_site t a;
   check_site t b;
   a = b || t.links.(link t a b)
-
-let set_link_latency t a b latency =
-  check_site t a;
-  check_site t b;
-  if latency < 0 then invalid_arg "Engine.set_link_latency: negative latency";
-  t.latencies.(link t a b) <- latency;
-  t.latencies.(link t b a) <- latency
-
-let link_latency t a b =
-  check_site t a;
-  check_site t b;
-  t.latencies.(link t a b)
 
 let set_probe t probe = t.probe <- probe
 let heap_high_water t = t.heap_high_water
@@ -220,7 +193,6 @@ let grow_pool t event =
     b
   in
   t.dsts <- extend t.dsts 0;
-  t.sents <- extend t.sents Vtime.zero;
   t.events <- extend t.events filler;
   t.free <- Array.init capacity (fun i -> capacity - 1 - i);
   t.free_top <- capacity - used
@@ -230,12 +202,11 @@ let take_slot t event =
   t.free_top <- t.free_top - 1;
   t.free.(t.free_top)
 
-(* Schedule [event] in a free slot; returns the slot. *)
-let schedule t at ~dst ~sent event =
-  let at = max at t.clock in
+(* Schedule [event] at [at] (never before the clock: latencies, delays
+   and work are non-negative) in a free slot; returns the slot. *)
+let schedule t at ~dst event =
   let slot = take_slot t event in
   t.dsts.(slot) <- dst;
-  t.sents.(slot) <- sent;
   t.events.(slot) <- event;
   Heap.Prio.push t.queue ~at ~seq:t.seq slot;
   t.seq <- t.seq + 1;
@@ -268,14 +239,12 @@ let message t ~src payload =
 let submit t ~at ~src ~dst payload =
   check_site t dst;
   t.live.live_sent <- t.live.live_sent + 1;
-  let latency = if src >= 0 then t.latencies.(link t src dst) else t.message_latency in
   let event = message t ~src payload in
-  t.last_slot <- schedule t (Vtime.add at latency) ~dst ~sent:at event;
+  t.last_slot <- schedule t (Vtime.add at t.message_latency) ~dst event;
   t.last_src <- src
 
 let inject t ~dst payload = submit t ~at:t.clock ~src:external_source ~dst payload
 
-let self ctx = ctx.ctx_self
 let time ctx = Vtime.add ctx.base ctx.elapsed
 
 let work ctx cost =
@@ -287,8 +256,7 @@ let send ctx dst payload = submit ctx.engine ~at:(time ctx) ~src:ctx.ctx_self ~d
 let set_timer ctx delay payload =
   if delay < 0 then invalid_arg "Engine.set_timer: negative delay";
   ignore
-    (schedule ctx.engine (Vtime.add (time ctx) delay) ~dst:ctx.ctx_self ~sent:Vtime.zero
-       (Timer payload))
+    (schedule ctx.engine (Vtime.add (time ctx) delay) ~dst:ctx.ctx_self (Timer payload))
 
 (* Handlers run one at a time (only [step] invokes them, and sends/timers
    merely schedule), so each site's scratch [ctx] can be reset and reused
@@ -326,7 +294,7 @@ let step t =
   else begin
     let at = Heap.Prio.min_at t.queue in
     let slot = Heap.Prio.pop_min t.queue in
-    let dst = t.dsts.(slot) and sent = t.sents.(slot) in
+    let dst = t.dsts.(slot) in
     let event = t.events.(slot) in
     release t slot;
     t.clock <- at;
@@ -341,13 +309,12 @@ let step t =
         t.live.live_undeliverable <- t.live.live_undeliverable + 1;
         record_trace t ~time:at ~src ~dst ~payload ~outcome:Undeliverable;
         if src >= 0 then
-          (* The sender times out [failure_timeout] after the actual send
-             time, independent of the link's latency.  Deliverability is
-             only evaluated at arrival, so on a link slower than the
-             timeout the notification is clamped to the arrival time by
-             [schedule] (never earlier than the failure is detectable). *)
+          (* The sender times out three latencies after the send, so two
+             after this arrival. *)
           ignore
-            (schedule t (Vtime.add sent t.failure_timeout) ~dst:src ~sent:Vtime.zero
+            (schedule t
+               (Vtime.add at (2 * t.message_latency))
+               ~dst:src
                (Send_failed { dst; payload }))
       end
     | Send_failed _ -> if t.alive.(dst) then invoke t t.ctxs.(dst) event

@@ -6,14 +6,15 @@
     messages were lost; messages arrived and were processed in the order
     that they were sent" (paper §1.2).  Sites are message-driven state
     machines; every message between live sites is delivered exactly once,
-    after a fixed latency, in send order (FIFO per link, global order
-    fixed by a sequence number), so a run is a pure function of the
-    initial state and injected inputs.
+    after one fixed latency — the paper's uniform cost of "a single
+    communication from one site to another" (§2.1) — in send order (FIFO
+    per link, global order fixed by a sequence number), so a run is a pure
+    function of the initial state and injected inputs.
 
     Failure model: a site can be marked down ([set_alive]); a message
     arriving at a down site (or over a severed link) is not delivered, and
-    the sender instead receives a [Send_failed] notification once its
-    [failure_timeout] elapses — modelling the sender-side timeout that
+    the sender instead receives a [Send_failed] notification three
+    latencies after the send — modelling the sender-side timeout that
     Appendix A's "site is now down" branches rely on.  Virtual processing
     cost is modelled by [work], which delays the site's subsequent sends. *)
 
@@ -23,11 +24,8 @@ type 'm event =
           messages (the managing site). *)
   | Send_failed of { dst : int; payload : 'm }
       (** The message this site sent to [dst] could not be delivered; the
-          notification arrives [failure_timeout] after the {e send},
-          whatever the link's latency.  On a link slower than the timeout
-          it arrives at the failed delivery's evaluation time instead
-          (the engine cannot know the fate of a message before its
-          arrival time). *)
+          notification arrives three latencies after the send, so two
+          after the failed arrival. *)
   | Timer of 'm
       (** A timer set by this site has fired. *)
 
@@ -53,32 +51,21 @@ type 'm trace_entry = {
 val external_source : int
 (** Pseudo site id ([-1]) used as [src] for injected messages. *)
 
-val create :
-  ?message_latency:Vtime.t ->
-  ?failure_timeout:Vtime.t ->
-  ?trace:bool ->
-  num_sites:int ->
-  unit ->
-  'm t
+val create : ?message_latency:Vtime.t -> ?trace:bool -> num_sites:int -> unit -> 'm t
 (** [message_latency] defaults to 9 ms, the paper's measured cost of "a
-    single communication from one site to another" (§2.1).
-    [failure_timeout] (default 3 × latency) is the sender-side wait before
-    a [Send_failed] notification; it must be at least the latency.
+    single communication from one site to another" (§2.1); the sender-side
+    wait before a [Send_failed] notification is three times it.
     All sites start alive, fully connected and with no handler.
-    @raise Invalid_argument on non-positive [num_sites] or inconsistent
-    timing parameters. *)
+    @raise Invalid_argument on non-positive [num_sites] or a negative
+    latency. *)
 
 val register : 'm t -> int -> 'm handler -> unit
 (** [register t site handler] installs [handler]; replaces any previous
     handler.  Events delivered to a site with no handler raise
     [Failure]. *)
 
-val num_sites : _ t -> int
-
 val now : _ t -> Vtime.t
 (** Time of the most recently processed event (zero initially). *)
-
-val message_latency : _ t -> Vtime.t
 
 val set_alive : _ t -> int -> bool -> unit
 (** Mark a site up or down.  Pending deliveries to a down site fail at
@@ -94,17 +81,6 @@ val set_link : _ t -> int -> int -> bool -> unit
 
 val link_ok : _ t -> int -> int -> bool
 
-val set_link_latency : _ t -> int -> int -> Vtime.t -> unit
-(** Override the message latency of one (bidirectional) link — the
-    paper's future-work "communication delays across machines": model a
-    WAN link between two LAN clusters by raising specific pairs.  FIFO
-    order is preserved per link (latency is constant per link).
-    @raise Invalid_argument on a negative latency. *)
-
-val link_latency : _ t -> int -> int -> Vtime.t
-(** Current latency of a link ([message_latency] unless overridden;
-    injections always use [message_latency]). *)
-
 val inject : 'm t -> dst:int -> 'm -> unit
 (** Schedule a message from the managing site ([external_source]) to
     [dst], subject to the same latency and failure rules (a failed
@@ -112,7 +88,6 @@ val inject : 'm t -> dst:int -> 'm -> unit
 
 (** {2 Handler context operations} *)
 
-val self : _ ctx -> int
 val time : _ ctx -> Vtime.t
 (** Current virtual time inside the handler: arrival time plus the cost
     accumulated through [work] so far. *)

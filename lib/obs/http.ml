@@ -28,8 +28,8 @@ let reason = function
   | 505 -> "HTTP Version Not Supported"
   | _ -> "Unknown"
 
-let text ?(status = 200) body =
-  { status; content_type = "text/plain; charset=utf-8"; extra_headers = []; body }
+let text body =
+  { status = 200; content_type = "text/plain; charset=utf-8"; extra_headers = []; body }
 
 let prom body =
   { status = 200; content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -113,7 +113,12 @@ let header_lines head =
          if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line)
   |> List.filter (fun line -> line <> "")
 
-let parse_request ?(max_line = 4096) ?(max_head = 16384) ?(max_body = 1 lsl 20) data =
+(* Bounds on the request line, the whole header section and the body. *)
+let max_line = 4096
+let max_head = 16384
+let max_body = 1 lsl 20
+
+let parse_request data =
   let n = String.length data in
   match find_head_end data with
   | None ->
@@ -159,17 +164,23 @@ let parse_request ?(max_line = 4096) ?(max_head = 16384) ?(max_body = 1 lsl 20) 
                 if List.mem_assoc "transfer-encoding" headers then
                   Bad (501, "transfer encodings not supported")
                 else begin
+                  (* RFC 9110 §8.6: 1*DIGIT, nothing else (no sign, no
+                     0x/0b/0o prefix, no underscores).  Any digit string
+                     past the bound, overflowing ones included, is 413. *)
                   let content_length =
                     match List.assoc_opt "content-length" headers with
                     | None -> Ok 0
                     | Some raw -> (
-                      match int_of_string_opt (String.trim raw) with
-                      | Some len when len >= 0 -> Ok len
-                      | _ -> Error "malformed content-length")
+                      let raw = String.trim raw in
+                      if raw = "" || not (String.for_all (fun c -> c >= '0' && c <= '9') raw)
+                      then Error (400, "malformed content-length")
+                      else
+                        match int_of_string_opt raw with
+                        | Some len when len <= max_body -> Ok len
+                        | _ -> Error (413, "request body too large"))
                   in
                   match content_length with
-                  | Error message -> Bad (400, message)
-                  | Ok len when len > max_body -> Bad (413, "request body too large")
+                  | Error (status, message) -> Bad (status, message)
                   | Ok len ->
                     if n - head_len < len then Incomplete
                     else begin
@@ -281,14 +292,14 @@ let write_all fd data =
   in
   loop 0 deadline_tries
 
-let serve ?(backlog = 16) ~port handler =
+let serve ~port handler =
   (* A broken pipe is an ordinary client disappearance here. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   (try Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
    with e -> Unix.close fd; raise e);
-  Unix.listen fd backlog;
+  Unix.listen fd 16;
   Unix.set_nonblock fd;
   let actual_port =
     match Unix.getsockname fd with

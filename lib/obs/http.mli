@@ -31,8 +31,8 @@ val reason : int -> string
 (** Reason phrase for the status codes this library emits;
     ["Unknown"] otherwise. *)
 
-val text : ?status:int -> string -> response
-(** [text/plain] response (default status 200). *)
+val text : string -> response
+(** [text/plain] response, status 200. *)
 
 val prom : string -> response
 (** A Prometheus exposition body:
@@ -50,13 +50,13 @@ type parse =
   | Bad of int * string  (** reject with this status (400/413/414/431/501/505) *)
   | Complete of request * int  (** parsed request and bytes consumed *)
 
-val parse_request : ?max_line:int -> ?max_head:int -> ?max_body:int -> string -> parse
-(** Parse the (possibly still partial) bytes received so far.
-    [max_line] (default 4096) bounds the request line → [Bad 414];
-    [max_head] (default 16384) bounds the whole header section →
-    [Bad 431]; [max_body] (default 1 MiB) bounds [Content-Length] →
-    [Bad 413].  A [Transfer-Encoding] request is [Bad 501]; a non-1.x
-    version [Bad 505]; anything malformed [Bad 400]. *)
+val parse_request : string -> parse
+(** Parse the (possibly still partial) bytes received so far.  A request
+    line over 4096 bytes is [Bad 414]; a header section over 16384 bytes
+    [Bad 431]; a [Content-Length] over 1 MiB [Bad 413].  [Content-Length]
+    must be ASCII digits only (RFC 9110 §8.6).  A [Transfer-Encoding]
+    request is [Bad 501]; a non-1.x version [Bad 505]; anything
+    malformed [Bad 400]. *)
 
 val percent_decode : string -> string
 (** Decode [%XX] escapes and [+] as space (malformed escapes are kept
@@ -81,7 +81,7 @@ val dispatch : route list -> request -> response
 
 type server
 
-val serve : ?backlog:int -> port:int -> (request -> response) -> server
+val serve : port:int -> (request -> response) -> server
 (** Bind [127.0.0.1:port] ([port = 0] picks an ephemeral port — read it
     back with {!port}), listen, and return without blocking.  SIGPIPE is
     set to ignore (a dropped client must not kill the process).

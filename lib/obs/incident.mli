@@ -52,9 +52,6 @@ type t = {
   faillock_txns : int;  (** distinct causing transactions on accrual *)
 }
 
-val duration : t -> Raid_net.Vtime.t
-(** [finished - started]. *)
-
 val mttr : t -> Raid_net.Vtime.t option
 (** Crash to caught-up; [None] unless {!field-complete}. *)
 

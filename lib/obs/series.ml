@@ -23,17 +23,7 @@ let push t ~at value =
   t.values.(t.len) <- value;
   t.len <- t.len + 1
 
-let length t = t.len
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Series.get: index out of range";
-  (t.times.(i), t.values.(i))
-
-let last t = if t.len = 0 then None else Some (t.times.(t.len - 1), t.values.(t.len - 1))
-
 let iter t f =
   for i = 0 to t.len - 1 do
     f ~at:t.times.(i) t.values.(i)
   done
-
-let to_list t = List.init t.len (fun i -> (t.times.(i), t.values.(i)))

@@ -17,14 +17,5 @@ val push : t -> at:Raid_net.Vtime.t -> float -> unit
     registry samples at increasing virtual times); this is not checked
     here. *)
 
-val length : t -> int
-
-val get : t -> int -> Raid_net.Vtime.t * float
-(** @raise Invalid_argument on an out-of-range index. *)
-
-val last : t -> (Raid_net.Vtime.t * float) option
-
 val iter : t -> (at:Raid_net.Vtime.t -> float -> unit) -> unit
 (** In append order. *)
-
-val to_list : t -> (Raid_net.Vtime.t * float) list

@@ -69,7 +69,6 @@ let create ?interval () =
     last_at = -1;
   }
 
-let interval t = t.ivl
 
 let valid_name name =
   name <> ""

@@ -46,8 +46,6 @@ val create : ?interval:Raid_net.Vtime.t -> unit -> t
     {!maybe_sample} and {!sample_now} do nothing.
     @raise Invalid_argument on a non-positive interval. *)
 
-val interval : t -> Raid_net.Vtime.t option
-
 (** {2 Registration}
 
     All registration functions raise [Invalid_argument] on a duplicate

@@ -69,10 +69,6 @@ let entries t =
       | Some entry -> entry
       | None -> assert false)
 
-let clear t =
-  Array.fill t.buffer 0 t.capacity None;
-  t.emitted <- 0
-
 let phase_name = function Copy -> "copy" | Prepare -> "prepare" | Commit -> "commit"
 
 let recovery_step_name = function

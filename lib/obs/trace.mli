@@ -93,8 +93,6 @@ val dropped : t -> int
 val capacity : t -> int
 (** The bound the collector was created with. *)
 
-val clear : t -> unit
-
 (** {2 Names (shared by exporters and reports)} *)
 
 val phase_name : phase -> string

@@ -18,7 +18,7 @@ let build ~paper_aborts scenario =
   let series = List.init num_sites (fun site -> (site, Runner.series result ~site)) in
   { result; series; aborted = result.Runner.aborted; paper_aborts }
 
-let scenario1_scenario ?(seed = 43) ?(tail_txns = 70) () =
+let scenario1_scenario ?(seed = 43) () =
   let config = Config.make ~num_sites:2 ~num_items:50 () in
   Scenario.make ~policy:Scenario.Uniform_random ~seed ~config ~workload:paper_workload
     [
@@ -28,10 +28,10 @@ let scenario1_scenario ?(seed = 43) ?(tail_txns = 70) () =
       Scenario.Fail 1;
       Scenario.Run_txns 25;
       Scenario.Recover 1;
-      Scenario.Run_txns tail_txns;
+      Scenario.Run_txns 70;
     ]
 
-let scenario2_scenario ?(seed = 43) ?(tail_txns = 60) () =
+let scenario2_scenario ?(seed = 43) () =
   let config = Config.make ~num_sites:4 ~num_items:50 () in
   Scenario.make ~policy:Scenario.Uniform_random ~seed ~config ~workload:paper_workload
     [
@@ -47,14 +47,12 @@ let scenario2_scenario ?(seed = 43) ?(tail_txns = 60) () =
       Scenario.Fail 3;
       Scenario.Run_txns 25;
       Scenario.Recover 3;
-      Scenario.Run_txns tail_txns;
+      Scenario.Run_txns 60;
     ]
 
-let scenario1 ?seed ?tail_txns () =
-  build ~paper_aborts:13 (scenario1_scenario ?seed ?tail_txns ())
+let scenario1 ?seed () = build ~paper_aborts:13 (scenario1_scenario ?seed ())
 
-let scenario2 ?seed ?tail_txns () =
-  build ~paper_aborts:0 (scenario2_scenario ?seed ?tail_txns ())
+let scenario2 ?seed () = build ~paper_aborts:0 (scenario2_scenario ?seed ())
 
 let glyphs = [| '*'; 'o'; '+'; 'x'; '#'; '@' |]
 

@@ -18,19 +18,19 @@ type t = {
   paper_aborts : int;
 }
 
-val scenario1_scenario : ?seed:int -> ?tail_txns:int -> unit -> Scenario.t
+val scenario1_scenario : ?seed:int -> unit -> Scenario.t
 (** The declarative scenario behind {!scenario1} (same defaults). *)
 
-val scenario2_scenario : ?seed:int -> ?tail_txns:int -> unit -> Scenario.t
+val scenario2_scenario : ?seed:int -> unit -> Scenario.t
 (** The declarative scenario behind {!scenario2} (same defaults). *)
 
-val scenario1 : ?seed:int -> ?tail_txns:int -> unit -> t
-(** Figure 2.  [tail_txns] (default 70) transactions after both sites are
-    back, as in the paper's 51-120. *)
+val scenario1 : ?seed:int -> unit -> t
+(** Figure 2.  70 transactions after both sites are back, as in the
+    paper's 51-120. *)
 
-val scenario2 : ?seed:int -> ?tail_txns:int -> unit -> t
-(** Figure 3.  [tail_txns] (default 60) transactions after all four sites
-    are back (the paper's 101-160). *)
+val scenario2 : ?seed:int -> unit -> t
+(** Figure 3.  60 transactions after all four sites are back (the paper's
+    101-160). *)
 
 val figure : title:string -> t -> Raid_util.Chart.t
 

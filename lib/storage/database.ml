@@ -2,11 +2,11 @@
    where every slot is live, is one unboxed [int array] holding each
    item's value and version side by side ([cells.(2i)], [cells.(2i+1)]):
    a commit that writes an item touches one cache line and allocates
-   nothing, and imaging, restoring and wiping are blits.  A dropped copy
-   has the version [absent], below every real version.  [Sparse] carries
-   a base predicate (the static placement) plus a table of copies that
-   have diverged from the initial state — written, materialised or
-   dropped.  An untouched base item reads as (value 0, version 0)
+   nothing, and imaging, restoring and wiping are blits.  A copy it does
+   not hold (restored from a partial image) has the version [absent],
+   below every real version.  [Sparse] carries a base predicate (the
+   static placement) plus a table of copies that have diverged from the
+   initial state — written or materialised.  An untouched base item reads as (value 0, version 0)
    without ever allocating, so a 1024-site cluster over 10^5 items costs
    O(touched) per site instead of O(items). *)
 type copy = { mutable value : int; mutable version : int; mutable present : bool }
@@ -54,13 +54,6 @@ let slot ~base table item =
     Hashtbl.replace table item c;
     c
 
-let stores t item =
-  check t item;
-  match t.repr with
-  | Dense cells -> cells.((2 * item) + 1) <> absent
-  | Sparse s -> (
-    match Hashtbl.find_opt s.table item with Some c -> c.present | None -> s.base item)
-
 let materialize t { item; value; version } =
   check t item;
   check_version version;
@@ -73,12 +66,6 @@ let materialize t { item; value; version } =
     c.value <- value;
     c.version <- version;
     c.present <- true
-
-let drop t item =
-  check t item;
-  match t.repr with
-  | Dense cells -> cells.((2 * item) + 1) <- absent
-  | Sparse s -> (slot ~base:s.base s.table item).present <- false
 
 let read t item =
   check t item;

@@ -33,16 +33,9 @@ val create_partial : num_items:int -> stored:(int -> bool) -> t
 
 val num_items : t -> int
 
-val stores : t -> int -> bool
-(** Whether this replica currently holds a copy of the item. *)
-
 val materialize : t -> write -> unit
 (** Create a local copy from an up-to-date remote copy (control type 3 /
     copier under partial replication).  Replaces any existing copy. *)
-
-val drop : t -> int -> unit
-(** Remove the local copy of an item (shedding a backup copy).
-    @raise Invalid_argument if the item is out of range. *)
 
 val read : t -> int -> (int * int) option
 (** [read t item] is [Some (value, version)], or [None] when the item is

@@ -1,5 +1,3 @@
-type entry = { txn : int; write : Database.write }
-
 (* In application order, in chunks that double in size (16, 16, 32, 64,
    ...): appending stores an int and a pointer to the write the site
    already holds into the newest chunk, so it allocates nothing, and a
@@ -33,20 +31,9 @@ let append t ~txn write =
   t.fill <- t.fill + 1;
   t.length <- t.length + 1
 
-let length t = t.length
-
 (* The scans below run newest first: index [i] counts down through chunk
    [c], then through each older chunk from its last entry.  They are
    top-level functions, so a scan allocates no closure. *)
-
-let rec entries_from c i older acc =
-  if i >= 0 then entries_from c (i - 1) older ({ txn = c.txns.(i); write = c.writes.(i) } :: acc)
-  else
-    match older with
-    | [] -> acc
-    | c :: older -> entries_from c (Array.length c.writes - 1) older acc
-
-let entries t = match t.chunks with [] -> [] | c :: older -> entries_from c (t.fill - 1) older []
 
 let rec exists_from p c i older =
   if i >= 0 then p ~txn:c.txns.(i) c.writes.(i) || exists_from p c (i - 1) older

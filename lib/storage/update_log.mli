@@ -6,11 +6,6 @@
     in-doubt resolution and the oracles ask which transaction applied
     which write, in application order. *)
 
-type entry = {
-  txn : int;  (** transaction (or copier/control) identifier *)
-  write : Database.write;
-}
-
 type t
 (** Stored as chunks of parallel arrays of transaction ids and writes,
     each chunk as large as all before it, so neither {!append} (beyond
@@ -22,11 +17,6 @@ val create : unit -> t
 val append : t -> txn:int -> Database.write -> unit
 (** Record that [txn] applied the write.  The log keeps the write record
     itself, not a copy. *)
-
-val length : t -> int
-
-val entries : t -> entry list
-(** In application order; builds a fresh list of fresh entries. *)
 
 val exists : t -> (txn:int -> Database.write -> bool) -> bool
 (** Whether any entry satisfies the predicate, scanning newest first

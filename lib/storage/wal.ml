@@ -1,5 +1,3 @@
-type entry = { txn : int; write : Database.write }
-
 type prepared = { p_txn : int; coordinator : int; writes : Database.write list }
 
 (* Simulated on-device footprint of each durable record, in bytes.  The
@@ -88,7 +86,6 @@ let append t ~txn write =
   notify t Shared_wal.Redo ~size:redo_bytes
 
 let log_length t = t.log_length
-let entries t = List.init t.log_length (fun i -> { txn = t.txns.(i); write = t.writes.(i) })
 
 let checkpoint t db =
   if Database.num_items db <> t.num_items then

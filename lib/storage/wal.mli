@@ -15,8 +15,6 @@
     checkpointed redo log, so recovery correctness is exercised for
     real. *)
 
-type entry = { txn : int; write : Database.write }
-
 type prepared = { p_txn : int; coordinator : int; writes : Database.write list }
 (** A durably buffered prepare: the participant voted yes for [p_txn]
     (coordinated by [coordinator]) and must be able to apply [writes]
@@ -53,9 +51,6 @@ val append : t -> txn:int -> Database.write -> unit
 
 val log_length : t -> int
 (** Entries since the last checkpoint. *)
-
-val entries : t -> entry list
-(** The current log tail, oldest first. *)
 
 val checkpoint : t -> Database.t -> unit
 (** Compact: take a {!Database.image} of the given database as the new

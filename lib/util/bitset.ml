@@ -111,8 +111,3 @@ let fold f t init =
   !acc
 
 let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',') Format.pp_print_int)
-    (to_list t)

@@ -70,10 +70,5 @@ val iter_diff_row : (int -> unit) -> t -> Bytes.t -> int -> unit
 val union_row_into : dst:t -> Bytes.t -> int -> unit
 (** Or the row at [pos] into [dst]. *)
 
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-
 val to_list : t -> int list
 (** Members in increasing order. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints as [{i1,i2,...}]. *)

@@ -18,8 +18,6 @@ let bits64 t =
 
 let split t = { state = bits64 t }
 
-let copy t = { state = t.state }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling to avoid modulo bias. *)

@@ -24,10 +24,6 @@ val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of the remainder of [t]'s stream. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state; the copy replays the same
-    stream as [t] would from this point. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -60,8 +60,8 @@ let summarize samples =
     p99 = percentile 0.99 samples;
   }
 
-let histogram ?(bins = 10) samples =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
+let histogram samples =
+  let bins = 10 in
   let samples = require_nonempty samples in
   let lo = List.fold_left Float.min Float.infinity samples in
   let hi = List.fold_left Float.max Float.neg_infinity samples in
@@ -92,19 +92,3 @@ let pp_histogram ppf buckets =
 let pp_summary ppf s =
   Format.fprintf ppf "n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p95=%.2f p99=%.2f max=%.2f"
     s.count s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max
-
-module Accumulator = struct
-  type t = { mutable n : int; mutable mu : float; mutable m2 : float }
-
-  let create () = { n = 0; mu = 0.0; m2 = 0.0 }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mu in
-    t.mu <- t.mu +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mu))
-
-  let count t = t.n
-  let mean t = if t.n = 0 then 0.0 else t.mu
-  let stddev t = if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
-end

@@ -31,27 +31,13 @@ val percentile : float -> float list -> float
     closest ranks.  @raise Invalid_argument on the empty list or [p]
     outside [0,1]. *)
 
-val histogram : ?bins:int -> float list -> (float * float * int) list
-(** Equal-width buckets [(lo, hi, count)] spanning [min, max]; the last
-    bucket is inclusive of the maximum.  A constant sample collapses to
-    one bucket.  Default 10 bins.
-    @raise Invalid_argument on the empty list or non-positive [bins]. *)
+val histogram : float list -> (float * float * int) list
+(** Ten equal-width buckets [(lo, hi, count)] spanning [min, max]; the
+    last bucket is inclusive of the maximum.  A constant sample collapses
+    to one bucket.
+    @raise Invalid_argument on the empty list. *)
 
 val pp_histogram : Format.formatter -> (float * float * int) list -> unit
 (** One bucket per line with an ASCII bar scaled to the fullest bucket. *)
 
 val pp_summary : Format.formatter -> summary -> unit
-
-(** Incremental accumulator (Welford) for streaming measurement. *)
-module Accumulator : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  (** 0 when empty. *)
-
-  val stddev : t -> float
-  (** 0 when count < 2. *)
-end

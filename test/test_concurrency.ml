@@ -151,11 +151,13 @@ let test_per_item_version_order () =
     let log = Raid_core.Site.log (Cluster.site result.Concurrent.cluster s) in
     for item = 0 to 19 do
       let versions =
-        List.map
-          (fun e -> e.Raid_storage.Update_log.write.Raid_storage.Database.version)
-          (List.filter
-             (fun e -> e.Raid_storage.Update_log.write.Raid_storage.Database.item = item)
-             (Raid_storage.Update_log.entries log))
+        let acc = ref [] in
+        ignore
+          (Raid_storage.Update_log.exists log (fun ~txn:_ w ->
+               if w.Raid_storage.Database.item = item then
+                 acc := w.Raid_storage.Database.version :: !acc;
+               false));
+        !acc
       in
       let sorted = List.sort compare versions in
       Alcotest.(check (list int)) (Printf.sprintf "site %d item %d ordered" s item) sorted versions

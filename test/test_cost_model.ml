@@ -13,14 +13,6 @@ let test_zero_is_all_zero () =
   Alcotest.(check int) "latency zero" 0 Cost_model.zero.Cost_model.message_latency;
   Alcotest.(check int) "op zero" 0 Cost_model.zero.Cost_model.op_process
 
-let test_scale () =
-  let doubled = Cost_model.scale 2.0 Cost_model.calibrated in
-  Alcotest.(check int) "op doubled"
-    (2 * Cost_model.calibrated.Cost_model.op_process)
-    doubled.Cost_model.op_process;
-  Alcotest.(check int) "latency unchanged" Cost_model.calibrated.Cost_model.message_latency
-    doubled.Cost_model.message_latency
-
 let test_config_validation () =
   let module Config = Raid_core.Config in
   Alcotest.check_raises "too many sites" (Invalid_argument "Config: at most 1024 sites supported")
@@ -52,6 +44,5 @@ let suite =
       test_calibrated_message_latency;
     Alcotest.test_case "free model" `Quick test_free_zeroes_processing;
     Alcotest.test_case "zero model" `Quick test_zero_is_all_zero;
-    Alcotest.test_case "scale" `Quick test_scale;
     Alcotest.test_case "config validation" `Quick test_config_validation;
   ]

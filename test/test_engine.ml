@@ -67,71 +67,29 @@ let test_fifo_order () =
   Alcotest.(check (list int)) "in send order" [ 1; 2; 3; 4; 5 ] (List.rev !received)
 
 let test_send_failed_notification () =
-  let engine =
-    Engine.create ~message_latency:(Vtime.of_ms 9) ~failure_timeout:(Vtime.of_ms 27)
-      ~num_sites:2 ()
-  in
-  let failure_at = ref (-1) in
-  Engine.register engine 0 (fun ctx event ->
-      match event with
-      | Engine.Message _ -> Engine.send ctx 1 Tick
-      | Engine.Send_failed { dst; _ } ->
-        Alcotest.(check int) "failed dst" 1 dst;
-        failure_at := Vtime.to_us (Engine.time ctx)
-      | Engine.Timer _ -> ());
-  Engine.register engine 1 (fun _ _ -> Alcotest.fail "dead site must not receive");
-  Engine.set_alive engine 1 false;
-  Engine.inject engine ~dst:0 Tick;
-  Engine.run engine;
-  (* Send at 9 ms; the sender times out failure_timeout later. *)
-  Alcotest.(check int) "timeout at 36ms" 36_000 !failure_at;
-  Alcotest.(check int) "undeliverable counted" 1 (Engine.counters engine).Engine.undeliverable
-
-let test_send_failed_per_link_latency () =
-  (* Regression: the notification must arrive failure_timeout after the
-     send even when the link's latency differs from the engine-wide one.
-     It used to be scheduled at arrival + (timeout - global latency),
-     i.e. skewed by (link latency - global latency). *)
-  let engine =
-    Engine.create ~message_latency:(Vtime.of_ms 9) ~failure_timeout:(Vtime.of_ms 27)
-      ~num_sites:2 ()
-  in
-  Engine.set_link_latency engine 0 1 (Vtime.of_ms 2);
-  let failure_at = ref (-1) in
-  Engine.register engine 0 (fun ctx event ->
-      match event with
-      | Engine.Message _ -> Engine.send ctx 1 Tick
-      | Engine.Send_failed _ -> failure_at := Vtime.to_us (Engine.time ctx)
-      | Engine.Timer _ -> ());
-  Engine.register engine 1 (fun _ _ -> Alcotest.fail "dead site must not receive");
-  Engine.set_alive engine 1 false;
-  Engine.inject engine ~dst:0 Tick;
-  Engine.run engine;
-  (* Send at 9 ms (injection arrival); timeout at 9 + 27 = 36 ms — not
-     9 + 2 + (27 - 9) = 29 ms. *)
-  Alcotest.(check int) "notified at send + failure_timeout" 36_000 !failure_at
-
-let test_send_failed_slow_link_clamped () =
-  (* A link slower than the failure timeout: the engine cannot know the
-     message's fate before evaluating its arrival, so the notification is
-     clamped to the arrival time. *)
-  let engine =
-    Engine.create ~message_latency:(Vtime.of_ms 9) ~failure_timeout:(Vtime.of_ms 27)
-      ~num_sites:2 ()
-  in
-  Engine.set_link_latency engine 0 1 (Vtime.of_ms 40);
-  let failure_at = ref (-1) in
-  Engine.register engine 0 (fun ctx event ->
-      match event with
-      | Engine.Message _ -> Engine.send ctx 1 Tick
-      | Engine.Send_failed _ -> failure_at := Vtime.to_us (Engine.time ctx)
-      | Engine.Timer _ -> ());
-  Engine.register engine 1 (fun _ _ -> Alcotest.fail "dead site must not receive");
-  Engine.set_alive engine 1 false;
-  Engine.inject engine ~dst:0 Tick;
-  Engine.run engine;
-  (* Send at 9 ms, arrival evaluated at 9 + 40 = 49 ms > 9 + 27. *)
-  Alcotest.(check int) "clamped to arrival evaluation" 49_000 !failure_at
+  (* The sender times out three latencies after the send, at every
+     latency (the send is at the injection's arrival, one latency in). *)
+  List.iter
+    (fun latency_ms ->
+      let engine = Engine.create ~message_latency:(Vtime.of_ms latency_ms) ~num_sites:2 () in
+      let failure_at = ref (-1) in
+      Engine.register engine 0 (fun ctx event ->
+          match event with
+          | Engine.Message _ -> Engine.send ctx 1 Tick
+          | Engine.Send_failed { dst; _ } ->
+            Alcotest.(check int) "failed dst" 1 dst;
+            failure_at := Vtime.to_us (Engine.time ctx)
+          | Engine.Timer _ -> ());
+      Engine.register engine 1 (fun _ _ -> Alcotest.fail "dead site must not receive");
+      Engine.set_alive engine 1 false;
+      Engine.inject engine ~dst:0 Tick;
+      Engine.run engine;
+      Alcotest.(check int)
+        (Printf.sprintf "timeout at send + 3 x %d ms" latency_ms)
+        (Vtime.to_us (Vtime.of_ms (4 * latency_ms)))
+        !failure_at;
+      Alcotest.(check int) "undeliverable counted" 1 (Engine.counters engine).Engine.undeliverable)
+    [ 0; 9; 50 ]
 
 let test_run_zero_budget_when_quiescent () =
   (* Regression: run ~max_events:0 on an engine with an empty queue must
@@ -165,8 +123,8 @@ let test_severed_link () =
     Engine.register engine site (fun ctx event ->
         match event with
         | Engine.Message { payload = Tick; _ } ->
-          Engine.send ctx ((Engine.self ctx + 1) mod 3) (Ping (Engine.self ctx))
-        | Engine.Message { payload = Ping n; _ } -> record (Engine.self ctx) (`Ping n)
+          Engine.send ctx ((site + 1) mod 3) (Ping site)
+        | Engine.Message { payload = Ping n; _ } -> record site (`Ping n)
         | Engine.Send_failed _ -> record site `Fail
         | _ -> ())
   done;
@@ -186,7 +144,7 @@ let test_timer_fires_and_respects_death () =
     Engine.register engine site (fun ctx event ->
         match event with
         | Engine.Message _ -> Engine.set_timer ctx (Vtime.of_ms 50) Tick
-        | Engine.Timer Tick -> fired := Engine.self ctx :: !fired
+        | Engine.Timer Tick -> fired := site :: !fired
         | _ -> ())
   done;
   Engine.inject engine ~dst:0 Tick;
@@ -232,12 +190,7 @@ let test_message_counters () =
 
 let test_validation () =
   Alcotest.check_raises "zero sites" (Invalid_argument "Engine.create: num_sites must be positive")
-    (fun () -> ignore (Engine.create ~num_sites:0 ()));
-  Alcotest.check_raises "timeout below latency"
-    (Invalid_argument "Engine.create: failure_timeout below message_latency") (fun () ->
-      ignore
-        (Engine.create ~message_latency:(Vtime.of_ms 10) ~failure_timeout:(Vtime.of_ms 5)
-           ~num_sites:1 ()))
+    (fun () -> ignore (Engine.create ~num_sites:0 ()))
 
 let test_run_guard () =
   let engine = Engine.create ~num_sites:2 () in
@@ -268,8 +221,6 @@ let suite =
     Alcotest.test_case "work delays sends" `Quick test_work_delays_sends;
     Alcotest.test_case "FIFO order" `Quick test_fifo_order;
     Alcotest.test_case "send-failed notification" `Quick test_send_failed_notification;
-    Alcotest.test_case "send-failed on fast link" `Quick test_send_failed_per_link_latency;
-    Alcotest.test_case "send-failed on slow link" `Quick test_send_failed_slow_link_clamped;
     Alcotest.test_case "zero budget when quiescent" `Quick test_run_zero_budget_when_quiescent;
     Alcotest.test_case "silent failed injection" `Quick test_injection_to_dead_site_is_silent;
     Alcotest.test_case "severed link" `Quick test_severed_link;

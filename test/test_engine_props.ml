@@ -11,10 +11,10 @@ let run_dispatch ~num_sites sends =
   let received = Array.make num_sites [] in
   let engine = Engine.create ~num_sites () in
   for site = 1 to num_sites - 1 do
-    Engine.register engine site (fun ctx event ->
+    Engine.register engine site (fun _ctx event ->
         match event with
         | Engine.Message { payload = Payload uid; _ } ->
-          received.(Engine.self ctx) <- uid :: received.(Engine.self ctx)
+          received.(site) <- uid :: received.(site)
         | _ -> ())
   done;
   Engine.register engine 0 (fun ctx event ->

@@ -10,8 +10,6 @@ let table () = Faillock.create ~num_items:5 ~num_sites:3
 
 let test_initial () =
   let t = table () in
-  Alcotest.(check int) "num_items" 5 (Faillock.num_items t);
-  Alcotest.(check int) "num_sites" 3 (Faillock.num_sites t);
   Alcotest.(check int) "nothing locked" 0 (Faillock.total_locked t);
   Alcotest.(check bool) "not locked" false (Faillock.is_locked t ~item:0 ~site:0)
 
@@ -161,15 +159,14 @@ let table_of ~sites bits =
   (t, log)
 
 (* Everything observable about a table. *)
-let snapshot t =
-  let sites = Faillock.num_sites t in
+let snapshot ~sites t =
   ( List.init diff_items (fun item -> Faillock.locked_sites t ~item),
     List.init sites (fun site -> Faillock.count_for t ~site),
     Faillock.total_locked t )
 
 (* The reference: one public set/clear per site, in increasing order. *)
-let reference_assign t ~item ~target ~set_count ~cleared =
-  for site = 0 to Faillock.num_sites t - 1 do
+let reference_assign ~sites t ~item ~target ~set_count ~cleared =
+  for site = 0 to sites - 1 do
     if List.mem site target then (if Faillock.set t ~item ~site then incr set_count)
     else if Faillock.clear t ~item ~site then incr cleared
   done
@@ -188,8 +185,8 @@ let prop_commit_update_matches_reference =
       let fs = ref 0 and fc = ref 0 and ss = ref 0 and sc = ref 0 in
       Faillock.commit_update fast ~item:c.item ~down:(bitset_of_list c.sites c.down) ~set:fs
         ~cleared:fc;
-      reference_assign slow ~item:c.item ~target:c.down ~set_count:ss ~cleared:sc;
-      snapshot fast = snapshot slow
+      reference_assign ~sites:c.sites slow ~item:c.item ~target:c.down ~set_count:ss ~cleared:sc;
+      snapshot ~sites:c.sites fast = snapshot ~sites:c.sites slow
       && Faillock.equal fast slow
       && (!fs, !fc) = (!ss, !sc)
       && !fast_log = !slow_log)
@@ -205,9 +202,11 @@ let prop_install_matches_reference =
       let ignored = ref 0 in
       for item = 0 to diff_items - 1 do
         let target = if keep item then Faillock.locked_sites from ~item else [] in
-        reference_assign slow ~item ~target ~set_count:ignored ~cleared:ignored
+        reference_assign ~sites:c.sites slow ~item ~target ~set_count:ignored ~cleared:ignored
       done;
-      snapshot fast = snapshot slow && Faillock.equal fast slow && !fast_log = !slow_log)
+      snapshot ~sites:c.sites fast = snapshot ~sites:c.sites slow
+      && Faillock.equal fast slow
+      && !fast_log = !slow_log)
 
 (* Sequences of operations from an empty table, on one table updated by
    [commit_update] and one by the reference loop.  Most commits run with
@@ -273,7 +272,7 @@ let prop_commit_update_sequences =
           | Commit (item, down) ->
             Faillock.commit_update !fast ~item ~down:(bitset_of_list sites down) ~set:fs
               ~cleared:fc;
-            reference_assign !slow ~item ~target:down ~set_count:ss ~cleared:sc
+            reference_assign ~sites !slow ~item ~target:down ~set_count:ss ~cleared:sc
           | Clear (item, site) ->
             ignore (Faillock.clear !fast ~item ~site);
             ignore (Faillock.clear !slow ~item ~site)
@@ -294,8 +293,8 @@ let prop_commit_update_sequences =
             slow := Faillock.copy !slow;
             rehook !fast fast_log;
             rehook !slow slow_log);
-          let (rows, counts, total) as seen = snapshot !fast in
-          seen = snapshot !slow
+          let (rows, counts, total) as seen = snapshot ~sites !fast in
+          seen = snapshot ~sites !slow
           && total = List.fold_left (fun acc row -> acc + List.length row) 0 rows
           && total = List.fold_left ( + ) 0 counts
           && (!fs, !fc) = (!ss, !sc)

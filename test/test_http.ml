@@ -73,7 +73,26 @@ let test_limits () =
   Alcotest.(check int) "HTTP/2 preface is 505" 505 (bad_status "GET / HTTP/2.0\r\n\r\n");
   Alcotest.(check int) "garbage request line is 400" 400 (bad_status "what even\r\n\r\n");
   Alcotest.(check int) "negative content-length is 400" 400
-    (bad_status "POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n")
+    (bad_status "POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n");
+  (* Content-Length is 1*DIGIT: OCaml literal syntax is not accepted. *)
+  List.iter
+    (fun raw ->
+      Alcotest.(check int)
+        (Printf.sprintf "content-length %S is 400" raw)
+        400
+        (bad_status ("POST / HTTP/1.1\r\nContent-Length: " ^ raw ^ "\r\n\r\n")))
+    [ "0x10"; "1_0"; "+5"; "0b11"; "0o7"; "1e3"; " " ];
+  (* Past the bound is 413, also where the digits overflow an int. *)
+  List.iter
+    (fun raw ->
+      Alcotest.(check int)
+        (Printf.sprintf "content-length %s is 413" raw)
+        413
+        (bad_status ("POST / HTTP/1.1\r\nContent-Length: " ^ raw ^ "\r\n\r\n")))
+    [ "1048577"; "99999999999999999999999"; "18446744073709551616" ];
+  Alcotest.(check int) "leading zeros are digits" 5
+    (String.length
+       (fst (complete "POST / HTTP/1.1\r\nContent-Length: 005\r\n\r\nhello")).Http.body)
 
 let dummy_req ?(meth = "GET") path =
   { Http.meth; path; query = []; headers = []; body = "" }

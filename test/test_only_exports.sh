@@ -1,58 +1,216 @@
 #!/bin/sh
-# Prints every library export that no program calls, one "MODULE.NAME
-# REASON" line each, for test/golden/test_only_exports.txt.  An export is
-# a "val NAME" line of a lib/*/*.mli; it is listed when NAME does not
-# occur as a whole word in any .ml of lib/, bin/, bench/, raidbench/ or
-# examples/ other than the module's own .ml (test code does not count).
-# Each listed export takes its reason from the allow-list given as the
-# second argument, or "UNDECLARED" when it has none, so a new test-only
-# export (or one that gains a caller) shows up as a diff against the
-# golden.
+# Prints every library export that no program calls, and every optional
+# argument of an export that no program sets, one "NAME  REASON" line
+# each, for test/golden/test_only_exports.txt.
 #
-# The match is on the bare word, not the qualified name: any identifier,
-# record field or local of the same name counts as a caller.  So the
-# rule overcounts callers: it can miss a dead export (Faillock.merge,
-# whose name other modules use), but it never lists a used one.  A val
-# inside a nested module is listed under the file's module.
+# An export is a "val" of a lib/*/*.mli, named by its qualified path:
+# M.name, or M.N.name for a val of a nested module N.  It counts as
+# called when a program .ml (lib/, bin/, bench/, raidbench/ or
+# examples/; test code does not count) other than M's own .ml contains
+# M.name (any qualified path ending in it, e.g. Raid_net.Engine.create),
+# X.name where the file declares "module X = ...M", or the bare name in
+# a file that opens or includes M ("open M", "include M", "let open M
+# in", "M.( ... )").  Comments and string literals are not searched.
+#
+# An optional argument "?arg:" in the type of an export's val is listed
+# as "M.name ?arg" when no program .ml other than M's own contains
+# "~arg" or "?arg", and M's own contains no "~arg" (its "?arg"s are the
+# definition or a forward to another of its own functions).  The label
+# is matched as a bare word, so an option is missed when any program
+# sets a label of the same name, but one that a program sets is never
+# listed.
+#
+# Each listed line takes its reason from the allow-list given as the
+# second argument (the text after the first two spaces of the line
+# whose name matches), or "UNDECLARED" when it has none, so a new
+# test-only export or option (or one that gains a caller) shows up as a
+# diff against the golden.
 # Usage: sh test_only_exports.sh ROOT ALLOWLIST
 set -eu
 root=$1
 case $2 in /*) allow=$2 ;; *) allow=$PWD/$2 ;; esac
 export LC_ALL=C
 cd "$root"
+
+# The awk function that blanks comments and string literals, line by
+# line; "depth", "instr" and "qid" carry its state across lines.
+strip='
+function strip(line,   out, tok, p) {
+  out = ""
+  while (line != "") {
+    if (instr) {
+      if (match(line, /\\.|"/)) {
+        tok = substr(line, RSTART, RLENGTH)
+        line = substr(line, RSTART + RLENGTH)
+        if (tok == "\"") instr = 0
+      } else line = ""
+    } else if (qid != "") {
+      p = index(line, "|" substr(qid, 2) "}")
+      if (p) { line = substr(line, p + length(qid) + 1); qid = "" } else line = ""
+    } else if (depth > 0) {
+      if (match(line, /\(\*|\*\)|"/)) {
+        tok = substr(line, RSTART, RLENGTH)
+        line = substr(line, RSTART + RLENGTH)
+        if (tok == "(*") depth++
+        else if (tok == "*)") depth--
+        else instr = 1
+      } else line = ""
+    } else if (match(line, /\(\*|"|\047|\{[a-z_]*\|/)) {
+      out = out substr(line, 1, RSTART - 1)
+      tok = substr(line, RSTART, RLENGTH)
+      line = substr(line, RSTART + RLENGTH)
+      if (tok == "(*") { depth = 1; out = out " " }
+      else if (tok == "\"") { instr = 1; out = out " " }
+      else if (tok == "\047") {
+        if (match(line, /^\\.[^\047]*\047/)) { line = substr(line, RLENGTH + 1); out = out " " }
+        else if (substr(line, 2, 1) == "\047") { line = substr(line, 3); out = out " " }
+        else out = out tok
+      } else { qid = "{" substr(tok, 2, length(tok) - 2); out = out " " }
+    } else { out = out line; line = "" }
+  }
+  return out
+}'
+
 {
-  # "FILE WORD" for every distinct word of every program .ml ...
-  for f in $(find lib bin bench raidbench examples -name '*.ml' | sort); do
-    tr -cs 'A-Za-z0-9_' '\n' < "$f" | sort -u | sed "s|^|$f |"
-  done
+  # Per program .ml: "U FILE PATH" for each qualified value path, "O FILE
+  # PATH" for each opened or included module path, "A FILE X PATH" for
+  # each "module X = PATH", "L FILE ~arg" for each label, and, in files
+  # that open something, "W FILE word" for each lowercase word.
+  find lib bin bench raidbench examples -name '*.ml' | sort | xargs awk "$strip"'
+    function flush(   w) {
+      if (file != "" && opened) for (w in words) print "W", file, w
+      split("", words); opened = 0; depth = 0; instr = 0; qid = ""; state = 0
+    }
+    FNR == 1 { flush(); file = FILENAME }
+    {
+      line = strip($0)
+      while (match(line, /[~?]?[A-Za-z_][A-Za-z0-9_\047]*(\.[A-Za-z_][A-Za-z0-9_\047]*)*/)) {
+        tok = substr(line, RSTART, RLENGTH)
+        line = substr(line, RSTART + RLENGTH)
+        if (tok ~ /^[~?]/) { if (!((file, tok) in labels)) { labels[file, tok]; print "L", file, tok }; state = 0; continue }
+        n = split(tok, c, ".")
+        # Leading lowercase components are values or fields: words.
+        for (k = 1; k <= n && c[k] !~ /^[A-Z]/; k++) words[c[k]]
+        path = ""
+        for (; k <= n && c[k] ~ /^[A-Z]/; k++) path = path (path == "" ? "" : ".") c[k]
+        if (k <= n) {
+          print "U", file, path "." c[k]
+          for (k++; k <= n; k++) words[c[k]]
+        } else if (path != "") {
+          if (state == 1) { print "O", file, path; opened = 1 }
+          else if (state == 3) print "A", file, alias, path
+          else if (substr(line, 1, 2) == ".(") { print "O", file, path; opened = 1 }
+        }
+        if (tok == "open" || tok == "include") state = 1
+        else if (tok == "module") state = 2
+        else if (state == 2 && tok ~ /^[A-Z][A-Za-z0-9_]*$/ && line ~ /^[ \t]*=/) { alias = tok; state = 3 }
+        else state = 0
+      }
+    }
+    END { flush() }'
   echo --
-  # ... then "MLI NAME" for every val the library exports.
+  # Per .mli: "E MLI PATH" for each val, "P MLI PATH ?arg" for each
+  # optional argument in its type.
   for mli in lib/*/*.mli; do
-    sed -n "s/^ *val  *\([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli" | sort -u | sed "s|^|$mli |"
+    awk -v mli="$mli" "$strip"'
+      function close_val(   t) {
+        if (val == "") return
+        print "E", mli, val
+        t = type
+        while (match(t, /\?[a-z_][A-Za-z0-9_\047]*[ \t]*:/)) {
+          opt = substr(t, RSTART, RLENGTH)
+          t = substr(t, RSTART + RLENGTH)
+          sub(/[ \t]*:$/, "", opt)
+          print "P", mli, val, opt
+        }
+        val = ""
+      }
+      BEGIN {
+        m = mli
+        sub(/.*\//, "", m)
+        sub(/\.mli$/, "", m)
+        nest[0] = toupper(substr(m, 1, 1)) substr(m, 2)
+        top = 0
+      }
+      {
+        line = strip($0)
+        if (line ~ /^[ \t]*(val|type|module|end|exception|external|include|open|class)([^A-Za-z0-9_\047]|$)/) close_val()
+        if (match(line, /^[ \t]*module[ \t]+[A-Z][A-Za-z0-9_\047]*[ \t]*:[ \t]*sig/)) {
+          name = line
+          sub(/^[ \t]*module[ \t]+/, "", name)
+          sub(/[^A-Za-z0-9_\047].*/, "", name)
+          top++
+          nest[top] = nest[top - 1] "." name
+        } else if (line ~ /^[ \t]*end([^A-Za-z0-9_\047]|$)/) {
+          if (top > 0) top--
+        } else if (match(line, /^[ \t]*val[ \t]+[a-z_][A-Za-z0-9_\047]*/)) {
+          name = substr(line, RSTART, RLENGTH)
+          sub(/^[ \t]*val[ \t]+/, "", name)
+          val = nest[top] "." name
+          type = substr(line, RSTART + RLENGTH)
+        } else if (val != "") type = type " " line
+      }
+      END { close_val() }' "$mli"
   done
 } | awk '
-  $1 == "--" { exports = 1; next }
-  !exports { users[$2] = users[$2] " " $1; next }
-  {
-    own = $1
-    sub(/i$/, "", own)
-    n = split(users[$2], files, " ")
-    used = 0
-    for (i = 1; i <= n; i++) if (files[i] != own) used = 1
-    if (!used) {
-      m = $1
-      sub(/.*\//, "", m)
-      sub(/\.mli$/, "", m)
-      print toupper(substr(m, 1, 1)) substr(m, 2) "." $2
-    }
-  }' | sort | awk -v allow="$allow" '
-  BEGIN {
-    while ((getline line < allow) > 0) {
-      key = line
-      sub(/ .*/, "", key)
-      reason = line
-      sub(/^[^ ]* */, "", reason)
-      reasons[key] = reason
+  # Every qualified suffix of PATH (at least Module.name) is a name the
+  # file can be calling.
+  function candidate(f, path,   n, c, k, j, s) {
+    n = split(path, c, ".")
+    for (k = 1; k < n; k++) {
+      s = c[k]
+      for (j = k + 1; j <= n; j++) s = s "." c[j]
+      if (!((s, f) in seen)) { seen[s, f]; users[s] = users[s] " " f }
     }
   }
-  { print $1 "  " (reasons[$1] != "" ? reasons[$1] : "UNDECLARED") }'
+  function expand(f, path,   head) {
+    head = path
+    sub(/\..*/, "", head)
+    if ((f, head) in alias) return alias[f, head] substr(path, length(head) + 1)
+    return path
+  }
+  function called(path, own,   n, u, i) {
+    n = split(users[path], u, " ")
+    for (i = 1; i <= n; i++) if (u[i] != own) return 1
+    return 0
+  }
+  function set_by(label, own,   n, u, i) {
+    n = split(labels[label], u, " ")
+    for (i = 1; i <= n; i++) if (u[i] != own) return 1
+    return 0
+  }
+  $1 == "U" { uses[$2, ++nuse[$2]] = $3; files[$2]; next }
+  $1 == "O" { opens[$2, ++nopen[$2]] = $3; files[$2]; next }
+  $1 == "A" { alias[$2, $3] = $4; next }
+  $1 == "W" { words[$2, ++nword[$2]] = $3; next }
+  $1 == "L" { labels[$3] = labels[$3] " " $2; own_labels[$3, $2]; next }
+  $1 == "--" {
+    for (f in files) {
+      for (i = 1; i <= nopen[f]; i++) opens[f, i] = expand(f, opens[f, i])
+      for (i = 1; i <= nuse[f]; i++) {
+        p = expand(f, uses[f, i])
+        candidate(f, p)
+        for (j = 1; j <= nopen[f]; j++) candidate(f, opens[f, j] "." p)
+      }
+      for (i = 1; i <= nword[f]; i++)
+        for (j = 1; j <= nopen[f]; j++) candidate(f, opens[f, j] "." words[f, i])
+    }
+    next
+  }
+  {
+    own = $2
+    sub(/i$/, "", own)
+  }
+  $1 == "E" && !called($3, own) { print $3 }
+  $1 == "P" {
+    label = substr($4, 2)
+    if (!set_by("~" label, own) && !set_by("?" label, own) && !(("~" label, own) in own_labels))
+      print $3 " " $4
+  }' | sort -u | awk -v allow="$allow" '
+  BEGIN {
+    while ((getline line < allow) > 0) {
+      p = index(line, "  ")
+      if (p) reasons[substr(line, 1, p - 1)] = substr(line, p + 2)
+    }
+  }
+  { print $0 "  " ($0 in reasons ? reasons[$0] : "UNDECLARED") }'

@@ -166,7 +166,8 @@ let test_recovery_installs_session_and_faillocks () =
   ignore (Cluster.recover_site cluster 1);
   let site1 = Cluster.site cluster 1 in
   Alcotest.(check int) "session incremented" 2 (Site.session_number site1);
-  Alcotest.(check (list int)) "knows its stale items" [ 1; 2 ] (Site.locked_items site1);
+  Alcotest.(check (list int)) "knows its stale items" [ 1; 2 ]
+    (Raid_core.Faillock.locked_items_for (Site.faillocks site1) ~site:1);
   (* Other sites perceive the new session number. *)
   List.iter
     (fun s ->

@@ -14,12 +14,6 @@ let test_different_seeds_differ () =
   done;
   Alcotest.(check int) "streams differ" 0 !same
 
-let test_copy_replays () =
-  let a = Rng.create 9 in
-  ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy replays" (Rng.bits64 a) (Rng.bits64 b)
-
 let test_split_independent () =
   let a = Rng.create 5 in
   let b = Rng.split a in
@@ -101,7 +95,6 @@ let suite =
   [
     Alcotest.test_case "determinism by seed" `Quick test_determinism;
     Alcotest.test_case "different seeds differ" `Quick test_different_seeds_differ;
-    Alcotest.test_case "copy replays stream" `Quick test_copy_replays;
     Alcotest.test_case "split produces distinct stream" `Quick test_split_independent;
     Alcotest.test_case "int validates bound" `Quick test_int_bound_validation;
     Alcotest.test_case "int_in validates range" `Quick test_int_in_validation;

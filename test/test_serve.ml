@@ -279,14 +279,10 @@ let test_retains_no_series () =
         Soak.tick ~timeout:0.0 soak
       done;
       let registry = Soak.registry soak in
-      Alcotest.(check bool) "no sampling interval" true
-        (Raid_obs.Telemetry.interval registry = None);
       List.iter
         (fun (v : Raid_obs.Telemetry.view) ->
-          Alcotest.(check int)
-            (v.Raid_obs.Telemetry.v_name ^ " series empty")
-            0
-            (Raid_obs.Series.length v.Raid_obs.Telemetry.v_series))
+          Raid_obs.Series.iter v.Raid_obs.Telemetry.v_series (fun ~at:_ _ ->
+              Alcotest.failf "%s series not empty" v.Raid_obs.Telemetry.v_name))
         (Raid_obs.Telemetry.views registry);
       let status, body = get soak "/metrics" in
       Alcotest.(check int) "metrics 200" 200 status;

@@ -101,7 +101,8 @@ let check_incident_tiles incident =
     List.fold_left (fun acc p -> acc + phase_duration incident p) 0 all_phases
   in
   Alcotest.(check int) "phase durations sum to the incident duration"
-    (duration incident) sum
+    (Raid_net.Vtime.sub incident.finished incident.started)
+    sum
 
 (* Phase partition exactness on the exp1 fail/recover cycle: outage +
    replay + resolve + install + drain = crash → caught-up, exactly. *)
@@ -117,7 +118,10 @@ let test_incident_partition_exp1 () =
       if i.Incident.complete then
         match Incident.mttr i with
         | None -> Alcotest.fail "complete incident has no MTTR"
-        | Some mttr -> Alcotest.(check int) "MTTR = duration" (Incident.duration i) mttr)
+        | Some mttr ->
+          Alcotest.(check int) "MTTR = duration"
+            (Raid_net.Vtime.sub i.Incident.finished i.Incident.started)
+            mttr)
     incidents
 
 (* The same partition holds under k=3 partial placement, where the

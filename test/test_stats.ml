@@ -72,29 +72,6 @@ let test_summarize () =
   Alcotest.check feq "max" 4.0 s.Stats.max;
   Alcotest.check feq "median" 2.5 s.Stats.p50
 
-let test_accumulator_matches_batch () =
-  let samples = [ 3.0; 1.0; 4.0; 1.0; 5.0; 9.0; 2.0; 6.0 ] in
-  let acc = Stats.Accumulator.create () in
-  List.iter (Stats.Accumulator.add acc) samples;
-  Alcotest.(check int) "count" (List.length samples) (Stats.Accumulator.count acc);
-  Alcotest.check (Alcotest.float 1e-9) "mean" (Stats.mean samples) (Stats.Accumulator.mean acc);
-  Alcotest.check (Alcotest.float 1e-9) "stddev" (Stats.stddev samples)
-    (Stats.Accumulator.stddev acc)
-
-let test_accumulator_empty () =
-  let acc = Stats.Accumulator.create () in
-  Alcotest.check feq "mean of empty" 0.0 (Stats.Accumulator.mean acc);
-  Alcotest.check feq "stddev of empty" 0.0 (Stats.Accumulator.stddev acc)
-
-let prop_accumulator_equals_batch =
-  QCheck.Test.make ~name:"accumulator equals batch statistics" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-1000.) 1000.))
-    (fun samples ->
-      let acc = Stats.Accumulator.create () in
-      List.iter (Stats.Accumulator.add acc) samples;
-      Float.abs (Stats.Accumulator.mean acc -. Stats.mean samples) < 1e-6
-      && Float.abs (Stats.Accumulator.stddev acc -. Stats.stddev samples) < 1e-6)
-
 let prop_percentile_monotone =
   QCheck.Test.make ~name:"percentile is monotone in p" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 30) (float_range 0. 100.))
@@ -113,9 +90,6 @@ let suite =
     Alcotest.test_case "percentile small samples" `Quick test_percentile_small_samples;
     Alcotest.test_case "percentile validates p" `Quick test_percentile_validation;
     Alcotest.test_case "summarize" `Quick test_summarize;
-    Alcotest.test_case "accumulator matches batch" `Quick test_accumulator_matches_batch;
-    Alcotest.test_case "accumulator empty" `Quick test_accumulator_empty;
-    QCheck_alcotest.to_alcotest prop_accumulator_equals_batch;
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_percentile_within_bounds;
   ]

@@ -65,34 +65,6 @@ let test_terminate_is_idempotent () =
   Cluster.terminate_site cluster 2;
   Alcotest.(check bool) "still down" false (Cluster.alive cluster 2)
 
-(* {2 Per-link latency} *)
-
-let test_link_latency_defaults () =
-  let engine = Engine.create ~message_latency:(Vtime.of_ms 9) ~num_sites:3 () in
-  Alcotest.(check int) "default link" (Vtime.of_ms 9) (Engine.link_latency engine 0 1);
-  Engine.set_link_latency engine 0 1 (Vtime.of_ms 80);
-  Alcotest.(check int) "overridden" (Vtime.of_ms 80) (Engine.link_latency engine 0 1);
-  Alcotest.(check int) "symmetric" (Vtime.of_ms 80) (Engine.link_latency engine 1 0);
-  Alcotest.(check int) "other links untouched" (Vtime.of_ms 9) (Engine.link_latency engine 0 2);
-  Alcotest.check_raises "negative" (Invalid_argument "Engine.set_link_latency: negative latency")
-    (fun () -> Engine.set_link_latency engine 0 1 (-1))
-
-let test_wan_link_slows_transaction () =
-  (* 2 LAN sites + 1 across a slow WAN link: the commit must wait for the
-     slow participant, so the coordinator time grows by 4 x the latency
-     difference (two round trips). *)
-  let run ~wan_ms =
-    let cluster = Cluster.create (config ()) in
-    let engine = Cluster.engine cluster in
-    Engine.set_link_latency engine 0 2 (Vtime.of_ms wan_ms);
-    Engine.set_link_latency engine 1 2 (Vtime.of_ms wan_ms);
-    let id = Cluster.next_txn_id cluster in
-    let outcome = Cluster.submit cluster ~coordinator:0 (Txn.make ~id [ Txn.Write 1 ]) in
-    Vtime.to_ms outcome.Metrics.elapsed
-  in
-  let lan = run ~wan_ms:9 and wan = run ~wan_ms:59 in
-  Alcotest.check (Alcotest.float 0.01) "4 extra half-trips" (4.0 *. 50.0) (wan -. lan)
-
 let suite =
   [
     Alcotest.test_case "departure updates vectors" `Quick test_departure_updates_vectors;
@@ -102,6 +74,4 @@ let suite =
       test_faillocks_accumulate_for_terminated;
     Alcotest.test_case "terminated site rejoins" `Quick test_terminated_site_rejoins;
     Alcotest.test_case "terminate idempotent" `Quick test_terminate_is_idempotent;
-    Alcotest.test_case "link latency accessors" `Quick test_link_latency_defaults;
-    Alcotest.test_case "WAN link slows the commit" `Quick test_wan_link_slows_transaction;
   ]
