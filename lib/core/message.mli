@@ -79,16 +79,18 @@ type t =
 val kind_index : t -> int
 (** The constructor's position in declaration order, in
     [0 .. kind_count - 1]: a dense key for per-kind counters, so a probe
-    indexes an array instead of hashing {!kind}. *)
+    indexes an array instead of hashing a name. *)
 
 val kind_count : int
 
 val kind_of_index : int -> string
-(** [kind_of_index (kind_index m) = kind m].
+(** The constructor's stable snake_case tag ("prepare", "copy_request",
+    ...): unlike {!describe} it carries no transaction ids, so it is
+    usable as a metric label.
     @raise Invalid_argument outside [0 .. kind_count - 1]. *)
 
 val all_kinds : string list
-(** The {!kind} values pre-registered for aligned telemetry series, in
+(** The {!kind_of_index} names pre-registered for aligned telemetry series, in
     constructor order.  ["faillock_hint"] and the in-doubt resolution
     kinds ["txn_status_request"]/["txn_status_reply"] are deliberately
     absent — they only flow on rare paths (partial replication,
