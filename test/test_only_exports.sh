@@ -32,10 +32,11 @@ case $2 in /*) allow=$2 ;; *) allow=$PWD/$2 ;; esac
 export LC_ALL=C
 cd "$root"
 
-# The awk function that blanks comments and string literals, line by
-# line; "depth", "instr" and "qid" carry its state across lines.
+# The awk function that blanks comments, string and character literals,
+# line by line; "depth" and "instr" carry its state across lines.
+# Quoted strings ({|...|}) are not handled: no program file uses one.
 strip='
-function strip(line,   out, tok, p) {
+function strip(line,   out, tok) {
   out = ""
   while (line != "") {
     if (instr) {
@@ -44,9 +45,6 @@ function strip(line,   out, tok, p) {
         line = substr(line, RSTART + RLENGTH)
         if (tok == "\"") instr = 0
       } else line = ""
-    } else if (qid != "") {
-      p = index(line, "|" substr(qid, 2) "}")
-      if (p) { line = substr(line, p + length(qid) + 1); qid = "" } else line = ""
     } else if (depth > 0) {
       if (match(line, /\(\*|\*\)|"/)) {
         tok = substr(line, RSTART, RLENGTH)
@@ -55,7 +53,7 @@ function strip(line,   out, tok, p) {
         else if (tok == "*)") depth--
         else instr = 1
       } else line = ""
-    } else if (match(line, /\(\*|"|\047|\{[a-z_]*\|/)) {
+    } else if (match(line, /\(\*|"|\047/)) {
       out = out substr(line, 1, RSTART - 1)
       tok = substr(line, RSTART, RLENGTH)
       line = substr(line, RSTART + RLENGTH)
@@ -65,7 +63,7 @@ function strip(line,   out, tok, p) {
         if (match(line, /^\\.[^\047]*\047/)) { line = substr(line, RLENGTH + 1); out = out " " }
         else if (substr(line, 2, 1) == "\047") { line = substr(line, 3); out = out " " }
         else out = out tok
-      } else { qid = "{" substr(tok, 2, length(tok) - 2); out = out " " }
+      }
     } else { out = out line; line = "" }
   }
   return out
@@ -79,7 +77,7 @@ function strip(line,   out, tok, p) {
   find lib bin bench raidbench examples -name '*.ml' | sort | xargs awk "$strip"'
     function flush(   w) {
       if (file != "" && opened) for (w in words) print "W", file, w
-      split("", words); opened = 0; depth = 0; instr = 0; qid = ""; state = 0
+      split("", words); opened = 0; depth = 0; instr = 0; state = 0
     }
     FNR == 1 { flush(); file = FILENAME }
     {
