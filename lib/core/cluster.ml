@@ -8,14 +8,11 @@ let log_src = Logs.Src.create "raid.cluster" ~doc:"RAID managing site"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type detection = Immediate | On_timeout
-
 module Spec = struct
   type wal_factory = site:int -> initial:Database.t -> Wal.t
 
   type t = {
     config : Config.t;
-    detection : detection;
     trace : bool;
     obs : Raid_obs.Trace.sink option;
     telemetry : Raid_obs.Telemetry.t option;
@@ -23,16 +20,14 @@ module Spec = struct
     wal_factory : wal_factory option;
   }
 
-  let make ?(detection = Immediate) ?(trace = false) ?obs ?telemetry ?(telemetry_labels = [])
-      ?wal_factory config =
-    { config; detection; trace; obs; telemetry; telemetry_labels; wal_factory }
+  let make ?(trace = false) ?obs ?telemetry ?(telemetry_labels = []) ?wal_factory config =
+    { config; trace; obs; telemetry; telemetry_labels; wal_factory }
 end
 
 type stale_read = { reader : int; item : int; version : int; latest : int }
 
 type t = {
   config : Config.t;
-  detection : detection;
   engine : Message.t Engine.t;
   obs : Raid_obs.Trace.sink option;
   sites : Site.t array;
@@ -208,7 +203,7 @@ let record_outcome t outcome =
   end
 
 let of_spec (spec : Spec.t) =
-  let { Spec.config; detection; trace; obs; telemetry; telemetry_labels; wal_factory } = spec in
+  let { Spec.config; trace; obs; telemetry; telemetry_labels; wal_factory } = spec in
   let metrics = Metrics.create () in
   let engine =
     Engine.create ~message_latency:config.Config.cost.Cost_model.message_latency ~trace
@@ -232,7 +227,6 @@ let of_spec (spec : Spec.t) =
   let t =
     {
       config;
-      detection;
       engine;
       obs;
       sites;
@@ -355,15 +349,11 @@ let crash_site_now t i =
 let fail_site t i =
   if alive t i then begin
     crash_site_now t i;
-    (match t.detection with
-    | On_timeout -> ()
-    | Immediate -> begin
-      match List.find_opt (fun s -> s <> i) (alive_sites t) with
-      | None -> ()
-      | Some witness ->
-        Engine.inject t.engine ~dst:witness (Message.Failure_noticed [ i ]);
-        run_to_quiescence t
-    end)
+    match List.find_opt (fun s -> s <> i) (alive_sites t) with
+    | None -> ()
+    | Some witness ->
+      Engine.inject t.engine ~dst:witness (Message.Failure_noticed [ i ]);
+      run_to_quiescence t
   end
 
 let terminate_site t i =

@@ -9,22 +9,18 @@
     oracle views (global fail-lock counts, reference versions) the
     experiment harness plots.
 
-    Failure detection modes:
-    - [Immediate]: when a site is failed, the managing site immediately
-      tells the lowest-numbered surviving site, which runs control
-      transaction type 2.  This matches how the paper's experiments stage
-      failures between numbered transactions.
-    - [On_timeout]: survivors only learn of a failure when a send to the
-      dead site times out during a later transaction (Appendix A's
-      "site is now down" branches), which then aborts that transaction
-      and runs control-2. *)
+    How a crash becomes known is chosen per call, not per cluster:
+    - {!fail_site} crashes the site and tells the lowest-numbered
+      survivor, which runs control transaction type 2 — how the paper's
+      experiments stage failures between numbered transactions;
+    - {!crash_site_now} crashes the site and tells nobody: survivors
+      learn of it only when a send to the dead site fails during a later
+      transaction (Appendix A's "site is now down" branches), which
+      aborts that transaction and runs control-2. *)
 
-type detection = Immediate | On_timeout
-
-(** The full construction row, as one record: the observation and
-    failure-detection knobs, plus everything a cluster needs to exist as
-    {e one tenant among many} in a process rather than the implicit only
-    cluster.
+(** The full construction row, as one record: the observation knobs,
+    plus everything a cluster needs to exist as {e one tenant among
+    many} in a process rather than the implicit only cluster.
 
     - [obs] is handed to every site: one sink collects the whole
       cluster's protocol trace (entries carry the emitting site's id);
@@ -49,7 +45,6 @@ module Spec : sig
 
   type t = {
     config : Config.t;
-    detection : detection;
     trace : bool;
     obs : Raid_obs.Trace.sink option;
     telemetry : Raid_obs.Telemetry.t option;
@@ -58,7 +53,6 @@ module Spec : sig
   }
 
   val make :
-    ?detection:detection ->
     ?trace:bool ->
     ?obs:Raid_obs.Trace.sink ->
     ?telemetry:Raid_obs.Telemetry.t ->
@@ -66,8 +60,7 @@ module Spec : sig
     ?wal_factory:wal_factory ->
     Config.t ->
     t
-  (** Defaults: [Immediate] detection, no trace, no sinks, no labels,
-      private WALs. *)
+  (** Defaults: no trace, no sinks, no labels, private WALs. *)
 end
 
 type t
@@ -94,10 +87,11 @@ val operational : t -> int list
     call, so it never goes stale across fail and recover. *)
 
 val fail_site : t -> int -> unit
-(** Crash a site between transactions.  Volatile state is lost; database,
-    fail-locks and session vector survive.  No-op if already down.
-    Under [Immediate] detection the survivors' session vectors are
-    updated before this returns. *)
+(** Crash a site between transactions ({!crash_site_now}), then tell the
+    lowest-numbered survivor, whose control transaction type 2 updates
+    every survivor's session vector before this returns.  Volatile state
+    is lost; database, fail-locks and session vector survive.  No-op if
+    already down. *)
 
 val terminate_site : t -> int -> unit
 (** Graceful shutdown: the site announces its departure (the paper's

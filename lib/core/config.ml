@@ -23,8 +23,8 @@ let validate t =
   (match t.replication with
   | Full -> ()
   | Partial spec ->
-    (* Resolution validates the spec (positive factor, well-formed
-       affinity map); a factor >= 1 always leaves every item a copy. *)
+    (* Resolution validates the spec (positive factor); a factor >= 1
+       always leaves every item a copy. *)
     ignore (Placement.make ~num_sites:t.num_sites ~num_items:t.num_items spec));
   (match t.durability with
   | In_memory -> ()

@@ -77,8 +77,8 @@ val make :
     transactions (as in the paper), fail-locks enabled.
     @raise Invalid_argument on non-positive sizes, more than 1024 sites
     (a sanity bound; fail-lock bitmaps are [Bytes]-backed and grow with
-    the site count), an invalid [Partial] spec (non-positive factor,
-    ill-formed affinity map), or an out-of-range two-step threshold. *)
+    the site count), an invalid [Partial] spec (non-positive factor), or
+    an out-of-range two-step threshold. *)
 
 val placement : t -> Placement.t
 (** The resolved static placement ({!Placement.full} under [Full]). *)

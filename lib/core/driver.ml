@@ -41,7 +41,7 @@ let apply d = function
       | `Recovered -> d.recovered <- d.recovered + 1
       | `Blocked -> ()
 
-(* A fired entry can move the clock (an [Immediate] failure runs
+(* A fired entry can move the clock ([Cluster.fail_site] runs
    control-2 to quiescence), so the next entry is judged afterwards. *)
 let rec fire_due d =
   match d.pending with

@@ -14,7 +14,7 @@ type t =
       (** managing site tells a down site to start recovery (control-1) *)
   | Failure_noticed of int list
       (** managing site tells a surviving site which sites failed
-          (immediate-detection mode); the receiver runs control-2 *)
+          ({!Cluster.fail_site}); the receiver runs control-2 *)
   | Terminate_command
       (** managing site asks a site to shut down gracefully: it announces
           its departure (entering the paper's [Terminating] state) so that

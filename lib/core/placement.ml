@@ -1,6 +1,6 @@
 module Rng = Raid_util.Rng
 
-type sharding = Hash | Range | Modular | Affinity of int array
+type sharding = Hash | Range | Modular
 
 type spec = { factor : int; sharding : sharding }
 
@@ -16,7 +16,6 @@ let sharding_to_string = function
   | Hash -> "hash"
   | Range -> "range"
   | Modular -> "modular"
-  | Affinity _ -> "affinity"
 
 type t =
   | Full of { num_sites : int; num_items : int }
@@ -31,16 +30,6 @@ let full ~num_sites ~num_items = Full { num_sites; num_items }
 
 let make ~num_sites ~num_items spec =
   if spec.factor <= 0 then invalid_arg "Placement.make: factor must be positive";
-  (match spec.sharding with
-  | Affinity primaries ->
-    if Array.length primaries <> num_items then
-      invalid_arg "Placement.make: affinity array length must equal num_items";
-    Array.iter
-      (fun p ->
-        if p < 0 || p >= num_sites then
-          invalid_arg "Placement.make: affinity primary out of range")
-      primaries
-  | Hash | Range | Modular -> ());
   if spec.factor >= num_sites then Full { num_sites; num_items }
   else Sharded { num_sites; num_items; factor = spec.factor; sharding = spec.sharding }
 
@@ -58,8 +47,7 @@ let primary t item =
     | Range ->
       (* num_items > 0 whenever there is an item to place *)
       item * p.num_sites / p.num_items
-    | Modular -> item mod p.num_sites
-    | Affinity primaries -> primaries.(item))
+    | Modular -> item mod p.num_sites)
 
 let holds t ~site ~item =
   match t with

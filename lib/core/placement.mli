@@ -23,8 +23,6 @@ type sharding =
                preserves key locality. *)
   | Modular  (** primary = item mod sites — matches the consecutive
                  placements used in the paper-era tests and examples. *)
-  | Affinity of int array
-      (** Explicit primary per item ([Array.length] = num_items). *)
 
 type spec = { factor : int; sharding : sharding }
 (** A declarative placement: [factor] copies per item ([k]); clamped to
@@ -36,8 +34,7 @@ val spec : ?sharding:sharding -> factor:int -> unit -> spec
 
 val sharding_of_string : string -> (sharding, string) result
 val sharding_to_string : sharding -> string
-(** Round-trip the symbolic shardings ("hash", "range", "modular");
-    [Affinity] prints as "affinity". *)
+(** Round-trip the shardings ("hash", "range", "modular"). *)
 
 type t
 (** A resolved placement over a fixed [num_sites] x [num_items] space. *)
@@ -46,9 +43,7 @@ val full : num_sites:int -> num_items:int -> t
 (** Every site holds every item (the paper's model). *)
 
 val make : num_sites:int -> num_items:int -> spec -> t
-(** Resolve a spec.  @raise Invalid_argument when [factor <= 0], when an
-    [Affinity] array has the wrong length, or when an affinity primary is
-    out of range. *)
+(** Resolve a spec.  @raise Invalid_argument when [factor <= 0]. *)
 
 val is_full : t -> bool
 (** True when every site holds every item — either built with {!full} or

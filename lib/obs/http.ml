@@ -35,12 +35,14 @@ let prom body =
   { status = 200; content_type = "text/plain; version=0.0.4; charset=utf-8";
     extra_headers = []; body }
 
-let json ?(status = 200) value =
+let json_with status value =
   { status; content_type = "application/json"; extra_headers = [];
     body = Json.to_string value ^ "\n" }
 
+let json value = json_with 200 value
+
 let error status message =
-  json ~status (Json.Obj [ ("error", Json.Str message); ("status", Json.Int status) ])
+  json_with status (Json.Obj [ ("error", Json.Str message); ("status", Json.Int status) ])
 
 (* {2 Parsing} *)
 

@@ -38,7 +38,8 @@ val prom : string -> response
 (** A Prometheus exposition body:
     [text/plain; version=0.0.4; charset=utf-8]. *)
 
-val json : ?status:int -> Json.t -> response
+val json : Json.t -> response
+(** [application/json] response, status 200. *)
 
 val error : int -> string -> response
 (** JSON [{"error": message, "status": code}] with the given status. *)

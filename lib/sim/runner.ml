@@ -9,8 +9,6 @@ type txn_record = {
   index : int;
   outcome : Metrics.outcome;
   faillocks_per_site : int array;
-  cumulative_aborts : int;
-  cumulative_copiers : int;
 }
 
 type result = {
@@ -18,7 +16,6 @@ type result = {
   records : txn_record list;
   committed : int;
   aborted : int;
-  operational_at_commit : (int, int list) Hashtbl.t;
 }
 
 type state = {
@@ -26,8 +23,6 @@ type state = {
   mutable policy : Scenario.coordinator_policy;
   mutable round_robin_cursor : int;
   mutable records_rev : txn_record list;
-  mutable copiers : int;
-  operational_at_commit : (int, int list) Hashtbl.t;
 }
 
 let choose_coordinator state =
@@ -52,27 +47,16 @@ let choose_coordinator state =
 let run_one_txn state =
   let cluster = Driver.cluster state.driver in
   let outcome = Driver.step ~coordinator:(choose_coordinator state) state.driver in
-  let id = outcome.Metrics.txn.Raid_core.Txn.id in
-  if outcome.Metrics.committed then
-    Hashtbl.replace state.operational_at_commit id (Cluster.alive_sites cluster);
-  state.copiers <- state.copiers + outcome.Metrics.copier_requests;
-  let faillocks_per_site = Cluster.faillock_counts cluster in
+  let index = outcome.Metrics.txn.Raid_core.Txn.id in
   state.records_rev <-
-    {
-      index = id;
-      outcome;
-      faillocks_per_site;
-      cumulative_aborts = Driver.aborted state.driver;
-      cumulative_copiers = state.copiers;
-    }
-    :: state.records_rev
+    { index; outcome; faillocks_per_site = Cluster.faillock_counts cluster } :: state.records_rev
 
 let check cluster =
   match Invariant.all cluster with
   | Ok () -> ()
   | Error message -> failwith (Printf.sprintf "Runner: invariant violated: %s" message)
 
-let run_action state ~check_invariants action =
+let run_action state action =
   let cluster = Driver.cluster state.driver in
   (match action with
   | Scenario.Run_txns n ->
@@ -98,13 +82,11 @@ let run_action state ~check_invariants action =
       end
     in
     loop max_txns);
-  if check_invariants then check cluster
+  check cluster
 
-let run ?(check_invariants = true) ?(trace = false) ?obs ?telemetry (scenario : Scenario.t) =
+let run ?(trace = false) ?obs ?telemetry (scenario : Scenario.t) =
   let cluster =
-    Cluster.of_spec
-      (Cluster.Spec.make ~detection:scenario.Scenario.detection ~trace ?obs ?telemetry
-         scenario.Scenario.config)
+    Cluster.of_spec (Cluster.Spec.make ~trace ?obs ?telemetry scenario.Scenario.config)
   in
   let rng = Rng.create scenario.Scenario.seed in
   let workload_rng = Rng.split rng in
@@ -118,17 +100,14 @@ let run ?(check_invariants = true) ?(trace = false) ?obs ?telemetry (scenario : 
       policy = scenario.Scenario.policy;
       round_robin_cursor = 0;
       records_rev = [];
-      copiers = 0;
-      operational_at_commit = Hashtbl.create 64;
     }
   in
-  List.iter (run_action state ~check_invariants) scenario.Scenario.actions;
+  List.iter (run_action state) scenario.Scenario.actions;
   {
     cluster;
     records = List.rev state.records_rev;
     committed = Driver.committed state.driver;
     aborted = Driver.aborted state.driver;
-    operational_at_commit = state.operational_at_commit;
   }
 
 let series (result : result) ~site =

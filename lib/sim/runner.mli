@@ -3,16 +3,14 @@
     The runner plays the managing site: it walks a {!Scenario.t}'s action
     list, generates workload transactions, picks coordinators per policy,
     and records after every transaction the data behind the paper's
-    figures — the number of items fail-locked for each site, cumulative
-    copier transactions and aborts. *)
+    figures: its outcome and the number of items fail-locked for each
+    site. *)
 
 type txn_record = {
   index : int;  (** serial transaction number, from 1 *)
   outcome : Raid_core.Metrics.outcome;
   faillocks_per_site : int array;
       (** oracle fail-lock count for each site, after this transaction *)
-  cumulative_aborts : int;
-  cumulative_copiers : int;
 }
 
 type result = {
@@ -20,20 +18,17 @@ type result = {
   records : txn_record list;  (** in execution order *)
   committed : int;
   aborted : int;
-  operational_at_commit : (int, int list) Hashtbl.t;
-      (** txn id -> sites alive at completion (for durability checks) *)
 }
 
 val run :
-  ?check_invariants:bool ->
   ?trace:bool ->
   ?obs:Raid_obs.Trace.sink ->
   ?telemetry:Raid_obs.Telemetry.t ->
   Scenario.t ->
   result
-(** Execute the scenario.  With [check_invariants] (default true), the
-    DESIGN.md invariants are verified after every action and a [Failure]
-    is raised on violation — experiments double as protocol tests.
+(** Execute the scenario.  The DESIGN.md invariants are verified after
+    every action and a [Failure] is raised on violation — experiments
+    double as protocol tests.
     [trace] turns on the network engine's message trace; [obs] receives
     the sites' protocol trace; [telemetry] is instrumented over the
     cluster and sampled in virtual time ({!Observe} attaches all three

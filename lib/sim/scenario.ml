@@ -14,16 +14,14 @@ type action =
 
 type t = {
   config : Raid_core.Config.t;
-  detection : Raid_core.Cluster.detection;
   workload : Raid_core.Workload.spec;
   policy : coordinator_policy;
   seed : int;
   actions : action list;
 }
 
-let make ?(detection = Raid_core.Cluster.Immediate) ?(policy = Uniform_random) ?(seed = 42)
-    ~config ~workload actions =
-  { config; detection; workload; policy; seed; actions }
+let make ?(policy = Uniform_random) ?(seed = 42) ~config ~workload actions =
+  { config; workload; policy; seed; actions }
 
 let outage ?route ~site ~down_txns ~max_recovery_txns () =
   [ Fail site; Run_txns down_txns; Recover site ]

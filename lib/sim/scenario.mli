@@ -28,7 +28,6 @@ type action =
 
 type t = {
   config : Raid_core.Config.t;
-  detection : Raid_core.Cluster.detection;
   workload : Raid_core.Workload.spec;
   policy : coordinator_policy;
   seed : int;
@@ -36,14 +35,13 @@ type t = {
 }
 
 val make :
-  ?detection:Raid_core.Cluster.detection ->
   ?policy:coordinator_policy ->
   ?seed:int ->
   config:Raid_core.Config.t ->
   workload:Raid_core.Workload.spec ->
   action list ->
   t
-(** Defaults: immediate detection, [Uniform_random] policy, seed 42. *)
+(** Defaults: [Uniform_random] policy, seed 42. *)
 
 (** {2 Schedules shared by the studies} *)
 

@@ -94,17 +94,20 @@ let events t =
 let tally f t = Array.fold_left (fun acc tn -> acc + f tn.tn_driver) 0 t.tenants
 let submitted t = tally Driver.submitted t
 
-let rebuild_workload t =
-  let spec =
-    match t.zipf_theta with
-    | None -> Workload.Uniform { max_ops = t.max_ops; write_prob = t.write_prob }
-    | Some theta -> Workload.Zipfian { max_ops = t.max_ops; write_prob = t.write_prob; theta }
+let workload_spec ~max_ops ~write_prob = function
+  | None -> Workload.Uniform { max_ops; write_prob }
+  | Some theta -> Workload.Zipfian { max_ops; write_prob; theta }
+
+(* Every tenant's new workload is built before any is installed. *)
+let set_workloads t spec =
+  let workloads =
+    Array.map
+      (fun tn ->
+        let rng = Rng.split (Driver.rng tn.tn_driver) in
+        Workload.create spec ~num_items:t.cfg.items ~rng)
+      t.tenants
   in
-  Array.iter
-    (fun tn ->
-      let rng = Rng.split (Driver.rng tn.tn_driver) in
-      Driver.set_workload tn.tn_driver (Workload.create spec ~num_items:t.cfg.items ~rng))
-    t.tenants
+  Array.iteri (fun i workload -> Driver.set_workload t.tenants.(i).tn_driver workload) workloads
 
 (* {2 Endpoint bodies} *)
 
@@ -302,59 +305,59 @@ let load_action t ~params:_ (req : Http.request) =
   match Json.parse (if String.trim req.Http.body = "" then "{}" else req.Http.body) with
   | Error message -> Http.error 400 message
   | Ok body ->
-    let number key =
+    (* Every field is checked, and the new workload built, before any
+       setting is assigned: a refused request changes nothing. *)
+    let field key ~current check =
       match Json.member key body with
-      | None -> Ok None
-      | Some (Json.Int n) -> Ok (Some (float_of_int n))
-      | Some (Json.Float f) -> Ok (Some f)
-      | Some Json.Null -> Ok (Some Float.nan)  (* explicit reset marker *)
-      | Some _ -> Error (Printf.sprintf "field %S must be a number or null" key)
+      | None -> Ok current
+      | Some value -> check value
+    in
+    let number ~ok ~invalid = function
+      | Json.Int n when ok (float_of_int n) -> Ok (float_of_int n)
+      | Json.Float f when ok f -> Ok f
+      | _ -> Error invalid
     in
     let ( let* ) r k = match r with Error m -> Http.error 400 m | Ok v -> k v in
-    let* max_ops = number "max_ops" in
-    let* write_prob = number "write_prob" in
-    let* zipf_theta = number "zipf_theta" in
-    let* rate = number "rate" in
-    let invalid m = Http.error 400 m in
-    let apply () =
-      match max_ops with
-      | Some m when Float.is_nan m || m < 1.0 -> invalid "max_ops must be >= 1"
-      | _ -> (
-        match write_prob with
-        | Some p when Float.is_nan p || p < 0.0 || p > 1.0 ->
-          invalid "write_prob must be in [0,1]"
-        | _ -> (
-          match zipf_theta with
-          | Some theta when (not (Float.is_nan theta)) && (theta <= 0.0 || theta >= 1.0) ->
-            invalid "zipf_theta must be in (0,1), or null for uniform"
-          | _ -> (
-            match rate with
-            | Some r when (not (Float.is_nan r)) && r < 0.0 -> invalid "rate must be >= 0"
-            | _ ->
-              (match max_ops with Some m -> t.max_ops <- int_of_float m | None -> ());
-              (match write_prob with Some p -> t.write_prob <- p | None -> ());
-              (match zipf_theta with
-              | Some theta ->
-                t.zipf_theta <- (if Float.is_nan theta then None else Some theta)
-              | None -> ());
-              (match rate with
-              | Some r -> t.rate_cap <- (if Float.is_nan r || r = 0.0 then None else Some r)
-              | None -> ());
-              rebuild_workload t;
-              Http.json
-                (Json.Obj
-                   [
-                     ("max_ops", Json.Int t.max_ops);
-                     ("write_prob", Json.Float t.write_prob);
-                     ( "zipf_theta",
-                       match t.zipf_theta with
-                       | None -> Json.Null
-                       | Some theta -> Json.Float theta );
-                     ( "rate",
-                       match t.rate_cap with None -> Json.Null | Some r -> Json.Float r );
-                   ]))))
+    let* max_ops =
+      field "max_ops" ~current:t.max_ops (function
+        | Json.Int n when n >= 1 -> Ok n
+        | _ -> Error "max_ops must be an integer >= 1")
     in
-    apply ()
+    let* write_prob =
+      field "write_prob" ~current:t.write_prob
+        (number ~ok:(fun p -> p >= 0.0 && p <= 1.0)
+           ~invalid:"write_prob must be in [0,1]")
+    in
+    let* zipf_theta =
+      field "zipf_theta" ~current:t.zipf_theta (function
+        | Json.Null -> Ok None
+        | value ->
+          Result.map Option.some
+            (number value
+               ~ok:(fun theta -> theta > 0.0 && theta < 1.0)
+               ~invalid:"zipf_theta must be in (0,1), or null for uniform"))
+    in
+    let* rate_cap =
+      field "rate" ~current:t.rate_cap (function
+        | Json.Null -> Ok None
+        | value ->
+          Result.map
+            (fun r -> if r = 0.0 then None else Some r)
+            (number value ~ok:(fun r -> r >= 0.0) ~invalid:"rate must be >= 0"))
+    in
+    set_workloads t (workload_spec ~max_ops ~write_prob zipf_theta);
+    t.max_ops <- max_ops;
+    t.write_prob <- write_prob;
+    t.zipf_theta <- zipf_theta;
+    t.rate_cap <- rate_cap;
+    Http.json
+      (Json.Obj
+         [
+           ("max_ops", Json.Int max_ops);
+           ("write_prob", Json.Float write_prob);
+           ("zipf_theta", match zipf_theta with None -> Json.Null | Some theta -> Json.Float theta);
+           ("rate", match rate_cap with None -> Json.Null | Some r -> Json.Float r);
+         ])
 
 let index_body =
   String.concat "\n"
@@ -454,7 +457,7 @@ let create cfg =
       eps_events = 0;
     }
   in
-  rebuild_workload t;
+  set_workloads t (workload_spec ~max_ops:t.max_ops ~write_prob:t.write_prob t.zipf_theta);
   (* Process-level gauges: wall-clock facts about this soak, next to the
      virtual-time cluster metrics in the same exposition. *)
   Telemetry.gauge reg "raid_process_uptime_seconds"

@@ -13,8 +13,7 @@ module Placement = Raid_core.Placement
 module Txn = Raid_core.Txn
 module Timeline = Raid_sim.Timeline
 
-let cluster ?(detection = Cluster.Immediate) config =
-  Cluster.of_spec (Cluster.Spec.make ~detection ~trace:true config)
+let cluster config = Cluster.of_spec (Cluster.Spec.make ~trace:true config)
 
 let submit c ~coordinator ops =
   let id = Cluster.next_txn_id c in
@@ -68,10 +67,7 @@ let durable = Config.Durable_wal { checkpoint_interval = 4 }
    site 1 asks the dead coordinator about its in-doubt prepare; the
    bounce fans the probe out to every other site. *)
 let status_probe_fanout () =
-  let c =
-    cluster ~detection:Cluster.On_timeout
-      (Config.make ~durability:durable ~num_sites:4 ~num_items:4 ())
-  in
+  let c = cluster (Config.make ~durability:durable ~num_sites:4 ~num_items:4 ()) in
   submit c ~coordinator:0 [ Txn.Write 3 ];
   let id = Cluster.next_txn_id c in
   Engine.inject (Cluster.engine c) ~dst:0 (Message.Begin_txn (Txn.make ~id [ Txn.Write 1 ]));
@@ -89,24 +85,21 @@ let status_probe_fanout () =
    believes it up: its want_state announce bounces and control-1 fails
    over to the next candidate. *)
 let donor_failover () =
-  let c = cluster ~detection:Cluster.On_timeout (Config.make ~num_sites:3 ~num_items:4 ()) in
-  Cluster.fail_site c 2;
-  Cluster.fail_site c 0;
+  let c = cluster (Config.make ~num_sites:3 ~num_items:4 ()) in
+  Cluster.crash_site_now c 2;
+  Cluster.crash_site_now c 0;
   ignore (Cluster.recover_site c 2);
   c
 
 (* A copier clears the coordinator's own fail-lock; phase 1 then finds a
    participant dead, and the abort carries the cleared items. *)
 let abort_with_embedded_clears () =
-  let c =
-    cluster ~detection:Cluster.On_timeout
-      (Config.make ~embed_clears:true ~num_sites:3 ~num_items:8 ())
-  in
-  Cluster.fail_site c 2;
+  let c = cluster (Config.make ~embed_clears:true ~num_sites:3 ~num_items:8 ()) in
+  Cluster.crash_site_now c 2;
   submit c ~coordinator:0 [ Txn.Write 1 ];
   submit c ~coordinator:0 [ Txn.Write 1 ];
   ignore (Cluster.recover_site c 2);
-  Cluster.fail_site c 1;
+  Cluster.crash_site_now c 1;
   submit c ~coordinator:2 [ Txn.Read 1; Txn.Write 3 ];
   c
 
@@ -134,7 +127,7 @@ let batch_source_crash () =
 (* Participant 1 votes and dies before the Commit arrives: the bounce
    makes the coordinator broadcast site 1's missed items as hints. *)
 let commit_bounce_hint () =
-  let c = cluster ~detection:Cluster.On_timeout (Config.make ~num_sites:3 ~num_items:4 ()) in
+  let c = cluster (Config.make ~num_sites:3 ~num_items:4 ()) in
   let id = Cluster.next_txn_id c in
   Engine.inject (Cluster.engine c) ~dst:0 (Message.Begin_txn (Txn.make ~id [ Txn.Write 1 ]));
   step_until c

@@ -27,15 +27,6 @@ let test_config_validation () =
       ignore
         (Config.make
            ~replication:(Config.Partial (Raid_core.Placement.spec ~factor:0 ()))
-           ~num_sites:2 ~num_items:1 ()));
-  Alcotest.check_raises "affinity primary out of range"
-    (Invalid_argument "Placement.make: affinity primary out of range") (fun () ->
-      ignore
-        (Config.make
-           ~replication:
-             (Config.Partial
-                (Raid_core.Placement.spec ~sharding:(Raid_core.Placement.Affinity [| 5 |])
-                   ~factor:1 ()))
            ~num_sites:2 ~num_items:1 ()))
 
 let suite =

@@ -30,9 +30,8 @@ let show_op = function
   | Terminate s -> Printf.sprintf "terminate %d" s
   | Submit -> "txn"
 
-let make_cluster ?(num_sites = 4) detection =
-  Cluster.of_spec
-    (Cluster.Spec.make ~detection (Config.make ~cost:Cost_model.free ~num_sites ~num_items:8 ()))
+let make_cluster ?(num_sites = 4) () =
+  Cluster.create (Config.make ~cost:Cost_model.free ~num_sites ~num_items:8 ())
 
 (* Apply one op the way a managing site may: recover only down sites,
    submit only when some site can coordinate. *)
@@ -65,16 +64,18 @@ let gen_ops num_sites =
            (1, map (fun s -> Terminate s) site);
          ]))
 
-let prop_operational_matches ~detection name =
+(* [Crash_now] ops cover crashes nobody announces, so one property
+   covers both ways to fail a site. *)
+let prop_operational_matches =
   let num_sites = 4 in
-  QCheck.Test.make ~name ~count:60
+  QCheck.Test.make ~name:"operational = reference, immediate detection" ~count:60
     (QCheck.pair
        (QCheck.make
           ~print:(fun ops -> String.concat "; " (List.map show_op ops))
           (gen_ops num_sites))
        QCheck.small_int)
     (fun (ops, seed) ->
-      let cluster = make_cluster ~num_sites detection in
+      let cluster = make_cluster ~num_sites () in
       let rng = Rng.create seed in
       let workload =
         Workload.create (Workload.Uniform { max_ops = 3; write_prob = 0.5 }) ~num_items:8
@@ -90,12 +91,13 @@ let prop_operational_matches ~detection name =
 
 (* A recovery with every other site out of reach blocks (the site is
    alive but waiting, so it must not coordinate); once the network heals,
-   failing and recovering it again completes control-1. *)
-let test_blocked_then_unblocked detection () =
-  let cluster = make_cluster ~num_sites:3 detection in
+   failing and recovering it again completes control-1.  [fail] is
+   either way to fail a site: announced or not. *)
+let test_blocked_then_unblocked fail () =
+  let cluster = make_cluster ~num_sites:3 () in
   let engine = Cluster.engine cluster in
   let isolate up = List.iter (fun s -> Engine.set_link engine 1 s up) [ 0; 2 ] in
-  Cluster.fail_site cluster 1;
+  fail cluster 1;
   check_matches cluster "site 1 down";
   isolate false;
   (match Cluster.recover_site cluster 1 with
@@ -105,7 +107,7 @@ let test_blocked_then_unblocked detection () =
   Alcotest.(check bool) "site 1 alive" true (Cluster.alive cluster 1);
   Alcotest.check ints "waiting site excluded" [ 0; 2 ] (Cluster.operational cluster);
   isolate true;
-  Cluster.fail_site cluster 1;
+  fail cluster 1;
   check_matches cluster "waiting site failed again";
   (match Cluster.recover_site cluster 1 with
   | `Recovered -> ()
@@ -116,7 +118,7 @@ let test_blocked_then_unblocked detection () =
 (* {2 The driver} *)
 
 let make_driver ?plan ?(num_sites = 4) () =
-  let cluster = make_cluster ~num_sites Cluster.Immediate in
+  let cluster = make_cluster ~num_sites () in
   let rng = Rng.create 5 in
   let workload =
     Workload.create (Workload.Uniform { max_ops = 3; write_prob = 0.5 }) ~num_items:8
@@ -200,16 +202,11 @@ let test_multi_one_txn_plan () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest
-      (prop_operational_matches ~detection:Cluster.Immediate
-         "operational = reference, immediate detection");
-    QCheck_alcotest.to_alcotest
-      (prop_operational_matches ~detection:Cluster.On_timeout
-         "operational = reference, timeout detection");
+    QCheck_alcotest.to_alcotest prop_operational_matches;
     Alcotest.test_case "blocked then unblocked, immediate" `Quick
-      (test_blocked_then_unblocked Cluster.Immediate);
+      (test_blocked_then_unblocked Cluster.fail_site);
     Alcotest.test_case "blocked then unblocked, timeout" `Quick
-      (test_blocked_then_unblocked Cluster.On_timeout);
+      (test_blocked_then_unblocked Cluster.crash_site_now);
     Alcotest.test_case "plan fires in order, once each" `Quick test_plan_order_and_once;
     Alcotest.test_case "plan fires at virtual time" `Quick test_plan_at_ms;
     Alcotest.test_case "no operational site" `Quick test_no_operational_site;

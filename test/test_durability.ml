@@ -264,10 +264,10 @@ let test_checkpoints_bound_replay () =
     (Cluster.fully_consistent cluster)
 
 let test_backup_copy_is_durable () =
-  (* item 0 held by sites {0,1}, item 1 by {0,2} (two consecutive
-     holders from each item's affinity primary) *)
+  (* item 0 held by sites {0,1}, item 1 by {1,2} (two consecutive
+     holders from [item mod 3]) *)
   let placement =
-    Raid_core.Placement.spec ~sharding:(Raid_core.Placement.Affinity [| 0; 2 |]) ~factor:2 ()
+    Raid_core.Placement.spec ~sharding:Raid_core.Placement.Modular ~factor:2 ()
   in
   let config =
     Config.make ~cost:Cost_model.free ~spawn_backups:true
@@ -276,17 +276,17 @@ let test_backup_copy_is_durable () =
       ~num_sites:3 ~num_items:2 ()
   in
   let cluster = Cluster.create config in
-  (* Item 1 is held by sites 0 and 2; fail 0 so a write leaves one holder
-     and spawns a backup on site 1. *)
-  Cluster.fail_site cluster 0;
+  (* Item 1 is held by sites 1 and 2; fail the shared holder 1 so a
+     write leaves one holder and spawns a backup on site 0. *)
+  Cluster.fail_site cluster 1;
   let id = Cluster.next_txn_id cluster in
   ignore (Cluster.submit cluster ~coordinator:2 (Txn.make ~id [ Txn.Write 1 ]));
-  Alcotest.(check bool) "backup at site 1" true (Site.stores (Cluster.site cluster 1) ~item:1);
+  Alcotest.(check bool) "backup at site 0" true (Site.stores (Cluster.site cluster 0) ~item:1);
   (* Crash the backup holder: the backup must survive through its log. *)
-  Cluster.fail_site cluster 1;
-  ignore (Cluster.recover_site cluster 1);
+  Cluster.fail_site cluster 0;
+  ignore (Cluster.recover_site cluster 0);
   Alcotest.(check (option (pair int int))) "backup replayed" (Some (id, id))
-    (Database.read (Site.database (Cluster.site cluster 1)) 1)
+    (Database.read (Site.database (Cluster.site cluster 0)) 1)
 
 let test_mid_protocol_crash_with_wal () =
   (* A participant dies between its phase-1 ack and the commit message,
@@ -301,7 +301,7 @@ let test_mid_protocol_crash_with_wal () =
       ~num_sites:3 ~num_items:8 ()
   in
   let cluster =
-    Cluster.of_spec (Cluster.Spec.make ~detection:Cluster.On_timeout ~trace:true config)
+    Cluster.of_spec (Cluster.Spec.make ~trace:true config)
   in
   (* Seed history so the crashed site has something to replay. *)
   let id = Cluster.next_txn_id cluster in

@@ -15,7 +15,11 @@ module Rng = Raid_util.Rng
 
 type step = Run_txn | Fail_one | Recover_one
 
-let interpret_step cluster rng workload operational_log = function
+(* [announced] chooses how a [Fail_one] step fails its site:
+   [Cluster.fail_site] tells a survivor, [Cluster.crash_site_now] tells
+   nobody, so survivors find out through failed sends ("timeout
+   detection"). *)
+let interpret_step ~announced cluster rng workload operational_log = function
   | Run_txn -> begin
     let operational =
       List.filter
@@ -35,7 +39,9 @@ let interpret_step cluster rng workload operational_log = function
     (* Never induce total failure: the protocol cannot restart from zero
        operational sites (no donor), which the paper does not cover. *)
     match Cluster.alive_sites cluster with
-    | _ :: _ :: _ as alive -> Cluster.fail_site cluster (Rng.choose rng alive)
+    | _ :: _ :: _ as alive ->
+      let fail = if announced then Cluster.fail_site else Cluster.crash_site_now in
+      fail cluster (Rng.choose rng alive)
     | _ -> ()
   end
   | Recover_one -> begin
@@ -49,16 +55,16 @@ let interpret_step cluster rng workload operational_log = function
     | down -> ignore (Cluster.recover_site cluster (Rng.choose rng down))
   end
 
-let run_schedule ~num_sites ~num_items ~detection ~recovery ~seed steps =
+let run_schedule ~num_sites ~num_items ~announced ~recovery ~seed steps =
   let config = Config.make ~cost:Cost_model.free ~recovery ~num_sites ~num_items () in
-  let cluster = Cluster.of_spec (Cluster.Spec.make ~detection config) in
+  let cluster = Cluster.create config in
   let rng = Rng.create seed in
   let workload =
     Workload.create (Workload.Uniform { max_ops = 4; write_prob = 0.5 }) ~num_items
       ~rng:(Rng.split rng)
   in
   let operational_log = ref [] in
-  List.iter (interpret_step cluster rng workload operational_log) steps;
+  List.iter (interpret_step ~announced cluster rng workload operational_log) steps;
   (cluster, rng, workload, operational_log)
 
 let heal cluster =
@@ -104,12 +110,12 @@ let arbitrary_schedule =
            steps))
     gen_steps
 
-let check_config ~num_sites ~detection ~recovery name =
+let check_config ~num_sites ~announced ~recovery name =
   QCheck.Test.make ~name ~count:40
     QCheck.(pair arbitrary_schedule small_int)
     (fun (steps, seed) ->
       let cluster, _rng, _workload, operational_log =
-        run_schedule ~num_sites ~num_items:12 ~detection ~recovery ~seed steps
+        run_schedule ~num_sites ~num_items:12 ~announced ~recovery ~seed steps
       in
       let ok_mid =
         match Invariant.all cluster with
@@ -131,24 +137,24 @@ let check_config ~num_sites ~detection ~recovery name =
       ok_mid && durable_mid && converged)
 
 let prop_immediate =
-  check_config ~num_sites:3 ~detection:Cluster.Immediate ~recovery:Config.On_demand
+  check_config ~num_sites:3 ~announced:true ~recovery:Config.On_demand
     "random schedules, 3 sites, immediate detection"
 
 let prop_timeout =
-  check_config ~num_sites:3 ~detection:Cluster.On_timeout ~recovery:Config.On_demand
+  check_config ~num_sites:3 ~announced:false ~recovery:Config.On_demand
     "random schedules, 3 sites, timeout detection"
 
 let prop_four_sites =
-  check_config ~num_sites:4 ~detection:Cluster.Immediate ~recovery:Config.On_demand
+  check_config ~num_sites:4 ~announced:true ~recovery:Config.On_demand
     "random schedules, 4 sites"
 
 let prop_two_step =
-  check_config ~num_sites:3 ~detection:Cluster.Immediate
+  check_config ~num_sites:3 ~announced:true
     ~recovery:(Config.Two_step { threshold = 0.5; batch_size = 3 })
     "random schedules with two-step recovery"
 
 let prop_two_sites =
-  check_config ~num_sites:2 ~detection:Cluster.Immediate ~recovery:Config.On_demand
+  check_config ~num_sites:2 ~announced:true ~recovery:Config.On_demand
     "random schedules, 2 sites (paper's Figure 1/2 setting)"
 
 (* A schedule the timeout property once shrank to: a copier transaction
@@ -169,8 +175,8 @@ let test_copy_phase_abort_announces_clears () =
           txn;fail;fail;txn;fail;txn;txn;txn;recover;txn;txn;txn;txn;recover;fail;txn")
   in
   let cluster, _rng, _workload, _log =
-    run_schedule ~num_sites:3 ~num_items:12 ~detection:Cluster.On_timeout
-      ~recovery:Config.On_demand ~seed:9 steps
+    run_schedule ~num_sites:3 ~num_items:12 ~announced:false ~recovery:Config.On_demand
+      ~seed:9 steps
   in
   Alcotest.(check (result unit string)) "invariants" (Ok ()) (Invariant.all cluster)
 

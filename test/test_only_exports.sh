@@ -14,11 +14,11 @@
 #
 # An optional argument "?arg:" in the type of an export's val is listed
 # as "M.name ?arg" when no program .ml other than M's own contains
-# "~arg" or "?arg", and M's own contains no "~arg" (its "?arg"s are the
-# definition or a forward to another of its own functions).  The label
-# is matched as a bare word, so an option is missed when any program
-# sets a label of the same name, but one that a program sets is never
-# listed.
+# "~arg" or "?arg".  M's own labels never count: a "~arg" there may only
+# forward the option to another of M's functions, which sets nothing
+# for a caller.  The label is matched as a bare word, so an option is
+# missed when another program sets a label of the same name, but one
+# that a program sets is never listed.
 #
 # Each listed line takes its reason from the allow-list given as the
 # second argument (the text after the first two spaces of the line
@@ -181,7 +181,7 @@ function strip(line,   out, tok) {
   $1 == "O" { opens[$2, ++nopen[$2]] = $3; files[$2]; next }
   $1 == "A" { alias[$2, $3] = $4; next }
   $1 == "W" { words[$2, ++nword[$2]] = $3; next }
-  $1 == "L" { labels[$3] = labels[$3] " " $2; own_labels[$3, $2]; next }
+  $1 == "L" { labels[$3] = labels[$3] " " $2; next }
   $1 == "--" {
     for (f in files) {
       for (i = 1; i <= nopen[f]; i++) opens[f, i] = expand(f, opens[f, i])
@@ -202,8 +202,7 @@ function strip(line,   out, tok) {
   $1 == "E" && !called($3, own) { print $3 }
   $1 == "P" {
     label = substr($4, 2)
-    if (!set_by("~" label, own) && !set_by("?" label, own) && !(("~" label, own) in own_labels))
-      print $3 " " $4
+    if (!set_by("~" label, own) && !set_by("?" label, own)) print $3 " " $4
   }' | sort -u | awk -v allow="$allow" '
   BEGIN {
     while ((getline line < allow) > 0) {

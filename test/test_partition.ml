@@ -22,7 +22,7 @@ let sever_between engine side_a side_b =
 
 let partitioned_cluster () =
   let config = Config.make ~cost:Cost_model.free ~num_sites:4 ~num_items:10 () in
-  let cluster = Cluster.of_spec (Cluster.Spec.make ~detection:Cluster.On_timeout config) in
+  let cluster = Cluster.create config in
   sever_between (Cluster.engine cluster) [ 0; 1 ] [ 2; 3 ];
   cluster
 
@@ -87,8 +87,8 @@ let test_healing_via_recovery_protocol () =
     (fun a -> List.iter (fun s -> Engine.set_link (Cluster.engine cluster) a s true) [ 2; 3 ])
     [ 0; 1 ];
   (* Re-join side A through fail + recover (state comes from side B). *)
-  Cluster.fail_site cluster 0;
-  Cluster.fail_site cluster 1;
+  Cluster.crash_site_now cluster 0;
+  Cluster.crash_site_now cluster 1;
   (match Cluster.recover_site cluster 0 with `Recovered -> () | `Blocked -> Alcotest.fail "blocked");
   (match Cluster.recover_site cluster 1 with `Recovered -> () | `Blocked -> Alcotest.fail "blocked");
   (* Side A's divergent write of item 5 is overwritten once traffic (or a

@@ -10,12 +10,11 @@ module Workload = Raid_core.Workload
 module Scenario = Raid_sim.Scenario
 module Runner = Raid_sim.Runner
 
-let all_shardings ~num_items =
+let all_shardings =
   [
     ("hash", Placement.Hash);
     ("range", Placement.Range);
     ("modular", Placement.Modular);
-    ("affinity", Placement.Affinity (Array.init num_items (fun i -> (i * 7) mod 5)));
   ]
 
 let test_factor_clamps_to_full () =
@@ -67,7 +66,7 @@ let test_replicas_consistent_per_sharding () =
           (name ^ ": fold count") factor
           (Placement.fold_replicas p item (fun _ acc -> acc + 1) 0)
       done)
-    (all_shardings ~num_items)
+    all_shardings
 
 let test_sharding_primaries () =
   let num_sites = 4 and num_items = 16 in
@@ -155,7 +154,7 @@ let test_survives_any_two_failures () =
           done
         done
       done)
-    (all_shardings ~num_items)
+    all_shardings
 
 let test_partial_churn_invariants () =
   (* A quick churn schedule on a k=2 cluster with the runner checking all
@@ -183,7 +182,7 @@ let test_partial_churn_invariants () =
         Scenario.Run_txns 60;
       ]
   in
-  let result = Runner.run ~check_invariants:true scenario in
+  let result = Runner.run scenario in
   (* Sites store different subsets, so whole-database equality does not
      apply here; the runner's per-action invariant checks carry the test.
      Residual fail-locks are legitimate under on-demand recovery (they
@@ -194,12 +193,7 @@ let test_partial_churn_invariants () =
 let test_validation_errors () =
   Alcotest.check_raises "bad factor" (Invalid_argument "Placement.make: factor must be positive")
     (fun () ->
-      ignore (Placement.make ~num_sites:3 ~num_items:2 (Placement.spec ~factor:0 ())));
-  Alcotest.check_raises "wrong affinity length"
-    (Invalid_argument "Placement.make: affinity array length must equal num_items") (fun () ->
-      ignore
-        (Placement.make ~num_sites:3 ~num_items:2
-           (Placement.spec ~sharding:(Placement.Affinity [| 0 |]) ~factor:1 ())))
+      ignore (Placement.make ~num_sites:3 ~num_items:2 (Placement.spec ~factor:0 ())))
 
 let suite =
   [

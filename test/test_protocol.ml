@@ -211,11 +211,9 @@ let test_consistency_restored_by_traffic () =
   Alcotest.(check bool) "consistent" true (Cluster.fully_consistent cluster);
   check_invariants cluster
 
-let test_on_timeout_detection_aborts_then_recovers () =
-  let cluster =
-    Cluster.of_spec (Cluster.Spec.make ~detection:Cluster.On_timeout (config ~num_sites:3 ()))
-  in
-  Cluster.fail_site cluster 2;
+let test_unannounced_crash_aborts_then_recovers () =
+  let cluster = Cluster.create (config ~num_sites:3 ()) in
+  Cluster.crash_site_now cluster 2;
   (* Survivors do not know yet; the first transaction discovers the
      failure through a phase-1 send failure and aborts. *)
   let first = Cluster.submit cluster ~coordinator:0 (txn cluster [ Txn.Write 1 ]) in
@@ -237,8 +235,7 @@ let test_commit_survives_failure_after_prepare () =
   let module Engine = Raid_net.Engine in
   let module Message = Raid_core.Message in
   let cluster =
-    Cluster.of_spec
-      (Cluster.Spec.make ~detection:Cluster.On_timeout ~trace:true (config ~num_sites:3 ()))
+    Cluster.of_spec (Cluster.Spec.make ~trace:true (config ~num_sites:3 ()))
   in
   let engine = Cluster.engine cluster in
   let outcomes = ref [] in
@@ -294,11 +291,9 @@ let test_recovery_donor_failover () =
   (* The designated state donor is dead but the recovering site's stale
      vector still believes it up: the send failure must fail over to the
      next candidate rather than leave the site waiting forever. *)
-  let cluster =
-    Cluster.of_spec (Cluster.Spec.make ~detection:Cluster.On_timeout (config ~num_sites:3 ()))
-  in
-  Cluster.fail_site cluster 2;  (* will be the recoverer *)
-  Cluster.fail_site cluster 0;  (* will be the (dead) designated donor *)
+  let cluster = Cluster.create (config ~num_sites:3 ()) in
+  Cluster.crash_site_now cluster 2;  (* will be the recoverer *)
+  Cluster.crash_site_now cluster 0;  (* will be the (dead) designated donor *)
   (match Cluster.recover_site cluster 2 with
   | `Recovered -> ()
   | `Blocked -> Alcotest.fail "failover to the live donor did not happen");
@@ -329,7 +324,7 @@ let suite =
     Alcotest.test_case "session numbers increment" `Quick test_session_numbers_increment_per_recovery;
     Alcotest.test_case "traffic restores consistency" `Quick test_consistency_restored_by_traffic;
     Alcotest.test_case "timeout detection aborts then recovers" `Quick
-      test_on_timeout_detection_aborts_then_recovers;
+      test_unannounced_crash_aborts_then_recovers;
     Alcotest.test_case "commit survives late participant failure" `Quick
       test_commit_survives_failure_after_prepare;
     Alcotest.test_case "vectors agree after churn" `Quick test_vector_agreement_after_churn;

@@ -16,8 +16,8 @@ let check_invariants cluster =
   | Ok () -> ()
   | Error message -> Alcotest.failf "invariant violated: %s" message
 
-let lock_items cluster ~down ~coordinator items =
-  Cluster.fail_site cluster down;
+let lock_items ?(crash = Cluster.fail_site) cluster ~down ~coordinator items =
+  crash cluster down;
   List.iter
     (fun item ->
       let id = Cluster.next_txn_id cluster in
@@ -199,13 +199,13 @@ let test_embed_clears_on_abort () =
   let config =
     Config.make ~cost:Cost_model.free ~embed_clears:true ~num_sites:3 ~num_items:8 ()
   in
-  let cluster = Cluster.of_spec (Cluster.Spec.make ~detection:Cluster.On_timeout config) in
-  lock_items cluster ~down:2 ~coordinator:0 [ 1 ];
+  let cluster = Cluster.create config in
+  lock_items ~crash:Cluster.crash_site_now cluster ~down:2 ~coordinator:0 [ 1 ];
   ignore (Cluster.recover_site cluster 2);
   (* Fail a participant without telling anyone, then coordinate at site 2
      a transaction that needs a copier: the copier succeeds (source site
      0), phase 1 discovers site 1's death, the txn aborts. *)
-  Cluster.fail_site cluster 1;
+  Cluster.crash_site_now cluster 1;
   let id = Cluster.next_txn_id cluster in
   let outcome =
     Cluster.submit cluster ~coordinator:2 (Txn.make ~id [ Txn.Read 1; Txn.Write 3 ])

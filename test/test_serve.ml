@@ -231,7 +231,23 @@ let test_load_adjustment () =
       let status, _ = post soak ~body:{|{"write_prob":7}|} "/load" in
       Alcotest.(check int) "out-of-range write_prob is 400" 400 status;
       let status, _ = post soak ~body:"not json" "/load" in
-      Alcotest.(check int) "unparsable body is 400" 400 status)
+      Alcotest.(check int) "unparsable body is 400" 400 status;
+      (* max_ops is a JSON integer: a fraction, or a float past the int
+         range, is refused rather than truncated. *)
+      let status, _ = post soak ~body:{|{"max_ops":2.5}|} "/load" in
+      Alcotest.(check int) "fractional max_ops is 400" 400 status;
+      (* A refused request changes nothing, even its valid fields. *)
+      let status, _ = post soak ~body:{|{"write_prob":0.2,"max_ops":1e19}|} "/load" in
+      Alcotest.(check int) "huge max_ops is 400" 400 status;
+      let status, body = post soak ~body:{|{"rate":null}|} "/load" in
+      Alcotest.(check int) "later load 200" 200 status;
+      let json = json_exn body in
+      Alcotest.(check int) "max_ops kept" 3 (int_member "max_ops" json);
+      Alcotest.(check bool) "write_prob kept" true
+        (Json.member "write_prob" json = Some (Json.Float 0.9));
+      Soak.tick ~timeout:0.0 soak;
+      let status, _ = get soak "/health" in
+      Alcotest.(check int) "still serving" 200 status)
 
 let test_shutdown_summary () =
   let soak = Soak.create (Soak.make_config ~sites:4 ~items:40 ~accel:0.0 ~port:0 ()) in

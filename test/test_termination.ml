@@ -28,9 +28,9 @@ let test_departure_updates_vectors () =
     [ 0; 1 ]
 
 let test_no_aborts_after_graceful_departure () =
-  (* Unlike an undetected crash under timeout detection, a graceful
+  (* Unlike an unannounced crash ([Cluster.crash_site_now]), a graceful
      departure never costs an aborted transaction. *)
-  let cluster = Cluster.of_spec (Cluster.Spec.make ~detection:Cluster.On_timeout (config ())) in
+  let cluster = Cluster.create (config ()) in
   Cluster.terminate_site cluster 2;
   let id = Cluster.next_txn_id cluster in
   let outcome = Cluster.submit cluster ~coordinator:0 (Txn.make ~id [ Txn.Write 1 ]) in

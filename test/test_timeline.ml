@@ -98,10 +98,10 @@ let test_render_format () =
 let test_undeliverable_marked () =
   let c =
     Cluster.of_spec
-      (Cluster.Spec.make ~detection:Cluster.On_timeout ~trace:true
+      (Cluster.Spec.make ~trace:true
          (Config.make ~cost:Cost_model.free ~num_sites:2 ~num_items:4 ()))
   in
-  Cluster.fail_site c 1;
+  Cluster.crash_site_now c 1;
   let id = Cluster.next_txn_id c in
   ignore (Cluster.submit c ~coordinator:0 (Txn.make ~id [ Txn.Write 0 ]));
   let rendered = Timeline.render c in
