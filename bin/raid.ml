@@ -691,14 +691,6 @@ let serve_cmd =
              $(b,10) a 10x fast-forward, $(b,0) removes the throttle entirely (as fast as \
              possible).")
   in
-  let tenants =
-    Arg.(
-      value & opt int 1
-      & info [ "tenants" ] ~docv:"N"
-          ~doc:
-            "Host $(docv) independent clusters in one soak; telemetry and /sites gain a \
-             tenant label, fail/recover actions address tenant 0.")
-  in
   let duration =
     Arg.(
       value & opt (some float) None
@@ -706,20 +698,18 @@ let serve_cmd =
           ~doc:"Stop after this much wall-clock time (default: run until SIGINT).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
-  let run port accel tenants (sites, items, max_ops, write_prob) duration seed placement () =
+  let run port accel (sites, items, max_ops, write_prob) duration seed placement () =
     let replication, zipf_theta = placement () in
     let config =
-      Raid_sim.Soak.make_config ~tenants ~sites ~items ~max_ops ~write_prob ~replication
+      Raid_sim.Soak.make_config ~sites ~items ~max_ops ~write_prob ~replication
         ?zipf_theta ~accel ~seed ~port
         ?duration_s:duration ()
     in
     let soak = Raid_sim.Soak.create config in
     Sys.set_signal Sys.sigint
       (Sys.Signal_handle (fun _ -> Raid_sim.Soak.stop soak));
-    Printf.printf "raid serve: http://127.0.0.1:%d (%s%d sites, accel %s%s); ctrl-C drains\n%!"
-      (Raid_sim.Soak.port soak)
-      (if tenants > 1 then Printf.sprintf "%d tenants x " tenants else "")
-      sites
+    Printf.printf "raid serve: http://127.0.0.1:%d (%d sites, accel %s%s); ctrl-C drains\n%!"
+      (Raid_sim.Soak.port soak) sites
       (if accel <= 0.0 then "off" else Printf.sprintf "%gx" accel)
       (match duration with
       | None -> ""
@@ -738,7 +728,7 @@ let serve_cmd =
        127.0.0.1 exposes the cluster live: /health, /metrics (Prometheus), /sites, /txns, POST \
        /sites/ID/fail|recover, POST /load."
     Term.(
-      const run $ port $ accel $ tenants $ load $ duration $ seed $ placement)
+      const run $ port $ accel $ load $ duration $ seed $ placement)
 
 (* `raid crashmatrix` — the systematic crash-injection matrix: kill a
    site at every distinct boundary of the 2PC/copier/fail-lock state

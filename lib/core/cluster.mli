@@ -133,9 +133,9 @@ val note_ghost_commit : t -> Txn.t -> unit
 
 val recover_site : t -> int -> [ `Recovered | `Blocked ]
 (** Bring a down site back: control transaction type 1 runs to
-    completion.  [`Blocked] when no operational donor exists (the site
-    stays in the waiting state and can be recovered again later).
-    @raise Invalid_argument if the site is already up. *)
+    completion.  [`Blocked] when no operational donor exists: the site
+    stays alive but waiting, and a later call on it re-runs control 1.
+    @raise Invalid_argument if the site is up and not waiting. *)
 
 val submit : t -> coordinator:int -> Txn.t -> Metrics.outcome
 (** Hand a database transaction to [coordinator] and run the system to

@@ -116,6 +116,8 @@ let header_lines head =
   |> List.filter (fun line -> line <> "")
 
 (* Bounds on the request line, the whole header section and the body. *)
+let is_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
+
 let max_line = 4096
 let max_head = 16384
 let max_body = 1 lsl 20
@@ -166,15 +168,14 @@ let parse_request data =
                 if List.mem_assoc "transfer-encoding" headers then
                   Bad (501, "transfer encodings not supported")
                 else begin
-                  (* RFC 9110 §8.6: 1*DIGIT, nothing else (no sign, no
-                     0x/0b/0o prefix, no underscores).  Any digit string
-                     past the bound, overflowing ones included, is 413. *)
+                  (* RFC 9110 §8.6: 1*DIGIT, nothing else.  Any digit
+                     string past the bound, overflowing ones included,
+                     is 413. *)
                   let content_length =
                     match List.assoc_opt "content-length" headers with
                     | None -> Ok 0
                     | Some raw -> (
-                      let raw = String.trim raw in
-                      if raw = "" || not (String.for_all (fun c -> c >= '0' && c <= '9') raw)
+                      if not (is_digits raw)
                       then Error (400, "malformed content-length")
                       else
                         match int_of_string_opt raw with

@@ -55,9 +55,14 @@ val parse_request : string -> parse
 (** Parse the (possibly still partial) bytes received so far.  A request
     line over 4096 bytes is [Bad 414]; a header section over 16384 bytes
     [Bad 431]; a [Content-Length] over 1 MiB [Bad 413].  [Content-Length]
-    must be ASCII digits only (RFC 9110 §8.6).  A [Transfer-Encoding]
-    request is [Bad 501]; a non-1.x version [Bad 505]; anything
-    malformed [Bad 400]. *)
+    must be ASCII digits only (RFC 9110 §8.6, {!is_digits}).  A
+    [Transfer-Encoding] request is [Bad 501]; a non-1.x version
+    [Bad 505]; anything malformed [Bad 400]. *)
+
+val is_digits : string -> bool
+(** [1*DIGIT]: non-empty and ASCII [0-9] only — no sign, no
+    [0x]/[0b]/[0o] prefix, no underscores, all of which
+    [int_of_string] accepts. *)
 
 val percent_decode : string -> string
 (** Decode [%XX] escapes and [+] as space (malformed escapes are kept

@@ -125,9 +125,10 @@ let interpret t print line =
     `Continue
   | [ "fail"; site ] ->
     (match int_of_string_opt site with
-    | Some site ->
+    | Some site when Cluster.alive t.cluster site ->
       Cluster.fail_site t.cluster site;
       print (Printf.sprintf "site %d failed" site)
+    | Some site -> print (Printf.sprintf "site %d is already down" site)
     | None -> print "usage: fail <site>");
     `Continue
   | [ "recover"; site ] ->

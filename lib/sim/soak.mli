@@ -8,16 +8,12 @@
     operations surface of ROADMAP item 5 (cf. PlaceOS's cluster API):
     per-site status and load, kill-and-relaunch, live load adjustment.
 
-    {2 Multi-tenancy}
+    {2 One cluster}
 
-    With [tenants > 1] the soak hosts that many fully independent
-    clusters (cf. {!Raid_multi}), admitting transactions round-robin so
-    the tenant virtual clocks advance together against one pacing
-    target.  Every telemetry series gains a [tenant] label, [/sites]
-    reports each tenant's sites with a [tenant] field, and [/txns]
-    latency histograms aggregate across tenants.  Operator fail/recover
-    actions address tenant 0.  A single-tenant soak is byte-compatible
-    with the pre-tenant behaviour: no extra labels or fields appear.
+    The soak hosts one cluster and drives it with one {!Raid_core.Driver},
+    as the paper's managing site fails and recovers the sites of one
+    cluster between numbered transactions.  Many independent clusters in
+    one process are {!Raid_multi}'s job ([raid multi]).
 
     {2 Pacing model}
 
@@ -56,14 +52,15 @@
       summaries.
     - [POST /sites/:id/fail], [POST /sites/:id/recover] — operator
       actions (409 when already in the target state or when failing the
-      last operational site).
+      last operational site).  Recovering a blocked site (alive, still
+      waiting for a donor) retries control 1.  [:id] is ASCII digits
+      only; anything else is 404, as is an id past the last site.
     - [POST /load] — adjust the workload live: JSON body with any of
       [max_ops], [write_prob], [zipf_theta] (number or [null] to return
       to uniform) and [rate] (max txns per wall second, [0] or [null]
       to uncap). *)
 
 type config = {
-  tenants : int;  (** independent clusters hosted side by side *)
   sites : int;
   items : int;
   max_ops : int;
@@ -77,7 +74,6 @@ type config = {
 }
 
 val make_config :
-  ?tenants:int ->
   ?sites:int ->
   ?items:int ->
   ?max_ops:int ->
@@ -90,7 +86,7 @@ val make_config :
   ?duration_s:float ->
   unit ->
   config
-(** Defaults: 1 tenant, 16 sites, 500 items, txn <= 5 ops, P(write)
+(** Defaults: 16 sites, 500 items, txn <= 5 ops, P(write)
     0.5, full replication, uniform items, real time ([accel = 1.0]),
     seed 42, ephemeral port, no duration bound.  @raise Invalid_argument on non-positive sizes, a negative
     [accel], or a non-positive [duration_s]. *)
@@ -106,8 +102,7 @@ val port : t -> int
 (** The bound port (useful with [port = 0]). *)
 
 val cluster : t -> Raid_core.Cluster.t
-(** Tenant 0's cluster — the one operator fail/recover actions address.
-    With [tenants = 1] this is the whole soak. *)
+(** The soak's cluster, the one operator fail/recover actions address. *)
 
 val registry : t -> Raid_obs.Telemetry.t
 (** The soak's registry.  It has no sampling interval: every endpoint

@@ -38,6 +38,38 @@ let test_fail_recover_cycle () =
   Alcotest.(check bool) "invariants" true (contains output "all invariants hold");
   Alcotest.(check bool) "consistent" true (Cluster.fully_consistent (Console.cluster console))
 
+let count_lines haystack needle =
+  List.length (List.filter (( = ) needle) (String.split_on_char '\n' haystack))
+
+(* Failing a site that is already down changes nothing and says so. *)
+let test_fail_down_site () =
+  let _, output, _ = run_commands [ "fail 2"; "fail 2" ] in
+  Alcotest.(check int) "failed once" 1 (count_lines output "site 2 failed");
+  Alcotest.(check int) "second fail reported" 1 (count_lines output "site 2 is already down")
+
+(* [recover] on a blocked site (alive, waiting for a donor) retries
+   control 1; once the network heals the retry completes. *)
+let test_recover_blocked_site () =
+  let console = Console.create ~sites:3 ~items:10 () in
+  let engine = Cluster.engine (Console.cluster console) in
+  let isolate up = List.iter (fun s -> Raid_net.Engine.set_link engine 1 s up) [ 0; 2 ] in
+  let run line =
+    let output = Buffer.create 64 in
+    ignore
+      (Console.command console line ~print:(fun l ->
+           Buffer.add_string output l;
+           Buffer.add_char output '\n'));
+    Buffer.contents output
+  in
+  Alcotest.(check string) "failed" "site 1 failed\n" (run "fail 1");
+  isolate false;
+  let blocked = "site 1 blocked: no operational donor\n" in
+  Alcotest.(check string) "blocked" blocked (run "recover 1");
+  Alcotest.(check string) "blocked again" blocked (run "recover 1");
+  isolate true;
+  Alcotest.(check string) "retry recovers" "site 1 recovered\n" (run "recover 1");
+  Alcotest.(check bool) "operational site refuses" true (contains (run "recover 1") "error:")
+
 let test_terminate () =
   let _, output, _ = run_commands [ "terminate 1"; "txn 0 w2" ] in
   Alcotest.(check bool) "graceful" true (contains output "site 1 terminated gracefully");
@@ -95,6 +127,8 @@ let suite =
   [
     Alcotest.test_case "txn and status" `Quick test_txn_and_status;
     Alcotest.test_case "fail/recover cycle" `Quick test_fail_recover_cycle;
+    Alcotest.test_case "fail a down site" `Quick test_fail_down_site;
+    Alcotest.test_case "recover a blocked site" `Quick test_recover_blocked_site;
     Alcotest.test_case "terminate" `Quick test_terminate;
     Alcotest.test_case "auto" `Quick test_auto_counts;
     Alcotest.test_case "auto without operational site" `Quick test_auto_without_operational_site;

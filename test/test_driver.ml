@@ -115,6 +115,33 @@ let test_blocked_then_unblocked fail () =
   check_matches cluster "unblocked";
   Alcotest.check ints "all operational" [ 0; 1; 2 ] (Cluster.operational cluster)
 
+(* A blocked site stays alive and waiting, and recovering it again
+   re-runs control 1: blocked while no donor is reachable, complete once
+   the network heals.  An operational site still refuses recovery. *)
+let test_blocked_then_retried fail () =
+  let cluster = make_cluster ~num_sites:3 () in
+  let engine = Cluster.engine cluster in
+  let isolate up = List.iter (fun s -> Engine.set_link engine 1 s up) [ 0; 2 ] in
+  fail cluster 1;
+  isolate false;
+  for attempt = 1 to 2 do
+    (match Cluster.recover_site cluster 1 with
+    | `Blocked -> ()
+    | `Recovered -> Alcotest.failf "attempt %d completed with no reachable donor" attempt);
+    check_matches cluster (Printf.sprintf "blocked attempt %d" attempt);
+    Alcotest.(check bool) "site 1 alive" true (Cluster.alive cluster 1);
+    Alcotest.check ints "waiting site excluded" [ 0; 2 ] (Cluster.operational cluster)
+  done;
+  isolate true;
+  (match Cluster.recover_site cluster 1 with
+  | `Recovered -> ()
+  | `Blocked -> Alcotest.fail "retry still blocked after the network healed");
+  check_matches cluster "retried";
+  Alcotest.check ints "all operational" [ 0; 1; 2 ] (Cluster.operational cluster);
+  Alcotest.check_raises "operational site"
+    (Invalid_argument "Cluster.recover_site: site is already up") (fun () ->
+      ignore (Cluster.recover_site cluster 1))
+
 (* {2 The driver} *)
 
 let make_driver ?plan ?(num_sites = 4) () =
@@ -207,6 +234,10 @@ let suite =
       (test_blocked_then_unblocked Cluster.fail_site);
     Alcotest.test_case "blocked then unblocked, timeout" `Quick
       (test_blocked_then_unblocked Cluster.crash_site_now);
+    Alcotest.test_case "blocked then retried, immediate" `Quick
+      (test_blocked_then_retried Cluster.fail_site);
+    Alcotest.test_case "blocked then retried, timeout" `Quick
+      (test_blocked_then_retried Cluster.crash_site_now);
     Alcotest.test_case "plan fires in order, once each" `Quick test_plan_order_and_once;
     Alcotest.test_case "plan fires at virtual time" `Quick test_plan_at_ms;
     Alcotest.test_case "no operational site" `Quick test_no_operational_site;

@@ -207,6 +207,58 @@ let test_observatory_endpoints () =
           (Json.member "phases" incident <> None)
       | _ -> Alcotest.fail "missing incidents array")
 
+(* Path ids are ASCII digits only: a sign, a 0x/0b/0o prefix or an
+   underscore would each name a real id through [int_of_string]. *)
+let test_digit_ids () =
+  with_soak ~sites:12 (fun soak ->
+      Soak.tick ~timeout:0.0 soak;
+      (* Txn 3 is still in the ring this early. *)
+      let status, _ = get soak "/txns/0b11" in
+      Alcotest.(check int) "/txns/0b11" 404 status;
+      let status, _ = get soak "/txns/3" in
+      Alcotest.(check int) "/txns/3" 200 status;
+      List.iter
+        (fun path ->
+          let status, _ = post soak path in
+          Alcotest.(check int) path 404 status)
+        [
+          "/sites/0x1/fail"; "/sites/0o1/fail"; "/sites/%2B1/fail"; "/sites/1_0/fail";
+          "/sites/0b1/recover"; "/sites/-0/fail";
+        ];
+      Alcotest.(check bool) "every site still up" true
+        (List.length (Cluster.operational (Soak.cluster soak)) = 12);
+      let status, _ = post soak "/sites/01/fail" in
+      Alcotest.(check int) "leading zero is a digit string" 200 status)
+
+(* A recovery that finds no donor leaves the site alive but waiting;
+   POSTing the recover again retries control 1 until the network
+   heals, and only then is the site up (409). *)
+let test_blocked_then_retried () =
+  with_soak (fun soak ->
+      Soak.tick ~timeout:0.0 soak;
+      let cluster = Soak.cluster soak in
+      let isolate up =
+        List.iter
+          (fun s -> if s <> 1 then Raid_net.Engine.set_link (Cluster.engine cluster) 1 s up)
+          (List.init (Cluster.num_sites cluster) Fun.id)
+      in
+      let recover () =
+        let status, body = post soak "/sites/1/recover" in
+        Alcotest.(check int) "recover 200" 200 status;
+        Json.member "result" (json_exn body)
+      in
+      Alcotest.(check int) "fail 200" 200 (fst (post soak "/sites/1/fail"));
+      isolate false;
+      Alcotest.(check bool) "blocked" true (recover () = Some (Json.Str "blocked"));
+      Alcotest.(check bool) "blocked again" true (recover () = Some (Json.Str "blocked"));
+      Alcotest.(check bool) "alive while blocked" true (Cluster.alive cluster 1);
+      Alcotest.(check bool) "not operational while blocked" false
+        (List.mem 1 (Cluster.operational cluster));
+      isolate true;
+      Alcotest.(check bool) "retry recovers" true (recover () = Some (Json.Str "recovered"));
+      Alcotest.(check bool) "operational" true (List.mem 1 (Cluster.operational cluster));
+      Alcotest.(check int) "recover while up is 409" 409 (fst (post soak "/sites/1/recover")))
+
 let test_last_site_guard () =
   with_soak ~sites:2 (fun soak ->
       Soak.tick ~timeout:0.0 soak;
@@ -319,6 +371,8 @@ let suite =
     Alcotest.test_case "loopback round trip" `Quick test_round_trip;
     Alcotest.test_case "fail and recover via POST" `Quick test_fail_and_recover;
     Alcotest.test_case "observatory endpoints" `Quick test_observatory_endpoints;
+    Alcotest.test_case "path ids are digits only" `Quick test_digit_ids;
+    Alcotest.test_case "blocked recovery retried via POST" `Quick test_blocked_then_retried;
     Alcotest.test_case "last operational site guard" `Quick test_last_site_guard;
     Alcotest.test_case "live load adjustment" `Quick test_load_adjustment;
     Alcotest.test_case "shutdown summary" `Quick test_shutdown_summary;
