@@ -189,13 +189,13 @@ let finish t ctx coord ~committed ~abort_reason ~reads =
   if committed then begin
     t.metrics.Metrics.txns_committed <- t.metrics.Metrics.txns_committed + 1;
     if coord.copier_requests > 0 then
-      Metrics.Samples.add t.metrics.Metrics.coordinator_copier_ms (ms_of elapsed)
+      Metrics.Samples.add t.metrics.Metrics.coordinator_copier_ms elapsed
     else
-      Metrics.Samples.add t.metrics.Metrics.coordinator_ms (ms_of elapsed)
+      Metrics.Samples.add t.metrics.Metrics.coordinator_ms elapsed
   end
   else begin
     t.metrics.Metrics.txns_aborted <- t.metrics.Metrics.txns_aborted + 1;
-    Metrics.Samples.add t.metrics.Metrics.abort_ms (ms_of elapsed)
+    Metrics.Samples.add t.metrics.Metrics.abort_ms elapsed
   end;
   if tracing t then
     emit t ctx
@@ -242,7 +242,7 @@ let local_commit t ctx coord =
   (match coord.phase with
   | Committing c ->
     Metrics.Samples.add t.metrics.Metrics.phase_commit_ms
-      (ms_of (Vtime.sub (Engine.time ctx) coord.phase_entered_at));
+      (Vtime.sub (Engine.time ctx) coord.phase_entered_at);
     (* The decision record can be retired once every participant applied;
        if one died before acknowledging, keep it — that participant will
        ask for the outcome when it recovers. *)
@@ -285,7 +285,7 @@ let begin_phase1 t ctx coord =
      round contribute a phase-copy sample (and span). *)
   if coord.copier_requests > 0 then
     Metrics.Samples.add t.metrics.Metrics.phase_copy_ms
-      (ms_of (Vtime.sub (Engine.time ctx) coord.phase_entered_at));
+      (Vtime.sub (Engine.time ctx) coord.phase_entered_at);
   (* Under full replication every operational site participates, even one
      storing none of the written items: fail-locks are fully replicated
      (paper §1.1), so every site must see the commit to maintain its
@@ -521,7 +521,7 @@ let handle_prepare_ack t ctx ~txn ~src =
         p.remaining <- p.remaining - 1;
         if p.remaining = 0 then begin
           Metrics.Samples.add t.metrics.Metrics.phase_prepare_ms
-            (ms_of (Vtime.sub (Engine.time ctx) coord.phase_entered_at));
+            (Vtime.sub (Engine.time ctx) coord.phase_entered_at);
           (* The decide point: log the commit decision durably before any
              Commit message leaves.  A crash from here on must preserve
              the decision — participants resolve their in-doubt prepares

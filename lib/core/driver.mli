@@ -37,7 +37,8 @@ val step : ?coordinator:int -> t -> Metrics.outcome
 (** Fire every due plan entry, then run one transaction: take
     {!Cluster.next_txn_id} and [Workload.next], pick
     [Rng.choose rng (Cluster.operational cluster)] unless [coordinator]
-    is given, submit and tally.
+    is given (the same draw, made without building the list), submit
+    and tally.
     @raise No_operational_site as described above. *)
 
 val set_workload : t -> Workload.t -> unit

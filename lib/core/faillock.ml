@@ -29,6 +29,9 @@ type t = {
   mutable rows : int;
   counts : int array;  (* per-site number of locked items *)
   mutable total : int;
+  mutable sets : int;  (* clear -> set transitions so far *)
+  mutable clears : int;  (* set -> clear transitions so far *)
+  scratch : Bytes.t;  (* one row: [assign_row]'s copy of its target *)
   mutable hook : hook option;
 }
 
@@ -57,6 +60,9 @@ let create ~num_items ~num_sites =
     rows = 0;
     counts = Array.make num_sites 0;
     total = 0;
+    sets = 0;
+    clears = 0;
+    scratch = Bytes.make (Bitset.bytes_for num_sites) '\000';
     hook = None;
   }
 
@@ -197,9 +203,10 @@ let is_locked t ~item ~site =
   let row = row t item in
   row <> no_row && mem_bit t row site
 
-(* Raw bit updates maintaining counts/total and the non-empty-row
-   invariant; return whether the bit actually transitioned.  The public
-   [set]/[clear] add hook notification on top. *)
+(* Raw bit updates maintaining counts, total, the running tallies and
+   the non-empty-row invariant; return whether the bit actually
+   transitioned.  The public [set]/[clear] add hook notification on
+   top. *)
 let set_raw t ~item ~site =
   check_site t site;
   let row = row t item in
@@ -209,6 +216,7 @@ let set_raw t ~item ~site =
     set_bit t row site;
     t.counts.(site) <- t.counts.(site) + 1;
     t.total <- t.total + 1;
+    t.sets <- t.sets + 1;
     true
   end
 
@@ -219,6 +227,7 @@ let clear_raw t ~item ~site =
     clear_bit t row site;
     t.counts.(site) <- t.counts.(site) - 1;
     t.total <- t.total - 1;
+    t.clears <- t.clears + 1;
     if row_is_empty t row then remove_row t item row;
     true
   end
@@ -234,63 +243,80 @@ let clear t ~item ~site =
   if was_set then notify t ~item ~site ~locked:false;
   was_set
 
-let update_for t ~item ~site ~up ~set:set_count ~cleared =
-  if up then begin
-    if clear_raw t ~item ~site then begin
-      incr cleared;
-      notify t ~item ~site ~locked:false
-    end
-  end
-  else if set_raw t ~item ~site then begin
-    incr set_count;
-    notify t ~item ~site ~locked:true
-  end
+let set_transitions t = t.sets
+let clear_transitions t = t.clears
 
-(* A bit transition found by a row diff: counts, total, tally and hook
+(* A bit transition found by a row diff: counts, total, tallies and hook
    move exactly as [set_raw]/[clear_raw] plus [notify] would move them. *)
-let transition t ~item ~site ~locked ~set ~cleared =
+let transition t ~item ~site ~locked =
   if locked then begin
     t.counts.(site) <- t.counts.(site) + 1;
     t.total <- t.total + 1;
-    incr set
+    t.sets <- t.sets + 1
   end
   else begin
     t.counts.(site) <- t.counts.(site) - 1;
     t.total <- t.total - 1;
-    incr cleared
+    t.clears <- t.clears + 1
   end;
   notify t ~item ~site ~locked
+
+(* The index of a byte's only set bit. *)
+let rec bit_index b = if b = 1 then 0 else 1 + bit_index (b lsr 1)
+
+(* The transitions of one byte whose first site is [base]: [d] holds
+   the bits that change, lowest first ([d land -d] isolates it), and
+   [target] their new values. *)
+let rec byte_transitions t ~item base d target =
+  if d <> 0 then begin
+    let low = d land -d in
+    transition t ~item ~site:(base + bit_index low) ~locked:(target land low <> 0);
+    byte_transitions t ~item base (d lxor low) target
+  end
+
+(* The transitions from the row at [row] (all zero when [row = no_row])
+   to [t.scratch], from byte [i] on.  Bytes where the two agree are
+   skipped whole.  Top-level and closure-free, so a diff allocates
+   nothing. *)
+let rec diff_from t ~item row i =
+  if i < t.row_bytes then begin
+    let target = Bytes.get_uint8 t.scratch i in
+    let old = if row = no_row then 0 else Bytes.get_uint8 t.slab (row + i) in
+    if old <> target then byte_transitions t ~item (i lsl 3) (old lxor target) target;
+    diff_from t ~item row (i + 1)
+  end
 
 (* Make [item]'s row equal to [target] (read, never kept; empty means
    no row).  The transitions are [row xor target] in increasing site
    order — the order a set/clear sweep over every site produced them — so
    counts, tallies and the hook see the same sequence, at a cost of
-   O(sites/8 + transitions) instead of one row probe per site. *)
-let assign_row t ~item ~target ~set ~cleared =
+   O(sites/8 + transitions) instead of one row probe per site.  Every
+   transition is reported before the row is written. *)
+let assign_row t ~item ~target =
   let row = find_row t item in
   if row = no_row then begin
     if not (Bitset.is_empty target) then begin
-      Bitset.iter (fun site -> transition t ~item ~site ~locked:true ~set ~cleared) target;
+      Bitset.store target t.scratch 0;
+      diff_from t ~item no_row 0;
       let row = add_row t item in
       Bitset.store target t.slab row
     end
   end
   (* Equal rows (the steady state of an outage) need no diff at all. *)
   else if not (Bitset.equal_row target t.slab row) then begin
-    Bitset.iter_diff_row
-      (fun site -> transition t ~item ~site ~locked:(Bitset.mem target site) ~set ~cleared)
-      target t.slab row;
+    Bitset.store target t.scratch 0;
+    diff_from t ~item row 0;
     if Bitset.is_empty target then remove_row t item row else Bitset.store target t.slab row
   end
 
 (* With no locked bit anywhere and every site up (the steady state of a
    failure-free run) the row is absent and stays absent: skip the index
    probe. *)
-let commit_update t ~item ~down ~set ~cleared =
+let commit_update t ~item ~down =
   check_item t item;
   if Bitset.capacity down <> t.num_sites then
     invalid_arg "Faillock.commit_update: down set capacity mismatch";
-  if t.total > 0 || not (Bitset.is_empty down) then assign_row t ~item ~target:down ~set ~cleared
+  if t.total > 0 || not (Bitset.is_empty down) then assign_row t ~item ~target:down
 
 let locked_items t =
   let items = ref [] in
@@ -342,6 +368,7 @@ let copy t =
     keys = Array.copy t.keys;
     slots = Array.copy t.slots;
     counts = Array.copy t.counts;
+    scratch = Bytes.copy t.scratch;
     hook = None;
   }
 
@@ -353,7 +380,6 @@ let install ?keep t ~from =
   check_shape t from;
   let kept item = match keep with None -> true | Some f -> f item in
   let target = Bitset.create t.num_sites in
-  let set_count = ref 0 and cleared = ref 0 in
   (* Visit the union of both tables' rows in ascending item order so the
      per-bit diff reported to the hook matches a dense item-by-site sweep
      (control-1 installs a whole table at once; the trace still wants
@@ -363,7 +389,7 @@ let install ?keep t ~from =
     (fun item ->
       let row = if kept item then find_row from item else no_row in
       if row = no_row then Bitset.clear_all target else Bitset.load target from.slab row;
-      assign_row t ~item ~target ~set:set_count ~cleared)
+      assign_row t ~item ~target)
     items
 
 let merge t ~from =

@@ -32,26 +32,27 @@ val clear : t -> item:int -> site:int -> bool
 
 val is_locked : t -> item:int -> site:int -> bool
 
-val commit_update :
-  t -> item:int -> down:Raid_util.Bitset.t -> set:int ref -> cleared:int ref -> unit
+val commit_update : t -> item:int -> down:Raid_util.Bitset.t -> unit
 (** The paper's per-commit rule (§1.2): "the fail-lock for each site was
     cleared if the site was up and set for each failed site" — applied
     unconditionally to every site's bit of a committed item, which the
     paper found cheaper than conditional maintenance.  [down] is the set
     of sites not up (read, never kept); the item's row becomes exactly
     [down].  The transitions are [row xor down], visited in increasing
-    site order at a cost of O(sites/8 + transitions).  With no bit set
-    in the whole table and no site down the call returns at once.
+    site order at a cost of O(sites/8 + transitions), diffed against a
+    scratch row the table owns, so the call allocates nothing.  With no
+    bit set in the whole table and no site down it returns at once.
     Creating a row allocates nothing beyond amortised growth: rows live
     in one byte slab, found through an open-addressing index.
-    Transition counts are accumulated into [set]/[cleared].
+    Transitions are counted in {!set_transitions}/{!clear_transitions}.
     @raise Invalid_argument if [down]'s capacity is not [num_sites]. *)
 
-val update_for : t -> item:int -> site:int -> up:bool -> set:int ref -> cleared:int ref -> unit
-(** One site's share of {!commit_update}: clear the bit when [up], set it
-    otherwise, accumulating transition counts.  Under partial replication
-    the commit rule runs over an item's k holders instead of all sites;
-    this is the per-holder step. *)
+val set_transitions : t -> int
+val clear_transitions : t -> int
+(** Running totals of the clear-to-set and set-to-clear bit transitions
+    this table has made, by any operation; a {!copy} starts from its
+    source's totals.  A caller tallies the transitions of a group of
+    operations by reading them before and after. *)
 
 val locked_items_for : t -> site:int -> int list
 (** Items whose bit for [site] is set (a recovering site's out-of-date

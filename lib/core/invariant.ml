@@ -68,8 +68,8 @@ let write_durability cluster observed =
                 let site = Cluster.site cluster s in
                 Site.stores site ~item
                 && not
-                     (Update_log.exists (Site.log site) (fun ~txn write ->
-                          txn = txn_id && write.Database.item = item)))
+                     (Update_log.exists (Site.log site) (fun ~txn ~item:logged ~version:_ ->
+                          txn = txn_id && logged = item)))
               holders
           in
           (match missing with

@@ -17,25 +17,26 @@ type outcome = {
 }
 
 module Samples = struct
-  (* Unboxed and grown by doubling: about 1.5 words a sample, where a
-     [float list] costs 5 (cons cell and boxed float).  Spare capacity is
+  (* Virtual times in an [int array] grown by doubling: one word a
+     sample, stored without a write barrier or a boxed float, and
+     converted with [Vtime.to_ms] only when read.  Spare capacity is
      zero-filled, so structural equality still compares samples. *)
-  type t = { mutable data : Float.Array.t; mutable length : int }
+  type t = { mutable data : int array; mutable length : int }
 
-  let create () = { data = Float.Array.create 0; length = 0 }
+  let create () = { data = [||]; length = 0 }
 
   let add t x =
-    if t.length = Float.Array.length t.data then begin
-      let data = Float.Array.make (max 16 (2 * t.length)) 0.0 in
-      Float.Array.blit t.data 0 data 0 t.length;
+    if t.length = Array.length t.data then begin
+      let data = Array.make (max 16 (2 * t.length)) 0 in
+      Array.blit t.data 0 data 0 t.length;
       t.data <- data
     end;
-    Float.Array.set t.data t.length x;
+    t.data.(t.length) <- x;
     t.length <- t.length + 1
 
   let to_list t =
     let rec from i acc =
-      if i = t.length then acc else from (i + 1) (Float.Array.get t.data i :: acc)
+      if i = t.length then acc else from (i + 1) (Raid_net.Vtime.to_ms t.data.(i) :: acc)
     in
     from 0 []
 end

@@ -33,10 +33,11 @@ type outcome = {
 module Samples : sig
   type t
 
-  val add : t -> float -> unit
+  val add : t -> Raid_net.Vtime.t -> unit
+  (** Record one virtual duration. *)
 
   val to_list : t -> float list
-  (** Most recent first. *)
+  (** In milliseconds ({!Raid_net.Vtime.to_ms}), most recent first. *)
 end
 
 type t = {

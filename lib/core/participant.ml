@@ -34,9 +34,9 @@ let handle_prepare t ctx ~txn ~writes ~cleared ~src =
    sent to its previous incarnation, and that Commit is the prepare's
    verdict — the status reply that follows finds nothing to resolve. *)
 let handle_commit t ctx ~txn ~src =
-  match Hashtbl.find_opt t.pending_prepares txn with
-  | None -> ()  (* unknown transaction (e.g. prepared before a crash) *)
-  | Some { pp_writes = writes; pp_started = started; _ } ->
+  match Hashtbl.find t.pending_prepares txn with
+  | exception Not_found -> ()  (* unknown transaction (e.g. prepared before a crash) *)
+  | { pp_writes = writes; pp_started = started; _ } ->
     forget_in_doubt t ~txn;
     (* Acknowledge before applying: the coordinator does not wait on our
        local commit work (see Cost_model calibration notes). *)
@@ -45,7 +45,7 @@ let handle_commit t ctx ~txn ~src =
     faillock_commit_update t ctx ~txn writes;
     if started >= 0 then
       Metrics.Samples.add t.metrics.Metrics.participant_ms
-        (ms_of (Vtime.sub (Engine.time ctx) started))
+        (Vtime.sub (Engine.time ctx) started)
     else Recovery.resolution_step t ctx;
     Coordinator.start_batch_round t ctx
 
@@ -72,10 +72,9 @@ let serve_copies t ctx ~txn ~items ~src =
       good
   in
   Metrics.Samples.add t.metrics.Metrics.copy_serve_ms
-    (ms_of
-      (t.cost.Cost_model.copier_serve_base
-      + (List.length good * t.cost.Cost_model.copier_serve_per_item)
-      + t.cost.Cost_model.message_latency));
+    (t.cost.Cost_model.copier_serve_base
+    + (List.length good * t.cost.Cost_model.copier_serve_per_item)
+    + t.cost.Cost_model.message_latency);
   if bad <> [] then Engine.send ctx src (Message.Copy_unavailable { txn; items = bad });
   Engine.send ctx src (Message.Copy_reply { txn; writes })
 
@@ -83,7 +82,7 @@ let handle_faillocks_cleared t ctx ~site ~items =
   Engine.work ctx t.cost.Cost_model.faillock_clear_process;
   clear_faillocks t ~site items;
   Metrics.Samples.add t.metrics.Metrics.clear_special_ms
-    (ms_of (t.cost.Cost_model.faillock_clear_process + t.cost.Cost_model.message_latency))
+    (t.cost.Cost_model.faillock_clear_process + t.cost.Cost_model.message_latency)
 
 let handle_faillock_hint t ~for_site ~items =
   if for_site = t.id then begin

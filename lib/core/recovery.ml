@@ -99,7 +99,7 @@ let handle_failure_announce t ctx failed =
      [purge_prepares_from] for why this never races a commit). *)
   if not (is_waiting t) then List.iter (fun s -> purge_prepares_from t ~coordinator:s) failed;
   Metrics.Samples.add t.metrics.Metrics.control2_ms
-    (ms_of (t.cost.Cost_model.failure_announce_process + t.cost.Cost_model.message_latency))
+    (t.cost.Cost_model.failure_announce_process + t.cost.Cost_model.message_latency)
 
 (* Graceful departure: announce before going away, so survivors never
    have to discover the absence through timeouts. *)
@@ -263,10 +263,9 @@ let handle_recovery_announce t ctx ~site ~session ~want_state ~src =
              backups = Placement.View.extras t.placement;
            });
       Metrics.Samples.add t.metrics.Metrics.control1_operational_ms
-        (ms_of
-          (t.cost.Cost_model.recovery_state_build_base
-          + (num_items * t.cost.Cost_model.recovery_state_build_per_item)
-          + t.cost.Cost_model.message_latency));
+        (t.cost.Cost_model.recovery_state_build_base
+        + (num_items * t.cost.Cost_model.recovery_state_build_per_item)
+        + t.cost.Cost_model.message_latency);
       if tracing t then
         emit t ctx
           (Obs.Control
@@ -297,7 +296,7 @@ let handle_recovery_state t ctx ~vector ~faillocks ~backups =
     t.mode <- Normal;
     t.metrics.Metrics.control1_completed <- t.metrics.Metrics.control1_completed + 1;
     Metrics.Samples.add t.metrics.Metrics.control1_recovering_ms
-      (ms_of (Vtime.sub (Engine.time ctx) started_at));
+      (Vtime.sub (Engine.time ctx) started_at);
     if tracing t then begin
       emit t ctx (Obs.Recovery_step { step = Obs.State_installed });
       emit t ctx (Obs.Control { kind = Obs.Recovery; detail = "state installed" })
@@ -432,7 +431,7 @@ let handle_txn_status_request t ctx ~txn ~src =
            negative answer is only authoritative from the coordinator;
            the asker treats probe negatives as presumed abort once every
            probe agrees. *)
-        Update_log.exists t.log (fun ~txn:applier write ->
-            applier = txn && write.Database.version = txn))
+        Update_log.exists t.log (fun ~txn:applier ~item:_ ~version ->
+            applier = txn && version = txn))
   in
   Engine.send ctx src (Message.Txn_status_reply { txn; committed })

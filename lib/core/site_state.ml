@@ -239,8 +239,6 @@ let forget_in_doubt t ~txn =
   Hashtbl.remove t.pending_prepares txn;
   match t.stable with None -> () | Some wal -> Wal.forget_prepare wal ~txn
 
-let ms_of = Vtime.to_ms
-
 (* Operational sites other than this one, visited in increasing id order
    (the same order [Session.operational_except] listed them in); the
    iterator form never allocates the list. *)
@@ -302,6 +300,39 @@ let broadcast_clears t ctx items =
            })
   end
 
+(* Under full replication every item's row becomes the down set.  This
+   and [apply_writes] are top-level recursions rather than [List.iter]s:
+   under [-opaque] a local closure is allocated on every call. *)
+let rec commit_update_full t ctx down = function
+  | [] -> ()
+  | { Database.item; _ } :: writes ->
+    Engine.work ctx t.cost.Cost_model.faillock_update_per_write;
+    Faillock.commit_update t.faillocks ~item ~down;
+    commit_update_full t ctx down writes
+
+(* Under partial replication: the holders' bits, for the items this site
+   stores or witnesses; returns the stored items whose own bit the
+   commit clears, in reverse write order. *)
+let rec commit_update_partial t ctx ~witness self_cleared = function
+  | [] -> self_cleared
+  | { Database.item; _ } :: writes ->
+    Engine.work ctx t.cost.Cost_model.faillock_update_per_write;
+    let self_cleared =
+      if witness || stores t ~item then begin
+        let self_cleared =
+          if stores t ~item && Faillock.is_locked t.faillocks ~item ~site:t.id then
+            item :: self_cleared
+          else self_cleared
+        in
+        Placement.View.iter_holders t.placement item (fun site ->
+            if Session.is_up t.vector site then ignore (Faillock.clear t.faillocks ~item ~site)
+            else ignore (Faillock.set t.faillocks ~item ~site));
+        self_cleared
+      end
+      else self_cleared
+    in
+    commit_update_partial t ctx ~witness self_cleared writes
+
 (* Commit-time fail-lock maintenance (paper §1.2): for each written item,
    unconditionally clear the bit of every up site and set the bit of every
    down site.  Under partial replication knowledge is group-local: only
@@ -327,26 +358,21 @@ let broadcast_clears t ctx items =
 let faillock_commit_update ?(witness = false) t ctx ~txn writes =
   if faillocks_on t then begin
     if tracing t then t.faillock_txn <- Some txn;
-    let set_count = ref 0 and cleared = ref 0 in
-    let self_cleared = ref [] in
-    List.iter
-      (fun { Database.item; _ } ->
-        Engine.work ctx t.cost.Cost_model.faillock_update_per_write;
-        if t.full then
-          Faillock.commit_update t.faillocks ~item ~down:(Session.non_up t.vector)
-            ~set:set_count ~cleared
-        else if witness || stores t ~item then begin
-          if stores t ~item && Faillock.is_locked t.faillocks ~item ~site:t.id then
-            self_cleared := item :: !self_cleared;
-          Placement.View.iter_holders t.placement item (fun s ->
-              Faillock.update_for t.faillocks ~item ~site:s ~up:(Session.is_up t.vector s)
-                ~set:set_count ~cleared)
-        end)
-      writes;
+    let sets = Faillock.set_transitions t.faillocks
+    and clears = Faillock.clear_transitions t.faillocks in
+    let self_cleared =
+      if t.full then begin
+        commit_update_full t ctx (Session.non_up t.vector) writes;
+        []
+      end
+      else commit_update_partial t ctx ~witness [] writes
+    in
     t.faillock_txn <- None;
-    t.metrics.Metrics.faillocks_set <- t.metrics.Metrics.faillocks_set + !set_count;
-    t.metrics.Metrics.faillocks_cleared <- t.metrics.Metrics.faillocks_cleared + !cleared;
-    broadcast_clears t ctx (List.rev !self_cleared)
+    t.metrics.Metrics.faillocks_set <-
+      t.metrics.Metrics.faillocks_set + Faillock.set_transitions t.faillocks - sets;
+    t.metrics.Metrics.faillocks_cleared <-
+      t.metrics.Metrics.faillocks_cleared + Faillock.clear_transitions t.faillocks - clears;
+    broadcast_clears t ctx (List.rev self_cleared)
   end
 
 (* {2 Applying writes} *)
@@ -361,13 +387,13 @@ let log_durable t ctx ~txn write =
     ignore (Wal.maybe_checkpoint wal t.db)
 
 (* Apply committed writes to the local copy (those this site stores). *)
-let apply_writes t ctx ~txn writes =
-  List.iter
-    (fun ({ Database.item; _ } as write) ->
-      if stores t ~item then begin
-        Engine.work ctx t.cost.Cost_model.commit_apply_per_write;
-        Database.apply t.db write;
-        Update_log.append t.log ~txn write;
-        log_durable t ctx ~txn write
-      end)
-    writes
+let rec apply_writes t ctx ~txn = function
+  | [] -> ()
+  | ({ Database.item; _ } as write) :: writes ->
+    if stores t ~item then begin
+      Engine.work ctx t.cost.Cost_model.commit_apply_per_write;
+      Database.apply t.db write;
+      Update_log.append t.log ~txn write;
+      log_durable t ctx ~txn write
+    end;
+    apply_writes t ctx ~txn writes

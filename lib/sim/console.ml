@@ -38,10 +38,15 @@ let help_text =
   \  check                  run the protocol invariants\n\
   \  help | quit"
 
+(* Ids and counts are ASCII digits only, as in the HTTP API's paths:
+   [int_of_string_opt] alone would also take "0x1", "0b10", "1_0" or
+   "-0" and name a real site. *)
+let int_of_digits s = if Raid_obs.Http.is_digits s then int_of_string_opt s else None
+
 let parse_op token =
   if String.length token < 2 then None
   else
-    match (token.[0], int_of_string_opt (String.sub token 1 (String.length token - 1))) with
+    match (token.[0], int_of_digits (String.sub token 1 (String.length token - 1))) with
     | 'r', Some item -> Some (Txn.Read item)
     | 'w', Some item -> Some (Txn.Write item)
     | _ -> None
@@ -108,23 +113,23 @@ let interpret t print line =
     print help_text;
     `Continue
   | "txn" :: coordinator :: ops ->
-    (match (int_of_string_opt coordinator, List.map parse_op ops) with
+    (match (int_of_digits coordinator, List.map parse_op ops) with
     | Some coordinator, parsed when parsed <> [] && List.for_all Option.is_some parsed ->
       submit t print ~coordinator (List.map Option.get parsed)
     | _ -> print "usage: txn <site> <rN|wN>...");
     `Continue
   | [ "auto"; n ] ->
-    (match int_of_string_opt n with
+    (match int_of_digits n with
     | Some n -> auto t print n None
     | None -> print "usage: auto <n> [site]");
     `Continue
   | [ "auto"; n; site ] ->
-    (match (int_of_string_opt n, int_of_string_opt site) with
+    (match (int_of_digits n, int_of_digits site) with
     | Some n, Some site -> auto t print n (Some site)
     | _ -> print "usage: auto <n> [site]");
     `Continue
   | [ "fail"; site ] ->
-    (match int_of_string_opt site with
+    (match int_of_digits site with
     | Some site when Cluster.alive t.cluster site ->
       Cluster.fail_site t.cluster site;
       print (Printf.sprintf "site %d failed" site)
@@ -132,7 +137,7 @@ let interpret t print line =
     | None -> print "usage: fail <site>");
     `Continue
   | [ "recover"; site ] ->
-    (match int_of_string_opt site with
+    (match int_of_digits site with
     | Some site -> (
       match Cluster.recover_site t.cluster site with
       | `Recovered -> print (Printf.sprintf "site %d recovered" site)
@@ -140,7 +145,7 @@ let interpret t print line =
     | None -> print "usage: recover <site>");
     `Continue
   | [ "terminate"; site ] ->
-    (match int_of_string_opt site with
+    (match int_of_digits site with
     | Some site ->
       Cluster.terminate_site t.cluster site;
       print (Printf.sprintf "site %d terminated gracefully" site)
@@ -150,7 +155,7 @@ let interpret t print line =
     status t print;
     `Continue
   | [ "faillocks"; site ] ->
-    (match int_of_string_opt site with
+    (match int_of_digits site with
     | Some site ->
       print
         (Printf.sprintf "items fail-locked for site %d: %s" site
@@ -158,16 +163,16 @@ let interpret t print line =
     | None -> print "usage: faillocks <site>");
     `Continue
   | "db" :: site :: rest ->
-    (match (int_of_string_opt site, rest) with
+    (match (int_of_digits site, rest) with
     | Some site, [] -> show_db t print site None
-    | Some site, [ item ] -> show_db t print site (int_of_string_opt item)
+    | Some site, [ item ] -> show_db t print site (int_of_digits item)
     | _ -> print "usage: db <site> [item]");
     `Continue
   | [ "trace" ] ->
     List.iter (fun e -> print (Timeline.describe_entry e)) (Timeline.entries t.cluster);
     `Continue
   | [ "trace"; n ] ->
-    (match int_of_string_opt n with
+    (match int_of_digits n with
     | Some n ->
       let all = Timeline.entries t.cluster in
       let skip = max 0 (List.length all - n) in

@@ -406,8 +406,8 @@ let run_cell ~point ~seed ~sites:n ~partial =
        caught in the site-level probe scan). *)
     List.exists
       (fun s ->
-        Update_log.exists (Site.log (Cluster.site cluster s)) (fun ~txn write ->
-            txn = id && write.Database.version = id))
+        Update_log.exists (Site.log (Cluster.site cluster s)) (fun ~txn ~item:_ ~version ->
+            txn = id && version = id))
       all_sites
     ||
     match Site.wal (Cluster.site cluster c) with

@@ -4,20 +4,20 @@
     that lets tests check write durability ("a committed write is present
     at every site that was operational at commit time") and lets
     in-doubt resolution and the oracles ask which transaction applied
-    which write, in application order. *)
+    which version of which item, in application order. *)
 
 type t
-(** Stored as chunks of parallel arrays of transaction ids and writes,
-    each chunk as large as all before it, so neither {!append} (beyond
-    a new chunk when the last is full) nor {!exists} allocates, and
-    growth copies nothing. *)
+(** Stored as chunks of three parallel [int] arrays (transaction, item,
+    version), each chunk as large as all before it, so neither
+    {!append} (beyond a new chunk when the last is full) nor {!exists}
+    allocates, growth copies nothing, and the log holds no pointer. *)
 
 val create : unit -> t
 
 val append : t -> txn:int -> Database.write -> unit
-(** Record that [txn] applied the write.  The log keeps the write record
-    itself, not a copy. *)
+(** Record that [txn] applied the write: its item and version, 3 words
+    an entry.  The write's value is not kept, nor the write itself. *)
 
-val exists : t -> (txn:int -> Database.write -> bool) -> bool
+val exists : t -> (txn:int -> item:int -> version:int -> bool) -> bool
 (** Whether any entry satisfies the predicate, scanning newest first
     without copying the log or building an entry. *)

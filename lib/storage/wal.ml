@@ -14,14 +14,15 @@ type t = {
   backing : Shared_wal.handle option;  (* shard log this WAL's records funnel into *)
   num_items : int;
   mutable checkpoint_image : Database.image;
-  (* The redo log since the checkpoint, oldest first, in parallel arrays
-     grown by doubling (as in [Update_log]): appending stores an int and
-     a pointer to the write the site already holds, so it allocates
-     nothing.  Slots past [log_length] keep pointing at writes from
-     before the last checkpoint until appends overwrite them; the site's
-     [Update_log] holds those writes anyway. *)
+  (* The redo log since the checkpoint, oldest first, in parallel [int]
+     arrays grown by doubling: appending stores four ints, so it
+     allocates nothing and stores no pointer, and a slot past
+     [log_length] keeps no write alive.  Writes are rebuilt only by
+     [replay_into]. *)
   mutable txns : int array;
-  mutable writes : Database.write array;
+  mutable items : int array;
+  mutable values : int array;
+  mutable versions : int array;
   mutable log_length : int;
   mutable checkpoints_taken : int;
   mutable session : int;
@@ -62,7 +63,9 @@ let create ?(checkpoint_interval = 64) ?backing ?initial ~num_items () =
         | Some db -> db
         | None -> Database.create_partial ~num_items ~stored:(fun _ -> true));
     txns = [||];
-    writes = [||];
+    items = [||];
+    values = [||];
+    versions = [||];
     log_length = 0;
     checkpoints_taken = 0;
     session = 1;
@@ -70,18 +73,24 @@ let create ?(checkpoint_interval = 64) ?backing ?initial ~num_items () =
     decided_tbl = Hashtbl.create 8;
   }
 
-let append t ~txn write =
+let grown a n capacity =
+  let b = Array.make capacity 0 in
+  Array.blit a 0 b 0 n;
+  b
+
+let append t ~txn { Database.item; value; version } =
   let n = t.log_length in
-  if n = Array.length t.writes then begin
+  if n = Array.length t.txns then begin
     let capacity = max 16 (2 * n) in
-    let txns = Array.make capacity 0 and writes = Array.make capacity write in
-    Array.blit t.txns 0 txns 0 n;
-    Array.blit t.writes 0 writes 0 n;
-    t.txns <- txns;
-    t.writes <- writes
+    t.txns <- grown t.txns n capacity;
+    t.items <- grown t.items n capacity;
+    t.values <- grown t.values n capacity;
+    t.versions <- grown t.versions n capacity
   end;
   t.txns.(n) <- txn;
-  t.writes.(n) <- write;
+  t.items.(n) <- item;
+  t.values.(n) <- value;
+  t.versions.(n) <- version;
   t.log_length <- n + 1;
   notify t Shared_wal.Redo ~size:redo_bytes
 
@@ -111,7 +120,8 @@ let replay_into t db =
     invalid_arg "Wal.replay_into: database shape mismatch";
   Database.restore db t.checkpoint_image;
   for i = 0 to t.log_length - 1 do
-    Database.materialize db t.writes.(i)
+    Database.materialize db
+      { Database.item = t.items.(i); value = t.values.(i); version = t.versions.(i) }
   done;
   t.log_length
 

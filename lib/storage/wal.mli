@@ -46,8 +46,9 @@ val create :
     [num_items], or an [initial] of a different shape. *)
 
 val append : t -> txn:int -> Database.write -> unit
-(** Log one committed write of [txn] (redo record).  Allocates nothing
-    beyond amortised growth of the log's arrays. *)
+(** Log one committed write of [txn] (redo record).  The log keeps the
+    write's fields in [int] arrays, not the write itself, and allocates
+    nothing beyond amortised growth of those arrays. *)
 
 val log_length : t -> int
 (** Entries since the last checkpoint. *)

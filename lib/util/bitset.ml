@@ -25,10 +25,11 @@ let mem t i =
   check t i;
   Bytes.get_uint8 t.bits (i lsr 3) land (1 lsl (i land 7)) <> 0
 
-let is_empty t =
-  let n = Bytes.length t.bits in
-  let rec loop i = i >= n || (Bytes.get t.bits i = '\000' && loop (i + 1)) in
-  loop 0
+(* Top-level, so a call allocates no closure over [bits]. *)
+let rec zero_from bits i =
+  i >= Bytes.length bits || (Bytes.get bits i = '\000' && zero_from bits (i + 1))
+
+let is_empty t = zero_from t.bits 0
 
 let popcount_byte b =
   let b = b - ((b lsr 1) land 0x55) in
@@ -65,15 +66,6 @@ let iter f t =
     if b <> 0 then iter_byte f (i lsl 3) b
   done
 
-(* The same scan over [a xor b], where [b] is the bytes of [bits] from
-   [pos].  Bits past [capacity] are always clear, so a partial tail byte
-   needs no mask. *)
-let iter_diff_bytes f a bits pos =
-  for i = 0 to Bytes.length a.bits - 1 do
-    let d = Bytes.get_uint8 a.bits i lxor Bytes.get_uint8 bits (pos + i) in
-    if d <> 0 then iter_byte f (i lsl 3) d
-  done
-
 (* Rows of a slab: a row at [pos] is a [t]'s [bits], stored elsewhere. *)
 let bytes_for capacity = (capacity + 7) / 8
 
@@ -96,10 +88,6 @@ let rec equal_from bits slab pos i =
 let equal_row t slab pos =
   check_row t slab pos;
   equal_from t.bits slab pos 0
-
-let iter_diff_row f t slab pos =
-  check_row t slab pos;
-  iter_diff_bytes f t slab pos
 
 let union_row_into ~dst slab pos =
   check_row dst slab pos;

@@ -60,13 +60,6 @@ val load : t -> Bytes.t -> int -> unit
 val equal_row : t -> Bytes.t -> int -> bool
 (** Does the row at [pos] hold exactly [t]'s members? *)
 
-val iter_diff_row : (int -> unit) -> t -> Bytes.t -> int -> unit
-(** [iter_diff_row f t slab pos] applies [f] to each index that is a
-    member of exactly one of [t] and the row at [pos] (their symmetric
-    difference), in increasing order.  Bytes where they agree are
-    skipped whole — O(capacity/8 + differences), with no intermediate
-    set. *)
-
 val union_row_into : dst:t -> Bytes.t -> int -> unit
 (** Or the row at [pos] into [dst]. *)
 

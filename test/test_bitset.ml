@@ -8,7 +8,7 @@ let of_list capacity members =
 let cardinal b = List.length (Bitset.to_list b)
 
 (* [b]'s bits as the only row of a slab, the slab form that
-   [iter_diff_row], [union_row_into] and [equal_row] read. *)
+   [union_row_into] and [equal_row] read. *)
 let as_row b =
   let slab = Bytes.make (Bitset.bytes_for (Bitset.capacity b)) '\000' in
   Bitset.store b slab 0;
@@ -132,43 +132,9 @@ let test_iter_sparse () =
   Bitset.iter (fun _ -> incr visited) b;
   Alcotest.(check int) "empty set visits none" 0 !visited
 
-let diff_list a b =
-  let seen = ref [] in
-  Bitset.iter_diff_row (fun i -> seen := i :: !seen) a (as_row b) 0;
-  List.rev !seen
-
-let test_iter_diff_order () =
-  let a = of_list 70 [ 0; 7; 8; 31; 40; 69 ]
-  and b = of_list 70 [ 7; 9; 15; 40; 63; 64 ] in
-  Alcotest.(check (list int))
-    "symmetric difference, increasing" [ 0; 8; 9; 15; 31; 63; 64; 69 ] (diff_list a b);
-  Alcotest.(check (list int)) "argument order does not matter" (diff_list a b) (diff_list b a)
-
-let test_iter_diff_tail_bits () =
-  List.iter
-    (fun capacity ->
-      let last = capacity - 1 in
-      let a = of_list capacity [ last ] and b = Bitset.create capacity in
-      Alcotest.(check (list int))
-        (Printf.sprintf "tail bit %d of %d" last capacity) [ last ] (diff_list a b);
-      Bitset.set b (last - 1);
-      Alcotest.(check (list int))
-        (Printf.sprintf "last two bits of %d" capacity) [ last - 1; last ] (diff_list a b))
-    [ 9; 65 ]
-
-let test_iter_diff_equal () =
-  let a = of_list 65 [ 1; 8; 64 ] in
-  Alcotest.(check (list int)) "equal sets visit nothing" [] (diff_list a (Bitset.copy a));
-  Alcotest.(check (list int)) "a set against itself" [] (diff_list a a);
-  Alcotest.(check (list int)) "two empty sets" [] (diff_list (Bitset.create 9) (Bitset.create 9))
-
-let test_iter_diff_capacity_mismatch () =
-  Alcotest.check_raises "capacity mismatch" (Invalid_argument "Bitset: row out of slab bounds")
-    (fun () -> Bitset.iter_diff_row ignore (Bitset.create 9) (as_row (Bitset.create 8)) 0)
-
 (* Slab rows: two 10-bit rows (2 bytes each) side by side, the second
-   at byte 2, written, compared, diffed and read back without touching
-   the first. *)
+   at byte 2, written, compared and read back without touching the
+   first. *)
 let test_slab_rows () =
   let width = Bitset.bytes_for 10 in
   Alcotest.(check int) "bytes per row" 2 width;
@@ -177,10 +143,6 @@ let test_slab_rows () =
   Bitset.store row slab width;
   Alcotest.(check bool) "stored row equal" true (Bitset.equal_row row slab width);
   Alcotest.(check bool) "other row differs" false (Bitset.equal_row row slab 0);
-  let target = of_list 10 [ 1; 3 ] in
-  let diff = ref [] in
-  Bitset.iter_diff_row (fun i -> diff := i :: !diff) target slab width;
-  Alcotest.(check (list int)) "diff with the row" [ 3; 8; 9 ] (List.rev !diff);
   let union = of_list 10 [ 0 ] in
   Bitset.union_row_into ~dst:union slab width;
   Alcotest.(check (list int)) "union with the row" [ 0; 1; 8; 9 ] (Bitset.to_list union);
@@ -218,23 +180,15 @@ let prop_rows_model =
       Bitset.store (of_list capacity b) slab (row * width);
       let before = Bytes.copy slab in
       let pos = row * width in
-      let diff = ref [] in
-      Bitset.iter_diff_row (fun i -> diff := i :: !diff) (of_list capacity a) slab pos;
       let union = of_list capacity a in
       Bitset.union_row_into ~dst:union slab pos;
-      let only_in x y = List.filter (fun i -> not (List.mem i y)) x in
-      List.rev !diff = List.sort compare (only_in a b @ only_in b a)
-      && Bitset.to_list union = List.sort_uniq compare (a @ b)
+      Bitset.to_list union = List.sort_uniq compare (a @ b)
       && Bitset.equal_row (of_list capacity a) slab pos = (a = b)
       && Bytes.equal slab before)
 
 let suite =
   [
     Alcotest.test_case "empty set" `Quick test_empty;
-    Alcotest.test_case "iter_diff order" `Quick test_iter_diff_order;
-    Alcotest.test_case "iter_diff tail bits" `Quick test_iter_diff_tail_bits;
-    Alcotest.test_case "iter_diff equal sets" `Quick test_iter_diff_equal;
-    Alcotest.test_case "iter_diff capacity mismatch" `Quick test_iter_diff_capacity_mismatch;
     Alcotest.test_case "iter byte boundaries" `Quick test_iter_byte_boundaries;
     Alcotest.test_case "iter sparse/empty" `Quick test_iter_sparse;
     Alcotest.test_case "set/clear/mem" `Quick test_set_clear_mem;

@@ -153,9 +153,8 @@ let test_per_item_version_order () =
       let versions =
         let acc = ref [] in
         ignore
-          (Raid_storage.Update_log.exists log (fun ~txn:_ w ->
-               if w.Raid_storage.Database.item = item then
-                 acc := w.Raid_storage.Database.version :: !acc;
+          (Raid_storage.Update_log.exists log (fun ~txn:_ ~item:logged ~version ->
+               if logged = item then acc := version :: !acc;
                false));
         !acc
       in

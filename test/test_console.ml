@@ -115,6 +115,62 @@ let test_bad_input_is_safe () =
   Alcotest.(check bool) "error caught" true (contains output "error:");
   Alcotest.(check bool) "no quit" false quit
 
+(* A write to an item outside the database is refused before anything
+   runs: every copy of the in-range item it names still agrees, the
+   engine holds nothing, and the next transaction commits. *)
+let test_out_of_range_write () =
+  let console = Console.create ~sites:3 ~items:10 () in
+  let cluster = Console.cluster console in
+  let output = Buffer.create 64 in
+  let run line =
+    Buffer.clear output;
+    ignore
+      (Console.command console line ~print:(fun l ->
+           Buffer.add_string output l;
+           Buffer.add_char output '\n'));
+    Buffer.contents output
+  in
+  Alcotest.(check bool)
+    "refused" true
+    (contains (run "txn 0 w1 w999") "error: Cluster.submit: item 999 out of range");
+  let copies =
+    List.init 3 (fun s ->
+        Raid_storage.Database.read (Raid_core.Site.database (Cluster.site cluster s)) 1)
+  in
+  Alcotest.(check (list (option (pair int int))))
+    "every copy of item 1 agrees" [ Some (0, 0); Some (0, 0); Some (0, 0) ] copies;
+  Alcotest.(check int) "nothing queued" 0 (Raid_net.Engine.pending_events (Cluster.engine cluster));
+  Alcotest.(check string) "invariants" "all invariants hold\n" (run "check");
+  Alcotest.(check bool) "next txn commits" true (contains (run "txn 1 w1") "T2 committed");
+  Alcotest.(check bool) "consistent" true (Cluster.fully_consistent cluster);
+  Alcotest.check_raises "a read is checked too"
+    (Invalid_argument "Cluster.submit: item -1 out of range") (fun () ->
+      ignore (Cluster.submit cluster ~coordinator:0 (Raid_core.Txn.make ~id:3 [ Read (-1) ])))
+
+(* Ids and counts are ASCII digits only: forms [int_of_string] reads as
+   a real id are usage errors, and nothing fails, recovers or runs. *)
+let test_ids_are_digits () =
+  let console, output, _ =
+    run_commands
+      [
+        "fail 0x1"; "fail 0b1"; "fail 1_0"; "fail -0"; "fail +1"; "terminate 0o1"; "txn 0b10 w1";
+        "txn 0 w0x1"; "auto 0x2"; "auto 1 0x1"; "faillocks 0x1"; "db 0x1"; "trace 0x1";
+      ]
+  in
+  let cluster = Console.cluster console in
+  Alcotest.(check int) "every site up" 3 (List.length (Cluster.alive_sites cluster));
+  Alcotest.(check int) "nothing submitted" 0 (outcomes console);
+  List.iter
+    (fun usage -> Alcotest.(check bool) usage true (contains output ("usage: " ^ usage)))
+    [
+      "fail <site>"; "terminate <site>"; "txn <site> <rN|wN>..."; "auto <n> [site]";
+      "faillocks <site>"; "db <site> [item]"; "trace [n]";
+    ];
+  Alcotest.(check bool) "no site named" false (contains output "site 1 failed");
+  let _, output, _ = run_commands [ "fail 1"; "recover 0x1"; "recover 1" ] in
+  Alcotest.(check bool) "recover usage" true (contains output "usage: recover <site>");
+  Alcotest.(check bool) "digits still work" true (contains output "site 1 recovered")
+
 let test_quit () =
   let _, _, quit = run_commands [ "status"; "quit" ] in
   Alcotest.(check bool) "quit" true quit
@@ -135,6 +191,8 @@ let suite =
     Alcotest.test_case "db inspection" `Quick test_db_inspection;
     Alcotest.test_case "trace and metrics" `Quick test_trace_and_metrics;
     Alcotest.test_case "bad input is safe" `Quick test_bad_input_is_safe;
+    Alcotest.test_case "out-of-range write" `Quick test_out_of_range_write;
+    Alcotest.test_case "ids are digits only" `Quick test_ids_are_digits;
     Alcotest.test_case "quit" `Quick test_quit;
     Alcotest.test_case "help" `Quick test_help;
   ]

@@ -118,6 +118,80 @@ let test_dispatch_allocates_nothing () =
   if words >= float_of_int events then
     Alcotest.failf "dispatching %d events allocated %.0f minor words" events words
 
+(* The participant's commit allocates only its ack: a 5-word
+   [Commit_ack] payload and its event.  Every site's handler is wrapped,
+   as raidbench's ledger wraps it, and charged the minor words of each
+   [Commit] it handles, on a 64-site fully replicated cluster with site 5
+   down for part of the run, so commits also create, keep and clear
+   fail-lock rows.  The bound leaves 3 words a commit for the amortised
+   growth of the update log, the latency samples and the fail-lock
+   slab. *)
+let test_commit_allocates_only_its_ack () =
+  let module Cluster = Raid_core.Cluster in
+  let module Driver = Raid_core.Driver in
+  let config = Raid_core.Config.make ~num_sites:64 ~num_items:5_000 () in
+  let cluster = Cluster.create config in
+  let engine = Cluster.engine cluster in
+  let words = Float.Array.make 1 0.0 and commits = ref 0 in
+  for id = 0 to 63 do
+    let handler = Raid_core.Site.handler (Cluster.site cluster id) in
+    Engine.register engine id (fun ctx event ->
+        match event with
+        | Engine.Message { payload = Raid_core.Message.Commit _; _ } ->
+          let before = Gc.minor_words () in
+          handler ctx event;
+          Float.Array.set words 0 (Float.Array.get words 0 +. (Gc.minor_words () -. before));
+          incr commits
+        | _ -> handler ctx event)
+  done;
+  let rng = Raid_util.Rng.create 42 in
+  let workload =
+    Raid_core.Workload.create
+      (Raid_core.Workload.Uniform { max_ops = 5; write_prob = 0.5 })
+      ~num_items:5_000 ~rng:(Raid_util.Rng.split rng)
+  in
+  let plan = Driver.[ (After_txns 200, Fail 5); (After_txns 1_400, Recover 5) ] in
+  let driver = Driver.create ~plan cluster ~workload ~rng in
+  for _ = 1 to 2_000 do
+    ignore (Driver.step driver)
+  done;
+  Alcotest.(check int) "every commit delivered" 0 (Engine.pending_events engine);
+  let per_commit = Float.Array.get words 0 /. float_of_int !commits in
+  if !commits < 100_000 || per_commit > 8.0 then
+    Alcotest.failf "%d commits allocated %.2f minor words each" !commits per_commit
+
+(* Drawing a coordinator builds no list: the same run on two identical
+   clusters, one drawing its coordinators and one handed each draw's
+   result, differs by what [Rng.int] boxes (14 words), where the list of
+   63 operational sites alone was 189. *)
+let test_driver_draw_builds_no_list () =
+  let module Cluster = Raid_core.Cluster in
+  let module Driver = Raid_core.Driver in
+  let driver () =
+    let cluster = Cluster.create (Raid_core.Config.make ~num_sites:64 ~num_items:500 ()) in
+    let rng = Raid_util.Rng.create 7 in
+    let workload =
+      Raid_core.Workload.create
+        (Raid_core.Workload.Uniform { max_ops = 3; write_prob = 0.5 })
+        ~num_items:500 ~rng:(Raid_util.Rng.split rng)
+    in
+    Driver.create ~plan:[ (Driver.After_txns 20, Driver.Fail 9) ] cluster ~workload ~rng
+  in
+  let drawing = driver () and handed = driver () in
+  let steps = 200 in
+  let drawn = ref 0.0 and given = ref 0.0 in
+  for _ = 1 to steps do
+    let before = Gc.minor_words () in
+    let outcome = Driver.step drawing in
+    drawn := !drawn +. (Gc.minor_words () -. before);
+    let coordinator = Some outcome.Raid_core.Metrics.coordinator in
+    let before = Gc.minor_words () in
+    ignore (Driver.step ?coordinator handed);
+    given := !given +. (Gc.minor_words () -. before)
+  done;
+  let per_draw = (!drawn -. !given) /. float_of_int steps in
+  if per_draw > 16.0 then Alcotest.failf "a coordinator draw allocated %.1f minor words" per_draw
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_exactly_once;
@@ -125,4 +199,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_routing;
     QCheck_alcotest.to_alcotest prop_pool_retains_nothing;
     Alcotest.test_case "dispatch allocates nothing" `Quick test_dispatch_allocates_nothing;
+    Alcotest.test_case "commit allocates only its ack" `Quick test_commit_allocates_only_its_ack;
+    Alcotest.test_case "driver draw builds no list" `Quick test_driver_draw_builds_no_list;
   ]

@@ -8,6 +8,13 @@ let bitset_of_list capacity members =
 
 let table () = Faillock.create ~num_items:5 ~num_sites:3
 
+(* The (set, cleared) transitions [f] makes on [t], read off the table's
+   running totals. *)
+let tally t f =
+  let sets = Faillock.set_transitions t and clears = Faillock.clear_transitions t in
+  f ();
+  (Faillock.set_transitions t - sets, Faillock.clear_transitions t - clears)
+
 let test_initial () =
   let t = table () in
   Alcotest.(check int) "nothing locked" 0 (Faillock.total_locked t);
@@ -26,24 +33,83 @@ let test_commit_update () =
   (* Site 2 is down: committing item 3 sets its bit, clears others. *)
   ignore (Faillock.set t ~item:3 ~site:0);
   let down = bitset_of_list 3 [ 2 ] in
-  let set_count = ref 0 and cleared = ref 0 in
-  Faillock.commit_update t ~item:3 ~down ~set:set_count ~cleared;
-  Alcotest.(check int) "one set" 1 !set_count;
-  Alcotest.(check int) "one cleared" 1 !cleared;
+  Alcotest.(check (pair int int))
+    "one set, one cleared" (1, 1)
+    (tally t (fun () -> Faillock.commit_update t ~item:3 ~down));
   Alcotest.(check bool) "bit for down site" true (Faillock.is_locked t ~item:3 ~site:2);
   Alcotest.(check bool) "bit for up site cleared" false (Faillock.is_locked t ~item:3 ~site:0);
   (* Re-running is idempotent (the paper's unconditional re-clear). *)
-  let set2 = ref 0 and cleared2 = ref 0 in
-  Faillock.commit_update t ~item:3 ~down ~set:set2 ~cleared:cleared2;
-  Alcotest.(check int) "no new sets" 0 !set2;
-  Alcotest.(check int) "no new clears" 0 !cleared2;
+  Alcotest.(check (pair int int))
+    "no new sets or clears" (0, 0)
+    (tally t (fun () -> Faillock.commit_update t ~item:3 ~down));
   (* Every site back up: the row empties and the item reads unlocked. *)
-  Faillock.commit_update t ~item:3 ~down:(Bitset.create 3) ~set:set2 ~cleared:cleared2;
-  Alcotest.(check int) "down site's bit cleared" 1 !cleared2;
+  Alcotest.(check (pair int int))
+    "down site's bit cleared" (0, 1)
+    (tally t (fun () -> Faillock.commit_update t ~item:3 ~down:(Bitset.create 3)));
   Alcotest.(check bool) "row removed" false (List.mem 3 (Faillock.locked_items t));
+  Alcotest.(check (pair int int))
+    "set and clear count too" (1, 1)
+    (tally t (fun () ->
+         ignore (Faillock.set t ~item:1 ~site:0);
+         ignore (Faillock.clear t ~item:1 ~site:0)));
   Alcotest.check_raises "down set capacity"
     (Invalid_argument "Faillock.commit_update: down set capacity mismatch") (fun () ->
-      Faillock.commit_update t ~item:3 ~down:(Bitset.create 4) ~set:set2 ~cleared:cleared2)
+      Faillock.commit_update t ~item:3 ~down:(Bitset.create 4))
+
+(* A row diff's transitions, as the hook sees them: a table of
+   [capacity] sites whose item 0 holds [row], updated by a commit whose
+   down set is [down]. *)
+let diff_transitions capacity row down =
+  let t = Faillock.create ~num_items:1 ~num_sites:capacity in
+  List.iter (fun site -> ignore (Faillock.set t ~item:0 ~site)) row;
+  let seen = ref [] in
+  Faillock.set_hook t (Some (fun ~item:_ ~site ~locked -> seen := (site, locked) :: !seen));
+  Faillock.commit_update t ~item:0 ~down:(bitset_of_list capacity down);
+  List.rev !seen
+
+let test_diff_order () =
+  let a = [ 0; 7; 8; 31; 40; 69 ] and b = [ 7; 9; 15; 40; 63; 64 ] in
+  Alcotest.(check (list (pair int bool)))
+    "symmetric difference, increasing"
+    [
+      (0, false); (8, false); (9, true); (15, true); (31, false); (63, true); (64, true); (69, false);
+    ]
+    (diff_transitions 70 a b);
+  Alcotest.(check (list int))
+    "argument order does not matter"
+    (List.map fst (diff_transitions 70 a b))
+    (List.map fst (diff_transitions 70 b a))
+
+let test_diff_tail_bits () =
+  List.iter
+    (fun capacity ->
+      let last = capacity - 1 in
+      Alcotest.(check (list (pair int bool)))
+        (Printf.sprintf "tail bit %d of %d" last capacity)
+        [ (last, true) ]
+        (diff_transitions capacity [] [ last ]);
+      Alcotest.(check (list (pair int bool)))
+        (Printf.sprintf "last two bits of %d" capacity)
+        [ (last - 1, false); (last, true) ]
+        (diff_transitions capacity [ last - 1 ] [ last ]))
+    [ 9; 65 ]
+
+let test_diff_equal () =
+  Alcotest.(check (list (pair int bool)))
+    "equal sets visit nothing" [] (diff_transitions 65 [ 1; 8; 64 ] [ 1; 8; 64 ]);
+  Alcotest.(check (list (pair int bool))) "two empty sets" [] (diff_transitions 9 [] [])
+
+let test_diff_capacity () =
+  let t = Faillock.create ~num_items:1 ~num_sites:9 in
+  ignore (Faillock.set t ~item:0 ~site:8);
+  List.iter
+    (fun capacity ->
+      Alcotest.check_raises
+        (Printf.sprintf "down set of %d" capacity)
+        (Invalid_argument "Faillock.commit_update: down set capacity mismatch")
+        (fun () -> Faillock.commit_update t ~item:0 ~down:(Bitset.create capacity)))
+    [ 8; 16 ];
+  Alcotest.(check (list int)) "row untouched" [ 8 ] (Faillock.locked_sites t ~item:0)
 
 let test_locked_items_and_counts () =
   let t = table () in
@@ -95,8 +161,7 @@ let prop_commit_update_postcondition =
       List.iter (fun (item, site) -> ignore (Faillock.set t ~item ~site)) initial;
       let site_up s = (up_mask lsr s) land 1 = 1 in
       let down = bitset_of_list 3 (List.filter (fun s -> not (site_up s)) [ 0; 1; 2 ]) in
-      let set_count = ref 0 and cleared = ref 0 in
-      Faillock.commit_update t ~item:2 ~down ~set:set_count ~cleared;
+      Faillock.commit_update t ~item:2 ~down;
       List.for_all
         (fun s -> Faillock.is_locked t ~item:2 ~site:s = not (site_up s))
         [ 0; 1; 2 ])
@@ -182,13 +247,15 @@ let prop_commit_update_matches_reference =
       in
       let fast, fast_log = table_of ~sites:c.sites initial in
       let slow, slow_log = table_of ~sites:c.sites initial in
-      let fs = ref 0 and fc = ref 0 and ss = ref 0 and sc = ref 0 in
-      Faillock.commit_update fast ~item:c.item ~down:(bitset_of_list c.sites c.down) ~set:fs
-        ~cleared:fc;
+      let ss = ref 0 and sc = ref 0 in
+      let fast_tally =
+        tally fast (fun () ->
+            Faillock.commit_update fast ~item:c.item ~down:(bitset_of_list c.sites c.down))
+      in
       reference_assign ~sites:c.sites slow ~item:c.item ~target:c.down ~set_count:ss ~cleared:sc;
       snapshot ~sites:c.sites fast = snapshot ~sites:c.sites slow
       && Faillock.equal fast slow
-      && (!fs, !fc) = (!ss, !sc)
+      && fast_tally = (!ss, !sc)
       && !fast_log = !slow_log)
 
 let prop_install_matches_reference =
@@ -270,8 +337,12 @@ let prop_commit_update_sequences =
         (fun op ->
           (match op with
           | Commit (item, down) ->
-            Faillock.commit_update !fast ~item ~down:(bitset_of_list sites down) ~set:fs
-              ~cleared:fc;
+            let s, c =
+              tally !fast (fun () ->
+                  Faillock.commit_update !fast ~item ~down:(bitset_of_list sites down))
+            in
+            fs := !fs + s;
+            fc := !fc + c;
             reference_assign ~sites !slow ~item ~target:down ~set_count:ss ~cleared:sc
           | Clear (item, site) ->
             ignore (Faillock.clear !fast ~item ~site);
@@ -397,8 +468,7 @@ let prop_model_sequences =
         u
       in
       let commit item down =
-        Faillock.commit_update !t ~item ~down:(bitset_of_list sites down) ~set:(ref 0)
-          ~cleared:(ref 0);
+        Faillock.commit_update !t ~item ~down:(bitset_of_list sites down);
         assign item (fun s -> List.mem s down)
       in
       let apply = function
@@ -507,6 +577,10 @@ let suite =
     Alcotest.test_case "iteration helpers" `Quick test_iteration_helpers;
     Alcotest.test_case "set/clear transitions" `Quick test_set_clear_transitions;
     Alcotest.test_case "commit_update semantics" `Quick test_commit_update;
+    Alcotest.test_case "commit_update diff order" `Quick test_diff_order;
+    Alcotest.test_case "commit_update diff tail bits" `Quick test_diff_tail_bits;
+    Alcotest.test_case "commit_update diff equal sets" `Quick test_diff_equal;
+    Alcotest.test_case "commit_update diff capacity" `Quick test_diff_capacity;
     Alcotest.test_case "locked items and counts" `Quick test_locked_items_and_counts;
     Alcotest.test_case "clear_sites" `Quick test_clear_sites;
     Alcotest.test_case "copy/install/merge" `Quick test_copy_install_merge;

@@ -3,13 +3,14 @@ module Update_log = Raid_storage.Update_log
 
 let write ~item ~value ~version = { Database.item; value; version }
 
-(* The log's (txn, write) entries, oldest first: [exists] scans newest
-   first, so prepending as it goes leaves them in application order. *)
+(* The log's (txn, item, version) entries, oldest first: [exists] scans
+   newest first, so prepending as it goes leaves them in application
+   order. *)
 let entries log =
   let acc = ref [] in
   ignore
-    (Update_log.exists log (fun ~txn write ->
-         acc := (txn, write) :: !acc;
+    (Update_log.exists log (fun ~txn ~item ~version ->
+         acc := (txn, item, version) :: !acc;
          false));
   !acc
 
@@ -102,11 +103,12 @@ let test_update_log () =
   Update_log.append log ~txn:1 (write ~item:0 ~value:1 ~version:1);
   Update_log.append log ~txn:2 (write ~item:1 ~value:2 ~version:2);
   Update_log.append log ~txn:3 (write ~item:0 ~value:3 ~version:3);
-  Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (List.map fst (entries log));
+  Alcotest.(check (list (triple int int int)))
+    "order" [ (1, 0, 1); (2, 1, 2); (3, 0, 3) ] (entries log);
   Alcotest.(check bool) "exists" true
-    (Update_log.exists log (fun ~txn w -> txn = 3 && w.Database.version = 3));
+    (Update_log.exists log (fun ~txn ~item:_ ~version -> txn = 3 && version = 3));
   Alcotest.(check bool) "exists nothing" false
-    (Update_log.exists log (fun ~txn:_ w -> w.Database.item = 2))
+    (Update_log.exists log (fun ~txn:_ ~item ~version:_ -> item = 2))
 
 let prop_apply_monotone =
   QCheck.Test.make ~name:"ascending applies always succeed and read back" ~count:200
@@ -227,7 +229,8 @@ let prop_backends_agree =
           agree ())
         ops)
 
-(* The update log against a plain list of (txn, write) pairs. *)
+(* The update log against a plain list of (txn, item, version)
+   triples. *)
 let prop_update_log_model =
   QCheck.Test.make ~name:"update log matches a list model" ~count:300
     QCheck.(
@@ -238,17 +241,13 @@ let prop_update_log_model =
         (pair (int_range (-3) 5) (int_range 0 4)))
     (fun (appends, (probe_txn, probe_item)) ->
       let log = Update_log.create () in
-      let model =
-        List.map
-          (fun (txn, item, version) ->
-            let write = { Database.item; value = txn + version; version } in
-            Update_log.append log ~txn write;
-            (txn, write))
-          appends
-      in
-      entries log = model
-      && Update_log.exists log (fun ~txn w -> txn = probe_txn && w.Database.item = probe_item)
-         = List.exists (fun (txn, w) -> txn = probe_txn && w.Database.item = probe_item) model)
+      List.iter
+        (fun (txn, item, version) ->
+          Update_log.append log ~txn { Database.item; value = txn + version; version })
+        appends;
+      entries log = appends
+      && Update_log.exists log (fun ~txn ~item ~version:_ -> txn = probe_txn && item = probe_item)
+         = List.exists (fun (txn, item, _) -> txn = probe_txn && item = probe_item) appends)
 
 let suite =
   [
