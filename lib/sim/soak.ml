@@ -208,7 +208,7 @@ let recover_action t ~params _req =
   | Ok id ->
     (* A blocked site (alive, waiting for a donor) is not operational:
        recovering it again retries control 1. *)
-    if List.mem id (Cluster.operational t.cluster) then
+    if Cluster.is_operational t.cluster id then
       Http.error 409 (Printf.sprintf "site %d is already up" id)
     else
       let result =
