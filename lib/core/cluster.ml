@@ -415,7 +415,7 @@ let submit t ~coordinator txn =
    everywhere, but the oracle ([committed_version],
    [Invariant.no_stale_reads]) stays blind to the transaction.  The
    crash matrix records such ghost commits here once it has proved —
-   from a survivor's update log or the coordinator's durable decision
+   from a survivor's commit record or the coordinator's durable decision
    record — that the decision really was commit.  Must be called before
    any later transaction is injected, so the committed-version history
    keeps submission order. *)

@@ -130,9 +130,9 @@ val note_ghost_commit : t -> Txn.t -> unit
     writes land at the surviving participants, and without this the
     oracle ({!committed_version}, {!Invariant.no_stale_reads}) would
     treat them as uncommitted.  The caller must first prove the decision
-    was commit (survivor update-log entry or the coordinator's durable
-    decision record), and must call this before injecting any later
-    transaction so the outcome history keeps submission order. *)
+    was commit (a survivor's {!Site.applied_commit} or the coordinator's
+    durable decision record), and must call this before injecting any
+    later transaction so the outcome history keeps submission order. *)
 
 val recover_site : t -> int -> [ `Recovered | `Blocked ]
 (** Bring a down site back: control transaction type 1 runs to

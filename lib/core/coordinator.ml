@@ -83,7 +83,6 @@ let install_refreshed t ctx ~round writes =
       if stale then begin
         Engine.work ctx t.cost.Cost_model.copier_install_per_item;
         Database.materialize t.db write;
-        Update_log.append t.log ~txn:round write;
         log_durable t ctx ~txn:round write
       end;
       if Faillock.clear t.faillocks ~item ~site:t.id then begin

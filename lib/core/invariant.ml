@@ -1,5 +1,4 @@
 module Database = Raid_storage.Database
-module Update_log = Raid_storage.Update_log
 
 type result = (unit, string) Stdlib.result
 
@@ -54,35 +53,25 @@ let no_stale_reads cluster =
   | Some { Cluster.reader; item; version; latest } ->
     fail "txn %d read item %d at version %d; latest committed was %d" reader item version latest
 
-let write_durability cluster observed =
-  let check_outcome (outcome, holders) =
-    if not outcome.Metrics.committed then Ok ()
-    else
-      let txn_id = outcome.Metrics.txn.Txn.id in
-      let rec check_writes = function
-        | [] -> Ok ()
-        | { Database.item; _ } :: rest ->
-          let missing =
-            List.find_opt
-              (fun s ->
-                let site = Cluster.site cluster s in
-                Site.stores site ~item
-                && not
-                     (Update_log.exists (Site.log site) (fun ~txn ~item:logged ~version:_ ->
-                          txn = txn_id && logged = item)))
-              holders
-          in
-          (match missing with
-          | Some s -> fail "txn %d write of item %d missing from site %d's log" txn_id item s
-          | None -> check_writes rest)
-      in
-      check_writes outcome.Metrics.writes
-  in
-  List.fold_left
-    (fun acc pair ->
-      let* () = acc in
-      check_outcome pair)
-    (Ok ()) observed
+let write_durability cluster outcome ~operational =
+  if not outcome.Metrics.committed then Ok ()
+  else
+    let txn_id = outcome.Metrics.txn.Txn.id in
+    let rec check_writes = function
+      | [] -> Ok ()
+      | { Database.item; _ } :: rest ->
+        let missing =
+          List.find_opt
+            (fun s ->
+              let site = Cluster.site cluster s in
+              Site.stores site ~item && Database.version (Site.database site) item <> Some txn_id)
+            operational
+        in
+        (match missing with
+        | Some s -> fail "txn %d write of item %d missing from site %d" txn_id item s
+        | None -> check_writes rest)
+    in
+    check_writes outcome.Metrics.writes
 
 let convergence cluster =
   let num_sites = Cluster.num_sites cluster in

@@ -20,11 +20,13 @@ val no_stale_reads : Cluster.t -> result
     committed before the reading transaction (or the reader's own write);
     see {!Cluster.first_stale_read}. *)
 
-val write_durability : Cluster.t -> (Metrics.outcome * int list) list -> result
-(** For each committed outcome, paired with the sites operational when it
-    committed, every one of those sites that stores a written item has
-    that write in its update log.  The caller supplies the pairs it
-    observed when submitting (the cluster keeps neither). *)
+val write_durability : Cluster.t -> Metrics.outcome -> operational:int list -> result
+(** Call right after the outcome completes: if it committed, every site
+    in [operational] (those operational at commit) that stores a written
+    item holds that item at version = the transaction's id.  This reads
+    the data itself; checked later, a newer write would mask a missing
+    one.  The cluster keeps no outcome history, so the caller passes
+    each outcome as it observes it. *)
 
 val convergence : Cluster.t -> result
 (** With every site up: all databases equal and no fail-locks set.  Use

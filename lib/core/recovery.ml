@@ -35,7 +35,7 @@ let on_crash t =
           (fun ({ Database.item; _ } as write) ->
             if stores t ~item then begin
               Database.apply t.db write;
-              Update_log.append t.log ~txn:coord.txn.Txn.id write;
+              note_applied t ~txn:coord.txn.Txn.id;
               match t.stable with
               | None -> ()
               | Some wal -> Wal.append wal ~txn:coord.txn.Txn.id write
@@ -333,7 +333,7 @@ let donor_failed t ctx ~dst =
    outcome: a durable decision record (or a live commit phase) means
    commit, an up coordinator without one means presumed abort.  If the
    coordinator is down, every other site is probed — any site whose
-   update log contains the transaction proves the commit; if all probes
+   commit record holds the transaction proves the commit; if all probes
    come back negative the prepare is presumed aborted (the only commits
    invisible to every survivor are the knowledge-loss corner the cluster
    detector counts). *)
@@ -423,15 +423,12 @@ let handle_txn_status_request t ctx ~txn ~src =
       match t.stable with
       | Some wal when Wal.decided_commit wal ~txn -> true
       | Some _ | None ->
-        (* Not ours (or long retired): our update log proves any commit
-           we applied.  Only an entry installing version [txn] counts —
-           copier installs are logged under the {e requesting}
-           transaction's id but carry the source copy's older version,
-           and must not masquerade as a commit of that transaction.  A
-           negative answer is only authoritative from the coordinator;
-           the asker treats probe negatives as presumed abort once every
-           probe agrees. *)
-        Update_log.exists t.log (fun ~txn:applier ~item:_ ~version ->
-            applier = txn && version = txn))
+        (* Not ours (or long retired): our commit record proves any
+           commit we applied.  Copier installs record nothing, so a
+           refresh on behalf of the {e requesting} transaction cannot
+           masquerade as its commit.  A negative answer is only
+           authoritative from the coordinator; the asker treats probe
+           negatives as presumed abort once every probe agrees. *)
+        applied_commit t ~txn)
   in
   Engine.send ctx src (Message.Txn_status_reply { txn; committed })

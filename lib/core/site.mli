@@ -62,7 +62,13 @@ val id : t -> int
 val database : t -> Raid_storage.Database.t
 val faillocks : t -> Faillock.t
 val vector : t -> Session.t
-val log : t -> Raid_storage.Update_log.t
+
+val applied_commit : t -> txn:int -> bool
+(** Whether this site applied [txn]'s commit to at least one stored copy
+    (a participant's commit, its own [local_commit], an in-doubt
+    resolution, or a decided coordinator's crash).  Copier refreshes do
+    not count.  O(1): one bit per transaction id, which the in-doubt
+    status probe and the crash matrix read as commit evidence. *)
 
 val stores : t -> item:int -> bool
 (** Current placement view for this site itself (static placement plus

@@ -5,7 +5,6 @@
 module Vtime = Raid_net.Vtime
 module Engine = Raid_net.Engine
 module Database = Raid_storage.Database
-module Update_log = Raid_storage.Update_log
 module Wal = Raid_storage.Wal
 module Obs = Raid_obs.Trace
 module Bitset = Raid_util.Bitset
@@ -106,7 +105,8 @@ type t = {
   vector : Session.t;
   db : Database.t;
   faillocks : Faillock.t;
-  log : Update_log.t;
+  mutable applied : Bytes.t;
+      (* bit [txn]: this site applied [txn]'s commit to a stored copy *)
   stable : Wal.t option;  (* simulated stable storage (durability extension) *)
   placement : Placement.View.t;  (* this site's view of who holds what *)
   full : bool;
@@ -154,7 +154,7 @@ let create ~id ~config ~metrics ~on_outcome ?obs ?wal_factory () =
     vector = Session.create ~num_sites;
     db;
     faillocks = Faillock.create ~num_items ~num_sites;
-    log = Update_log.create ();
+    applied = Bytes.empty;
     stable =
       (match config.Config.durability with
       | Config.In_memory -> None
@@ -202,7 +202,31 @@ let id t = t.id
 let database t = t.db
 let faillocks t = t.faillocks
 let vector t = t.vector
-let log t = t.log
+
+(* The commit evidence the in-doubt status probe reads: one bit per
+   transaction id, set once a commit's writes reach a stored copy here
+   (every committed write installs version = its transaction's id).
+   Copier installs carry the source's older version and record nothing.
+   The bytes double when an id falls past their end: one bit per
+   transaction, whatever its write set. *)
+let note_applied t ~txn =
+  if txn >= 0 then begin
+    let byte = txn lsr 3 in
+    let length = Bytes.length t.applied in
+    if byte >= length then begin
+      let grown = Bytes.make (max (byte + 1) (max 16 (2 * length))) '\000' in
+      Bytes.blit t.applied 0 grown 0 length;
+      t.applied <- grown
+    end;
+    Bytes.unsafe_set t.applied byte
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.applied byte) lor (1 lsl (txn land 7))))
+  end
+
+let applied_commit t ~txn =
+  txn >= 0
+  && txn lsr 3 < Bytes.length t.applied
+  && Char.code (Bytes.unsafe_get t.applied (txn lsr 3)) land (1 lsl (txn land 7)) <> 0
+
 let stores t ~item = t.full || Placement.View.holds t.placement ~site:t.id ~item
 let believes_stored t ~site ~item = Placement.View.holds t.placement ~site ~item
 let partial t = not t.full
@@ -393,7 +417,7 @@ let rec apply_writes t ctx ~txn = function
     if stores t ~item then begin
       Engine.work ctx t.cost.Cost_model.commit_apply_per_write;
       Database.apply t.db write;
-      Update_log.append t.log ~txn write;
+      note_applied t ~txn;
       log_durable t ctx ~txn write
     end;
     apply_writes t ctx ~txn writes

@@ -9,7 +9,6 @@ module Message = Raid_core.Message
 module Metrics = Raid_core.Metrics
 module Invariant = Raid_core.Invariant
 module Database = Raid_storage.Database
-module Update_log = Raid_storage.Update_log
 module Wal = Raid_storage.Wal
 module Rng = Raid_util.Rng
 module Table = Raid_util.Table
@@ -230,7 +229,7 @@ let run_cell ~point ~seed ~sites:n ~partial =
       dead;
     Cluster.run_to_quiescence cluster
   in
-  (* Warmup: establish versions and update-log history on every site. *)
+  (* Warmup: establish versions and commit history on every site. *)
   List.iter (fun i -> submit_background (i mod n)) [ 1; 2; 3; 4 ];
   (* The copier points need the coordinator to hold a fail-locked copy:
      crash it, advance item 0 behind its back, bring it back under
@@ -400,15 +399,10 @@ let run_cell ~point ~seed ~sites:n ~partial =
      oracle before anything else runs. *)
   let outcome_of id = Hashtbl.find_opt outcomes id in
   let commit_evidence id =
-    (* Only an entry installing version [id] proves a commit: copier
-       installs are logged under the requesting transaction's id but
-       carry the source copy's older version (the bug this matrix first
-       caught in the site-level probe scan). *)
-    List.exists
-      (fun s ->
-        Update_log.exists (Site.log (Cluster.site cluster s)) (fun ~txn ~item:_ ~version ->
-            txn = id && version = id))
-      all_sites
+    (* Only an applied commit counts: a copier install on behalf of [id]
+       carries the source copy's older version and records nothing (the
+       bug this matrix first caught in the site-level probe scan). *)
+    List.exists (fun s -> Site.applied_commit (Cluster.site cluster s) ~txn:id) all_sites
     ||
     match Site.wal (Cluster.site cluster c) with
     | Some wal -> Wal.decided_commit wal ~txn:id

@@ -57,8 +57,8 @@ type row = {
   r_resolved : string;
       (** how the victim transaction ended: "committed", "aborted" or
           "ghost-commit" (coordinator died post-decide; the outcome was
-          proved from survivor update logs / its durable decision
-          record) *)
+          proved from a survivor's commit record / its durable
+          decision record) *)
   r_in_doubt : int;  (** in-doubt prepares left anywhere after recovery *)
   r_knowledge_loss : int;
       (** DESIGN.md §11 knowledge-loss events the cell recorded *)

@@ -15,11 +15,10 @@ type t = {
   num_items : int;
   mutable checkpoint_image : Database.image;
   (* The redo log since the checkpoint, oldest first, in parallel [int]
-     arrays grown by doubling: appending stores four ints, so it
+     arrays grown by doubling: appending stores three ints, so it
      allocates nothing and stores no pointer, and a slot past
      [log_length] keeps no write alive.  Writes are rebuilt only by
-     [replay_into]. *)
-  mutable txns : int array;
+     [replay_into], which needs no transaction id. *)
   mutable items : int array;
   mutable values : int array;
   mutable versions : int array;
@@ -62,7 +61,6 @@ let create ?(checkpoint_interval = 64) ?backing ?initial ~num_items () =
         (match initial with
         | Some db -> db
         | None -> Database.create_partial ~num_items ~stored:(fun _ -> true));
-    txns = [||];
     items = [||];
     values = [||];
     versions = [||];
@@ -78,16 +76,14 @@ let grown a n capacity =
   Array.blit a 0 b 0 n;
   b
 
-let append t ~txn { Database.item; value; version } =
+let append t ~txn:_ { Database.item; value; version } =
   let n = t.log_length in
-  if n = Array.length t.txns then begin
+  if n = Array.length t.items then begin
     let capacity = max 16 (2 * n) in
-    t.txns <- grown t.txns n capacity;
     t.items <- grown t.items n capacity;
     t.values <- grown t.values n capacity;
     t.versions <- grown t.versions n capacity
   end;
-  t.txns.(n) <- txn;
   t.items.(n) <- item;
   t.values.(n) <- value;
   t.versions.(n) <- version;

@@ -47,8 +47,10 @@ val create :
 
 val append : t -> txn:int -> Database.write -> unit
 (** Log one committed write of [txn] (redo record).  The log keeps the
-    write's fields in [int] arrays, not the write itself, and allocates
-    nothing beyond amortised growth of those arrays. *)
+    write's item, value and version in [int] arrays, not the write
+    itself, and allocates nothing beyond amortised growth of those
+    arrays.  [txn] counts in the record's simulated size but is not
+    kept: replay does not need it. *)
 
 val log_length : t -> int
 (** Entries since the last checkpoint. *)

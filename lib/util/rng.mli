@@ -4,7 +4,8 @@
     coordinator choice, failure schedules in property tests) flows through
     this module so that every experiment and every figure is exactly
     replayable from a seed.  The generator is splitmix64, which has a
-    64-bit state, passes BigCrush, and is trivially splittable. *)
+    64-bit state, passes BigCrush, and is trivially splittable.  A draw
+    that returns an [int] or a [bool] allocates nothing. *)
 
 type t
 (** A mutable generator.  Generators are cheap; split one per independent

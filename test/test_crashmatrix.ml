@@ -1,7 +1,7 @@
 (* Tests for the crash-injection matrix (lib/sim/crashmatrix.ml) and the
    DESIGN.md section 11 knowledge-loss detector it leans on.  The matrix
    cells double as minimized regressions for the bugs the matrix shook
-   out: copier update-log entries masquerading as commit evidence
+   out: copier installs masquerading as commit evidence
    (coord-mid-copy), phantom version-0 copies replayed from a
    full-database initial checkpoint image under partial replication
    (part-after-prepare, partial), and ghost commits after a post-decide
@@ -65,10 +65,10 @@ let cells point =
 let test_copier_commit_evidence_regression () =
   (* The coordinator dies mid copier transaction.  The in-doubt probe
      answer must come back "aborted": the copier installed the source
-     copy's OLD version under the victim transaction's id, and only an
-     update-log entry whose version equals the transaction id proves a
-     commit.  Before the fix the probe read the copier entry as commit
-     evidence and answered "committed" for an aborted transaction. *)
+     copy's OLD version on behalf of the victim transaction, and only an
+     applied commit proves one.  Before the fix the probe read the
+     copier's update-log entry as commit evidence and answered
+     "committed" for an aborted transaction. *)
   let full, partial = cells Crashmatrix.Coord_mid_copy in
   Alcotest.(check string) "full: aborted" "aborted" full.Crashmatrix.r_resolved;
   Alcotest.(check string) "partial: aborted" "aborted" partial.Crashmatrix.r_resolved
@@ -85,8 +85,8 @@ let test_partial_phantom_copy_regression () =
 
 let test_ghost_commit_cell () =
   (* Coordinator death after the durable decide: nobody reports an
-     outcome, but the commit is proved from survivor update logs or the
-     coordinator's durable decision record and the writes must land
+     outcome, but the commit is proved from a survivor's commit record or
+     the coordinator's durable decision record and the writes must land
      everywhere. *)
   let full, partial = cells Crashmatrix.Coord_after_decide in
   Alcotest.(check string) "full: ghost-commit" "ghost-commit" full.Crashmatrix.r_resolved;

@@ -359,6 +359,45 @@ let vote_then_crash cluster ~id ~item =
   Engine.set_alive engine 1 false;
   Site.on_crash (Cluster.site cluster 1)
 
+(* The in-doubt probe's fan-out.  Participant 1 votes and crashes with
+   its prepare on stable storage; coordinator 0 commits without it, then
+   crashes too.  When site 1 recovers, its status request to 0 bounces,
+   so it probes every other site.  Site 2 applied the commit and its
+   commit record says so: site 1 must apply the write, not presume an
+   abort. *)
+let test_probe_fan_out_finds_commit () =
+  let module Engine = Raid_net.Engine in
+  let module Message = Raid_core.Message in
+  let config =
+    Config.make ~durability:(Config.Durable_wal { checkpoint_interval = 5 }) ~num_sites:3
+      ~num_items:8 ()
+  in
+  let cluster = Cluster.of_spec (Cluster.Spec.make ~trace:true config) in
+  let engine = Cluster.engine cluster in
+  let id = Cluster.next_txn_id cluster in
+  vote_then_crash cluster ~id ~item:2;
+  Cluster.run_to_quiescence cluster;
+  Alcotest.(check bool) "site 2 applied the commit" true
+    (Site.applied_commit (Cluster.site cluster 2) ~txn:id);
+  Cluster.fail_site cluster 0;
+  (match Cluster.recover_site cluster 1 with
+  | `Recovered -> ()
+  | `Blocked -> Alcotest.fail "blocked");
+  let probe dst outcome =
+    List.exists
+      (fun e ->
+        e.Engine.trace_src = 1 && e.Engine.trace_dst = dst && e.Engine.trace_outcome = outcome
+        && e.Engine.trace_payload = Message.Txn_status_request { txn = id })
+      (Engine.trace engine)
+  in
+  Alcotest.(check bool) "probe to the coordinator bounced" true (probe 0 Engine.Undeliverable);
+  Alcotest.(check bool) "probe fanned out to site 2" true (probe 2 Engine.Delivered);
+  Alcotest.(check int) "resolved" 0 (Site.in_doubt (Cluster.site cluster 1));
+  Alcotest.(check (option (pair int int))) "decided write applied" (Some (id, id))
+    (Database.read (Site.database (Cluster.site cluster 1)) 2);
+  Alcotest.(check bool) "site 1 records the commit" true
+    (Site.applied_commit (Cluster.site cluster 1) ~txn:id)
+
 let test_participant_time_samples () =
   (* A participant samples its prepare-to-commit time once per prepare it
      received and then saw committed.  A prepare reloaded from the WAL at
@@ -591,6 +630,7 @@ let suite =
   [
     Alcotest.test_case "wal initial state" `Quick test_wal_initial;
     Alcotest.test_case "participant time per fresh prepare" `Quick test_participant_time_samples;
+    Alcotest.test_case "probe fan-out finds the commit" `Quick test_probe_fan_out_finds_commit;
     Alcotest.test_case "mid-protocol crash with WAL" `Quick test_mid_protocol_crash_with_wal;
     Alcotest.test_case "wal replay order" `Quick test_wal_replay;
     Alcotest.test_case "wal checkpoint truncates" `Quick test_wal_checkpoint_truncates;

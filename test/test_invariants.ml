@@ -15,11 +15,18 @@ module Rng = Raid_util.Rng
 
 type step = Run_txn | Fail_one | Recover_one
 
+(* The first write-durability failure, checked as each commit completes:
+   later, a newer write to the item would mask a missing one. *)
+let check_durable cluster durability outcome =
+  if !durability = Ok () then
+    durability :=
+      Invariant.write_durability cluster outcome ~operational:(Cluster.alive_sites cluster)
+
 (* [announced] chooses how a [Fail_one] step fails its site:
    [Cluster.fail_site] tells a survivor, [Cluster.crash_site_now] tells
    nobody, so survivors find out through failed sends ("timeout
    detection"). *)
-let interpret_step ~announced cluster rng workload operational_log = function
+let interpret_step ~announced cluster rng workload durability = function
   | Run_txn -> begin
     let operational =
       List.filter
@@ -31,9 +38,8 @@ let interpret_step ~announced cluster rng workload operational_log = function
     | sites ->
       let coordinator = Rng.choose rng sites in
       let id = Cluster.next_txn_id cluster in
-      let outcome = Cluster.submit cluster ~coordinator (Workload.next workload ~id) in
-      if outcome.Metrics.committed then
-        operational_log := (outcome, Cluster.alive_sites cluster) :: !operational_log
+      check_durable cluster durability
+        (Cluster.submit cluster ~coordinator (Workload.next workload ~id))
   end
   | Fail_one -> begin
     (* Never induce total failure: the protocol cannot restart from zero
@@ -63,9 +69,9 @@ let run_schedule ~num_sites ~num_items ~announced ~recovery ~seed steps =
     Workload.create (Workload.Uniform { max_ops = 4; write_prob = 0.5 }) ~num_items
       ~rng:(Rng.split rng)
   in
-  let operational_log = ref [] in
-  List.iter (interpret_step ~announced cluster rng workload operational_log) steps;
-  (cluster, rng, workload, operational_log)
+  let durability = ref (Ok ()) in
+  List.iter (interpret_step ~announced cluster rng workload durability) steps;
+  (cluster, rng, workload, durability)
 
 let heal cluster =
   let down () =
@@ -84,16 +90,15 @@ let heal cluster =
   in
   loop 4
 
-let wash cluster operational_log =
+let wash cluster durability =
   (* One write per item from an operational coordinator clears every
      fail-lock and refreshes every copy. *)
   let num_items = (Cluster.config cluster).Config.num_items in
   for item = 0 to num_items - 1 do
     let id = Cluster.next_txn_id cluster in
     let coordinator = List.hd (Cluster.alive_sites cluster) in
-    let outcome = Cluster.submit cluster ~coordinator (Txn.make ~id [ Txn.Write item ]) in
-    if outcome.Metrics.committed then
-      operational_log := (outcome, Cluster.alive_sites cluster) :: !operational_log
+    check_durable cluster durability
+      (Cluster.submit cluster ~coordinator (Txn.make ~id [ Txn.Write item ]))
   done
 
 let gen_steps =
@@ -114,27 +119,29 @@ let check_config ~num_sites ~announced ~recovery name =
   QCheck.Test.make ~name ~count:40
     QCheck.(pair arbitrary_schedule small_int)
     (fun (steps, seed) ->
-      let cluster, _rng, _workload, operational_log =
+      let cluster, _rng, _workload, durability =
         run_schedule ~num_sites ~num_items:12 ~announced ~recovery ~seed steps
       in
+      let durable () =
+        match !durability with
+        | Ok () -> true
+        | Error message -> QCheck.Test.fail_reportf "durability: %s" message
+      in
+      let durable_mid = durable () in
       let ok_mid =
         match Invariant.all cluster with
         | Ok () -> true
         | Error message -> QCheck.Test.fail_reportf "mid-schedule: %s" message
       in
-      let durable_mid =
-        match Invariant.write_durability cluster (List.rev !operational_log) with
-        | Ok () -> true
-        | Error message -> QCheck.Test.fail_reportf "durability: %s" message
-      in
       heal cluster;
-      wash cluster operational_log;
+      wash cluster durability;
+      let durable_after = durable () in
       let converged =
         match Invariant.convergence cluster with
         | Ok () -> true
         | Error message -> QCheck.Test.fail_reportf "after heal+wash: %s" message
       in
-      ok_mid && durable_mid && converged)
+      durable_mid && ok_mid && durable_after && converged)
 
 let prop_immediate =
   check_config ~num_sites:3 ~announced:true ~recovery:Config.On_demand
@@ -174,7 +181,7 @@ let test_copy_phase_abort_announces_clears () =
          "txn;recover;txn;recover;recover;txn;txn;txn;txn;txn;txn;txn;recover;txn;fail;fail;\
           txn;fail;fail;txn;fail;txn;txn;txn;recover;txn;txn;txn;txn;recover;fail;txn")
   in
-  let cluster, _rng, _workload, _log =
+  let cluster, _rng, _workload, _durability =
     run_schedule ~num_sites:3 ~num_items:12 ~announced:false ~recovery:Config.On_demand
       ~seed:9 steps
   in

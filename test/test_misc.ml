@@ -56,8 +56,9 @@ let test_durability_checker_fires_on_false_claim () =
   Cluster.fail_site c 2;
   let id = Cluster.next_txn_id c in
   let outcome = Cluster.submit c ~coordinator:0 (Txn.make ~id [ Txn.Write 1 ]) in
-  (* Claim the dead site was operational at commit: its log lacks the write. *)
-  expect_error "false operational claim" (Invariant.write_durability c [ (outcome, [ 0; 1; 2 ]) ])
+  (* Claim the dead site was operational at commit: its copy lacks the write. *)
+  expect_error "false operational claim"
+    (Invariant.write_durability c outcome ~operational:[ 0; 1; 2 ])
 
 (* {2 Metrics bookkeeping} *)
 

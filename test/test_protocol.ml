@@ -304,6 +304,37 @@ let test_recovery_donor_failover () =
   let outcome = Cluster.submit cluster ~coordinator:2 (txn cluster [ Txn.Write 1 ]) in
   Alcotest.(check bool) "working" true outcome.Metrics.committed
 
+(* The commit record: one bit per transaction id at each site, set where
+   a commit's writes reach a stored copy.  Ids far apart grow it; a site
+   that was down, and a copier refresh on behalf of a read, record
+   nothing. *)
+let test_commit_record () =
+  let cluster = Cluster.create (config ()) in
+  let applied s id = Site.applied_commit (Cluster.site cluster s) ~txn:id in
+  let commit ~coordinator id ops =
+    let outcome = Cluster.submit cluster ~coordinator (Txn.make ~id ops) in
+    Alcotest.(check bool) (Printf.sprintf "txn %d committed" id) true outcome.Metrics.committed
+  in
+  List.iter (fun id -> commit ~coordinator:(id mod 3) id [ Txn.Write (id mod 10) ]) [ 3; 500; 70_000 ];
+  List.iter
+    (fun s ->
+      List.iter
+        (fun id -> Alcotest.(check bool) (Printf.sprintf "site %d txn %d" s id) true (applied s id))
+        [ 3; 500; 70_000 ];
+      List.iter
+        (fun id -> Alcotest.(check bool) (Printf.sprintf "site %d txn %d" s id) false (applied s id))
+        [ -1; 0; 4; 499; 69_999; 70_001; 1_000_000 ])
+    [ 0; 1; 2 ];
+  Cluster.fail_site cluster 2;
+  commit ~coordinator:0 70_001 [ Txn.Write 1 ];
+  ignore (Cluster.recover_site cluster 2);
+  commit ~coordinator:2 70_002 [ Txn.Read 1 ];
+  Alcotest.(check (option (pair int int))) "copier refreshed site 2" (Some (70_001, 70_001))
+    (Database.read (Site.database (Cluster.site cluster 2)) 1);
+  Alcotest.(check (list bool)) "txn 70001 applied at the up sites" [ true; true; false ]
+    (List.map (fun s -> applied s 70_001) [ 0; 1; 2 ]);
+  Alcotest.(check bool) "the copier recorded nothing" false (applied 2 70_002)
+
 let suite =
   [
     Alcotest.test_case "recovery donor failover" `Quick test_recovery_donor_failover;
@@ -328,4 +359,5 @@ let suite =
     Alcotest.test_case "commit survives late participant failure" `Quick
       test_commit_survives_failure_after_prepare;
     Alcotest.test_case "vectors agree after churn" `Quick test_vector_agreement_after_churn;
+    Alcotest.test_case "commit record" `Quick test_commit_record;
   ]

@@ -1,18 +1,6 @@
 module Database = Raid_storage.Database
-module Update_log = Raid_storage.Update_log
 
 let write ~item ~value ~version = { Database.item; value; version }
-
-(* The log's (txn, item, version) entries, oldest first: [exists] scans
-   newest first, so prepending as it goes leaves them in application
-   order. *)
-let entries log =
-  let acc = ref [] in
-  ignore
-    (Update_log.exists log (fun ~txn ~item ~version ->
-         acc := (txn, item, version) :: !acc;
-         false));
-  !acc
 
 let test_initial_state () =
   let db = Database.create ~num_items:3 in
@@ -96,19 +84,6 @@ let test_image_reuse () =
   let partial = Database.create_partial ~num_items:3 ~stored:(fun _ -> true) in
   Alcotest.(check bool) "fresh for a partial database" false
     (Database.image ~reuse:again partial == again)
-
-let test_update_log () =
-  let log = Update_log.create () in
-  Alcotest.(check int) "empty" 0 (List.length (entries log));
-  Update_log.append log ~txn:1 (write ~item:0 ~value:1 ~version:1);
-  Update_log.append log ~txn:2 (write ~item:1 ~value:2 ~version:2);
-  Update_log.append log ~txn:3 (write ~item:0 ~value:3 ~version:3);
-  Alcotest.(check (list (triple int int int)))
-    "order" [ (1, 0, 1); (2, 1, 2); (3, 0, 3) ] (entries log);
-  Alcotest.(check bool) "exists" true
-    (Update_log.exists log (fun ~txn ~item:_ ~version -> txn = 3 && version = 3));
-  Alcotest.(check bool) "exists nothing" false
-    (Update_log.exists log (fun ~txn:_ ~item ~version:_ -> item = 2))
 
 let prop_apply_monotone =
   QCheck.Test.make ~name:"ascending applies always succeed and read back" ~count:200
@@ -229,26 +204,6 @@ let prop_backends_agree =
           agree ())
         ops)
 
-(* The update log against a plain list of (txn, item, version)
-   triples. *)
-let prop_update_log_model =
-  QCheck.Test.make ~name:"update log matches a list model" ~count:300
-    QCheck.(
-      pair
-        (list_of_size
-           Gen.(int_range 0 100)
-           (triple (int_range (-3) 5) (int_range 0 4) (int_range 0 6)))
-        (pair (int_range (-3) 5) (int_range 0 4)))
-    (fun (appends, (probe_txn, probe_item)) ->
-      let log = Update_log.create () in
-      List.iter
-        (fun (txn, item, version) ->
-          Update_log.append log ~txn { Database.item; value = txn + version; version })
-        appends;
-      entries log = appends
-      && Update_log.exists log (fun ~txn ~item ~version:_ -> txn = probe_txn && item = probe_item)
-         = List.exists (fun (txn, item, _) -> txn = probe_txn && item = probe_item) appends)
-
 let suite =
   [
     Alcotest.test_case "initial state" `Quick test_initial_state;
@@ -259,9 +214,7 @@ let suite =
     Alcotest.test_case "partial replication and materialize" `Quick test_partial_and_materialize;
     Alcotest.test_case "apply materializes absent copy" `Quick test_apply_materializes_absent;
     Alcotest.test_case "equal and snapshot" `Quick test_equal_and_snapshot;
-    Alcotest.test_case "update log" `Quick test_update_log;
     Alcotest.test_case "image reuse" `Quick test_image_reuse;
     QCheck_alcotest.to_alcotest prop_apply_monotone;
     QCheck_alcotest.to_alcotest prop_backends_agree;
-    QCheck_alcotest.to_alcotest prop_update_log_model;
   ]
