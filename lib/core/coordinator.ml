@@ -59,6 +59,7 @@ let send_copy_request t ctx ~txn ~source items =
     emit t ctx (Obs.Copier_request { txn; source; items = List.length items })
 
 let request_copies t ctx coord c groups =
+  if Array.length c.pending = 0 then c.pending <- Array.make (Session.num_sites t.vector) 0;
   List.iter
     (fun (source, items) ->
       c.pending.(source) <- c.pending.(source) + 1;
@@ -103,7 +104,7 @@ let rec start_batch_round t ctx =
   match t.config.Config.recovery with
   | Config.On_demand -> ()
   | Config.Two_step { threshold; batch_size } ->
-    if t.batch = None && Hashtbl.length t.coords = 0 && t.mode = Normal then begin
+    if t.batch = None && Int_table.length t.coords = 0 && t.mode = Normal then begin
       (* One pass over the fail-lock column: count the locked items and
          keep the first [batch_size] of them (increasing item order). *)
       let num_locked = ref 0 in
@@ -208,7 +209,7 @@ let finish t ctx coord ~committed ~abort_reason ~reads =
                | Some r -> Format.asprintf "%a" Metrics.pp_abort_reason r
                | None -> "unknown");
            });
-  Hashtbl.remove t.coords coord.txn.Txn.id;
+  remove_coord t ~txn:coord.txn.Txn.id;
   t.on_outcome
     {
       Metrics.txn = coord.txn;
@@ -227,10 +228,11 @@ let finish t ctx coord ~committed ~abort_reason ~reads =
 let collect_reads t coord =
   List.filter_map
     (fun item ->
-      if Hashtbl.mem coord.fetch_only item then
-        Option.map
-          (fun (value, version) -> (item, value, version))
-          (Hashtbl.find_opt coord.remote_reads item)
+      if List.mem item coord.fetch_only then
+        List.find_map
+          (fun { Database.item = i; value; version } ->
+            if i = item then Some (item, value, version) else None)
+          coord.remote_reads
       else
         match Database.read t.db item with
         | Some (value, version) -> Some (item, value, version)
@@ -337,7 +339,7 @@ let begin_phase1 t ctx coord =
 let begin_txn t ctx txn =
   (* Multiple transactions may be coordinated here concurrently (the
      concurrency-control extension); the same id must not be reused. *)
-  if Hashtbl.mem t.coords txn.Txn.id then begin
+  if Int_table.mem t.coords txn.Txn.id then begin
     Log.err (fun m -> m "site %d: duplicate transaction id %d" t.id txn.Txn.id);
     invalid_arg "Site: duplicate transaction id"
   end;
@@ -356,7 +358,7 @@ let begin_txn t ctx txn =
   Engine.work ctx t.cost.Cost_model.txn_setup;
   Engine.work ctx (Txn.size txn * t.cost.Cost_model.op_process);
   let read_ops =
-    List.length (List.filter (function Txn.Read _ -> true | Txn.Write _ -> false) txn.Txn.ops)
+    List.fold_left (fun n op -> match op with Txn.Read _ -> n + 1 | Txn.Write _ -> n) 0 txn.Txn.ops
   in
   if faillocks_on t then Engine.work ctx (read_ops * t.cost.Cost_model.faillock_read_check);
   let writes =
@@ -364,7 +366,7 @@ let begin_txn t ctx txn =
       (fun item -> { Database.item; value = txn.Txn.id; version = txn.Txn.id })
       (Txn.write_items txn)
   in
-  let copying = { pending = Array.make (Session.num_sites t.vector) 0; remaining = 0 } in
+  let copying = { pending = [||]; remaining = 0 } in
   let coord =
     {
       txn;
@@ -375,11 +377,11 @@ let begin_txn t ctx txn =
       copier_requests = 0;
       copier_items = 0;
       cleared_items = [];
-      remote_reads = Hashtbl.create 4;
-      fetch_only = Hashtbl.create 4;
+      fetch_only = [];
+      remote_reads = [];
     }
   in
-  Hashtbl.replace t.coords txn.Txn.id coord;
+  add_coord t coord;
   (* Under partial replication a written item must have at least one
      operational holder, or the update would be installed nowhere. *)
   let write_unavailable =
@@ -403,13 +405,13 @@ let begin_txn t ctx txn =
          (Txn.read_items txn))
   in
   let needed = List.filter needs_copier needed in
-  List.iter (fun item -> Hashtbl.replace coord.fetch_only item ()) fetch_only;
+  coord.fetch_only <- fetch_only;
   if tracing t then begin
     List.iter
       (fun item ->
         emit t ctx
           (Obs.Txn_read
-             { txn = txn.Txn.id; item; remote = Hashtbl.mem coord.fetch_only item }))
+             { txn = txn.Txn.id; item; remote = List.mem item coord.fetch_only }))
       (Txn.read_items txn);
     List.iter
       (fun { Database.item; _ } -> emit t ctx (Obs.Txn_write { txn = txn.Txn.id; item }))
@@ -447,24 +449,20 @@ let handle_copy_reply t ctx ~txn ~writes ~src =
     | _ -> ()  (* stale reply from an abandoned round *)
   end
   else
-    match current_coord t txn with
-    | None -> ()
-    | Some coord -> begin
+    let coord = find_coord t txn in
+    if coord != no_coord then begin
       match coord.phase with
       | Copying c ->
         let installable, fetch_only =
           List.partition
-            (fun { Database.item; _ } -> not (Hashtbl.mem coord.fetch_only item))
+            (fun { Database.item; _ } -> not (List.mem item coord.fetch_only))
             writes
         in
-        List.iter
-          (fun { Database.item; value; version } ->
-            Hashtbl.replace coord.remote_reads item (value, version))
-          fetch_only;
+        coord.remote_reads <- List.rev_append fetch_only coord.remote_reads;
         let cleared = install_refreshed t ctx ~round:txn installable in
         coord.copier_items <- coord.copier_items + List.length cleared;
         coord.cleared_items <- cleared @ coord.cleared_items;
-        if c.pending.(src) > 0 then begin
+        if src < Array.length c.pending && c.pending.(src) > 0 then begin
           c.pending.(src) <- c.pending.(src) - 1;
           c.remaining <- c.remaining - 1;
           if c.remaining = 0 then begin
@@ -496,8 +494,8 @@ let handle_copy_reply t ctx ~txn ~writes ~src =
 let handle_copy_unavailable t ctx ~txn ~items ~src =
   if txn < 0 then batch_source_done t ctx ~txn ~source:src
   else
-    match current_coord t txn with
-    | Some coord -> begin
+    let coord = find_coord t txn in
+    if coord != no_coord then begin
       match coord.phase with
       | Copying c when partial t ->
         let groups = group_by_source t ~above:src items in
@@ -506,57 +504,52 @@ let handle_copy_unavailable t ctx ~txn ~items ~src =
       | Copying _ | Preparing _ | Committing _ ->
         abort_txn t ctx coord ~reason:Metrics.Copier_unavailable ~notify:false
     end
-    | None -> ()
 
+(* [no_coord] is in its copy phase, so the two ack handlers need not
+   test for it. *)
 let handle_prepare_ack t ctx ~txn ~src =
-  match current_coord t txn with
-  | None -> ()
-  | Some coord -> begin
-    match coord.phase with
-    | Preparing p ->
-      Engine.work ctx t.cost.Cost_model.ack_process;
-      if Bitset.mem p.pending_acks src then begin
-        Bitset.clear p.pending_acks src;
-        p.remaining <- p.remaining - 1;
-        if p.remaining = 0 then begin
-          Metrics.Samples.add t.metrics.Metrics.phase_prepare_ms
-            (Vtime.sub (Engine.time ctx) coord.phase_entered_at);
-          (* The decide point: log the commit decision durably before any
-             Commit message leaves.  A crash from here on must preserve
-             the decision — participants resolve their in-doubt prepares
-             against it. *)
-          (match t.stable with None -> () | Some wal -> Wal.log_decision wal ~txn);
-          (* Phase 2 goes to exactly the phase-1 participants; the
-             participant bitset becomes the commit-ack pending set. *)
-          coord.phase <-
-            Committing
-              { pending_acks = p.participants; remaining = p.participant_count; lost = false };
-          coord.phase_entered_at <- Engine.time ctx;
-          if tracing t then begin
-            emit t ctx (Obs.Decide { txn; commit = true });
-            emit t ctx (Obs.Phase_enter { txn; phase = Obs.Commit })
-          end;
-          let commit = Message.Commit { txn } in
-          Bitset.iter (fun s -> Engine.send ctx s commit) p.participants
-        end
+  let coord = find_coord t txn in
+  match coord.phase with
+  | Preparing p ->
+    Engine.work ctx t.cost.Cost_model.ack_process;
+    if Bitset.mem p.pending_acks src then begin
+      Bitset.clear p.pending_acks src;
+      p.remaining <- p.remaining - 1;
+      if p.remaining = 0 then begin
+        Metrics.Samples.add t.metrics.Metrics.phase_prepare_ms
+          (Vtime.sub (Engine.time ctx) coord.phase_entered_at);
+        (* The decide point: log the commit decision durably before any
+           Commit message leaves.  A crash from here on must preserve
+           the decision — participants resolve their in-doubt prepares
+           against it. *)
+        (match t.stable with None -> () | Some wal -> Wal.log_decision wal ~txn);
+        (* Phase 2 goes to exactly the phase-1 participants; the
+           participant bitset becomes the commit-ack pending set. *)
+        coord.phase <-
+          Committing
+            { pending_acks = p.participants; remaining = p.participant_count; lost = false };
+        coord.phase_entered_at <- Engine.time ctx;
+        if tracing t then begin
+          emit t ctx (Obs.Decide { txn; commit = true });
+          emit t ctx (Obs.Phase_enter { txn; phase = Obs.Commit })
+        end;
+        let commit = Message.Commit { txn } in
+        Bitset.iter (fun s -> Engine.send ctx s commit) p.participants
       end
-    | Copying _ | Committing _ -> ()
-  end
+    end
+  | Copying _ | Committing _ -> ()
 
 let handle_commit_ack t ctx ~txn ~src =
-  match current_coord t txn with
-  | None -> ()
-  | Some coord -> begin
-    match coord.phase with
-    | Committing c ->
-      Engine.work ctx t.cost.Cost_model.ack_process;
-      if Bitset.mem c.pending_acks src then begin
-        Bitset.clear c.pending_acks src;
-        c.remaining <- c.remaining - 1;
-        if c.remaining = 0 then local_commit t ctx coord
-      end
-    | Copying _ | Preparing _ -> ()
-  end
+  let coord = find_coord t txn in
+  match coord.phase with
+  | Committing c ->
+    Engine.work ctx t.cost.Cost_model.ack_process;
+    if Bitset.mem c.pending_acks src then begin
+      Bitset.clear c.pending_acks src;
+      c.remaining <- c.remaining - 1;
+      if c.remaining = 0 then local_commit t ctx coord
+    end
+  | Copying _ | Preparing _ -> ()
 
 (* {2 Undeliverable requests (Appendix A "site is now down" branches)}
 
@@ -565,18 +558,18 @@ let handle_commit_ack t ctx ~txn ~src =
 let copy_request_failed t ctx ~txn ~dst =
   if txn < 0 then batch_source_done t ctx ~txn ~source:dst
   else
-    match current_coord t txn with
-    | Some coord -> abort_txn t ctx coord ~reason:Metrics.Copier_source_failed ~notify:false
-    | None -> ()
+    let coord = find_coord t txn in
+    if coord != no_coord then
+      abort_txn t ctx coord ~reason:Metrics.Copier_source_failed ~notify:false
 
 let prepare_failed t ctx ~txn =
-  match current_coord t txn with
-  | Some coord -> abort_txn t ctx coord ~reason:Metrics.Participant_failed ~notify:true
-  | None -> ()
+  let coord = find_coord t txn in
+  if coord != no_coord then abort_txn t ctx coord ~reason:Metrics.Participant_failed ~notify:true
 
 let commit_failed t ctx ~txn ~dst =
-  match current_coord t txn with
-  | Some ({ phase = Committing c; _ } as coord) when Bitset.mem c.pending_acks dst ->
+  let coord = find_coord t txn in
+  match coord.phase with
+  | Committing c when Bitset.mem c.pending_acks dst ->
     c.lost <- true;
     (* The witness bits our local commit is about to set for [dst] exist
        nowhere else: the other participants cleared dst's bits believing
@@ -599,4 +592,4 @@ let commit_failed t ctx ~txn ~dst =
     Bitset.clear c.pending_acks dst;
     c.remaining <- c.remaining - 1;
     if c.remaining = 0 then local_commit t ctx coord
-  | Some _ | None -> ()
+  | Copying _ | Preparing _ | Committing _ -> ()

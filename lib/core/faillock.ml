@@ -1,4 +1,5 @@
 module Bitset = Raid_util.Bitset
+module Int_table = Raid_util.Int_table
 
 type hook = item:int -> site:int -> locked:bool -> unit
 
@@ -9,24 +10,19 @@ type hook = item:int -> site:int -> locked:bool -> unit
    is ~13 GB while the sparse one is proportional to the actual
    inconsistency.
 
-   Rows live in one [Bytes] slab, [row_bytes] bytes per row slot, with a
-   stack of free slots; an int-to-int open-addressing index maps an item
-   to its slot.  Creating a row therefore allocates nothing (beyond
-   amortised growth), where a [Bitset] and a hash-table bucket per row
-   gave the minor collector three blocks to promote for every row an
-   outage creates.  Invariants: an item is in the index iff its row is
-   non-empty, and every free slot's bytes are zero. *)
+   Rows live in one [Bytes] slab, [row_bytes] bytes per row slot; an
+   [Int_table] maps an item to its slot.  Creating a row therefore
+   allocates nothing (beyond amortised growth), where a [Bitset] and a
+   hash-table bucket per row gave the minor collector three blocks to
+   promote for every row an outage creates.  Invariants: an item is in
+   the index iff its row is non-empty, and every free slot's bytes are
+   zero. *)
 type t = {
   num_items : int;
   num_sites : int;
   row_bytes : int;
   mutable slab : Bytes.t;  (* slot [s] is the row at byte [s * row_bytes] *)
-  mutable free : int array;  (* free slots: [free.(0 .. free_top - 1)] *)
-  mutable free_top : int;
-  mutable keys : int array;  (* index buckets: an item, or [no_item] *)
-  mutable slots : int array;  (* index buckets: the slot of [keys.(i)] *)
-  mutable shift : int;  (* [63 - log2 (Array.length keys)], for [home] *)
-  mutable rows : int;
+  index : Int_table.t;  (* item -> slot, for the non-empty rows *)
   counts : int array;  (* per-site number of locked items *)
   mutable total : int;
   mutable sets : int;  (* clear -> set transitions so far *)
@@ -35,14 +31,7 @@ type t = {
   mutable hook : hook option;
 }
 
-let no_item = -1
 let no_row = -1
-
-(* A table without rows shares this one-bucket index: probing it finds
-   [no_item] at once, and [add_row] grows the index before writing to
-   it, so it is never written.  Most tables never hold a row. *)
-let empty_keys = [| no_item |]
-let empty_slots = [| 0 |]
 
 let create ~num_items ~num_sites =
   if num_items < 0 then invalid_arg "Faillock.create: negative num_items";
@@ -52,12 +41,7 @@ let create ~num_items ~num_sites =
     num_sites;
     row_bytes = Bitset.bytes_for num_sites;
     slab = Bytes.empty;
-    free = [||];
-    free_top = 0;
-    keys = empty_keys;
-    slots = empty_slots;
-    shift = 63;
-    rows = 0;
+    index = Int_table.create ();
     counts = Array.make num_sites 0;
     total = 0;
     sets = 0;
@@ -79,69 +63,12 @@ let check_item t item =
 let check_site t site =
   if site < 0 || site >= t.num_sites then invalid_arg "Faillock: site out of range"
 
-(* {2 The index}
-
-   Linear probing over a power-of-two bucket array kept at most three
-   quarters full.  Fibonacci hashing takes an item's home bucket from
-   the top bits of [item * 2^62/phi], so items that differ only in high
-   bits (multiples of a power of two) still spread. *)
-
-let home t item = (item * 0x278DDE6E5FD29F05) lsr t.shift
-
-let next t i = (i + 1) land (Array.length t.keys - 1)
-
-(* The probes are top-level functions, not local closures: a closure
-   over [t] and [item] would be allocated on every lookup. *)
-let rec probe t item i =
-  let key = t.keys.(i) in
-  if key = item then t.slots.(i) else if key = no_item then no_row else probe t item (next t i)
-
-let find_slot t item = probe t item (home t item)
-
-let rec insert_key t item slot i =
-  if t.keys.(i) = no_item then begin
-    t.keys.(i) <- item;
-    t.slots.(i) <- slot
-  end
-  else insert_key t item slot (next t i)
-
-let grow_index t =
-  let keys = t.keys and slots = t.slots in
-  let buckets = 2 * Array.length keys in
-  t.keys <- Array.make buckets no_item;
-  t.slots <- Array.make buckets 0;
-  t.shift <- t.shift - 1;
-  Array.iteri (fun i key -> if key <> no_item then insert_key t key slots.(i) (home t key)) keys
-
-(* Backward-shift deletion: walk the run after the emptied bucket and
-   move back every entry whose home does not lie cyclically in
-   (hole, j], so every entry stays reachable from its home without
-   tombstones. *)
-let rec bucket_of t item i = if t.keys.(i) = item then i else bucket_of t item (next t i)
-
-let rec shift_back t hole j =
-  let j = next t j in
-  let key = t.keys.(j) in
-  if key = no_item then t.keys.(hole) <- no_item
-  else
-    let h = home t key in
-    if if hole <= j then hole < h && h <= j else hole < h || h <= j then shift_back t hole j
-    else begin
-      t.keys.(hole) <- key;
-      t.slots.(hole) <- t.slots.(j);
-      shift_back t j j
-    end
-
-let remove_key t item =
-  let i = bucket_of t item (home t item) in
-  shift_back t i i
-
 (* {2 Rows} *)
 
 (* Byte offset of [item]'s row in the slab, or [no_row]. *)
 let find_row t item =
-  let slot = find_slot t item in
-  if slot = no_row then no_row else slot * t.row_bytes
+  let slot = Int_table.find t.index item in
+  if slot = Int_table.absent then no_row else slot * t.row_bytes
 
 let row t item =
   check_item t item;
@@ -162,35 +89,22 @@ let rec zero_from t row i =
 
 let row_is_empty t row = zero_from t row 0
 
-(* A free, all-zero slot, doubling the slab when every slot is taken. *)
-let take_slot t =
-  if t.free_top = 0 then begin
-    let used = Bytes.length t.slab / t.row_bytes in
-    let capacity = max 8 (2 * used) in
-    let slab = Bytes.make (capacity * t.row_bytes) '\000' in
-    Bytes.blit t.slab 0 slab 0 (Bytes.length t.slab);
-    t.slab <- slab;
-    t.free <- Array.init capacity (fun i -> capacity - 1 - i);
-    t.free_top <- capacity - used
-  end;
-  t.free_top <- t.free_top - 1;
-  t.free.(t.free_top)
-
 (* Rows are added and removed only through these two.  [add_row]
-   returns the new, empty row's offset. *)
+   returns the new, empty row's offset; the slab grows with the index's
+   slots, and every slot it adds is zero. *)
 let add_row t item =
-  if 4 * (t.rows + 1) > 3 * Array.length t.keys then grow_index t;
-  let slot = take_slot t in
-  insert_key t item slot (home t item);
-  t.rows <- t.rows + 1;
+  let slot = Int_table.add t.index item in
+  let needed = Int_table.capacity t.index * t.row_bytes in
+  if Bytes.length t.slab < needed then begin
+    let slab = Bytes.make needed '\000' in
+    Bytes.blit t.slab 0 slab 0 (Bytes.length t.slab);
+    t.slab <- slab
+  end;
   slot * t.row_bytes
 
 let remove_row t item row =
-  remove_key t item;
-  Bytes.fill t.slab row t.row_bytes '\000';
-  t.free.(t.free_top) <- row / t.row_bytes;
-  t.free_top <- t.free_top + 1;
-  t.rows <- t.rows - 1
+  ignore (Int_table.remove t.index item);
+  Bytes.fill t.slab row t.row_bytes '\000'
 
 (* A row's members, as a fresh bitset (for the uncommon readers). *)
 let row_bitset t row =
@@ -318,21 +232,16 @@ let commit_update t ~item ~down =
     invalid_arg "Faillock.commit_update: down set capacity mismatch";
   if t.total > 0 || not (Bitset.is_empty down) then assign_row t ~item ~target:down
 
-let locked_items t =
-  let items = ref [] in
-  Array.iter (fun key -> if key <> no_item then items := key :: !items) t.keys;
-  List.sort compare !items
+let locked_items t = Int_table.keys t.index
 
 let locked_items_for t ~site =
   check_site t site;
   if t.counts.(site) = 0 then []
   else begin
-    let items = ref [] in
-    Array.iteri
-      (fun i key ->
-        if key <> no_item && mem_bit t (t.slots.(i) * t.row_bytes) site then items := key :: !items)
-      t.keys;
-    List.sort compare !items
+    List.sort compare
+      (Int_table.fold
+         (fun item slot items -> if mem_bit t (slot * t.row_bytes) site then item :: items else items)
+         t.index [])
   end
 
 (* Same items, same increasing order as [locked_items_for]. *)
@@ -364,9 +273,7 @@ let copy t =
   {
     t with
     slab = Bytes.copy t.slab;
-    free = Array.copy t.free;
-    keys = Array.copy t.keys;
-    slots = Array.copy t.slots;
+    index = Int_table.copy t.index;
     counts = Array.copy t.counts;
     scratch = Bytes.copy t.scratch;
     hook = None;
@@ -408,11 +315,12 @@ let equal a b =
     in
     loop 0
   in
-  a.num_items = b.num_items && a.num_sites = b.num_sites && a.total = b.total && a.rows = b.rows
-  && Array.for_all2
-       (fun key slot ->
-         key = no_item
-         ||
-         let rb = find_row b key in
+  a.num_items = b.num_items && a.num_sites = b.num_sites && a.total = b.total
+  && Int_table.length a.index = Int_table.length b.index
+  && Int_table.fold
+       (fun item slot same ->
+         same
+         &&
+         let rb = find_row b item in
          rb <> no_row && same_row (slot * a.row_bytes) rb)
-       a.keys a.slots
+       a.index true

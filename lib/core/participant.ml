@@ -16,8 +16,7 @@ let apply_embedded_clears t ~coordinator ~txn items =
 
 let handle_prepare t ctx ~txn ~writes ~cleared ~src =
   apply_embedded_clears t ~coordinator:src ~txn cleared;
-  Hashtbl.replace t.pending_prepares txn
-    { pp_writes = writes; pp_coord = src; pp_started = Engine.time ctx; pp_outstanding = 0 };
+  buffer_prepare t ~txn ~coordinator:src ~started:(Engine.time ctx) writes;
   (* Log the prepare before voting yes: a crash between the vote and the
      decision must leave enough on stable storage to apply (or resolve)
      the transaction on recovery. *)
@@ -34,9 +33,10 @@ let handle_prepare t ctx ~txn ~writes ~cleared ~src =
    sent to its previous incarnation, and that Commit is the prepare's
    verdict — the status reply that follows finds nothing to resolve. *)
 let handle_commit t ctx ~txn ~src =
-  match Hashtbl.find t.pending_prepares txn with
-  | exception Not_found -> ()  (* unknown transaction (e.g. prepared before a crash) *)
-  | { pp_writes = writes; pp_started = started; _ } ->
+  let slot = prepare_slot t ~txn in
+  (* An unknown transaction (e.g. prepared before a crash) is ignored. *)
+  if slot <> Int_table.absent then begin
+    let writes = t.pp_writes.(slot) and started = t.pp_started.(slot) in
     forget_in_doubt t ~txn;
     (* Acknowledge before applying: the coordinator does not wait on our
        local commit work (see Cost_model calibration notes). *)
@@ -48,6 +48,7 @@ let handle_commit t ctx ~txn ~src =
         (Vtime.sub (Engine.time ctx) started)
     else Recovery.resolution_step t ctx;
     Coordinator.start_batch_round t ctx
+  end
 
 let handle_abort t ctx ~txn ~cleared ~src =
   apply_embedded_clears t ~coordinator:src ~txn cleared;

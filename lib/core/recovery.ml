@@ -11,14 +11,11 @@ open Site_state
    FIFO with uniform latency, so a Commit sent before the coordinator
    died always arrives before any announcement of that death. *)
 let purge_prepares_from t ~coordinator =
-  if Hashtbl.length t.pending_prepares > 0 then begin
-    let doomed =
-      Hashtbl.fold
-        (fun txn pp acc -> if pp.pp_coord = coordinator then txn :: acc else acc)
-        t.pending_prepares []
-    in
-    List.iter (fun txn -> forget_in_doubt t ~txn) doomed
-  end
+  if buffered_prepares t > 0 then
+    List.iter
+      (fun txn ->
+        if t.pp_coord.(prepare_slot t ~txn) = coordinator then forget_in_doubt t ~txn)
+      (buffered_txns t)
 
 let on_crash t =
   (* A coordinator past the decide point has durably logged the decision
@@ -27,8 +24,8 @@ let on_crash t =
      believe it up).  Losing the writes here would leave this site behind
      yet unlocked after recovery, so the crash preserves them — the redo
      records were logged with the decision. *)
-  Hashtbl.iter
-    (fun _ coord ->
+  List.iter
+    (fun coord ->
       match coord.phase with
       | Committing _ ->
         List.iter
@@ -42,11 +39,11 @@ let on_crash t =
             end)
           coord.writes
       | Copying _ | Preparing _ -> ())
-    t.coords;
-  Hashtbl.reset t.coords;
+    (coords_in_order t);
+  drop_coords t;
   t.batch <- None;
   t.mode <- Normal;
-  Hashtbl.reset t.pending_prepares;
+  drop_prepares t;
   (* Under the durability extension the crash also loses the volatile
      database; only the write-ahead log survives.  Recovery replays it,
      and the in-doubt prepare and decision records in stable storage
@@ -167,8 +164,7 @@ let begin_recovery t ctx =
   | Some wal ->
     List.iter
       (fun { Wal.p_txn; coordinator; writes } ->
-        Hashtbl.replace t.pending_prepares p_txn
-          { pp_writes = writes; pp_coord = coordinator; pp_started = -1; pp_outstanding = 0 })
+        buffer_prepare t ~txn:p_txn ~coordinator ~started:(-1) writes)
       (Wal.prepared wal));
   Session.mark_waiting t.vector t.id ~session:new_session;
   (* Candidate state donors: sites this (stale) vector believes up first,
@@ -183,8 +179,7 @@ let begin_recovery t ctx =
     Log.warn (fun m -> m "site %d: no other sites; recovering standalone" t.id);
     (* No peers to resolve against: in-doubt prepares are presumed
        aborted. *)
-    let doomed = Hashtbl.fold (fun txn _ acc -> txn :: acc) t.pending_prepares [] in
-    List.iter (fun txn -> forget_in_doubt t ~txn) doomed;
+    List.iter (fun txn -> forget_in_doubt t ~txn) (buffered_txns t);
     Session.mark_up t.vector t.id ~session:new_session;
     t.mode <- Normal;
     t.metrics.Metrics.control1_completed <- t.metrics.Metrics.control1_completed + 1;
@@ -194,8 +189,7 @@ let begin_recovery t ctx =
     end
   | designated :: _ ->
     let in_doubt =
-      List.sort compare
-        (Hashtbl.fold (fun txn pp acc -> (txn, pp.pp_coord) :: acc) t.pending_prepares [])
+      List.map (fun txn -> (txn, t.pp_coord.(prepare_slot t ~txn))) (buffered_txns t)
     in
     t.mode <-
       Waiting_recovery
@@ -223,15 +217,12 @@ let handle_recovery_announce t ctx ~site ~session ~want_state ~src =
   (* The announcer is back with its stable storage intact: any prepare it
      coordinated before crashing can now be resolved authoritatively
      (durable decision record, or presumed abort). *)
-  let stale_in_doubt =
-    Hashtbl.fold
-      (fun txn pp acc ->
-        if pp.pp_coord = site && pp.pp_outstanding = 0 then txn :: acc else acc)
-      t.pending_prepares []
-  in
   List.iter
-    (fun txn -> Engine.send ctx src (Message.Txn_status_request { txn }))
-    (List.sort compare stale_in_doubt);
+    (fun txn ->
+      let slot = prepare_slot t ~txn in
+      if t.pp_coord.(slot) = site && t.pp_outstanding.(slot) = 0 then
+        Engine.send ctx src (Message.Txn_status_request { txn }))
+    (buffered_txns t);
   (* Partial replication: fail-lock knowledge is group-local, and the
      state donor may not hold (hence not track) items the recovering site
      missed.  Every operational site that knows of missed updates sends
@@ -357,13 +348,15 @@ let settle t ctx ~txn =
   resolution_step t ctx
 
 (* Presumed abort: the coordinator aborted, or died before deciding. *)
-let presume_aborted t ctx ~txn = if Hashtbl.mem t.pending_prepares txn then settle t ctx ~txn
+let presume_aborted t ctx ~txn =
+  if prepare_slot t ~txn <> Int_table.absent then settle t ctx ~txn
 
 let resolve_in_doubt t ctx ~txn ~committed =
-  match Hashtbl.find_opt t.pending_prepares txn with
-  | None -> ()  (* already resolved (duplicate probe answer) *)
-  | Some pp ->
+  let slot = prepare_slot t ~txn in
+  (* An absent prepare was already resolved (duplicate probe answer). *)
+  if slot <> Int_table.absent then begin
     if committed then begin
+      let writes = t.pp_writes.(slot) in
       forget_in_doubt t ~txn;
       (* Apply the decided writes from the durable prepare record.  Our
          own fail-lock bits for these items (set by the coordinator as a
@@ -371,14 +364,15 @@ let resolve_in_doubt t ctx ~txn ~committed =
          recovery machinery: the copier refresh is version-safe even if
          later transactions overwrote the items, and clears them
          everywhere once our copy is provably current. *)
-      apply_writes t ctx ~txn pp.pp_writes;
+      apply_writes t ctx ~txn writes;
       if tracing t then
         emit t ctx
           (Obs.Control
              { kind = Obs.Recovery; detail = Printf.sprintf "in-doubt txn %d committed" txn });
       resolution_step t ctx
     end
-    else if pp.pp_outstanding > 1 then pp.pp_outstanding <- pp.pp_outstanding - 1
+    else if t.pp_outstanding.(slot) > 1 then
+      t.pp_outstanding.(slot) <- t.pp_outstanding.(slot) - 1
     else begin
       (* Authoritative abort from the coordinator, or the last probe came
          back negative: presumed abort. *)
@@ -388,29 +382,31 @@ let resolve_in_doubt t ctx ~txn ~committed =
              { kind = Obs.Recovery; detail = Printf.sprintf "in-doubt txn %d aborted" txn });
       settle t ctx ~txn
     end
+  end
 
 (* A status request bounced off a dead site.  First bounce (the
    coordinator): fan the probe out to every other site.  Later bounces
    (probes): count them as negative answers. *)
 let status_request_failed t ctx ~txn ~dst =
-  match Hashtbl.find_opt t.pending_prepares txn with
-  | None -> ()
-  | Some pp ->
-    if pp.pp_outstanding > 1 then pp.pp_outstanding <- pp.pp_outstanding - 1
-    else if pp.pp_outstanding = 1 then settle t ctx ~txn
+  let slot = prepare_slot t ~txn in
+  if slot <> Int_table.absent then begin
+    let outstanding = t.pp_outstanding.(slot) in
+    if outstanding > 1 then t.pp_outstanding.(slot) <- outstanding - 1
+    else if outstanding = 1 then settle t ctx ~txn
     else begin
       match other_sites t ~except:dst with
       | [] -> settle t ctx ~txn
       | targets ->
-        pp.pp_outstanding <- List.length targets;
+        t.pp_outstanding.(slot) <- List.length targets;
         List.iter (fun s -> Engine.send ctx s (Message.Txn_status_request { txn })) targets
     end
+  end
 
 let handle_txn_status_request t ctx ~txn ~src =
   Engine.work ctx t.cost.Cost_model.ack_process;
+  let coord = find_coord t txn in
   let committed =
-    match current_coord t txn with
-    | Some coord -> begin
+    if coord != no_coord then begin
       match coord.phase with
       | Committing _ -> true
       | Copying _ | Preparing _ ->
@@ -419,7 +415,7 @@ let handle_txn_status_request t ctx ~txn ~src =
         Coordinator.abort_txn t ctx coord ~reason:Metrics.Participant_failed ~notify:true;
         false
     end
-    | None -> (
+    else (
       match t.stable with
       | Some wal when Wal.decided_commit wal ~txn -> true
       | Some _ | None ->

@@ -8,6 +8,7 @@ module Database = Raid_storage.Database
 module Wal = Raid_storage.Wal
 module Obs = Raid_obs.Trace
 module Bitset = Raid_util.Bitset
+module Int_table = Raid_util.Int_table
 
 let log_src = Logs.Src.create "raid.site" ~doc:"RAID site state machine"
 
@@ -16,10 +17,11 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 (* Coordinator phases for the transaction in progress (Appendix A).
    Pending sets are site bitsets with an explicit remaining count, so
    each ack costs O(1) instead of rebuilding an O(sites) list. *)
-type copying = { pending : int array; mutable remaining : int }
+type copying = { mutable pending : int array; mutable remaining : int }
 (* pending.(s) = outstanding copy requests at source s; a source can
    carry more than one live request when a Copy_unavailable failover
-   re-targets items at a site that is already serving others *)
+   re-targets items at a site that is already serving others.  Empty
+   until the first copy request goes out. *)
 
 type phase =
   | Copying of copying
@@ -72,27 +74,31 @@ type coord = {
   mutable cleared_items : int list;
       (* items whose own fail-lock a copier cleared; announced by the
          special transaction once all copy replies are in *)
-  remote_reads : (int, int * int) Hashtbl.t;
-      (* item -> (value, version): reads satisfied by a copy reply without
-         a local copy (partial replication fetch-only reads) *)
-  fetch_only : (int, unit) Hashtbl.t;
+  mutable fetch_only : int list;
+      (* reads of items with no local copy (partial replication), served
+         by a copy reply without being installed *)
+  mutable remote_reads : Database.write list;
+      (* the copy replies' writes for [fetch_only] items, latest first *)
 }
+
+(* What a free slot of a site's [coord_at] holds, so it keeps no
+   transaction's state reachable; also what [find_coord] returns for a
+   transaction not coordinated here. *)
+let no_coord =
+  {
+    txn = { Txn.id = -1; ops = [] };
+    started_at = Vtime.zero;
+    writes = [];
+    phase = Copying { pending = [||]; remaining = 0 };
+    phase_entered_at = Vtime.zero;
+    copier_requests = 0;
+    copier_items = 0;
+    cleared_items = [];
+    fetch_only = [];
+    remote_reads = [];
+  }
 
 type batch = { round_id : int; pending_sources : Bitset.t; mutable remaining : int }
-
-(* A buffered prepare at a participant: the writes to apply if the
-   decision is commit, the coordinator to ask if this site has to
-   resolve the transaction after a crash, and — during resolution with a
-   dead coordinator — the number of outstanding status probes to other
-   sites (0 when not probing).  [pp_started] is when the prepare arrived,
-   or -1 for one reloaded from the WAL at recovery (its participant time
-   spans a crash and is not sampled). *)
-type pending_prepare = {
-  pp_writes : Database.write list;
-  pp_coord : int;
-  pp_started : Vtime.t;
-  mutable pp_outstanding : int;
-}
 
 type mode = Normal | Waiting_recovery of waiting
 
@@ -112,9 +118,22 @@ type t = {
   full : bool;
       (* full replication: every site holds every item, so [stores] and
          the commit-time fail-lock rule need not consult [placement] *)
-  pending_prepares : (int, pending_prepare) Hashtbl.t;
+  pending_prepares : Int_table.t;
+      (* buffered prepares: txn -> the slot of the [pp_] arrays holding
+         the writes to apply if the decision is commit, the coordinator
+         to ask if this site has to resolve the transaction after a
+         crash, when the prepare arrived (-1 for one reloaded from the
+         WAL at recovery: its participant time spans a crash and is not
+         sampled), and — during resolution with a dead coordinator — the
+         number of outstanding status probes to other sites (0 when not
+         probing).  A free slot's writes are [[]]. *)
+  mutable pp_writes : Database.write list array;
+  mutable pp_coord : int array;
+  mutable pp_started : Vtime.t array;
+  mutable pp_outstanding : int array;
   mutable mode : mode;
-  coords : (int, coord) Hashtbl.t;  (* in-flight coordinated transactions *)
+  coords : Int_table.t;  (* in-flight coordinated transactions: txn -> slot *)
+  mutable coord_at : coord array;  (* by slot; a free slot holds [no_coord] *)
   mutable batch : batch option;
   mutable batch_seq : int;
   obs : Obs.sink option;
@@ -165,9 +184,14 @@ let create ~id ~config ~metrics ~on_outcome ?obs ?wal_factory () =
           | None -> Wal.create ~checkpoint_interval ~initial:db ~num_items ()));
     placement = Placement.View.create placement;
     full = Placement.is_full placement;
-    pending_prepares = Hashtbl.create 16;
+    pending_prepares = Int_table.create ();
+    pp_writes = [||];
+    pp_coord = [||];
+    pp_started = [||];
+    pp_outstanding = [||];
     mode = Normal;
-    coords = Hashtbl.create 4;
+    coords = Int_table.create ();
+    coord_at = [||];
     batch = None;
     batch_seq = 0;
     obs;
@@ -237,30 +261,83 @@ let session_number t = Session.session t.vector t.id
    cardinalities; [remaining] caches the set bits of each phase's
    bitset, so this is O(in-flight txns), not O(sites). *)
 let pending_2pc t =
-  Hashtbl.fold
-    (fun _ coord acc ->
+  Int_table.fold
+    (fun _ slot acc ->
       acc
       +
-      match coord.phase with
+      match t.coord_at.(slot).phase with
       | Copying { remaining; _ } -> remaining
       | Preparing { remaining; _ } -> remaining
       | Committing { remaining; _ } -> remaining)
     t.coords 0
 
-let buffered_prepares t = Hashtbl.length t.pending_prepares
+let buffered_prepares t = Int_table.length t.pending_prepares
 
 let in_doubt t =
   match t.stable with
   | Some wal -> Wal.prepared_count wal
-  | None -> Hashtbl.length t.pending_prepares
+  | None -> Int_table.length t.pending_prepares
 
 let wal t = t.stable
-let current_coord t txn_id = Hashtbl.find_opt t.coords txn_id
+
+(* {2 In-flight coordinated transactions} *)
+
+(* The coordinator state of [txn], or [no_coord]: a sentinel, not an
+   option, so the ack handlers' lookup allocates nothing. *)
+let find_coord t txn =
+  let slot = Int_table.find t.coords txn in
+  if slot = Int_table.absent then no_coord else t.coord_at.(slot)
+
+let add_coord t coord =
+  let slot = Int_table.add t.coords coord.txn.Txn.id in
+  if slot >= Array.length t.coord_at then t.coord_at <- Int_table.fit t.coords t.coord_at no_coord;
+  t.coord_at.(slot) <- coord
+
+let remove_coord t ~txn =
+  let slot = Int_table.remove t.coords txn in
+  if slot <> Int_table.absent then t.coord_at.(slot) <- no_coord
+
+(* The in-flight transactions, in increasing id order. *)
+let coords_in_order t = List.map (find_coord t) (Int_table.keys t.coords)
+
+(* Drop every in-flight transaction (a crash loses them). *)
+let drop_coords t =
+  Array.fill t.coord_at 0 (Array.length t.coord_at) no_coord;
+  Int_table.reset t.coords
+
+(* {2 Buffered prepares} *)
+
+(* The slot of [txn]'s buffered prepare, or [Int_table.absent]. *)
+let prepare_slot t ~txn = Int_table.find t.pending_prepares txn
+
+let buffer_prepare t ~txn ~coordinator ~started writes =
+  let table = t.pending_prepares in
+  let slot = Int_table.add table txn in
+  if slot >= Array.length t.pp_writes then begin
+    t.pp_writes <- Int_table.fit table t.pp_writes [];
+    t.pp_coord <- Int_table.fit table t.pp_coord 0;
+    t.pp_started <- Int_table.fit table t.pp_started Vtime.zero;
+    t.pp_outstanding <- Int_table.fit table t.pp_outstanding 0
+  end;
+  t.pp_writes.(slot) <- writes;
+  t.pp_coord.(slot) <- coordinator;
+  t.pp_started.(slot) <- started;
+  t.pp_outstanding.(slot) <- 0
+
+(* The buffered prepares' transactions, in increasing id order. *)
+let buffered_txns t = Int_table.keys t.pending_prepares
+
+(* Drop every buffered prepare (a crash loses them; the WAL keeps its
+   records). *)
+let drop_prepares t =
+  Array.fill t.pp_writes 0 (Array.length t.pp_writes) [];
+  Int_table.reset t.pending_prepares
 
 (* Drop an in-doubt prepare everywhere it is recorded (decided,
    resolved, or presumed aborted). *)
 let forget_in_doubt t ~txn =
-  Hashtbl.remove t.pending_prepares txn;
+  let slot = Int_table.remove t.pending_prepares txn in
+  if slot <> Int_table.absent then t.pp_writes.(slot) <- [];
   match t.stable with None -> () | Some wal -> Wal.forget_prepare wal ~txn
 
 (* Operational sites other than this one, visited in increasing id order

@@ -9,19 +9,19 @@ let make ~id ops =
 
 let size t = List.length t.ops
 
-let distinct items =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun item ->
-      if Hashtbl.mem seen item then false
-      else begin
-        Hashtbl.add seen item ();
-        true
-      end)
-    items
+(* A list scan, not a hash table: a transaction is a few operations, so
+   this allocates only the result.  Top-level recursions, so no closure
+   is allocated either. *)
+let rec mem (item : int) = function [] -> false | i :: items -> i = item || mem item items
 
-let read_items t =
-  distinct (List.filter_map (function Read item -> Some item | Write _ -> None) t.ops)
+(* The distinct items [ops] read (or write, with [writes]), in
+   first-occurrence order; [seen] holds those found so far, latest
+   first. *)
+let rec distinct ~writes seen = function
+  | [] -> List.rev seen
+  | Read item :: ops when (not writes) && not (mem item seen) -> distinct ~writes (item :: seen) ops
+  | Write item :: ops when writes && not (mem item seen) -> distinct ~writes (item :: seen) ops
+  | (Read _ | Write _) :: ops -> distinct ~writes seen ops
 
-let write_items t =
-  distinct (List.filter_map (function Write item -> Some item | Read _ -> None) t.ops)
+let read_items t = distinct ~writes:false [] t.ops
+let write_items t = distinct ~writes:true [] t.ops

@@ -1,3 +1,5 @@
+module Int_table = Raid_util.Int_table
+
 type prepared = { p_txn : int; coordinator : int; writes : Database.write list }
 
 (* Simulated on-device footprint of each durable record, in bytes.  The
@@ -30,9 +32,15 @@ type t = {
      prepare (the participant is still in doubt), and [replay_into] must
      never materialize a prepared-but-undecided write (it was never
      committed).  Keeping them in side tables makes both properties
-     structural rather than relying on careful log filtering. *)
-  prepared_tbl : (int, prepared) Hashtbl.t;
-  decided_tbl : (int, unit) Hashtbl.t;
+     structural rather than relying on careful log filtering.  A
+     prepare's coordinator and writes sit at its slot of the two arrays
+     below (a free slot's writes are [[]]), so logging one allocates
+     nothing beyond amortised growth; the decision table's slots hold
+     nothing. *)
+  prepared_tbl : Int_table.t;
+  mutable prepared_coordinators : int array;
+  mutable prepared_writes : Database.write list array;
+  decided_tbl : Int_table.t;
 }
 
 let notify t kind ~size =
@@ -67,8 +75,10 @@ let create ?(checkpoint_interval = 64) ?backing ?initial ~num_items () =
     log_length = 0;
     checkpoints_taken = 0;
     session = 1;
-    prepared_tbl = Hashtbl.create 8;
-    decided_tbl = Hashtbl.create 8;
+    prepared_tbl = Int_table.create ();
+    prepared_coordinators = [||];
+    prepared_writes = [||];
+    decided_tbl = Int_table.create ();
   }
 
 let grown a n capacity =
@@ -129,31 +139,39 @@ let record_session t session =
   notify t Shared_wal.Session ~size:marker_bytes
 
 let log_prepare t ~txn ~coordinator writes =
-  Hashtbl.replace t.prepared_tbl txn { p_txn = txn; coordinator; writes };
+  let slot = Int_table.add t.prepared_tbl txn in
+  if slot >= Array.length t.prepared_writes then begin
+    t.prepared_coordinators <- Int_table.fit t.prepared_tbl t.prepared_coordinators 0;
+    t.prepared_writes <- Int_table.fit t.prepared_tbl t.prepared_writes []
+  end;
+  t.prepared_coordinators.(slot) <- coordinator;
+  t.prepared_writes.(slot) <- writes;
   notify t Shared_wal.Prepare ~size:(prepare_base_bytes + (write_bytes * List.length writes))
 
 let forget_prepare t ~txn =
-  if Hashtbl.mem t.prepared_tbl txn then begin
-    Hashtbl.remove t.prepared_tbl txn;
+  let slot = Int_table.remove t.prepared_tbl txn in
+  if slot <> Int_table.absent then begin
+    t.prepared_writes.(slot) <- [];
     notify t Shared_wal.Forget ~size:marker_bytes
   end
 
 let prepared t =
-  Hashtbl.fold (fun _ p acc -> p :: acc) t.prepared_tbl []
-  |> List.sort (fun a b -> compare a.p_txn b.p_txn)
+  List.map
+    (fun p_txn ->
+      let slot = Int_table.find t.prepared_tbl p_txn in
+      { p_txn; coordinator = t.prepared_coordinators.(slot); writes = t.prepared_writes.(slot) })
+    (Int_table.keys t.prepared_tbl)
 
-let prepared_count t = Hashtbl.length t.prepared_tbl
+let prepared_count t = Int_table.length t.prepared_tbl
 
 let log_decision t ~txn =
-  if not (Hashtbl.mem t.decided_tbl txn) then begin
-    Hashtbl.replace t.decided_tbl txn ();
+  if not (Int_table.mem t.decided_tbl txn) then begin
+    ignore (Int_table.add t.decided_tbl txn);
     notify t Shared_wal.Decision ~size:marker_bytes
   end
 
 let forget_decision t ~txn =
-  if Hashtbl.mem t.decided_tbl txn then begin
-    Hashtbl.remove t.decided_tbl txn;
+  if Int_table.remove t.decided_tbl txn <> Int_table.absent then
     notify t Shared_wal.Forget ~size:marker_bytes
-  end
 
-let decided_commit t ~txn = Hashtbl.mem t.decided_tbl txn
+let decided_commit t ~txn = Int_table.mem t.decided_tbl txn

@@ -118,30 +118,32 @@ let test_dispatch_allocates_nothing () =
   if words >= float_of_int events then
     Alcotest.failf "dispatching %d events allocated %.0f minor words" events words
 
-(* The participant's commit allocates only its ack: a 5-word
-   [Commit_ack] payload and its event.  Every site's handler is wrapped,
-   as raidbench's ledger wraps it, and charged the minor words of each
-   [Commit] it handles, on a 64-site fully replicated cluster with site 5
-   down for part of the run, so commits also create, keep and clear
-   fail-lock rows.  The bound leaves 3 words a commit for the amortised
-   growth of the commit record, the latency samples and the fail-lock
-   slab. *)
-let test_commit_allocates_only_its_ack () =
+(* Minor words charged to each message kind a cluster's sites handle:
+   every site's handler is wrapped, as raidbench's ledger wraps it, and
+   [words.(k)]/[events.(k)] sum over the [Message] events of
+   [Message.kind_index] [k].  The run is [steps] driver steps of small
+   uniform transactions over 5,000 items, coordinated by [coordinator]
+   when given; [plan] fails and recovers sites between them. *)
+let words_per_kind ?coordinator ?plan ~num_sites ~steps () =
   let module Cluster = Raid_core.Cluster in
   let module Driver = Raid_core.Driver in
-  let config = Raid_core.Config.make ~num_sites:64 ~num_items:5_000 () in
+  let module Message = Raid_core.Message in
+  let config = Raid_core.Config.make ~num_sites ~num_items:5_000 () in
   let cluster = Cluster.create config in
   let engine = Cluster.engine cluster in
-  let words = Float.Array.make 1 0.0 and commits = ref 0 in
-  for id = 0 to 63 do
+  let words = Float.Array.make Message.kind_count 0.0 in
+  let events = Array.make Message.kind_count 0 in
+  for id = 0 to num_sites - 1 do
     let handler = Raid_core.Site.handler (Cluster.site cluster id) in
     Engine.register engine id (fun ctx event ->
         match event with
-        | Engine.Message { payload = Raid_core.Message.Commit _; _ } ->
+        | Engine.Message { payload; _ } ->
+          let kind = Message.kind_index payload in
           let before = Gc.minor_words () in
           handler ctx event;
-          Float.Array.set words 0 (Float.Array.get words 0 +. (Gc.minor_words () -. before));
-          incr commits
+          Float.Array.set words kind
+            (Float.Array.get words kind +. (Gc.minor_words () -. before));
+          events.(kind) <- events.(kind) + 1
         | _ -> handler ctx event)
   done;
   let rng = Raid_util.Rng.create 42 in
@@ -150,15 +152,75 @@ let test_commit_allocates_only_its_ack () =
       (Raid_core.Workload.Uniform { max_ops = 5; write_prob = 0.5 })
       ~num_items:5_000 ~rng:(Raid_util.Rng.split rng)
   in
-  let plan = Driver.[ (After_txns 200, Fail 5); (After_txns 1_400, Recover 5) ] in
-  let driver = Driver.create ~plan cluster ~workload ~rng in
-  for _ = 1 to 2_000 do
-    ignore (Driver.step driver)
+  let driver = Driver.create ?plan cluster ~workload ~rng in
+  for _ = 1 to steps do
+    ignore (Driver.step ?coordinator driver)
   done;
-  Alcotest.(check int) "every commit delivered" 0 (Engine.pending_events engine);
-  let per_commit = Float.Array.get words 0 /. float_of_int !commits in
-  if !commits < 100_000 || per_commit > 8.0 then
-    Alcotest.failf "%d commits allocated %.2f minor words each" !commits per_commit
+  Alcotest.(check int) "every message delivered" 0 (Engine.pending_events engine);
+  (words, events)
+
+(* The 2PC round trip on a 64-site fully replicated cluster with site 5
+   down for part of the run, so commits also create, keep and clear
+   fail-lock rows.  Shared by the guards below. *)
+let round_trip =
+  lazy
+    (words_per_kind ~num_sites:64 ~steps:2_000
+       ~plan:Raid_core.Driver.[ (After_txns 200, Fail 5); (After_txns 1_400, Recover 5) ]
+       ())
+
+(* The [Message.kind_index] of the kind named [name]. *)
+let kind_named name =
+  let module Message = Raid_core.Message in
+  List.find (fun i -> Message.kind_of_index i = name) (List.init Message.kind_count Fun.id)
+
+(* Average words per handled message of kind [name] in [round_trip],
+   failing when fewer than [min_events] were handled or the average
+   passes [bound]. *)
+let check_round_trip name ~min_events ~bound =
+  let words, events = Lazy.force round_trip in
+  let index = kind_named name in
+  let n = events.(index) in
+  let per_event = Float.Array.get words index /. float_of_int (max 1 n) in
+  if n < min_events || per_event > bound then
+    Alcotest.failf "%d %s events allocated %.2f minor words each (bound %.1f)" n name per_event
+      bound
+
+(* The participant's commit allocates only its ack: a 5-word
+   [Commit_ack] payload and its event.  The bound leaves 3 words a
+   commit for the amortised growth of the commit record, the latency
+   samples and the fail-lock slab. *)
+let test_commit_allocates_only_its_ack () =
+  check_round_trip "commit" ~min_events:100_000 ~bound:8.0
+
+(* The participant's prepare allocates only its ack and the ack's
+   event (5 words): the buffered prepare lives in reused slots of the
+   site's prepare table, not in a record and a hash bucket of its own
+   (14 words a prepare when it did). *)
+let test_prepare_allocates_only_its_ack () =
+  check_round_trip "prepare" ~min_events:100_000 ~bound:5.5
+
+(* The coordinator's ack handlers find the transaction without boxing
+   the lookup's result: a [Prepare_ack] allocates nothing, and a
+   [Commit_ack] only what the last one's local commit does, averaged
+   over the 63 acks a transaction gets. *)
+let test_acks_allocate_nothing () =
+  check_round_trip "prepare_ack" ~min_events:100_000 ~bound:0.5;
+  check_round_trip "commit_ack" ~min_events:100_000 ~bound:2.0
+
+(* Setting up a transaction costs the same on 16 sites as on 128: the
+   same transaction stream, coordinated by site 0 on two fully
+   replicated clusters with every site up, allocates under 8 words more
+   per [Begin_txn] on the larger one.  A copier array of one slot per
+   site alone differs by 112 words. *)
+let test_begin_txn_independent_of_sites () =
+  let per_begin num_sites =
+    let words, events = words_per_kind ~coordinator:0 ~num_sites ~steps:500 () in
+    let index = kind_named "begin_txn" in
+    Float.Array.get words index /. float_of_int events.(index)
+  in
+  let small = per_begin 16 and large = per_begin 128 in
+  if Float.abs (large -. small) >= 8.0 then
+    Alcotest.failf "a Begin_txn allocated %.1f words on 16 sites and %.1f on 128" small large
 
 (* Drawing a coordinator builds no list and boxes nothing: the same run
    on two identical clusters, one drawing its coordinators and one handed
@@ -235,6 +297,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pool_retains_nothing;
     Alcotest.test_case "dispatch allocates nothing" `Quick test_dispatch_allocates_nothing;
     Alcotest.test_case "commit allocates only its ack" `Quick test_commit_allocates_only_its_ack;
+    Alcotest.test_case "prepare allocates only its ack" `Quick test_prepare_allocates_only_its_ack;
+    Alcotest.test_case "acks allocate nothing" `Quick test_acks_allocate_nothing;
+    Alcotest.test_case "coordinator setup does not grow with sites" `Quick
+      test_begin_txn_independent_of_sites;
     Alcotest.test_case "driver draw builds no list" `Quick test_driver_draw_builds_no_list;
     Alcotest.test_case "retention per transaction" `Quick test_retention_per_txn;
   ]
