@@ -471,26 +471,20 @@ type site_status = {
   st_session_up : int;
 }
 
-let site_status_of t i ~faillocks =
-  let s = t.sites.(i) in
-  {
-    st_id = i;
-    st_alive = alive t i;
-    st_waiting = Site.is_waiting s;
-    st_faillocks = faillocks;
-    st_table_bits = Faillock.total_locked (Site.faillocks s);
-    st_pending_2pc = Site.pending_2pc s;
-    st_buffered_prepares = Site.buffered_prepares s;
-    st_session_up = Session.up_count (Site.vector s);
-  }
-
-let site_status t i =
-  if i < 0 || i >= Array.length t.sites then invalid_arg "Cluster.site_status: bad site id";
-  site_status_of t i ~faillocks:(faillock_count_for t i)
-
 let status t =
   let counts = faillock_counts t in
-  Array.init (num_sites t) (fun i -> site_status_of t i ~faillocks:counts.(i))
+  Array.init (num_sites t) (fun i ->
+      let s = t.sites.(i) in
+      {
+        st_id = i;
+        st_alive = alive t i;
+        st_waiting = Site.is_waiting s;
+        st_faillocks = counts.(i);
+        st_table_bits = Faillock.total_locked (Site.faillocks s);
+        st_pending_2pc = Site.pending_2pc s;
+        st_buffered_prepares = Site.buffered_prepares s;
+        st_session_up = Session.up_count (Site.vector s);
+      })
 
 let first_stale_read t = t.first_stale_read
 

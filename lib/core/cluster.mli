@@ -208,12 +208,9 @@ type site_status = {
     Every field is read-only derived state; computing a status never
     perturbs the run. *)
 
-val site_status : t -> int -> site_status
-(** @raise Invalid_argument on a bad site id. *)
-
 val status : t -> site_status array
-(** {!site_status} for every site, with the fail-lock oracle swept once
-    ({!faillock_counts}) instead of per site. *)
+(** Every site's status, with the fail-lock oracle swept once
+    ({!faillock_counts}). *)
 
 val committed_version : t -> int -> int
 (** Highest version ever committed for the item (0 initially), from the

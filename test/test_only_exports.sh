@@ -10,7 +10,8 @@
 # M.name (any qualified path ending in it, e.g. Raid_net.Engine.create),
 # X.name where the file declares "module X = ...M", or the bare name in
 # a file that opens or includes M ("open M", "include M", "let open M
-# in", "M.( ... )").  Comments and string literals are not searched.
+# in", "M.( ... )").  Comments and string literals are not searched,
+# and a path right after " : " or "of" is a type, not a call.
 #
 # An optional argument "?arg:" in the type of an export's val is listed
 # as "M.name ?arg" when no program .ml other than M's own contains
@@ -82,8 +83,13 @@ function strip(line,   out, tok) {
     FNR == 1 { flush(); file = FILENAME }
     {
       line = strip($0)
+      prev = ""
       while (match(line, /[~?]?[A-Za-z_][A-Za-z0-9_\047]*(\.[A-Za-z_][A-Za-z0-9_\047]*)*/)) {
         tok = substr(line, RSTART, RLENGTH)
+        # A path after " : " or "of" names a type, which may share the
+        # name of a val: "(s : M.status)" does not call val M.status.
+        typed = substr(line, 1, RSTART - 1) ~ /(^|[ \t]):[ \t]+$/ || prev == "of"
+        prev = tok
         line = substr(line, RSTART + RLENGTH)
         if (tok ~ /^[~?]/) { if (!((file, tok) in labels)) { labels[file, tok]; print "L", file, tok }; state = 0; continue }
         n = split(tok, c, ".")
@@ -92,7 +98,7 @@ function strip(line,   out, tok) {
         path = ""
         for (; k <= n && c[k] ~ /^[A-Z]/; k++) path = path (path == "" ? "" : ".") c[k]
         if (k <= n) {
-          print "U", file, path "." c[k]
+          if (!typed) print "U", file, path "." c[k]
           for (k++; k <= n; k++) words[c[k]]
         } else if (path != "") {
           if (state == 1) { print "O", file, path; opened = 1 }
