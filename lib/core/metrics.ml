@@ -20,19 +20,25 @@ module Samples = struct
   (* Virtual times in an [int array] grown by doubling: one word a
      sample, stored without a write barrier or a boxed float, and
      converted with [Vtime.to_ms] only when read.  Spare capacity is
-     zero-filled, so structural equality still compares samples. *)
+     zero-filled, so structural equality still compares samples.  A
+     group keeps its first [cap] samples, the trace ring's default
+     capacity: no report reads that many, and a long soak stops
+     growing. *)
   type t = { mutable data : int array; mutable length : int }
 
+  let cap = 65536
   let create () = { data = [||]; length = 0 }
 
   let add t x =
-    if t.length = Array.length t.data then begin
-      let data = Array.make (max 16 (2 * t.length)) 0 in
-      Array.blit t.data 0 data 0 t.length;
-      t.data <- data
-    end;
-    t.data.(t.length) <- x;
-    t.length <- t.length + 1
+    if t.length < cap then begin
+      if t.length = Array.length t.data then begin
+        let data = Array.make (max 16 (2 * t.length)) 0 in
+        Array.blit t.data 0 data 0 t.length;
+        t.data <- data
+      end;
+      t.data.(t.length) <- x;
+      t.length <- t.length + 1
+    end
 
   let to_list t =
     let rec from i acc =

@@ -34,7 +34,8 @@ module Samples : sig
   type t
 
   val add : t -> Raid_net.Vtime.t -> unit
-  (** Record one virtual duration. *)
+  (** Record one virtual duration.  A group keeps its first 65,536
+      samples and drops the rest, so memory stays bounded. *)
 
   val to_list : t -> float list
   (** In milliseconds ({!Raid_net.Vtime.to_ms}), most recent first. *)

@@ -289,6 +289,30 @@ let test_retention_per_txn () =
   ignore (Sys.opaque_identity driver);
   if per_txn > 200.0 then Alcotest.failf "each committed txn kept %.0f live words" per_txn
 
+(* A long run stops growing its latency samples: past 65,536
+   transactions on a 4-site cluster, the fullest group holds exactly
+   its first 65,536 samples. *)
+let test_latency_samples_bounded () =
+  let module Cluster = Raid_core.Cluster in
+  let cluster = Cluster.create (Raid_core.Config.make ~num_sites:4 ~num_items:100 ()) in
+  let rng = Raid_util.Rng.create 42 in
+  let workload =
+    Raid_core.Workload.create
+      (Raid_core.Workload.Uniform { max_ops = 3; write_prob = 0.5 })
+      ~num_items:100 ~rng:(Raid_util.Rng.split rng)
+  in
+  let driver = Raid_core.Driver.create cluster ~workload ~rng in
+  for _ = 1 to 66_000 do
+    ignore (Raid_core.Driver.step driver)
+  done;
+  let largest =
+    List.fold_left
+      (fun n (_, samples) -> max n (List.length samples))
+      0
+      (Raid_core.Metrics.latency_groups (Cluster.metrics cluster))
+  in
+  Alcotest.(check int) "fullest group" 65_536 largest
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_exactly_once;
@@ -303,4 +327,5 @@ let suite =
       test_begin_txn_independent_of_sites;
     Alcotest.test_case "driver draw builds no list" `Quick test_driver_draw_builds_no_list;
     Alcotest.test_case "retention per transaction" `Quick test_retention_per_txn;
+    Alcotest.test_case "latency samples are bounded" `Quick test_latency_samples_bounded;
   ]
