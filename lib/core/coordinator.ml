@@ -336,6 +336,19 @@ let begin_phase1 t ctx coord =
       participants
   end
 
+(* The reads needing a copier, in read order: fail-locked local copies
+   (paper §1.2), and, under partial replication, items with no local
+   copy, which are fetched without being installed.  One pass with no
+   closure; the shared [([], [])] when no read needs one. *)
+let rec copier_reads t = function
+  | [] -> ([], [])
+  | item :: items ->
+    let ((needed, fetch_only) as rest) = copier_reads t items in
+    if not (stores t ~item) then (needed, item :: fetch_only)
+    else if faillocks_on t && Faillock.is_locked t.faillocks ~item ~site:t.id then
+      (item :: needed, fetch_only)
+    else rest
+
 let begin_txn t ctx txn =
   (* Multiple transactions may be coordinated here concurrently (the
      concurrency-control extension); the same id must not be reused. *)
@@ -394,17 +407,7 @@ let begin_txn t ctx txn =
   if write_unavailable then
     finish t ctx coord ~committed:false ~abort_reason:(Some Metrics.Write_unavailable) ~reads:[]
   else begin
-  (* Reads needing a copier: fail-locked local copies (paper §1.2), plus —
-     under partial replication — reads of items with no local copy, which
-     are fetched without being installed. *)
-  let needs_copier item = faillocks_on t && Faillock.is_locked t.faillocks ~item ~site:t.id in
-  let needed, fetch_only =
-    List.partition (fun item -> stores t ~item)
-      (List.filter
-         (fun item -> (not (stores t ~item)) || needs_copier item)
-         (Txn.read_items txn))
-  in
-  let needed = List.filter needs_copier needed in
+  let needed, fetch_only = copier_reads t (Txn.read_items txn) in
   coord.fetch_only <- fetch_only;
   if tracing t then begin
     List.iter

@@ -207,6 +207,12 @@ let test_acks_allocate_nothing () =
   check_round_trip "prepare_ack" ~min_events:100_000 ~bound:0.5;
   check_round_trip "commit_ack" ~min_events:100_000 ~bound:2.0
 
+(* The coordinator's setup classifies its reads in one pass: no closure,
+   no partition tuple and no filtered copy when no read needs a copier
+   (about 107 words a [Begin_txn] when it built them). *)
+let test_begin_txn_classifies_reads_in_one_pass () =
+  check_round_trip "begin_txn" ~min_events:2_000 ~bound:90.0
+
 (* Setting up a transaction costs the same on 16 sites as on 128: the
    same transaction stream, coordinated by site 0 on two fully
    replicated clusters with every site up, allocates under 8 words more
@@ -323,6 +329,8 @@ let suite =
     Alcotest.test_case "commit allocates only its ack" `Quick test_commit_allocates_only_its_ack;
     Alcotest.test_case "prepare allocates only its ack" `Quick test_prepare_allocates_only_its_ack;
     Alcotest.test_case "acks allocate nothing" `Quick test_acks_allocate_nothing;
+    Alcotest.test_case "begin_txn classifies reads in one pass" `Quick
+      test_begin_txn_classifies_reads_in_one_pass;
     Alcotest.test_case "coordinator setup does not grow with sites" `Quick
       test_begin_txn_independent_of_sites;
     Alcotest.test_case "driver draw builds no list" `Quick test_driver_draw_builds_no_list;
