@@ -38,19 +38,6 @@ let help_text =
   \  check                  run the protocol invariants\n\
   \  help | quit"
 
-(* Ids and counts are ASCII digits only, as in the HTTP API's paths:
-   [int_of_string_opt] alone would also take "0x1", "0b10", "1_0" or
-   "-0" and name a real site. *)
-let int_of_digits s = if Raid_obs.Http.is_digits s then int_of_string_opt s else None
-
-let parse_op token =
-  if String.length token < 2 then None
-  else
-    match (token.[0], int_of_digits (String.sub token 1 (String.length token - 1))) with
-    | 'r', Some item -> Some (Txn.Read item)
-    | 'w', Some item -> Some (Txn.Write item)
-    | _ -> None
-
 let describe_outcome outcome =
   if outcome.Metrics.committed then
     Printf.sprintf "T%d committed in %.1f ms (copiers: %d)" outcome.Metrics.txn.Txn.id
@@ -62,142 +49,103 @@ let describe_outcome outcome =
       | Some reason -> Format.asprintf "%a" Metrics.pp_abort_reason reason
       | None -> "unknown")
 
-let status t print =
-  print (Printf.sprintf "%-5s %-8s %-8s %-12s %s" "site" "alive" "session" "state" "locked items");
-  for s = 0 to Cluster.num_sites t.cluster - 1 do
-    let site = Cluster.site t.cluster s in
-    print
-      (Printf.sprintf "%-5d %-8b %-8d %-12s %d" s (Cluster.alive t.cluster s)
-         (Site.session_number site)
-         (Format.asprintf "%a" Session.pp_state (Session.state (Site.vector site) s))
-         (Cluster.faillock_count_for t.cluster s))
-  done;
-  print (Printf.sprintf "fully consistent: %b" (Cluster.fully_consistent t.cluster))
+let ( let* ) = Result.bind
 
-let submit t print ~coordinator ops =
-  let id = Cluster.next_txn_id t.cluster in
-  print (describe_outcome (Cluster.submit t.cluster ~coordinator (Txn.make ~id ops)))
+(* A malformed token is a usage error; any other refusal says why. *)
+let report print ~usage ok = function
+  | Ok x -> ok x
+  | Error (Operator.Malformed _) -> print ("usage: " ^ usage)
+  | Error refusal -> print (Operator.refusal_text refusal)
 
-(* Stops at the first transaction that finds no operational site:
-   repeating the attempt could not change the answer. *)
-let auto t print n coordinator =
-  let rec loop n =
-    if n > 0 then
-      if Cluster.operational t.cluster = [] then print "no operational site"
-      else begin
-        print (describe_outcome (Driver.step ?coordinator t.driver));
-        loop (n - 1)
-      end
-  in
-  loop n
-
-let show_db t print site item =
-  let db = Site.database (Cluster.site t.cluster site) in
-  let show_item item =
-    match Database.read db item with
-    | Some (value, version) ->
-      print (Printf.sprintf "item %d: value=%d version=%d" item value version)
-    | None -> print (Printf.sprintf "item %d: (no copy)" item)
-  in
-  match item with
-  | Some item -> show_item item
-  | None ->
-    for item = 0 to Database.num_items db - 1 do
-      show_item item
+let interpret t print tokens =
+  let c = t.cluster in
+  let say fmt = Printf.ksprintf print fmt in
+  (* No console line stops the last operational site, so a random
+     coordinator always exists. *)
+  let auto ?coordinator n =
+    for _ = 1 to n do
+      print (describe_outcome (Driver.step ?coordinator t.driver))
     done
-
-let interpret t print line =
-  match String.split_on_char ' ' (String.trim line) |> List.filter (( <> ) "") with
-  | [] -> `Continue
-  | [ "help" ] ->
-    print help_text;
-    `Continue
-  | "txn" :: coordinator :: ops ->
-    (match (int_of_digits coordinator, List.map parse_op ops) with
-    | Some coordinator, parsed when parsed <> [] && List.for_all Option.is_some parsed ->
-      submit t print ~coordinator (List.map Option.get parsed)
-    | _ -> print "usage: txn <site> <rN|wN>...");
-    `Continue
-  | [ "auto"; n ] ->
-    (match int_of_digits n with
-    | Some n -> auto t print n None
-    | None -> print "usage: auto <n> [site]");
-    `Continue
-  | [ "auto"; n; site ] ->
-    (match (int_of_digits n, int_of_digits site) with
-    | Some n, Some site -> auto t print n (Some site)
-    | _ -> print "usage: auto <n> [site]");
-    `Continue
-  | [ "fail"; site ] ->
-    (match int_of_digits site with
-    | Some site when Cluster.alive t.cluster site ->
-      Cluster.fail_site t.cluster site;
-      print (Printf.sprintf "site %d failed" site)
-    | Some site -> print (Printf.sprintf "site %d is already down" site)
-    | None -> print "usage: fail <site>");
-    `Continue
-  | [ "recover"; site ] ->
-    (match int_of_digits site with
-    | Some site -> (
-      match Cluster.recover_site t.cluster site with
-      | `Recovered -> print (Printf.sprintf "site %d recovered" site)
-      | `Blocked -> print (Printf.sprintf "site %d blocked: no operational donor" site))
-    | None -> print "usage: recover <site>");
-    `Continue
-  | [ "terminate"; site ] ->
-    (match int_of_digits site with
-    | Some site ->
-      Cluster.terminate_site t.cluster site;
-      print (Printf.sprintf "site %d terminated gracefully" site)
-    | None -> print "usage: terminate <site>");
-    `Continue
-  | [ "status" ] ->
-    status t print;
-    `Continue
-  | [ "faillocks"; site ] ->
-    (match int_of_digits site with
-    | Some site ->
-      print
-        (Printf.sprintf "items fail-locked for site %d: %s" site
-           (String.concat ", " (List.map string_of_int (Cluster.faillocks_for t.cluster site))))
-    | None -> print "usage: faillocks <site>");
-    `Continue
-  | "db" :: site :: rest ->
-    (match (int_of_digits site, rest) with
-    | Some site, [] -> show_db t print site None
-    | Some site, [ item ] -> show_db t print site (int_of_digits item)
-    | _ -> print "usage: db <site> [item]");
-    `Continue
-  | [ "trace" ] ->
-    List.iter (fun e -> print (Timeline.describe_entry e)) (Timeline.entries t.cluster);
-    `Continue
-  | [ "trace"; n ] ->
-    (match int_of_digits n with
-    | Some n ->
-      let all = Timeline.entries t.cluster in
-      let skip = max 0 (List.length all - n) in
-      List.iteri (fun i e -> if i >= skip then print (Timeline.describe_entry e)) all
-    | None -> print "usage: trace [n]");
-    `Continue
-  | [ "metrics" ] ->
+  in
+  let show_db site items =
+    let db = Site.database (Cluster.site c site) in
     List.iter
-      (fun (name, value) -> print (Printf.sprintf "%-28s %d" name value))
-      (Metrics.snapshot_counts (Cluster.metrics t.cluster));
-    `Continue
-  | [ "check" ] ->
-    (match Raid_core.Invariant.all t.cluster with
+      (fun item ->
+        match Database.read db item with
+        | Some (value, version) -> say "item %d: value=%d version=%d" item value version
+        | None -> say "item %d: (no copy)" item)
+      items
+  in
+  let trace n =
+    let all = Timeline.entries c in
+    let skip = List.length all - n in
+    List.iteri (fun i e -> if i >= skip then print (Timeline.describe_entry e)) all
+  in
+  match tokens with
+  | [] -> ()
+  | [ "help" ] -> print help_text
+  | "txn" :: site :: (_ :: _ as ops) ->
+    report print ~usage:"txn <site> <rN|wN>..."
+      (fun outcome -> print (describe_outcome outcome))
+      (Operator.txn c site ops)
+  | [ "auto"; n ] -> report print ~usage:"auto <n> [site]" auto (Operator.count n)
+  | [ "auto"; n; site ] ->
+    report print ~usage:"auto <n> [site]"
+      (fun (n, coordinator) -> auto ~coordinator n)
+      (let* n = Operator.count n in
+       Result.map (fun site -> (n, site)) (Operator.coordinator c site))
+  | [ "fail"; site ] ->
+    report print ~usage:"fail <site>" (say "site %d failed") (Operator.fail c site)
+  | [ "recover"; site ] ->
+    report print ~usage:"recover <site>"
+      (function
+        | site, `Recovered -> say "site %d recovered" site
+        | site, `Blocked -> say "site %d blocked: no operational donor" site)
+      (Operator.recover c site)
+  | [ "terminate"; site ] ->
+    report print ~usage:"terminate <site>" (say "site %d terminated gracefully")
+      (Operator.terminate c site)
+  | [ "status" ] ->
+    say "%-5s %-8s %-8s %-12s %s" "site" "alive" "session" "state" "locked items";
+    Array.iter
+      (fun { Cluster.st_id = s; st_alive; st_faillocks; _ } ->
+        let site = Cluster.site c s in
+        say "%-5d %-8b %-8d %-12s %d" s st_alive (Site.session_number site)
+          (Format.asprintf "%a" Session.pp_state (Session.state (Site.vector site) s))
+          st_faillocks)
+      (Cluster.status c);
+    say "fully consistent: %b" (Cluster.fully_consistent c)
+  | [ "faillocks"; site ] ->
+    report print ~usage:"faillocks <site>"
+      (fun site ->
+        say "items fail-locked for site %d: %s" site
+          (String.concat ", " (List.map string_of_int (Cluster.faillocks_for c site))))
+      (Operator.site_id c site)
+  | [ "db"; site ] ->
+    report print ~usage:"db <site> [item]"
+      (fun site -> show_db site (List.init (Cluster.config c).Config.num_items Fun.id))
+      (Operator.site_id c site)
+  | [ "db"; site; item ] ->
+    report print ~usage:"db <site> [item]"
+      (fun (site, item) -> show_db site [ item ])
+      (let* site = Operator.site_id c site in
+       Result.map (fun item -> (site, item)) (Operator.item_id c item))
+  | [ "trace" ] -> trace max_int
+  | [ "trace"; n ] -> report print ~usage:"trace [n]" trace (Operator.count n)
+  | [ "metrics" ] ->
+    List.iter (fun (name, value) -> say "%-28s %d" name value)
+      (Metrics.snapshot_counts (Cluster.metrics c))
+  | [ "check" ] -> (
+    match Raid_core.Invariant.all c with
     | Ok () -> print "all invariants hold"
-    | Error message -> print (Printf.sprintf "VIOLATION: %s" message));
-    `Continue
-  | [ "quit" ] | [ "exit" ] -> `Quit
-  | _ ->
-    print "unknown command; try `help`";
-    `Continue
+    | Error message -> say "VIOLATION: %s" message)
+  | _ -> print "unknown command; try `help`"
 
 let command t ~print line =
-  try interpret t print line
-  with Invalid_argument message ->
-    print (Printf.sprintf "error: %s" message);
+  match String.split_on_char ' ' (String.trim line) |> List.filter (( <> ) "") with
+  | [ "quit" ] | [ "exit" ] -> `Quit
+  | tokens ->
+    interpret t print tokens;
     `Continue
 
 let run_stdin t =

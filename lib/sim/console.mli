@@ -19,7 +19,9 @@ val cluster : t -> Raid_core.Cluster.t
 val command : t -> print:(string -> unit) -> string -> [ `Continue | `Quit ]
 (** Interpret one command line; every line of output is passed to
     [print] (without trailing newlines).  Unknown or malformed commands
-    print usage hints; protocol errors are caught and printed. *)
+    print usage hints, and a command the managing site's rules refuse
+    (out-of-range ids, failing the last operational site, ...) prints
+    why; no line raises. *)
 
 val run_stdin : t -> unit
 (** The interactive loop: prompt on stdout, read stdin until EOF or

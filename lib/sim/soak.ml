@@ -155,17 +155,11 @@ let incidents_body t =
       ("incidents", Json.Arr (List.map Incident.json incidents));
     ]
 
-(* Path ids are 1*DIGIT, the rule [Content-Length] follows: no sign,
-   no 0x/0b/0o prefix, no underscores. *)
-let id_param params =
-  let raw = List.assoc "id" params in
-  if Http.is_digits raw then int_of_string_opt raw else None
-
 (* Per-transaction span tree: assembled on demand from whatever the
    ring still holds (old transactions age out oldest-first;
    a tree caught mid-drop reports [complete = false]). *)
 let txn_span_action t ~params _req =
-  match id_param params with
+  match Operator.number (List.assoc "id" params) with
   | None -> Http.error 404 (Printf.sprintf "bad txn id %S" (List.assoc "id" params))
   | Some id -> (
     match Span.find (Span.assemble (Trace.entries t.obs_trace)) id with
@@ -182,48 +176,32 @@ let health_body t =
       ("accel", Json.Float t.cfg.accel);
     ]
 
-let site_id_of ~params t =
-  match id_param params with
-  | Some id when id < Cluster.num_sites t.cluster -> Ok id
-  | _ -> Error (Http.error 404 (Printf.sprintf "no such site %S" (List.assoc "id" params)))
+(* A malformed or out-of-range id names no site (404); any other refusal
+   conflicts with the site's state (409). *)
+let refused refusal =
+  let status = match refusal with Operator.Malformed _ | No_such_site _ -> 404 | _ -> 409 in
+  Http.error status (Operator.refusal_text refusal)
 
 let fail_action t ~params _req =
-  match site_id_of ~params t with
-  | Error resp -> resp
+  match Operator.fail t.cluster (List.assoc "id" params) with
+  | Error refusal -> refused refusal
   | Ok id ->
-    if not (Cluster.alive t.cluster id) then
-      Http.error 409 (Printf.sprintf "site %d is already down" id)
-    else if Cluster.operational t.cluster = [ id ] then
-      Http.error 409 "refusing to fail the last operational site"
-    else begin
-      Cluster.fail_site t.cluster id;
-      Http.json
-        (Json.Obj
-           [ ("site", Json.Int id); ("alive", Json.Bool false); ("action", Json.Str "fail") ])
-    end
+    Http.json
+      (Json.Obj [ ("site", Json.Int id); ("alive", Json.Bool false); ("action", Json.Str "fail") ])
 
 let recover_action t ~params _req =
-  match site_id_of ~params t with
-  | Error resp -> resp
-  | Ok id ->
-    (* A blocked site (alive, waiting for a donor) is not operational:
-       recovering it again retries control 1. *)
-    if Cluster.is_operational t.cluster id then
-      Http.error 409 (Printf.sprintf "site %d is already up" id)
-    else
-      let result =
-        match Cluster.recover_site t.cluster id with
-        | `Recovered -> "recovered"
-        | `Blocked -> "blocked"
-      in
-      Http.json
-        (Json.Obj
-           [
-             ("site", Json.Int id);
-             ("alive", Json.Bool (Cluster.alive t.cluster id));
-             ("action", Json.Str "recover");
-             ("result", Json.Str result);
-           ])
+  match Operator.recover t.cluster (List.assoc "id" params) with
+  | Error refusal -> refused refusal
+  | Ok (id, result) ->
+    Http.json
+      (Json.Obj
+         [
+           ("site", Json.Int id);
+           ("alive", Json.Bool (Cluster.alive t.cluster id));
+           ("action", Json.Str "recover");
+           ( "result",
+             Json.Str (match result with `Recovered -> "recovered" | `Blocked -> "blocked") );
+         ])
 
 let load_action t ~params:_ (req : Http.request) =
   match Json.parse (if String.trim req.Http.body = "" then "{}" else req.Http.body) with
@@ -389,13 +367,6 @@ let rate_allows t =
   | None -> true
   | Some rate -> float_of_int (submitted t) < (rate *. wall t) +. 1.0
 
-(* Admit one transaction.  False when no site can coordinate: the
-   stream idles until an operator recovers one. *)
-let submit_one t =
-  match Driver.step t.driver with
-  | (_ : Raid_core.Metrics.outcome) -> true
-  | exception Driver.No_operational_site -> false
-
 (* Cap the admission burst per tick so the HTTP server stays responsive
    even when the virtual clock is far behind the pacing target (or the
    throttle is off entirely). *)
@@ -410,13 +381,11 @@ let tick ?(timeout = 0.02) t =
       let target_vms =
         if t.cfg.accel <= 0.0 then Float.infinity else t.cfg.accel *. wall t *. 1000.0
       in
+      (* The operator's rules keep a site operational, so a step
+         always finds a coordinator. *)
       let budget = ref max_batch in
-      let progress = ref true in
-      while
-        !progress && !budget > 0 && now_ms t < target_vms && rate_allows t
-        && not t.stopping
-      do
-        progress := submit_one t;
+      while !budget > 0 && now_ms t < target_vms && rate_allows t && not t.stopping do
+        ignore (Driver.step t.driver : Raid_core.Metrics.outcome);
         decr budget
       done;
       (* Refresh the events/sec window gauge about twice a second. *)

@@ -68,7 +68,7 @@ let test_recover_blocked_site () =
   Alcotest.(check string) "blocked again" blocked (run "recover 1");
   isolate true;
   Alcotest.(check string) "retry recovers" "site 1 recovered\n" (run "recover 1");
-  Alcotest.(check bool) "operational site refuses" true (contains (run "recover 1") "error:")
+  Alcotest.(check string) "operational site refuses" "site 1 is already up\n" (run "recover 1")
 
 let test_terminate () =
   let _, output, _ = run_commands [ "terminate 1"; "txn 0 w2" ] in
@@ -84,17 +84,18 @@ let test_auto_counts () =
   Alcotest.(check int) "five outcomes" 5 (outcomes console);
   Alcotest.(check bool) "reported" true (contains output "T5")
 
-(* With no operational site, [auto n] reports it once and stops,
-   whether or not a coordinator is named. *)
+(* No console line leaves the cluster without an operational site, so
+   [auto n] always finds a coordinator; a named coordinator that is down
+   is refused before anything runs. *)
 let test_auto_without_operational_site () =
-  let count haystack needle =
-    List.length (List.filter (( = ) needle) (String.split_on_char '\n' haystack))
-  in
   let console, output, _ = run_commands ~sites:2 [ "fail 0"; "fail 1"; "auto 4" ] in
-  Alcotest.(check int) "reported once" 1 (count output "no operational site");
-  Alcotest.(check int) "nothing submitted" 0 (outcomes console);
-  let _, output, _ = run_commands ~sites:2 [ "fail 0"; "fail 1"; "auto 3 0" ] in
-  Alcotest.(check int) "named site: reported once" 1 (count output "no operational site")
+  Alcotest.(check int)
+    "last site kept" 1
+    (count_lines output "site 1 is the last operational site");
+  Alcotest.(check int) "every txn runs" 4 (outcomes console);
+  let console, output, _ = run_commands ~sites:2 [ "fail 0"; "auto 3 0" ] in
+  Alcotest.(check int) "named down site refused" 1 (count_lines output "site 0 is not operational");
+  Alcotest.(check int) "nothing submitted" 0 (outcomes console)
 
 let test_db_inspection () =
   let _, output, _ = run_commands [ "txn 0 w3"; "db 1 3" ] in
@@ -111,8 +112,9 @@ let test_bad_input_is_safe () =
   in
   Alcotest.(check bool) "usage hints" true (contains output "usage: txn <site> <rN|wN>...");
   Alcotest.(check bool) "unknown hint" true (contains output "unknown command");
-  (* recover of an up site raises Invalid_argument; must be caught. *)
-  Alcotest.(check bool) "error caught" true (contains output "error:");
+  Alcotest.(check bool) "recover of an up site refused" true
+    (contains output "site 0 is already up");
+  Alcotest.(check bool) "no lower layer's error" false (contains output "error:");
   Alcotest.(check bool) "no quit" false quit
 
 (* A write to an item outside the database is refused before anything
@@ -130,9 +132,7 @@ let test_out_of_range_write () =
            Buffer.add_char output '\n'));
     Buffer.contents output
   in
-  Alcotest.(check bool)
-    "refused" true
-    (contains (run "txn 0 w1 w999") "error: Cluster.submit: item 999 out of range");
+  Alcotest.(check string) "refused" "no such item \"999\"\n" (run "txn 0 w1 w999");
   let copies =
     List.init 3 (fun s ->
         Raid_storage.Database.read (Raid_core.Site.database (Cluster.site cluster s)) 1)
@@ -141,7 +141,7 @@ let test_out_of_range_write () =
     "every copy of item 1 agrees" [ Some (0, 0); Some (0, 0); Some (0, 0) ] copies;
   Alcotest.(check int) "nothing queued" 0 (Raid_net.Engine.pending_events (Cluster.engine cluster));
   Alcotest.(check string) "invariants" "all invariants hold\n" (run "check");
-  Alcotest.(check bool) "next txn commits" true (contains (run "txn 1 w1") "T2 committed");
+  Alcotest.(check bool) "next txn commits" true (contains (run "txn 1 w1") "T1 committed");
   Alcotest.(check bool) "consistent" true (Cluster.fully_consistent cluster);
   Alcotest.check_raises "a read is checked too"
     (Invalid_argument "Cluster.submit: item -1 out of range") (fun () ->
@@ -171,6 +171,66 @@ let test_ids_are_digits () =
   Alcotest.(check bool) "recover usage" true (contains output "usage: recover <site>");
   Alcotest.(check bool) "digits still work" true (contains output "site 1 recovered")
 
+(* The console keeps one operational site, as [raid serve]'s HTTP API
+   does: failing or terminating the last one is refused, and
+   transactions still run there. *)
+let test_last_site_guard () =
+  let console, output, _ =
+    run_commands ~sites:2 [ "fail 0"; "fail 1"; "terminate 1"; "txn 1 w1" ]
+  in
+  Alcotest.(check bool) "first fail ok" true (contains output "site 0 failed");
+  Alcotest.(check int)
+    "last operational site refuses" 2
+    (count_lines output "site 1 is the last operational site");
+  Alcotest.(check (list int)) "site 1 up" [ 1 ] (Cluster.operational (Console.cluster console));
+  Alcotest.(check bool) "still serving" true (contains output "T1 committed")
+
+(* Random console lines, mixing valid, out-of-range and malformed site
+   ids and items, with fail, terminate and recover of every site.  After
+   every line nothing has raised, no printed line carries a lower
+   layer's message, the invariants hold and a site is operational. *)
+let prop_random_lines =
+  let open QCheck.Gen in
+  let odd = [ "0x1"; "-0"; "1_0"; "+1"; "99999999999999999999" ] in
+  let site = oneof [ map string_of_int (int_range 0 3); oneofl ("4" :: "9" :: odd) ] in
+  let item = oneof [ map string_of_int (int_range 0 9); oneofl ("10" :: "999" :: odd) ] in
+  let op = map2 ( ^ ) (oneofl [ "r"; "w"; "r"; "w"; "z" ]) item in
+  let line =
+    frequency
+      [
+        (4, map2 (Printf.sprintf "%s %s") (oneofl [ "fail"; "terminate"; "recover" ]) site);
+        (4, map2 (fun s ops -> String.concat " " ("txn" :: s :: ops)) site (list_size (int_range 1 3) op));
+        (2, map2 (Printf.sprintf "auto %d %s") (int_range 0 3) site);
+        (1, map (Printf.sprintf "auto %d") (int_range 0 3));
+        (1, map2 (Printf.sprintf "db %s %s") site item);
+        (1, map (Printf.sprintf "faillocks %s") site);
+        (1, oneofl [ "status"; "check"; "metrics"; "trace 2"; "db 0"; "auto 0x1"; "fail" ]);
+      ]
+  in
+  QCheck.Test.make ~name:"random console lines keep the rules" ~count:200
+    (QCheck.make ~print:(String.concat "; ") (list_size (int_range 1 40) line))
+    (fun lines ->
+      let console = Console.create ~sites:4 ~items:10 () in
+      let cluster = Console.cluster console in
+      let lower = [ "Engine:"; "Faillock:"; "Cluster."; "Database:" ] in
+      List.for_all
+        (fun line ->
+          let printed = ref [] in
+          (match Console.command console line ~print:(fun l -> printed := l :: !printed) with
+          | _ -> ()
+          | exception e -> QCheck.Test.fail_reportf "%S raised %s" line (Printexc.to_string e));
+          List.iter
+            (fun l ->
+              if List.exists (contains l) lower then
+                QCheck.Test.fail_reportf "%S printed %S" line l)
+            !printed;
+          (match Raid_core.Invariant.all cluster with
+          | Ok () -> ()
+          | Error message -> QCheck.Test.fail_reportf "after %S: %s" line message);
+          Cluster.operational cluster <> []
+          || QCheck.Test.fail_reportf "after %S: no operational site" line)
+        lines)
+
 let test_quit () =
   let _, _, quit = run_commands [ "status"; "quit" ] in
   Alcotest.(check bool) "quit" true quit
@@ -193,6 +253,8 @@ let suite =
     Alcotest.test_case "bad input is safe" `Quick test_bad_input_is_safe;
     Alcotest.test_case "out-of-range write" `Quick test_out_of_range_write;
     Alcotest.test_case "ids are digits only" `Quick test_ids_are_digits;
+    Alcotest.test_case "last operational site guard" `Quick test_last_site_guard;
+    QCheck_alcotest.to_alcotest prop_random_lines;
     Alcotest.test_case "quit" `Quick test_quit;
     Alcotest.test_case "help" `Quick test_help;
   ]
