@@ -199,7 +199,11 @@ let prop_random_lines =
     frequency
       [
         (4, map2 (Printf.sprintf "%s %s") (oneofl [ "fail"; "terminate"; "recover" ]) site);
-        (4, map2 (fun s ops -> String.concat " " ("txn" :: s :: ops)) site (list_size (int_range 1 3) op));
+        ( 4,
+          map2
+            (fun s ops -> String.concat " " ("txn" :: s :: ops))
+            site
+            (list_size (int_range 1 3) op) );
         (2, map2 (Printf.sprintf "auto %d %s") (int_range 0 3) site);
         (1, map (Printf.sprintf "auto %d") (int_range 0 3));
         (1, map2 (Printf.sprintf "db %s %s") site item);
