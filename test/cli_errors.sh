@@ -20,6 +20,7 @@ check() {
 check scenario --sites 2 --fail-site 5
 check throughput --sites 0 --smoke
 check crashmatrix --sizes 1 --smoke
+check crashmatrix --points no-such-point
 check scenario --two-step 2.0
 check concurrency --levels 0
 check repl --sites 0
