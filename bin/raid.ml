@@ -742,14 +742,6 @@ let crashmatrix_cmd =
       & info [ "list" ]
           ~doc:"List the crash-point taxonomy (one per line with a description) and exit.")
   in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Reduced grid for CI: one seed, one cluster size, every crash point and both \
-             placements.")
-  in
   let csv =
     Arg.(
       value & flag
@@ -797,7 +789,7 @@ let crashmatrix_cmd =
              per (site, episode) prefixed with the cell coordinates; byte-identical for any \
              $(b,-j).")
   in
-  let run list smoke csv incidents seeds sizes points jobs () =
+  let run list csv incidents seeds sizes points jobs () =
     set_jobs jobs;
     if list then
       List.iter
@@ -808,19 +800,17 @@ let crashmatrix_cmd =
         Crashmatrix.all_points
     else begin
       let points =
-        match points with
-        | None -> Crashmatrix.all_points
-        | Some names ->
-          List.map
-            (fun name ->
-              match Crashmatrix.point_of_name (String.trim name) with
-              | Some p -> p
-              | None -> invalid_arg (Printf.sprintf "unknown crash point %S (see --list)" name))
-            (String.split_on_char ',' names)
+        Option.map
+          (fun names ->
+            List.map
+              (fun name ->
+                match Crashmatrix.point_of_name (String.trim name) with
+                | Some p -> p
+                | None -> invalid_arg (Printf.sprintf "unknown crash point %S (see --list)" name))
+              (String.split_on_char ',' names))
+          points
       in
-      let seeds = match seeds with Some s -> s | None -> if smoke then [ 1 ] else [ 1; 2; 3 ] in
-      let sizes = match sizes with Some s -> s | None -> if smoke then [ 4 ] else [ 4; 6 ] in
-      let summary = Crashmatrix.run ~seeds ~sizes ~points () in
+      let summary = Crashmatrix.run ?seeds ?sizes ?points () in
       if csv then print_string (Crashmatrix.to_csv summary)
       else begin
         Table.print (Crashmatrix.table summary);
@@ -840,7 +830,7 @@ let crashmatrix_cmd =
       "Crash a site at every distinct point of the 2PC/copier/fail-lock state machine, replay \
        its WAL, resolve in-doubt transactions and assert the protocol invariants; non-zero exit \
        on any violation."
-    Term.(const run $ list $ smoke $ csv $ incidents $ seeds $ sizes $ points $ jobs)
+    Term.(const run $ list $ csv $ incidents $ seeds $ sizes $ points $ jobs)
 
 (* `raid repl` *)
 let repl_cmd =

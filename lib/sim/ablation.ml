@@ -170,33 +170,15 @@ let coordinator_placement ?(seed = 15) ?(weights = [ 0.0; 0.05; 0.25; 0.5; 1.0 ]
 
 type embed_row = { embed_label : string; copier_txn_ms : float; specials_sent : int }
 
-let copier_trials ~config ~seed ~trials =
-  let cluster = Cluster.create config in
-  let rng = Rng.create seed in
-  for _ = 1 to trials do
-    let locked_item = Rng.int rng 50 in
-    Cluster.fail_site cluster 3;
-    let id = Cluster.next_txn_id cluster in
-    ignore (Cluster.submit cluster ~coordinator:0 (Txn.make ~id [ Txn.Write locked_item ]));
-    (match Cluster.recover_site cluster 3 with
-    | `Recovered -> ()
-    | `Blocked -> failwith "Ablation: recovery blocked");
-    let tail =
-      List.init
-        (Rng.int_in rng 1 10 - 1)
-        (fun _ ->
-          let item = Rng.int rng 50 in
-          if Rng.bool rng then Txn.Write item else Txn.Read item)
-    in
-    let id = Cluster.next_txn_id cluster in
-    ignore (Cluster.submit cluster ~coordinator:3 (Txn.make ~id (Txn.Read locked_item :: tail)))
-  done;
-  Cluster.metrics cluster
-
 let embed_clears ?(seed = 23) ?(trials = 100) () =
   let run ~label ~embed =
     let config = Config.make ~embed_clears:embed ~num_sites:4 ~num_items:50 () in
-    let metrics = copier_trials ~config ~seed ~trials in
+    let cluster = Cluster.create config in
+    let rng = Rng.create seed in
+    for _ = 1 to trials do
+      ignore (Experiment1.copier_trial cluster rng)
+    done;
+    let metrics = Cluster.metrics cluster in
     {
       embed_label = label;
       copier_txn_ms = Stats.mean (Metrics.Samples.to_list metrics.Metrics.coordinator_copier_ms);

@@ -110,9 +110,12 @@ let interpret t print tokens =
     Array.iter
       (fun { Cluster.st_id = s; st_alive; st_faillocks; _ } ->
         let site = Cluster.site c s in
-        say "%-5d %-8b %-8d %-12s %d" s st_alive (Site.session_number site)
-          (Format.asprintf "%a" Session.pp_state (Session.state (Site.vector site) s))
-          st_faillocks)
+        (* A crash freezes the site's own vector, so it cannot say down. *)
+        let state =
+          if not st_alive then "down"
+          else Format.asprintf "%a" Session.pp_state (Session.state (Site.vector site) s)
+        in
+        say "%-5d %-8b %-8d %-12s %d" s st_alive (Site.session_number site) state st_faillocks)
       (Cluster.status c);
     say "fully consistent: %b" (Cluster.fully_consistent c)
   | [ "faillocks"; site ] ->

@@ -81,42 +81,42 @@ let control_overhead ?(cycles = 40) ?(seed = 11) () =
       ];
   }
 
-(* §2.2.3 — controlled copier-transaction trials: lock exactly one item
-   for site 3, recover it, then coordinate a transaction at site 3 whose
-   first operation reads the locked item. *)
+let random_ops rng n =
+  List.init n (fun _ ->
+      let item = Rng.int rng 50 in
+      if Rng.bool rng then Txn.Write item else Txn.Read item)
+
+(* §2.2.3 — one controlled copier-transaction trial on a 4-site,
+   50-item cluster: lock exactly one item for site 3, recover it, then
+   coordinate a transaction at site 3 whose first operation reads the
+   locked item and whose random tail makes the total size uniform in
+   1..10. *)
+let copier_trial cluster rng =
+  let locked_item = Rng.int rng 50 in
+  Cluster.fail_site cluster 3;
+  let id = Cluster.next_txn_id cluster in
+  ignore (Cluster.submit cluster ~coordinator:0 (Txn.make ~id [ Txn.Write locked_item ]));
+  (match Cluster.recover_site cluster 3 with
+  | `Recovered -> ()
+  | `Blocked -> failwith "Experiment1.copier_trial: recovery blocked");
+  let tail = random_ops rng (Rng.int_in rng 1 10 - 1) in
+  let id = Cluster.next_txn_id cluster in
+  Cluster.submit cluster ~coordinator:3 (Txn.make ~id (Txn.Read locked_item :: tail))
+
 let copier_overhead ?(trials = 200) ?(seed = 13) () =
-  let config = Config.make ~num_sites:4 ~num_items:50 () in
-  let cluster = Cluster.create config in
+  let cluster = Cluster.create (Config.make ~num_sites:4 ~num_items:50 ()) in
   let rng = Rng.create seed in
-  let random_ops n =
-    List.init n (fun _ ->
-        let item = Rng.int rng 50 in
-        if Rng.bool rng then Txn.Write item else Txn.Read item)
-  in
   (* The pooled coordinator samples include the single-write transactions
      that set up each trial (issued while a site is down, so cheaper);
      collect the all-sites-up baselines separately. *)
   let baseline_samples = ref [] in
   for _ = 1 to trials do
-    let locked_item = Rng.int rng 50 in
-    Cluster.fail_site cluster 3;
-    let id = Cluster.next_txn_id cluster in
-    ignore (Cluster.submit cluster ~coordinator:0 (Txn.make ~id [ Txn.Write locked_item ]));
-    (match Cluster.recover_site cluster 3 with
-    | `Recovered -> ()
-    | `Blocked -> failwith "Experiment1.copier_overhead: recovery blocked");
-    (* The copier-bearing transaction: first op reads the locked item,
-       the rest is the usual random tail (total size uniform in 1..10). *)
-    let tail = random_ops (Rng.int_in rng 1 10 - 1) in
-    let id = Cluster.next_txn_id cluster in
-    let outcome =
-      Cluster.submit cluster ~coordinator:3 (Txn.make ~id (Txn.Read locked_item :: tail))
-    in
+    let outcome = copier_trial cluster rng in
     assert outcome.Metrics.committed;
     (* A baseline transaction at the same (now clean) coordinator. *)
     let id = Cluster.next_txn_id cluster in
     let baseline_outcome =
-      Cluster.submit cluster ~coordinator:3 (Txn.make ~id (random_ops (Rng.int_in rng 1 10)))
+      Cluster.submit cluster ~coordinator:3 (Txn.make ~id (random_ops rng (Rng.int_in rng 1 10)))
     in
     baseline_samples :=
       Raid_net.Vtime.to_ms baseline_outcome.Metrics.elapsed :: !baseline_samples

@@ -33,6 +33,13 @@ val faillock_overhead : ?txns:int -> ?seed:int -> unit -> report
 (** [txns] transactions (default 400) are run twice — without and with
     fail-lock maintenance — over the same workload stream. *)
 
+val copier_trial : Raid_core.Cluster.t -> Raid_util.Rng.t -> Raid_core.Metrics.outcome
+(** One controlled copier trial on a cluster of at least 4 sites and 50
+    items: fail site 3, write a random item at site 0, recover site 3,
+    then coordinate at site 3 a transaction whose first operation reads
+    that item, followed by a random tail of 0-9 operations.  Returns
+    that transaction's outcome.  Ablation A4 runs the same trial. *)
+
 val copier_overhead : ?trials:int -> ?seed:int -> unit -> report
 (** [trials] (default 200) controlled trials: fail a site, lock one item,
     recover it, then coordinate a transaction there whose first operation

@@ -19,7 +19,7 @@ check() {
 }
 check scenario --sites 2 --fail-site 5
 check throughput --sites 0 --smoke
-check crashmatrix --sizes 1 --smoke
+check crashmatrix --seeds 1 --sizes 1
 check crashmatrix --points no-such-point
 check scenario --two-step 2.0
 check concurrency --levels 0

@@ -322,8 +322,7 @@ let test_mid_protocol_crash_with_wal () =
   while acks () < 2 do
     if not (Engine.step engine) then Alcotest.fail "quiescent too early"
   done;
-  Engine.set_alive engine 1 false;
-  Site.on_crash (Cluster.site cluster 1);
+  Cluster.crash_site_now cluster 1;
   Engine.run engine;
   (* The commit completed without site 1 and fail-locked the write. *)
   Alcotest.(check (list int)) "missed write fail-locked" [ 2 ] (Cluster.faillocks_for cluster 1);
@@ -356,8 +355,7 @@ let vote_then_crash cluster ~id ~item =
   while not (List.exists voted (Engine.trace engine)) do
     if not (Engine.step engine) then Alcotest.fail "quiescent too early"
   done;
-  Engine.set_alive engine 1 false;
-  Site.on_crash (Cluster.site cluster 1)
+  Cluster.crash_site_now cluster 1
 
 (* The in-doubt probe's fan-out.  Participant 1 votes and crashes with
    its prepare on stable storage; coordinator 0 commits without it, then

@@ -258,8 +258,7 @@ let test_commit_survives_failure_after_prepare () =
   while acks_delivered () < 2 do
     if not (Engine.step engine) then Alcotest.fail "quiescent before phase 1 completed"
   done;
-  Engine.set_alive engine 1 false;
-  Site.on_crash (Cluster.site cluster 1);
+  Cluster.crash_site_now cluster 1;
   Engine.run engine;
   (match !outcomes with
   | [ outcome ] ->
