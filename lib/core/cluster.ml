@@ -13,15 +13,15 @@ module Spec = struct
 
   type t = {
     config : Config.t;
-    trace : bool;
+    messages : Raid_obs.Trace.sink option;
     obs : Raid_obs.Trace.sink option;
     telemetry : Raid_obs.Telemetry.t option;
     telemetry_labels : (string * string) list;
     wal_factory : wal_factory option;
   }
 
-  let make ?(trace = false) ?obs ?telemetry ?(telemetry_labels = []) ?wal_factory config =
-    { config; trace; obs; telemetry; telemetry_labels; wal_factory }
+  let make ?messages ?obs ?telemetry ?(telemetry_labels = []) ?wal_factory config =
+    { config; messages; obs; telemetry; telemetry_labels; wal_factory }
 end
 
 type stale_read = { reader : int; item : int; version : int; latest : int }
@@ -47,12 +47,27 @@ type t = {
   mutable knowledge_loss_events : int;
 }
 
+(* The engine probe's parts that a cluster leaves unused. *)
+let idle_probe : Message.t Engine.probe =
+  {
+    on_arrival = (fun ~at:_ ~src:_ ~dst:_ ~delivered:_ _ -> ());
+    on_event = (fun ~at:_ _ ~cost:_ -> ());
+    on_advance = (fun ~at:_ -> ());
+  }
+
+(* The message part of the probe: each arrival becomes one typed event
+   at its destination. *)
+let emit_arrival (sink : Raid_obs.Trace.sink) ~at ~src ~dst ~delivered payload =
+  sink.emit ~at ~site:dst
+    (Raid_obs.Trace.Message { src; dst; delivered; label = Message.describe payload })
+
 (* Wire a telemetry registry into every layer of this cluster: polled
-   gauges over site state, counters fed by the engine's probe, polled
-   counters over the protocol aggregates, and per-outcome latency
-   histograms.  Everything registered here either polls on sample (a
-   closure over existing state, zero steady-state cost) or is a single
-   float store on the probe path — the run itself is never perturbed. *)
+   gauges over site state, counters fed by the engine's probe (returned
+   for [of_spec] to install), polled counters over the protocol
+   aggregates, and per-outcome latency histograms.  Everything
+   registered here either polls on sample (a closure over existing
+   state, zero steady-state cost) or is a single float store on the
+   probe path — the run itself is never perturbed. *)
 let attach_telemetry t registry ~extra_labels =
   let engine = t.engine in
   (* Prefix every series with the caller's labels (the multi-tenant
@@ -164,24 +179,22 @@ let attach_telemetry t registry ~extra_labels =
         Telemetry.observe
           (if outcome.Metrics.committed then commit_latency else abort_latency)
           ms);
-  Engine.set_probe engine
-    (Some
-       {
-         Engine.on_event =
-           (fun ~at:_ event ~cost ->
-             Telemetry.incr events_total;
-             let index =
-               match event with
-               | Engine.Message { payload; _ } ->
-                 let index = Message.kind_index payload in
-                 Telemetry.incr (msg_counter index);
-                 index
-               | Engine.Send_failed { payload; _ } | Engine.Timer payload ->
-                 Message.kind_index payload
-             in
-             Telemetry.add (vtime_counter index) (float_of_int cost));
-         on_advance = (fun ~at -> Telemetry.maybe_sample registry ~at);
-       })
+  {
+    idle_probe with
+    on_event =
+      (fun ~at:_ event ~cost ->
+        Telemetry.incr events_total;
+        let index =
+          match event with
+          | Engine.Message { payload; _ } ->
+            let index = Message.kind_index payload in
+            Telemetry.incr (msg_counter index);
+            index
+          | Engine.Send_failed { payload; _ } | Engine.Timer payload -> Message.kind_index payload
+        in
+        Telemetry.add (vtime_counter index) (float_of_int cost));
+    on_advance = (fun ~at -> Telemetry.maybe_sample registry ~at);
+  }
 
 (* Fold one outcome, in completion order, into the committed-version
    history.  A committed read must return the newest version committed
@@ -203,10 +216,10 @@ let record_outcome t outcome =
   end
 
 let of_spec (spec : Spec.t) =
-  let { Spec.config; trace; obs; telemetry; telemetry_labels; wal_factory } = spec in
+  let { Spec.config; messages; obs; telemetry; telemetry_labels; wal_factory } = spec in
   let metrics = Metrics.create () in
   let engine =
-    Engine.create ~message_latency:config.Config.cost.Cost_model.message_latency ~trace
+    Engine.create ~message_latency:config.Config.cost.Cost_model.message_latency
       ~num_sites:config.Config.num_sites ()
   in
   let cluster_ref = ref None in
@@ -242,9 +255,16 @@ let of_spec (spec : Spec.t) =
     }
   in
   cluster_ref := Some t;
-  (match telemetry with
-  | None -> ()
-  | Some registry -> attach_telemetry t registry ~extra_labels:telemetry_labels);
+  let probe =
+    match telemetry with
+    | None -> None
+    | Some registry -> Some (attach_telemetry t registry ~extra_labels:telemetry_labels)
+  in
+  Engine.set_probe engine
+    (match messages with
+    | None -> probe
+    | Some sink ->
+      Some { (Option.value probe ~default:idle_probe) with on_arrival = emit_arrival sink });
   t
 
 let create config = of_spec (Spec.make config)

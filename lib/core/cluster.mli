@@ -22,6 +22,11 @@
     plus everything a cluster needs to exist as {e one tenant among
     many} in a process rather than the implicit only cluster.
 
+    - [messages], when given, receives one {!Raid_obs.Trace.Message}
+      event per network message arrival, delivered or not, through the
+      engine's probe ({!Raid_net.Engine.set_probe}); without it no
+      message event is built.  It may be the same sink as [obs], which
+      interleaves arrivals with the protocol events they cause;
     - [obs] is handed to every site: one sink collects the whole
       cluster's protocol trace (entries carry the emitting site's id);
     - [telemetry], when given, is instrumented over every layer — per-site
@@ -45,7 +50,7 @@ module Spec : sig
 
   type t = {
     config : Config.t;
-    trace : bool;
+    messages : Raid_obs.Trace.sink option;
     obs : Raid_obs.Trace.sink option;
     telemetry : Raid_obs.Telemetry.t option;
     telemetry_labels : (string * string) list;
@@ -53,14 +58,14 @@ module Spec : sig
   }
 
   val make :
-    ?trace:bool ->
+    ?messages:Raid_obs.Trace.sink ->
     ?obs:Raid_obs.Trace.sink ->
     ?telemetry:Raid_obs.Telemetry.t ->
     ?telemetry_labels:(string * string) list ->
     ?wal_factory:wal_factory ->
     Config.t ->
     t
-  (** Defaults: no trace, no sinks, no labels, private WALs. *)
+  (** Defaults: no sinks, no telemetry, no labels, private WALs. *)
 end
 
 type t

@@ -3,16 +3,6 @@ type 'm event =
   | Send_failed of { dst : int; payload : 'm }
   | Timer of 'm
 
-type trace_outcome = Delivered | Undeliverable
-
-type 'm trace_entry = {
-  trace_time : Vtime.t;
-  trace_src : int;
-  trace_dst : int;
-  trace_payload : 'm;
-  trace_outcome : trace_outcome;
-}
-
 type counters = {
   sent : int;
   delivered : int;
@@ -22,6 +12,7 @@ type counters = {
 }
 
 type 'm probe = {
+  on_arrival : at:Vtime.t -> src:int -> dst:int -> delivered:bool -> 'm -> unit;
   on_event : at:Vtime.t -> 'm event -> cost:Vtime.t -> unit;
   on_advance : at:Vtime.t -> unit;
 }
@@ -72,8 +63,6 @@ type 'm t = {
   mutable clock : Vtime.t;
   mutable seq : int;
   live : live_counters;
-  trace_enabled : bool;
-  mutable trace_rev : 'm trace_entry list;
   mutable ctxs : 'm ctx array;  (* per-site handler and scratch, reset on each invoke *)
   mutable probe : 'm probe option;
   mutable heap_high_water : int;
@@ -95,7 +84,7 @@ let no_source = min_int
 let unregistered ctx _ =
   failwith (Printf.sprintf "Engine: no handler registered for site %d" ctx.ctx_self)
 
-let create ?(message_latency = Vtime.of_ms 9) ?(trace = false) ~num_sites () =
+let create ?(message_latency = Vtime.of_ms 9) ~num_sites () =
   if num_sites <= 0 then invalid_arg "Engine.create: num_sites must be positive";
   if message_latency < 0 then invalid_arg "Engine.create: negative latency";
   let t =
@@ -122,8 +111,6 @@ let create ?(message_latency = Vtime.of_ms 9) ?(trace = false) ~num_sites () =
           live_timer_fired = 0;
           live_timer_discarded = 0;
         };
-      trace_enabled = trace;
-      trace_rev = [];
       ctxs = [||];
       probe = None;
       heap_high_water = 0;
@@ -214,13 +201,6 @@ let schedule t at ~dst event =
   if depth > t.heap_high_water then t.heap_high_water <- depth;
   slot
 
-let record_trace t ~time ~src ~dst ~payload ~outcome =
-  if t.trace_enabled then
-    t.trace_rev <-
-      { trace_time = time; trace_src = src; trace_dst = dst; trace_payload = payload;
-        trace_outcome = outcome }
-      :: t.trace_rev
-
 (* The [Message] event for [payload] from [src].  A fan-out sends one
    payload to many sites in a row, so when the same source sends the
    same (physically equal) payload as its previous message, that
@@ -300,14 +280,16 @@ let step t =
     t.clock <- at;
     (match event with
     | Message { src; payload } ->
-      if deliverable t ~src ~dst then begin
+      let delivered = deliverable t ~src ~dst in
+      (match t.probe with
+      | None -> ()
+      | Some probe -> probe.on_arrival ~at ~src ~dst ~delivered payload);
+      if delivered then begin
         t.live.live_delivered <- t.live.live_delivered + 1;
-        record_trace t ~time:at ~src ~dst ~payload ~outcome:Delivered;
         invoke t t.ctxs.(dst) event
       end
       else begin
         t.live.live_undeliverable <- t.live.live_undeliverable + 1;
-        record_trace t ~time:at ~src ~dst ~payload ~outcome:Undeliverable;
         if src >= 0 then
           (* The sender times out three latencies after the send, so two
              after this arrival. *)
@@ -357,5 +339,3 @@ let counters t =
     timer_fired = t.live.live_timer_fired;
     timer_discarded = t.live.live_timer_discarded;
   }
-
-let trace t = List.rev t.trace_rev

@@ -38,20 +38,10 @@ type 'm ctx
 
 type 'm handler = 'm ctx -> 'm event -> unit
 
-type trace_outcome = Delivered | Undeliverable
-
-type 'm trace_entry = {
-  trace_time : Vtime.t;  (** arrival (or failure-detection) time *)
-  trace_src : int;
-  trace_dst : int;
-  trace_payload : 'm;
-  trace_outcome : trace_outcome;
-}
-
 val external_source : int
 (** Pseudo site id ([-1]) used as [src] for injected messages. *)
 
-val create : ?message_latency:Vtime.t -> ?trace:bool -> num_sites:int -> unit -> 'm t
+val create : ?message_latency:Vtime.t -> num_sites:int -> unit -> 'm t
 (** [message_latency] defaults to 9 ms, the paper's measured cost of "a
     single communication from one site to another" (§2.1); the sender-side
     wait before a [Send_failed] notification is three times it.
@@ -120,12 +110,19 @@ val pending_events : _ t -> int
 (** {2 Profiling hooks}
 
     The engine cannot depend on the observability layer (the dependency
-    points the other way), so profiling is exposed as a generic probe
-    the owner installs; {!Raid_core.Cluster} wires it into a telemetry
-    registry.  With no probe installed the cost is one [None] branch
-    per event. *)
+    points the other way), so profiling and message tracing are exposed
+    as one generic probe the owner installs; {!Raid_core.Cluster} wires
+    it into a telemetry registry, a message sink of the typed trace, or
+    both.  The engine keeps no record of its own.  With no probe
+    installed each hook costs one [None] branch. *)
 
 type 'm probe = {
+  on_arrival : at:Vtime.t -> src:int -> dst:int -> delivered:bool -> 'm -> unit;
+      (** Every [Message] arrival, before its handler runs: [src] is
+          [external_source] for an injection, and [delivered] is false
+          when [dst] is down or the link is cut (no handler runs then,
+          and the sender is notified later).  Calls come in arrival
+          order, which is the engine's processing order. *)
   on_event : at:Vtime.t -> 'm event -> cost:Vtime.t -> unit;
       (** After each handled event: the event, its processing time and
           the virtual cost the handler accumulated through [work].
@@ -157,6 +154,3 @@ type counters = {
 val counters : _ t -> counters
 (** Immutable snapshot of the running totals (the engine keeps them in
     mutable fields internally; this copies). *)
-
-val trace : 'm t -> 'm trace_entry list
-(** Chronological trace (empty unless [create ~trace:true]). *)

@@ -1,4 +1,4 @@
-let version = "1.29.0"
+let version = "1.30.0"
 
 (* One child process per OCaml process, not per export. *)
 let resolved_revision =

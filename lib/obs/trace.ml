@@ -28,6 +28,7 @@ type event =
   | Control of { kind : control_kind; detail : string }
   | Copier_request of { txn : int; source : int; items : int }
   | Copier_reply of { txn : int; source : int; items : int }
+  | Message of { src : int; dst : int; delivered : bool; label : string }
 
 type entry = { at : Vtime.t; site : int; event : event }
 
@@ -101,6 +102,7 @@ let kind = function
   | Control _ -> "control"
   | Copier_request _ -> "copier_request"
   | Copier_reply _ -> "copier_reply"
+  | Message _ -> "message"
 
 let counts t =
   let table = Hashtbl.create 16 in

@@ -5,9 +5,10 @@
     paper's three experiments time — transaction begin/read/write/
     commit/abort, the 2PC prepare/vote/decide steps, fail-lock
     transitions, session-vector changes, and control/copier
-    transactions.  A {!t} collects entries in a bounded ring buffer
-    stamped with virtual time; {!Trace_export} turns a collection into
-    JSONL or Chrome trace-event JSON.
+    transactions — and, for runs that ask, each message arrival.  A
+    {!t} collects entries in a bounded ring buffer stamped with virtual
+    time; {!Trace_export} turns a collection into JSONL or Chrome
+    trace-event JSON.
 
     Cost discipline: when tracing is off no sink exists, so the emitting
     code's only overhead is a [match] on an option that is [None] — no
@@ -56,6 +57,12 @@ type event =
   | Copier_request of { txn : int; source : int; items : int }
       (** [txn] is negative for a batch (two-step recovery) round. *)
   | Copier_reply of { txn : int; source : int; items : int }
+  | Message of { src : int; dst : int; delivered : bool; label : string }
+      (** A network message reached [dst] from [src] ([-1] for the
+          managing site's injections), or found [dst] down or cut off
+          ([delivered] false).  [label] describes the payload.  The
+          entry's site is [dst].  Only a run given a message sink emits
+          these; without one no message event is built. *)
 
 type entry = { at : Raid_net.Vtime.t; site : int; event : event }
 (** One emitted event: virtual time and emitting site. *)

@@ -1,5 +1,4 @@
 module Vtime = Raid_net.Vtime
-module Engine = Raid_net.Engine
 
 let event_fields : Trace.event -> (string * Json.t) list = function
   | Txn_begin { txn; reads; writes } ->
@@ -39,6 +38,13 @@ let event_fields : Trace.event -> (string * Json.t) list = function
     [ ("txn", Json.Int txn); ("source", Json.Int source); ("items", Json.Int items) ]
   | Copier_reply { txn; source; items } ->
     [ ("txn", Json.Int txn); ("source", Json.Int source); ("items", Json.Int items) ]
+  | Message { src; dst; delivered; label } ->
+    [
+      ("src", Json.Int src);
+      ("dst", Json.Int dst);
+      ("delivered", Json.Bool delivered);
+      ("label", Json.Str label);
+    ]
 
 let entry_json ({ at; site; event } : Trace.entry) =
   Json.Obj
@@ -94,7 +100,7 @@ let metadata ~name ~tid args =
       ("args", Json.Obj args);
     ]
 
-let chrome ~num_sites ~label ~messages trace =
+let chrome ~num_sites trace =
   let entries = Trace.entries trace in
   let events = ref [] in
   let push event = events := event :: !events in
@@ -158,8 +164,9 @@ let chrome ~num_sites ~label ~messages trace =
           (bar ~name:(Printf.sprintf "fetch T%d <- site %d" txn source) ~cat:"copier" ~tid:site
              fetch (event_fields event))
       | Txn_begin { txn; _ }, _ -> point ~cat:"txn" (Printf.sprintf "begin T%d" txn)
-      | (Txn_commit _ | Txn_abort _ | Phase_enter _ | Txn_read _ | Txn_write _ | Copier_request _), _
-        ->
+      | ( ( Txn_commit _ | Txn_abort _ | Phase_enter _ | Txn_read _ | Txn_write _
+          | Copier_request _ | Message _ ),
+          _ ) ->
         ()
       | Control { kind; _ }, _ -> point (Trace.control_kind_name kind)
       | _ -> point (Trace.kind event))
@@ -185,18 +192,18 @@ let chrome ~num_sites ~label ~messages trace =
                [ ("site", Json.Int incident.Incident.site) ]))
         incident.Incident.phases)
     (Incident.assemble entries);
+  (* Message arrivals come last, in arrival order. *)
   List.iter
-    (fun (message : _ Engine.trace_entry) ->
-      let delivered = message.trace_outcome = Engine.Delivered in
-      let name = label message.trace_payload in
-      push
-        (instant
-           ~name:(if delivered then name else "undeliverable: " ^ name)
-           ~cat:"msg" ~tid:message.trace_dst ~ts:(Vtime.to_us message.trace_time)
-           [
-             ("src", Json.Int message.trace_src);
-             ("dst", Json.Int message.trace_dst);
-             ("delivered", Json.Bool delivered);
-           ]))
-    messages;
+    (fun ({ at; event; _ } : Trace.entry) ->
+      match event with
+      | Message { src; dst; delivered; label } ->
+        push
+          (instant
+             ~name:(if delivered then label else "undeliverable: " ^ label)
+             ~cat:"msg" ~tid:dst ~ts:(Vtime.to_us at)
+             [
+               ("src", Json.Int src); ("dst", Json.Int dst); ("delivered", Json.Bool delivered);
+             ])
+      | _ -> ())
+    entries;
   Json.to_string ~indent:true (Json.Obj [ ("traceEvents", Json.Arr (List.rev !events)) ])

@@ -6,7 +6,7 @@
     complete ("X") span with its copy / prepare / commit phases as spans
     nested inside it, each answered vote and copier fetch as a span of
     its own, and renders everything else (fail-lock transitions, session
-    changes, control transactions, engine-level message deliveries) as
+    changes, control transactions, message arrivals) as
     instant events on the relevant site's track.  The spans are not
     paired here: they are {!Span.assemble}'s, the same trees
     [raid explain] prints. *)
@@ -17,12 +17,7 @@ val entry_json : Trace.entry -> Json.t
 val jsonl : Trace.t -> string
 (** One compact JSON object per line, in emission order. *)
 
-val chrome :
-  num_sites:int ->
-  label:('m -> string) ->
-  messages:'m Raid_net.Engine.trace_entry list ->
-  Trace.t ->
-  string
+val chrome : num_sites:int -> Trace.t -> string
 (** A single JSON object [{"traceEvents": [...]}], pretty-printed.
     Every bar comes from the {!Span} trees of the collected entries and
     is emitted at the entry that ends it: a complete transaction with
@@ -30,6 +25,6 @@ val chrome :
     fetch at the copy reply.  A transaction whose begin or terminal is
     missing (e.g. lost to a coordinator crash) produces no transaction
     bar.
-    [messages] (chronological, the network engine's own trace) adds a
-    "msg" instant on the destination site's track per delivery attempt,
-    named by [label] and marked when undeliverable. *)
+    Each collected {!Trace.Message} adds a "msg" instant on the
+    destination site's track, after every other event, named by its
+    label and marked when undeliverable. *)

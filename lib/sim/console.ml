@@ -8,18 +8,22 @@ module Site = Raid_core.Site
 module Workload = Raid_core.Workload
 module Database = Raid_storage.Database
 module Rng = Raid_util.Rng
+module Trace = Raid_obs.Trace
 
-type t = { cluster : Cluster.t; driver : Driver.t }
+(* [messages] holds the session's latest message arrivals, in a ring of
+   the default capacity: a long session keeps a bounded trace. *)
+type t = { cluster : Cluster.t; driver : Driver.t; messages : Trace.t }
 
 let create ?(sites = 4) ?(items = 50) ?(max_ops = 5) ?(seed = 42) () =
   let config = Config.make ~num_sites:sites ~num_items:items () in
-  let cluster = Cluster.of_spec (Cluster.Spec.make ~trace:true config) in
+  let messages = Trace.create () in
+  let cluster = Cluster.of_spec (Cluster.Spec.make ~messages:(Trace.sink messages) config) in
   let rng = Rng.create seed in
   let workload =
     Workload.create (Workload.Uniform { max_ops; write_prob = 0.5 }) ~num_items:items
       ~rng:(Rng.split rng)
   in
-  { cluster; driver = Driver.create cluster ~workload ~rng }
+  { cluster; driver = Driver.create cluster ~workload ~rng; messages }
 
 let cluster t = t.cluster
 
@@ -76,10 +80,10 @@ let interpret t print tokens =
         | None -> say "item %d: (no copy)" item)
       items
   in
-  let trace n =
-    let all = Timeline.entries c in
-    let skip = List.length all - n in
-    List.iteri (fun i e -> if i >= skip then print (Timeline.describe_entry e)) all
+  let trace last =
+    let dropped = Trace.dropped t.messages in
+    if dropped > 0 then say "(%d older messages dropped)" dropped;
+    List.iter print (Timeline.lines ~last t.messages)
   in
   match tokens with
   | [] -> ()

@@ -10,9 +10,11 @@
 type t
 
 val create : ?sites:int -> ?items:int -> ?max_ops:int -> ?seed:int -> unit -> t
-(** A fresh traced cluster behind a console.  Defaults: 4 sites, 50
-    items, random transactions of at most [max_ops] (default 5)
-    operations, seed 42. *)
+(** A fresh cluster behind a console, its message arrivals kept in a
+    {!Raid_obs.Trace} ring of the default capacity for [trace]: a long
+    session keeps the latest arrivals and counts the ones it dropped.
+    Defaults: 4 sites, 50 items, random transactions of at most
+    [max_ops] (default 5) operations, seed 42. *)
 
 val cluster : t -> Raid_core.Cluster.t
 

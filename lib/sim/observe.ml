@@ -4,7 +4,6 @@ module Telemetry = Raid_obs.Telemetry
 module Incident = Raid_obs.Incident
 module Cluster = Raid_core.Cluster
 module Metrics = Raid_core.Metrics
-module Message = Raid_core.Message
 module Engine = Raid_net.Engine
 module Vtime = Raid_net.Vtime
 module Stats = Raid_util.Stats
@@ -92,7 +91,7 @@ let run ?capacity ?sample scenario =
   let registry = Telemetry.create ?interval:sample () in
   let trace = Trace.create ?capacity () in
   let obs, recorder = attach_observatory registry trace in
-  let result = Runner.run ~trace:true ~obs ~telemetry:registry scenario in
+  let result = Runner.run ~obs ~telemetry:registry scenario in
   let engine = Cluster.engine result.Runner.cluster in
   (* One final point at the quiescent end time, so every series covers
      the whole run even when it ends between interval boundaries. *)
@@ -108,13 +107,12 @@ let summary output =
   let metrics = Cluster.metrics output.result.Runner.cluster in
   Format.fprintf ppf "transactions: %d committed, %d aborted@."
     output.result.Runner.committed output.result.Runner.aborted;
+  let counts = Trace.counts output.trace in
   Format.fprintf ppf "trace: %d events emitted, %d dropped, %d messages@.@."
     (Trace.emitted output.trace) (Trace.dropped output.trace)
-    (List.length (Timeline.entries output.result.Runner.cluster));
+    (Option.value ~default:0 (List.assoc_opt "message" counts));
   Format.fprintf ppf "events by kind:@.";
-  List.iter
-    (fun (kind, count) -> Format.fprintf ppf "  %-20s %6d@." kind count)
-    (Trace.counts output.trace);
+  List.iter (fun (kind, count) -> Format.fprintf ppf "  %-20s %6d@." kind count) counts;
   Format.fprintf ppf "@.virtual latencies (ms):@.";
   List.iter
     (fun (label, samples) ->
@@ -133,9 +131,7 @@ let render ~format output =
   match format with
   | `Jsonl -> Trace_export.jsonl output.trace
   | `Chrome ->
-    let cluster = output.result.Runner.cluster in
-    Trace_export.chrome ~num_sites:(Cluster.num_sites cluster) ~label:Message.describe
-      ~messages:(Timeline.entries cluster) output.trace
+    Trace_export.chrome ~num_sites:(Cluster.num_sites output.result.Runner.cluster) output.trace
   | `Summary -> summary output
   | `Prom -> Raid_obs.Prom.render output.registry
   | `Csv -> Telemetry.to_csv output.registry

@@ -84,9 +84,10 @@ let run_action state action =
     loop max_txns);
   check cluster
 
-let run ?(trace = false) ?obs ?telemetry (scenario : Scenario.t) =
+let run ?obs ?telemetry (scenario : Scenario.t) =
   let cluster =
-    Cluster.of_spec (Cluster.Spec.make ~trace ?obs ?telemetry scenario.Scenario.config)
+    Cluster.of_spec
+      (Cluster.Spec.make ?messages:obs ?obs ?telemetry scenario.Scenario.config)
   in
   let rng = Rng.create scenario.Scenario.seed in
   let workload_rng = Rng.split rng in

@@ -20,20 +20,14 @@ type result = {
   aborted : int;
 }
 
-val run :
-  ?trace:bool ->
-  ?obs:Raid_obs.Trace.sink ->
-  ?telemetry:Raid_obs.Telemetry.t ->
-  Scenario.t ->
-  result
+val run : ?obs:Raid_obs.Trace.sink -> ?telemetry:Raid_obs.Telemetry.t -> Scenario.t -> result
 (** Execute the scenario.  The DESIGN.md invariants are verified after
     every action and a [Failure] is raised on violation — experiments
     double as protocol tests.
-    [trace] turns on the network engine's message trace; [obs] receives
-    the sites' protocol trace; [telemetry] is instrumented over the
-    cluster and sampled in virtual time ({!Observe} attaches all three
-    and assembles the pipeline).  All default to off, which costs
-    nothing.
+    [obs] receives the sites' protocol trace and, interleaved with it,
+    every message arrival; [telemetry] is instrumented over the cluster
+    and sampled in virtual time ({!Observe} attaches both and assembles
+    the pipeline).  Both default to off, which costs nothing.
 
     @raise Invalid_argument if a [Fixed] coordinator is down when a
     transaction must be issued, or no site is operational. *)

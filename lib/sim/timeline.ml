@@ -1,28 +1,20 @@
-module Engine = Raid_net.Engine
 module Vtime = Raid_net.Vtime
-module Cluster = Raid_core.Cluster
-module Message = Raid_core.Message
+module Trace = Raid_obs.Trace
 
-let entries cluster = Engine.trace (Cluster.engine cluster)
+let site_name s = if s = Raid_net.Engine.external_source then "mgr" else string_of_int s
 
-let site_name s = if s = Engine.external_source then "mgr" else string_of_int s
-
-let describe_entry e =
-  let marker = match e.Engine.trace_outcome with Engine.Delivered -> "  " | Engine.Undeliverable -> "!!" in
-  Printf.sprintf "%9.2f ms %s %3s -> %-3s %s"
-    (Vtime.to_ms e.Engine.trace_time)
-    marker
-    (site_name e.Engine.trace_src)
-    (site_name e.Engine.trace_dst)
-    (Message.describe e.Engine.trace_payload)
-
-let render ?(since = Vtime.zero) ?limit cluster =
+let lines ?(since = Vtime.zero) ?(last = max_int) ring =
   let selected =
-    List.filter (fun e -> Vtime.compare e.Engine.trace_time since >= 0) (entries cluster)
+    List.filter_map
+      (fun ({ at; event; _ } : Trace.entry) ->
+        match event with
+        | Trace.Message { src; dst; delivered; label } when Vtime.compare at since >= 0 ->
+          Some
+            (Printf.sprintf "%9.2f ms %s %3s -> %-3s %s" (Vtime.to_ms at)
+               (if delivered then "  " else "!!")
+               (site_name src) (site_name dst) label)
+        | _ -> None)
+      (Trace.entries ring)
   in
-  let selected =
-    match limit with
-    | None -> selected
-    | Some n -> List.filteri (fun i _ -> i < n) selected
-  in
-  String.concat "\n" (List.map describe_entry selected)
+  let skip = List.length selected - last in
+  List.filteri (fun i _ -> i >= skip) selected

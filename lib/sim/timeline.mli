@@ -1,25 +1,16 @@
-(** Message-timeline rendering for protocol traces.
+(** Message timelines read from the typed trace.
 
-    Create a cluster with
-    [Cluster.of_spec (Cluster.Spec.make ~trace:true config)] and this
-    module renders the engine's delivery trace as a readable sequence chart —
-    the debugging view a mini-RAID operator would have had on the
-    managing site's console.  Used by the docs, the examples and the
-    golden-trace conformance tests. *)
+    Build a cluster whose spec carries a message sink
+    ([Cluster.Spec.make ~messages:(Raid_obs.Trace.sink ring) config])
+    and this module renders the ring's {!Raid_obs.Trace.Message} entries
+    as a readable sequence chart — the debugging view a mini-RAID
+    operator would have had on the managing site's console.  Other
+    entries in the ring are skipped.  Used by the console, the examples
+    and the protocol-path goldens. *)
 
-val entries :
-  Raid_core.Cluster.t -> Raid_core.Message.t Raid_net.Engine.trace_entry list
-(** The cluster engine's chronological trace (empty unless the cluster
-    was built from a spec with [~trace:true]). *)
-
-val describe_entry : Raid_core.Message.t Raid_net.Engine.trace_entry -> string
-(** One line: ["  18.00 ms  0 -> 1   prepare(1,2 writes)"]; failed
-    deliveries are marked ["!!"]. *)
-
-val render :
-  ?since:Raid_net.Vtime.t ->
-  ?limit:int ->
-  Raid_core.Cluster.t ->
-  string
-(** Render the trace (optionally only entries at or after [since], and at
-    most [limit] lines, default unlimited). *)
+val lines : ?since:Raid_net.Vtime.t -> ?last:int -> Raid_obs.Trace.t -> string list
+(** One line per collected message, oldest first, e.g.
+    ["    18.00 ms      0 -> 1   prepare(1,1 writes,0 cleared)"]; the
+    managing site is ["mgr"] and undeliverable arrivals are marked
+    ["!!"].  Only arrivals at or after [since] are kept, and of those
+    the last [last] (default all). *)

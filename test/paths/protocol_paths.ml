@@ -12,23 +12,38 @@ module Metrics = Raid_core.Metrics
 module Placement = Raid_core.Placement
 module Txn = Raid_core.Txn
 module Timeline = Raid_sim.Timeline
+module Trace = Raid_obs.Trace
 
-let cluster config = Cluster.of_spec (Cluster.Spec.make ~trace:true config)
+(* The scenarios run one at a time.  [ring] collects the message
+   arrivals of the one being built; [latest] holds those of its engine's
+   latest step, newest first. *)
+let ring = ref (Trace.create ())
+let latest = ref []
+
+let cluster config =
+  ring := Trace.create ();
+  let record = { Trace.emit = (fun ~at:_ ~site:_ event -> latest := event :: !latest) } in
+  Cluster.of_spec (Cluster.Spec.make ~messages:(Trace.tee [ Trace.sink !ring; record ]) config)
 
 let submit c ~coordinator ops =
   let id = Cluster.next_txn_id c in
   ignore (Cluster.submit c ~coordinator (Txn.make ~id ops))
 
-(* Step the engine until [pred] holds for some trace entry. *)
-let step_until c pred =
+(* Step the engine until one step delivers the message labelled [label]
+   to [dst] (from [src], when given); each step's arrivals are read
+   once. *)
+let step_until c ?src ~dst label =
   let engine = Cluster.engine c in
-  while not (List.exists pred (Engine.trace engine)) do
+  let awaited = function
+    | Trace.Message m ->
+      m.delivered && m.dst = dst && m.label = label && Option.fold ~none:true ~some:(( = ) m.src) src
+    | _ -> false
+  in
+  latest := [];
+  while not (List.exists awaited !latest) do
+    latest := [];
     if not (Engine.step engine) then failwith "quiescent before the awaited delivery"
   done
-
-let delivered ~dst pred e =
-  e.Engine.trace_outcome = Engine.Delivered && e.Engine.trace_dst = dst
-  && pred e.Engine.trace_payload
 
 (* Item [i] on sites {i mod n, i+1 mod n}. *)
 let two_copies = Config.Partial (Placement.spec ~sharding:Placement.Modular ~factor:2 ())
@@ -71,10 +86,7 @@ let status_probe_fanout () =
   submit c ~coordinator:0 [ Txn.Write 3 ];
   let id = Cluster.next_txn_id c in
   Engine.inject (Cluster.engine c) ~dst:0 (Message.Begin_txn (Txn.make ~id [ Txn.Write 1 ]));
-  step_until c
-    (fun e ->
-      e.Engine.trace_src = 1
-      && delivered ~dst:0 (function Message.Prepare_ack { txn } -> txn = id | _ -> false) e);
+  step_until c ~src:1 ~dst:0 (Message.describe (Message.Prepare_ack { txn = id }));
   Cluster.crash_site_now c 1;
   Cluster.crash_site_now c 0;
   Cluster.run_to_quiescence c;
@@ -119,7 +131,7 @@ let batch_source_crash () =
   let engine = Cluster.engine c in
   Engine.set_alive engine 0 true;
   Engine.inject engine ~dst:0 Message.Recover_command;
-  step_until c (delivered ~dst:0 (function Message.Recovery_state _ -> true | _ -> false));
+  step_until c ~dst:0 "recovery_state";
   Cluster.crash_site_now c 1;
   Cluster.run_to_quiescence c;
   c
@@ -130,71 +142,71 @@ let commit_bounce_hint () =
   let c = cluster (Config.make ~num_sites:3 ~num_items:4 ()) in
   let id = Cluster.next_txn_id c in
   Engine.inject (Cluster.engine c) ~dst:0 (Message.Begin_txn (Txn.make ~id [ Txn.Write 1 ]));
-  step_until c
-    (fun e ->
-      e.Engine.trace_src = 1
-      && delivered ~dst:0 (function Message.Prepare_ack { txn } -> txn = id | _ -> false) e);
+  step_until c ~src:1 ~dst:0 (Message.describe (Message.Prepare_ack { txn = id }));
   Cluster.crash_site_now c 1;
   Cluster.run_to_quiescence c;
   c
 
-let undeliverable pred e =
-  e.Engine.trace_outcome = Engine.Undeliverable && pred e.Engine.trace_payload
+(* An arrival, delivered or not as [delivered] says, whose label
+   [test] accepts.  These payloads carry lists, so their labels are
+   matched by shape. *)
+let arrival ~delivered test = function
+  | Trace.Message m -> m.delivered = delivered && test m.label
+  | _ -> false
 
-let any pred e = pred e.Engine.trace_payload
+let prefix p label = String.starts_with ~prefix:p label
 
 let scenarios =
   [
     ( "copy_unavailable retry",
       copy_unavailable_retry,
       "copy_unavailable",
-      any (function Message.Copy_unavailable _ -> true | _ -> false) );
+      arrival ~delivered:true (prefix "copy_unavailable(") );
     ( "control-3 backup",
       backup_copy,
       "backup_copy",
-      any (function Message.Backup_copy _ -> true | _ -> false) );
+      arrival ~delivered:true (prefix "backup_copy(") );
     ( "graceful departure",
       departure_announce,
       "departure_announce",
-      any (function Message.Departure_announce _ -> true | _ -> false) );
+      arrival ~delivered:true (prefix "departure_announce(") );
     ( "status probe fan-out, coordinator dead",
       status_probe_fanout,
       "txn_status_request to a live non-coordinator",
-      fun e ->
-        e.Engine.trace_dst <> 0
-        && delivered ~dst:e.Engine.trace_dst
-             (function Message.Txn_status_request _ -> true | _ -> false)
-             e );
+      function
+      | Trace.Message m -> m.dst <> 0 && m.delivered && prefix "txn_status_request(" m.label
+      | _ -> false );
     ( "control-1 donor failover",
       donor_failover,
       "undeliverable recovery_announce asking for state",
-      undeliverable (function
-        | Message.Recovery_announce { want_state; _ } -> want_state
-        | _ -> false) );
+      arrival ~delivered:false (fun label ->
+          prefix "recovery_announce(" label && String.ends_with ~suffix:",want_state)" label) );
     ( "timeout abort with embedded clears",
       abort_with_embedded_clears,
       "abort carrying cleared items",
-      any (function Message.Abort { cleared; _ } -> cleared <> [] | _ -> false) );
+      arrival ~delivered:true (fun label ->
+          prefix "abort(" label && not (String.ends_with ~suffix:",0 cleared)" label)) );
     ( "batch round source crash",
       batch_source_crash,
       "undeliverable batch copy_request",
-      undeliverable (function Message.Copy_request { txn; _ } -> txn < 0 | _ -> false) );
+      arrival ~delivered:false (prefix "copy_request(-") );
     ( "faillock_hint after commit bounce",
       commit_bounce_hint,
       "faillock_hint",
-      any (function Message.Faillock_hint _ -> true | _ -> false) );
+      arrival ~delivered:true (prefix "faillock_hint(") );
   ]
 
 let () =
   List.iter
     (fun (name, run, expect, pred) ->
       let c = run () in
-      if not (List.exists pred (Timeline.entries c)) then begin
+      if not (List.exists (fun (e : Trace.entry) -> pred e.event) (Trace.entries !ring)) then begin
         Printf.eprintf "protocol_paths: scenario %S never sent %s\n" name expect;
         exit 1
       end;
-      Printf.printf "== %s (expects %s) ==\n%s\n-- counters --\n" name expect
-        (Timeline.render c);
+      Printf.printf "== %s (expects %s) ==\n" name expect;
+      List.iter print_endline (Timeline.lines !ring);
+      print_string "-- counters --\n";
       List.iter
         (fun (counter, value) -> Printf.printf "%s %d\n" counter value)
         (Metrics.snapshot_counts (Cluster.metrics c));

@@ -243,6 +243,35 @@ let test_help () =
   let _, output, _ = run_commands [ "help" ] in
   Alcotest.(check bool) "lists commands" true (contains output "faillocks <site>")
 
+(* A long session keeps a bounded trace.  A 4-site console sends about
+   13 messages a transaction, so 6,000 transactions fill its 65,536-entry
+   message ring; 6,000 more must not raise the live words by more than
+   the slack (the latency sample arrays may double once).  A console
+   that kept every message would grow by about a million words here.
+   Once messages were dropped, [trace] says how many. *)
+let test_trace_is_bounded () =
+  let console = Console.create () in
+  let auto () = ignore (Console.command console ~print:ignore "auto 6000") in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  auto ();
+  let at_n = live_words () in
+  auto ();
+  let at_2n = live_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words %d after 12,000 transactions, %d after 6,000" at_2n at_n)
+    true
+    (at_2n <= at_n + 100_000);
+  let lines = ref [] in
+  ignore (Console.command console ~print:(fun l -> lines := l :: !lines) "trace 2");
+  match List.rev !lines with
+  | [ dropped; _; _ ] ->
+    Alcotest.(check bool) ("says how many were dropped: " ^ dropped) true
+      (String.ends_with ~suffix:" older messages dropped)" dropped)
+  | lines -> Alcotest.failf "expected a dropped line and 2 messages, got %d lines" (List.length lines)
+
 let suite =
   [
     Alcotest.test_case "txn and status" `Quick test_txn_and_status;
@@ -254,6 +283,7 @@ let suite =
     Alcotest.test_case "auto without operational site" `Quick test_auto_without_operational_site;
     Alcotest.test_case "db inspection" `Quick test_db_inspection;
     Alcotest.test_case "trace and metrics" `Quick test_trace_and_metrics;
+    Alcotest.test_case "trace is bounded" `Quick test_trace_is_bounded;
     Alcotest.test_case "bad input is safe" `Quick test_bad_input_is_safe;
     Alcotest.test_case "out-of-range write" `Quick test_out_of_range_write;
     Alcotest.test_case "ids are digits only" `Quick test_ids_are_digits;

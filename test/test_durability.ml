@@ -300,28 +300,15 @@ let test_mid_protocol_crash_with_wal () =
       ~durability:(Config.Durable_wal { checkpoint_interval = 4 })
       ~num_sites:3 ~num_items:8 ()
   in
-  let cluster =
-    Cluster.of_spec (Cluster.Spec.make ~trace:true config)
-  in
+  let cluster, arrivals = Arrivals.cluster config in
   (* Seed history so the crashed site has something to replay. *)
   let id = Cluster.next_txn_id cluster in
   ignore (Cluster.submit cluster ~coordinator:0 (Txn.make ~id [ Txn.Write 7 ]));
   let engine = Cluster.engine cluster in
   let id = Cluster.next_txn_id cluster in
   Engine.inject engine ~dst:0 (Message.Begin_txn (Txn.make ~id [ Txn.Write 2 ]));
-  let acks () =
-    List.length
-      (List.filter
-         (fun e ->
-           e.Engine.trace_outcome = Engine.Delivered
-           && (match e.Engine.trace_payload with
-              | Message.Prepare_ack { txn } -> txn = id && e.Engine.trace_dst = 0
-              | _ -> false))
-         (Engine.trace engine))
-  in
-  while acks () < 2 do
-    if not (Engine.step engine) then Alcotest.fail "quiescent too early"
-  done;
+  Arrivals.step_until ~count:2 arrivals cluster
+    (Arrivals.arrived ~dst:0 (Message.Prepare_ack { txn = id }));
   Cluster.crash_site_now cluster 1;
   Engine.run engine;
   (* The commit completed without site 1 and fail-locked the write. *)
@@ -342,19 +329,12 @@ let test_mid_protocol_crash_with_wal () =
 (* Drive txn [id] (a write of [item] coordinated by site 0) until site
    1's yes-vote has reached the coordinator, then crash site 1: its
    prepare is on stable storage and the Commit is not yet delivered. *)
-let vote_then_crash cluster ~id ~item =
-  let module Engine = Raid_net.Engine in
+let vote_then_crash (cluster, arrivals) ~id ~item =
   let module Message = Raid_core.Message in
-  let engine = Cluster.engine cluster in
-  Engine.inject engine ~dst:0 (Message.Begin_txn (Txn.make ~id [ Txn.Write item ]));
-  let voted e =
-    e.Engine.trace_outcome = Engine.Delivered
-    && e.Engine.trace_src = 1
-    && match e.Engine.trace_payload with Message.Prepare_ack { txn } -> txn = id | _ -> false
-  in
-  while not (List.exists voted (Engine.trace engine)) do
-    if not (Engine.step engine) then Alcotest.fail "quiescent too early"
-  done;
+  Raid_net.Engine.inject (Cluster.engine cluster) ~dst:0
+    (Message.Begin_txn (Txn.make ~id [ Txn.Write item ]));
+  Arrivals.step_until arrivals cluster
+    (Arrivals.arrived ~src:1 ~dst:0 (Message.Prepare_ack { txn = id }));
   Cluster.crash_site_now cluster 1
 
 (* The in-doubt probe's fan-out.  Participant 1 votes and crashes with
@@ -364,16 +344,14 @@ let vote_then_crash cluster ~id ~item =
    commit record says so: site 1 must apply the write, not presume an
    abort. *)
 let test_probe_fan_out_finds_commit () =
-  let module Engine = Raid_net.Engine in
   let module Message = Raid_core.Message in
   let config =
     Config.make ~durability:(Config.Durable_wal { checkpoint_interval = 5 }) ~num_sites:3
       ~num_items:8 ()
   in
-  let cluster = Cluster.of_spec (Cluster.Spec.make ~trace:true config) in
-  let engine = Cluster.engine cluster in
+  let ((cluster, arrivals) as traced) = Arrivals.cluster config in
   let id = Cluster.next_txn_id cluster in
-  vote_then_crash cluster ~id ~item:2;
+  vote_then_crash traced ~id ~item:2;
   Cluster.run_to_quiescence cluster;
   Alcotest.(check bool) "site 2 applied the commit" true
     (Site.applied_commit (Cluster.site cluster 2) ~txn:id);
@@ -381,15 +359,13 @@ let test_probe_fan_out_finds_commit () =
   (match Cluster.recover_site cluster 1 with
   | `Recovered -> ()
   | `Blocked -> Alcotest.fail "blocked");
-  let probe dst outcome =
+  let probe ~delivered dst =
     List.exists
-      (fun e ->
-        e.Engine.trace_src = 1 && e.Engine.trace_dst = dst && e.Engine.trace_outcome = outcome
-        && e.Engine.trace_payload = Message.Txn_status_request { txn = id })
-      (Engine.trace engine)
+      (Arrivals.arrived ~src:1 ~delivered ~dst (Message.Txn_status_request { txn = id }))
+      (Arrivals.all arrivals)
   in
-  Alcotest.(check bool) "probe to the coordinator bounced" true (probe 0 Engine.Undeliverable);
-  Alcotest.(check bool) "probe fanned out to site 2" true (probe 2 Engine.Delivered);
+  Alcotest.(check bool) "probe to the coordinator bounced" true (probe ~delivered:false 0);
+  Alcotest.(check bool) "probe fanned out to site 2" true (probe ~delivered:true 2);
   Alcotest.(check int) "resolved" 0 (Site.in_doubt (Cluster.site cluster 1));
   Alcotest.(check (option (pair int int))) "decided write applied" (Some (id, id))
     (Database.read (Site.database (Cluster.site cluster 1)) 2);
@@ -402,24 +378,18 @@ let test_participant_time_samples () =
      recovery has no arrival time in this incarnation, so committing it
      records no sample — whether the verdict comes from in-doubt
      resolution or from the Commit sent to the previous incarnation. *)
-  let module Engine = Raid_net.Engine in
   let module Message = Raid_core.Message in
   let config =
     Config.make ~durability:(Config.Durable_wal { checkpoint_interval = 5 }) ~num_sites:3
       ~num_items:8 ()
   in
-  let cluster = Cluster.of_spec (Cluster.Spec.make ~trace:true config) in
-  let engine = Cluster.engine cluster in
+  let ((cluster, arrivals) as traced) = Arrivals.cluster config in
   let samples () =
     List.length
       (Raid_core.Metrics.Samples.to_list (Cluster.metrics cluster).Raid_core.Metrics.participant_ms)
   in
   let commit_to_1_delivered id =
-    List.exists
-      (fun e ->
-        e.Engine.trace_outcome = Engine.Delivered && e.Engine.trace_dst = 1
-        && e.Engine.trace_payload = Message.Commit { txn = id })
-      (Engine.trace engine)
+    List.exists (Arrivals.arrived ~dst:1 (Message.Commit { txn = id })) (Arrivals.all arrivals)
   in
   let recovered () =
     match Cluster.recover_site cluster 1 with
@@ -432,7 +402,7 @@ let test_participant_time_samples () =
   (* In-doubt resolution: site 1 stays down until the commit completes
      without it, then recovers and asks the coordinator. *)
   let id = Cluster.next_txn_id cluster in
-  vote_then_crash cluster ~id ~item:2;
+  vote_then_crash traced ~id ~item:2;
   Cluster.run_to_quiescence cluster;
   Alcotest.(check int) "only the surviving participant sampled" 3 (samples ());
   Alcotest.(check int) "prepare on stable storage" 1 (Site.in_doubt (Cluster.site cluster 1));
@@ -445,7 +415,7 @@ let test_participant_time_samples () =
   (* The Commit of the previous incarnation: site 1 restarts within one
      message latency, so the Commit reaches the reloaded prepare. *)
   let id = Cluster.next_txn_id cluster in
-  vote_then_crash cluster ~id ~item:3;
+  vote_then_crash traced ~id ~item:3;
   recovered ();
   Alcotest.(check bool) "commit reached the reloaded prepare" true (commit_to_1_delivered id);
   Alcotest.(check int) "resolved" 0 (Site.in_doubt (Cluster.site cluster 1));

@@ -160,20 +160,43 @@ let test_timer_fires_and_respects_death () =
   Alcotest.(check (list int)) "only live site fires" [ 0 ] !fired;
   Alcotest.(check int) "one discarded" 1 (Engine.counters engine).Engine.timer_discarded
 
-let test_trace_records () =
-  let engine = Engine.create ~trace:true ~num_sites:2 () in
-  Engine.register engine 0 (fun ctx _ -> Engine.send ctx 1 Tick);
-  Engine.register engine 1 (fun _ _ -> ());
-  Engine.inject engine ~dst:0 Tick;
+(* The probe's arrival hook sees every message, delivered or not,
+   before any handler runs; [on_event] sees only the handled ones. *)
+let test_probe_arrivals () =
+  let engine = Engine.create ~num_sites:2 () in
+  let arrivals = ref [] and handled = ref 0 in
+  Engine.set_probe engine
+    (Some
+       {
+         Engine.on_arrival =
+           (fun ~at ~src ~dst ~delivered payload ->
+             arrivals := (Vtime.to_ms at, src, dst, delivered, payload) :: !arrivals);
+         on_event = (fun ~at:_ _ ~cost:_ -> incr handled);
+         on_advance = (fun ~at:_ -> ());
+       });
+  Engine.register engine 0 (fun ctx event ->
+      match event with
+      | Engine.Message { payload = Ping n; _ } -> Engine.send ctx 1 (Pong n)
+      | _ -> ());
+  Engine.register engine 1 (fun _ _ -> Alcotest.fail "site 1 is down");
+  Engine.set_alive engine 1 false;
+  Engine.inject engine ~dst:0 (Ping 7);
   Engine.run engine;
-  let trace = Engine.trace engine in
-  Alcotest.(check int) "two entries" 2 (List.length trace);
-  (match trace with
-  | [ first; second ] ->
-    Alcotest.(check int) "injection src" Engine.external_source first.Engine.trace_src;
-    Alcotest.(check int) "second dst" 1 second.Engine.trace_dst;
-    Alcotest.(check bool) "delivered" true (second.Engine.trace_outcome = Engine.Delivered)
-  | _ -> Alcotest.fail "unexpected trace shape")
+  Alcotest.(check (list (pair bool int)))
+    "the injection is delivered, the pong is not"
+    [ (true, Engine.external_source); (false, 0) ]
+    (List.rev_map (fun (_, src, _, delivered, _) -> (delivered, src)) !arrivals);
+  (match !arrivals with
+  | [ (at, _, dst, _, payload); (first_at, _, first_dst, _, _) ] ->
+    Alcotest.(check int) "injection dst" 0 first_dst;
+    Alcotest.(check (float 0.)) "injection at one latency" 9. first_at;
+    Alcotest.(check int) "undeliverable dst" 1 dst;
+    Alcotest.(check (float 0.)) "pong at two latencies" 18. at;
+    Alcotest.(check bool) "undeliverable payload" true (payload = Pong 7)
+  | _ -> Alcotest.fail "unexpected arrival count");
+  (* Site 0 handled the ping and then the pong's Send_failed; the
+     undeliverable arrival ran no handler. *)
+  Alcotest.(check int) "on_event skips the undeliverable arrival" 2 !handled
 
 let test_message_counters () =
   let engine = Engine.create ~num_sites:2 () in
@@ -225,7 +248,7 @@ let suite =
     Alcotest.test_case "silent failed injection" `Quick test_injection_to_dead_site_is_silent;
     Alcotest.test_case "severed link" `Quick test_severed_link;
     Alcotest.test_case "timers and site death" `Quick test_timer_fires_and_respects_death;
-    Alcotest.test_case "trace records" `Quick test_trace_records;
+    Alcotest.test_case "probe sees every arrival" `Quick test_probe_arrivals;
     Alcotest.test_case "message counters" `Quick test_message_counters;
     Alcotest.test_case "constructor validation" `Quick test_validation;
     Alcotest.test_case "livelock guard" `Quick test_run_guard;

@@ -234,9 +234,7 @@ let test_commit_survives_failure_after_prepare () =
      stepping the engine manually. *)
   let module Engine = Raid_net.Engine in
   let module Message = Raid_core.Message in
-  let cluster =
-    Cluster.of_spec (Cluster.Spec.make ~trace:true (config ~num_sites:3 ()))
-  in
+  let cluster, arrivals = Arrivals.cluster (config ~num_sites:3 ()) in
   let engine = Cluster.engine cluster in
   let outcomes = ref [] in
   Cluster.set_outcome_hook cluster (Some (fun o -> outcomes := o :: !outcomes));
@@ -244,20 +242,8 @@ let test_commit_survives_failure_after_prepare () =
   Engine.inject engine ~dst:0 (Message.Begin_txn (Txn.make ~id [ Txn.Write 1 ]));
   (* Step until both phase-1 acks have been delivered to the coordinator,
      then crash participant 1 before it can receive the commit. *)
-  let acks_delivered () =
-    List.length
-      (List.filter
-         (fun e ->
-           e.Engine.trace_outcome = Engine.Delivered
-           &&
-           match e.Engine.trace_payload with
-           | Message.Prepare_ack _ -> e.Engine.trace_dst = 0
-           | _ -> false)
-         (Engine.trace engine))
-  in
-  while acks_delivered () < 2 do
-    if not (Engine.step engine) then Alcotest.fail "quiescent before phase 1 completed"
-  done;
+  Arrivals.step_until ~count:2 arrivals cluster
+    (Arrivals.arrived ~dst:0 (Message.Prepare_ack { txn = id }));
   Cluster.crash_site_now cluster 1;
   Engine.run engine;
   (match !outcomes with

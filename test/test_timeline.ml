@@ -6,24 +6,20 @@ module Config = Raid_core.Config
 module Cost_model = Raid_core.Cost_model
 module Txn = Raid_core.Txn
 module Timeline = Raid_sim.Timeline
-module Engine = Raid_net.Engine
+module Trace = Raid_obs.Trace
 
-(* Just the message descriptions of delivered entries, in order: the
-   skeleton these tests compare against. *)
-let message_kinds c =
+(* Just the labels of delivered messages, in order: the skeleton these
+   tests compare against. *)
+let message_kinds arrivals =
   List.filter_map
-    (fun e ->
-      match e.Engine.trace_outcome with
-      | Engine.Delivered -> Some (Raid_core.Message.describe e.Engine.trace_payload)
-      | Engine.Undeliverable -> None)
-    (Timeline.entries c)
+    (function Trace.Message { delivered = true; label; _ } -> Some label | _ -> None)
+    (Arrivals.all arrivals)
 
 let cluster ?(num_sites = 3) () =
-  Cluster.of_spec
-    (Cluster.Spec.make ~trace:true (Config.make ~cost:Cost_model.free ~num_sites ~num_items:8 ()))
+  Arrivals.cluster (Config.make ~cost:Cost_model.free ~num_sites ~num_items:8 ())
 
 let test_plain_commit_trace () =
-  let c = cluster () in
+  let c, arrivals = cluster () in
   let id = Cluster.next_txn_id c in
   ignore (Cluster.submit c ~coordinator:0 (Txn.make ~id [ Txn.Write 3 ]));
   Alcotest.(check (list string)) "two-phase commit sequence"
@@ -38,17 +34,17 @@ let test_plain_commit_trace () =
       "commit_ack(1)";
       "commit_ack(1)";
     ]
-    (message_kinds c)
+    (message_kinds arrivals)
 
 let test_copier_trace () =
-  let c = cluster () in
+  let c, arrivals = cluster () in
   Cluster.fail_site c 2;
   let id = Cluster.next_txn_id c in
   ignore (Cluster.submit c ~coordinator:0 (Txn.make ~id [ Txn.Write 3 ]));
   ignore (Cluster.recover_site c 2);
   let id = Cluster.next_txn_id c in
   ignore (Cluster.submit c ~coordinator:2 (Txn.make ~id [ Txn.Read 3 ]));
-  let kinds = message_kinds c in
+  let kinds = message_kinds arrivals in
   (* The copier must run before phase 1 begins (Appendix A). *)
   let index_of needle =
     let rec find i = function
@@ -65,10 +61,10 @@ let test_copier_trace () =
     (List.mem "faillocks_cleared(site 2,1 items)" kinds)
 
 let test_recovery_trace () =
-  let c = cluster () in
+  let c, arrivals = cluster () in
   Cluster.fail_site c 1;
   ignore (Cluster.recover_site c 1);
-  let kinds = message_kinds c in
+  let kinds = message_kinds arrivals in
   (* Control-2 from the witness, then control-1: announcements to every
      other site and exactly one state shipment. *)
   Alcotest.(check bool) "failure announce" true
@@ -81,39 +77,35 @@ let test_recovery_trace () =
     (List.length (List.filter (( = ) "recovery_state") kinds))
 
 let test_render_format () =
-  let c = cluster () in
+  let c, arrivals = cluster () in
   let id = Cluster.next_txn_id c in
   ignore (Cluster.submit c ~coordinator:0 (Txn.make ~id [ Txn.Write 1 ]));
-  let rendered = Timeline.render c in
-  Alcotest.(check bool) "mentions manager source" true
-    (String.length rendered > 0
-    &&
-    let lines = String.split_on_char '\n' rendered in
-    List.exists (fun l -> String.length l > 0 && String.contains l 'm' (* mgr *)) lines);
-  (* since/limit filters *)
-  let limited = Timeline.render ~limit:2 c in
-  Alcotest.(check int) "limit respected" 2
-    (List.length (String.split_on_char '\n' limited))
+  let mark = Raid_net.Engine.now (Cluster.engine c) in
+  let id = Cluster.next_txn_id c in
+  ignore (Cluster.submit c ~coordinator:0 (Txn.make ~id [ Txn.Write 2 ]));
+  let all = Timeline.lines arrivals.Arrivals.ring in
+  Alcotest.(check string) "the managing site's injection" "     9.00 ms    mgr -> 0   begin_txn(1)"
+    (List.hd all);
+  (* since/last select one way: the arrivals at or after [since], then
+     the last [last] of those. *)
+  let last = Timeline.lines ~last:2 arrivals.Arrivals.ring in
+  Alcotest.(check (list string)) "the last two lines" (List.filteri (fun i _ -> i >= 16) all) last;
+  let since = Timeline.lines ~since:(Raid_net.Vtime.add mark 1) arrivals.Arrivals.ring in
+  Alcotest.(check int) "the second transaction's nine messages" 9 (List.length since);
+  Alcotest.(check (list string)) "since, then last" (List.filteri (fun i _ -> i >= 7) since)
+    (Timeline.lines ~since:(Raid_net.Vtime.add mark 1) ~last:2 arrivals.Arrivals.ring)
 
 let test_undeliverable_marked () =
-  let c =
-    Cluster.of_spec
-      (Cluster.Spec.make ~trace:true
-         (Config.make ~cost:Cost_model.free ~num_sites:2 ~num_items:4 ()))
+  let c, arrivals =
+    Arrivals.cluster (Config.make ~cost:Cost_model.free ~num_sites:2 ~num_items:4 ())
   in
   Cluster.crash_site_now c 1;
   let id = Cluster.next_txn_id c in
   ignore (Cluster.submit c ~coordinator:0 (Txn.make ~id [ Txn.Write 0 ]));
-  let rendered = Timeline.render c in
   Alcotest.(check bool) "failed delivery marked" true
-    (let lines = String.split_on_char '\n' rendered in
-     List.exists
-       (fun l ->
-         String.length l > 12
-         &&
-         let rec has i = i + 2 <= String.length l && (String.sub l i 2 = "!!" || has (i + 1)) in
-         has 0)
-       lines)
+    (List.exists
+       (fun line -> String.length line > 14 && String.sub line 13 2 = "!!")
+       (Timeline.lines arrivals.Arrivals.ring))
 
 let suite =
   [
