@@ -2,8 +2,8 @@
     [raid metrics], [raid explain] and [raid incidents].
 
     {!run} plays a scenario with every observer attached — the
-    protocol trace ({!Raid_obs.Trace}) in a ring collector, a streaming
-    incident recorder, the network engine's message trace and a
+    protocol trace ({!Raid_obs.Trace}), message arrivals included, in a
+    ring collector, a streaming incident recorder and a
     {!Raid_obs.Telemetry} registry (see {!Raid_core.Cluster.Spec}) — and
     {!render} exports the collection in one of five formats:
 
@@ -11,7 +11,7 @@
     - [`Chrome]: Chrome trace-event JSON (Perfetto / [chrome://tracing]),
       one track per site, drawing the {!spans} trees — phases nested in
       their transaction's span, votes and fetches as spans — and the
-      engine's message trace (the one {!Timeline} renders) as instants;
+      ring's message arrivals (the lines {!Timeline} renders) as instants;
     - [`Summary]: a text report — event counts by kind plus
       {!Raid_util.Stats} summaries and histograms of the per-transaction
       virtual latencies by outcome and by 2PC phase;

@@ -100,7 +100,14 @@ let test_crash_isolation () =
         true
         (entries calm = entries stormy)
   done;
-  Alcotest.(check int) "crashing tenants did diverge" 4 !perturbed
+  Alcotest.(check int) "crashing tenants did diverge" 4 !perturbed;
+  (* A tenant's sink gets protocol events only: no tenant asks for
+     message arrivals, so none is built. *)
+  Hashtbl.iter
+    (fun tenant c ->
+      if List.exists (fun (e : Trace.entry) -> Trace.kind e.event = "message") (Trace.entries c)
+      then Alcotest.failf "tenant %d received message events" tenant)
+    stormy
 
 let test_spec_validation () =
   let invalid msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
